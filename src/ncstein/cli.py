@@ -220,13 +220,18 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seq_len = _parse_int(data, "seq_len", 4, 1)
+    adapted_only = data.get("adapted_only", False)
+    if not isinstance(adapted_only, bool):
+        raise ConfigError("key 'adapted_only' must be a boolean")
 
     kind = input_kind(inequality)
     if kind not in ("operator", "process"):
         depth = _filtration_depth(filtration, dim, local_dims)
-        if max(seq_len - 1 - lag, 0) >= depth:
+        # adapted inputs are also projected onto their own level, at lag 0
+        at_lag = 0 if kind == "adapted-seq" or adapted_only else lag
+        if max(seq_len - 1 - at_lag, 0) >= depth:
             raise ConfigError(
-                f"key 'seq_len' = {seq_len} exceeds the filtration depth {depth} at lag {lag}"
+                f"key 'seq_len' = {seq_len} exceeds the filtration depth {depth} at lag {at_lag}"
             )
     if kind == "projections" and seq_len > dim:
         raise ConfigError("key 'seq_len' cannot exceed 'dim' for projection families")
@@ -268,9 +273,6 @@ def parse_config(text: str) -> RunConfig:
     step_scale = data.get("step_scale", 0.25)
     if isinstance(step_scale, bool) or not isinstance(step_scale, (int, float)) or step_scale <= 0:
         raise ConfigError(f"key 'step_scale' must be a positive number, got {step_scale!r}")
-    adapted_only = data.get("adapted_only", False)
-    if not isinstance(adapted_only, bool):
-        raise ConfigError("key 'adapted_only' must be a boolean")
     witness_out = data.get("witness_out")
     if witness_out is not None and not isinstance(witness_out, str):
         raise ConfigError("key 'witness_out' must be a string path")

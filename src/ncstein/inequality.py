@@ -22,15 +22,17 @@ from typing import Sequence
 import numpy as np
 
 from .expectation import (
+    ADAPTED_TOL,
     CellAverage,
     Filtration,
     cond_exp,
-    is_adapted,
-    level_index,
+    _adapted_residual,
+    _condition,
 )
 from .opcore import (
     INF,
     as_operator,
+    as_stack,
     check_exponent,
     herm,
     is_psd,
@@ -44,10 +46,10 @@ from .seqnorm import (
     column_q_norm,
     crp_norm,
     linf_norm_positive,
-    _abs_q_term,
-    _as_sequence,
-    _psd_root_norm,
+    _abs_q_stack,
+    _column_norms,
     _require_positive,
+    _root_norms,
 )
 
 PROJECTION_TOL = 1e-8
@@ -103,18 +105,22 @@ def _make_report(inequality_id, lhs, rhs, p, q, lag, lhs_upper=None, rhs_lower=N
     )
 
 
-def _conditioned(seq, filt, lag):
-    return [
-        cond_exp(x, filt.levels[level_index(n, lag, len(filt))])
-        for n, x in enumerate(seq)
-    ]
+def _require_adapted(xs: np.ndarray, filt: Filtration) -> None:
+    residual = _adapted_residual(xs, filt, 0)
+    if residual > ADAPTED_TOL:
+        raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
 
 
-def _stein_report(items, filt, p, q, lag, inequality_id) -> RatioReport:
-    conditioned = _conditioned(items, filt, lag)
-    lhs = column_q_norm(conditioned, p, q)
-    rhs = column_q_norm(items, p, q)
-    return _make_report(inequality_id, lhs, rhs, p, q, lag)
+def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int,
+                 adapted: bool = False) -> tuple[float, float]:
+    """Trusted kernel of check_stein_pq, check_adapted_s12 and the search loop: the column
+    norms (lhs, rhs) of E(xs) and xs. Terms must be PSD unless q = 2, and adapted if `adapted`."""
+    if adapted:
+        _require_adapted(xs, filt)
+    norms, psd = _column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q)
+    if psd is not None and not psd[1].all():
+        raise ValueError(f"sequence item {int(np.argmin(psd[1]))} is not positive semidefinite")
+    return float(norms[0]), float(norms[1])
 
 
 def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
@@ -127,7 +133,7 @@ def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
     q > p instance for adapted sequences lives in check_adapted_s12).
     Sequences must be positive unless q = 2.
     """
-    items = _as_sequence(seq)
+    xs = as_stack(seq)
     p, q = check_exponent(p), check_exponent(q)
     if p == INF or q == INF:
         raise ValueError("both exponents must be finite here")
@@ -135,9 +141,8 @@ def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
         raise ValueError(f"need q <= p, got q={q} > p={p}")
     if q > 2 and p != q:
         raise ValueError(f"q={q} > 2 with p != q is outside the proved range")
-    if q != 2:
-        _require_positive(items)
-    return _stein_report(items, filt, p, q, lag, inequality_id)
+    lhs, rhs = map(NormValue, _stein_sides(xs, filt, p, q, lag))
+    return _make_report(inequality_id, lhs, rhs, p, q, lag)
 
 
 def check_adapted_s12(seq: Sequence, filt: Filtration, lag: int = 1,
@@ -147,13 +152,8 @@ def check_adapted_s12(seq: Sequence, filt: Filtration, lag: int = 1,
 
     Adaptedness (term n inside level n) is a precondition and is verified.
     """
-    items = _as_sequence(seq)
-    verdict = is_adapted(items, filt, 0)
-    if not verdict.adapted:
-        raise ValueError(
-            f"sequence is not adapted: residual {verdict.residual:.3e}"
-        )
-    return _stein_report(items, filt, 1.0, 2.0, lag, inequality_id)
+    lhs, rhs = map(NormValue, _stein_sides(as_stack(seq), filt, 1.0, 2.0, lag, adapted=True))
+    return _make_report(inequality_id, lhs, rhs, 1.0, 2.0, lag)
 
 
 def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
@@ -164,8 +164,8 @@ def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
 
     With identity isometries both sides collapse to check_stein_pq at lag 0.
     """
-    items = _as_sequence(seq)
-    ys = _as_sequence(isometries)
+    items = as_stack(seq)
+    ys = as_stack(isometries)
     p, q = check_exponent(p), check_exponent(q)
     if not 1 <= q <= 2:
         raise ValueError(f"need 1 <= q <= 2, got q={q}")
@@ -179,10 +179,10 @@ def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
     for n, u in enumerate(ys):
         if op_norm(u.conj().T @ u - eye) > UNITARY_CHECK_TOL:
             raise ValueError(f"isometry {n} is not unitary within tolerance")
-    conjugated = [u.conj().T @ x @ u for u, x in zip(ys, items)]
-    lhs = column_q_norm(_conditioned(conjugated, filt, lag), p, q)
-    rhs_sum = herm(sum(u.conj().T @ _abs_q_term(x, q) @ u for u, x in zip(ys, items)))
-    rhs = NormValue(_psd_root_norm(rhs_sum, p, q), "exact")
+    ys_adj = ys.conj().swapaxes(1, 2)
+    powers, _ = _abs_q_stack(np.stack([_condition(ys_adj @ items @ ys, filt, lag), items]), q)
+    sums = np.stack([powers[0].sum(axis=0), (ys_adj @ powers[1] @ ys).sum(axis=0)])
+    lhs, rhs = map(NormValue, _root_norms(sums, p, q))
     return _make_report(inequality_id, lhs, rhs, p, q, lag)
 
 
@@ -193,14 +193,13 @@ def check_dual_doob(seq: Sequence, filt: Filtration, p,
     At p = 1 both sides equal the normalized trace of the sum, so the ratio
     is 1 up to round-off.
     """
-    items = _as_sequence(seq)
+    items = as_stack(seq)
     p = check_exponent(p)
     if p == INF:
         raise ValueError("p must be finite here")
     _require_positive(items)
-    conditioned = _conditioned(items, filt, 0)
-    lhs = NormValue(schatten_norm(herm(sum(conditioned)), p), "exact")
-    rhs = NormValue(schatten_norm(herm(sum(items)), p), "exact")
+    sums = np.stack([_condition(items, filt, 0).sum(axis=0), items.sum(axis=0)])
+    lhs, rhs = map(NormValue, _root_norms(sums, p, 1.0))
     return _make_report(inequality_id, lhs, rhs, p, None, 0)
 
 
@@ -226,12 +225,12 @@ def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0, *,
     """ell_inf bracket of the conditioned sequence against the bracket of
     the inputs; the scalar ratio pairs the certified sides (lhs lower over
     rhs upper) and ratio_interval holds the full enclosure."""
-    items = _as_sequence(seq)
+    items = as_stack(seq)
     p = check_exponent(p)
     if p == 1:
         raise ValueError("p = 1 is rejected: the dual exponent degenerates")
     _require_positive(items)
-    conditioned = _conditioned(items, filt, lag)
+    conditioned = _condition(items, filt, lag)
     left: LinfBracket = linf_norm_positive(conditioned, p, seed=seed)
     right: LinfBracket = linf_norm_positive(items, p, seed=seed + 1)
     return _make_report(inequality_id, left.lower, right.upper, p, INF, lag,
@@ -243,16 +242,12 @@ def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1, *,
     """CR_p contraction for adapted sequences under one-step-behind
     conditioning. For p < 2 both sides are splitting upper bounds and the
     report is flagged non-certifying."""
-    items = _as_sequence(seq)
+    items = as_stack(seq)
     p = check_exponent(p)
     if not 1 < p < INF:
         raise ValueError(f"need 1 < p < inf, got p={p}")
-    verdict = is_adapted(items, filt, 0)
-    if not verdict.adapted:
-        raise ValueError(
-            f"sequence is not adapted: residual {verdict.residual:.3e}"
-        )
-    conditioned = _conditioned(items, filt, lag)
+    _require_adapted(items, filt)
+    conditioned = _condition(items, filt, lag)
     lhs = crp_norm(conditioned, p, seed=seed)
     rhs = crp_norm(items, p, seed=seed + 1)
     return _make_report(inequality_id, lhs, rhs, p, 2.0, lag)
@@ -266,7 +261,7 @@ def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0,
     identity, the uncontracted side is at most ||1||_p = 1; the rhs is
     pinned to 1 and the ratio is the lhs itself.
     """
-    items = _as_sequence(projs)
+    items = as_stack(projs)
     p, q = check_exponent(p), check_exponent(q)
     if not (1 <= q <= 2 < p < INF):
         raise ValueError(f"need 1 <= q <= 2 < p < inf, got p={p}, q={q}")
@@ -276,7 +271,7 @@ def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0,
         for m in range(n):
             if op_norm(items[m] @ r) > PROJECTION_TOL:
                 raise ValueError(f"projections {m} and {n} are not orthogonal")
-    lhs = column_q_norm(_conditioned(items, filt, lag), p, q)
+    lhs = column_q_norm(_condition(items, filt, lag), p, q)
     rhs = NormValue(1.0, "exact")
     return _make_report(inequality_id, lhs, rhs, p, q, lag)
 
@@ -382,21 +377,17 @@ def check_semicommutative(process: Sequence[Sequence], space: ClassicalSpace,
     """
     if len(process) != space.atoms:
         raise ValueError("process must supply one sequence per atom")
-    per_atom = [_as_sequence(seq) for seq in process]
+    per_atom = [as_stack(seq) for seq in process]
     lengths = {len(seq) for seq in per_atom}
     dims = {seq[0].shape[0] for seq in per_atom}
     if len(lengths) != 1 or len(dims) != 1:
         raise ValueError("all atom sequences must share length and dimension")
     d = dims.pop()
     filt, slots = embed_classical(space, d)
-    total = filt.dim
-    embedded = []
-    for n in range(lengths.pop()):
-        big = np.zeros((total, total), dtype=complex)
-        for atom, atom_slots in enumerate(slots):
-            for s in atom_slots:
-                big[s * d : (s + 1) * d, s * d : (s + 1) * d] = per_atom[atom][n]
-        embedded.append(big)
+    embedded = np.zeros((lengths.pop(), filt.dim, filt.dim), dtype=complex)
+    for atom, atom_slots in enumerate(slots):
+        for s in atom_slots:
+            embedded[:, s * d : (s + 1) * d, s * d : (s + 1) * d] = per_atom[atom]
     return check_stein_pq(embedded, filt, p, q, lag, inequality_id=inequality_id)
 
 

@@ -35,6 +35,17 @@ def as_operator(x) -> np.ndarray:
     return a
 
 
+def as_stack(seq) -> np.ndarray:
+    """Validate a nonempty sequence of equal-size operators as one trusted (n, d, d) stack."""
+    items = [as_operator(x) for x in seq]
+    if not items:
+        raise ValueError("operator sequence must be nonempty")
+    dims = {x.shape[0] for x in items}
+    if len(dims) != 1:
+        raise ValueError(f"operator sequence mixes dimensions {sorted(dims)}")
+    return np.stack(items)
+
+
 def ntrace(x) -> complex:
     """Normalized trace tr(x)/d; equals 1 on the identity."""
     a = np.asarray(x)
@@ -42,9 +53,9 @@ def ntrace(x) -> complex:
 
 
 def herm(x) -> np.ndarray:
-    """Hermitian part (x + x*)/2, used to suppress round-off asymmetry."""
+    """Hermitian part (x + x*)/2 of an operator or of each operator in a stack."""
     a = np.asarray(x)
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def op_norm(x) -> float:
@@ -69,13 +80,13 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     symmetrized before decomposing. Larger asymmetry is rejected.
     """
     a = as_operator(h)
-    residual = op_norm(a - a.conj().T)
-    scale = max(1.0, op_norm(a))
-    if residual > HERMITIAN_TOL * scale:
-        raise ValueError(
-            f"operator is not Hermitian: asymmetry {residual:.3e} exceeds "
-            f"tolerance {HERMITIAN_TOL * scale:.3e}"
-        )
+    if not np.array_equal(a, a.conj().T):  # a bitwise Hermitian input needs no SVD
+        residual, scale = op_norm(a - a.conj().T), max(1.0, op_norm(a))
+        if residual > HERMITIAN_TOL * scale:
+            raise ValueError(
+                f"operator is not Hermitian: asymmetry {residual:.3e} exceeds "
+                f"tolerance {HERMITIAN_TOL * scale:.3e}"
+            )
     w, u = np.linalg.eigh(herm(a))
     return w, u
 
@@ -116,8 +127,9 @@ def psd_power(a, r) -> np.ndarray:
 def is_psd(x, rel_tol: float = EIG_CLAMP_REL) -> bool:
     """True when x is Hermitian and its spectrum clears the clamp threshold."""
     a = as_operator(x)
-    if op_norm(a - a.conj().T) > HERMITIAN_TOL * max(1.0, op_norm(a)):
-        return False
+    if not np.array_equal(a, a.conj().T):  # a bitwise Hermitian input needs no SVD
+        if op_norm(a - a.conj().T) > HERMITIAN_TOL * max(1.0, op_norm(a)):
+            return False
     w = np.linalg.eigvalsh(herm(a))
     return bool(w[0] >= -rel_tol * max(1.0, float(abs(w[0])), float(abs(w[-1]))))
 
@@ -152,8 +164,14 @@ def conjugate_exponent(p) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _complex_gaussians(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """(count, dim, dim) standard complex Gaussians; one draw at a time gives the same stream."""
+    g = rng.standard_normal((count, 2, dim, dim))
+    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
+
+
 def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    return _complex_gaussians(rng, 1, dim)[0]
 
 
 def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

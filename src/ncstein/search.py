@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation import Filtration, cond_exp, level_index, make_filtration
+from .expectation import Filtration, level_index, make_filtration, _cond_exp_stack, _condition
 from .inequality import (
     RatioReport,
     default_lag,
@@ -27,8 +27,11 @@ from .inequality import (
     run_inequality,
     uses_q,
     validate_exponents,
+    _stein_sides,
 )
-from .opcore import herm, psd_power, sample_projection_family, sample_unitary, _complex_gaussian
+from .opcore import (as_stack, herm, sample_projection_family, sample_unitary,
+                     _complex_gaussian, _complex_gaussians)
+from .seqnorm import _abs_q_stack
 
 MIN_STEP = 1e-6
 MAX_INITIAL_DRAWS = 100
@@ -109,10 +112,7 @@ def project_adapted(seq, filt: Filtration, lag: int = 0) -> list[np.ndarray]:
     Idempotent, positivity preserving, and the output passes is_adapted
     under the same lag convention.
     """
-    return [
-        cond_exp(x, filt.levels[level_index(n, lag, len(filt))])
-        for n, x in enumerate(seq)
-    ]
+    return list(_condition(as_stack(seq), filt, lag))
 
 
 def isometry_family(dim: int, seq_len: int, seed: int) -> list[np.ndarray]:
@@ -146,6 +146,10 @@ def _resolved(cfg: SearchConfig) -> tuple[Filtration, int, float | None]:
     lag = cfg.lag if cfg.lag is not None else default_lag(cfg.inequality_id)
     q = cfg.q if uses_q(cfg.inequality_id) else None
     validate_exponents(cfg.inequality_id, cfg.p, q)
+    kind = input_kind(cfg.inequality_id)
+    if kind != "operator":  # adapted searches also project each term at lag 0
+        adapted = kind == "adapted-seq" or cfg.adapted_only
+        level_index(cfg.seq_len - 1, 0 if adapted else lag, len(filt))
     return filt, lag, q
 
 
@@ -168,20 +172,22 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     if kind == "isometry-seq":
         isometries = isometry_family(cfg.dim, n_mats, cfg.seed)
 
-    def assemble(zs):
-        xs = [herm(z.conj().T @ z) for z in zs]
-        if adapted:
-            xs = project_adapted(xs, filt, 0)
-        inputs = {"x": xs[0]} if kind == "operator" else {"seq": xs}
+    def replay(xs):
+        inputs = {"x": xs[0]} if kind == "operator" else {"seq": list(xs)}
         if isometries is not None:
             inputs["isometries"] = isometries
-        return inputs, xs
+        return run_inequality(cfg.inequality_id, inputs, filt, cfg.p, q, lag, seed=cfg.seed)
 
     def evaluate(zs):
-        inputs, xs = assemble(zs)
-        report = run_inequality(cfg.inequality_id, inputs, filt, cfg.p, q, lag,
-                                seed=cfg.seed)
-        return report.ratio, xs
+        xs = herm(zs.conj().swapaxes(1, 2) @ zs)
+        if not np.isfinite(xs).all():
+            raise ValueError("proposal has non-finite entries")
+        if adapted:
+            xs = _condition(xs, filt, 0)
+        if cfg.inequality_id not in ("s_pq", "s_qq", "s_12_adapted"):  # no stack kernel
+            return replay(xs).ratio, xs
+        lhs, rhs = _stein_sides(xs, filt, cfg.p, q, lag, adapted=kind == "adapted-seq")
+        return (lhs / rhs if rhs > 0 else None), xs
 
     evaluations = 0
     per_restart = cfg.budget // cfg.restarts
@@ -198,13 +204,11 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
         for _ in range(MAX_INITIAL_DRAWS):
             if evaluations - start_evals >= per_restart:
                 break
-            zs = [_complex_gaussian(rng, cfg.dim) for _ in range(n_mats)]
+            zs = _complex_gaussians(rng, n_mats, cfg.dim)
             if restart == 0:
-                # equality-regime start inside the coarsest subalgebra
-                zs = [
-                    psd_power(cond_exp(herm(z.conj().T @ z), filt.levels[0]), 0.5)
-                    for z in zs
-                ]
+                # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
+                coarse = _cond_exp_stack(herm(zs.conj().swapaxes(1, 2) @ zs), filt.levels[0])
+                zs = _abs_q_stack(coarse, 0.5)[0]
             evaluations += 1
             try:
                 ratio, xs = evaluate(zs)
@@ -227,7 +231,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
         step = cfg.step_scale
         rejections = 0
         while evaluations - start_evals < per_restart and step >= MIN_STEP:
-            proposal = [z + step * _complex_gaussian(rng, cfg.dim) for z in current]
+            proposal = current + step * _complex_gaussians(rng, n_mats, cfg.dim)
             evaluations += 1
             try:
                 ratio, xs = evaluate(proposal)
@@ -249,18 +253,10 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
         raise RuntimeError("search produced no accepted evaluation")
 
     # store the witness normalized to rhs = 1 and replay it
-    inputs = {"x": best_xs[0]} if kind == "operator" else {"seq": best_xs}
-    if isometries is not None:
-        inputs["isometries"] = isometries
-    report = run_inequality(cfg.inequality_id, inputs, filt, cfg.p, q, lag, seed=cfg.seed)
+    report = replay(best_xs)
     if report.rhs.value > 0:
-        scale = 1.0 / report.rhs.value
-        best_xs = [scale * x for x in best_xs]
-        inputs = {"x": best_xs[0]} if kind == "operator" else {"seq": best_xs}
-        if isometries is not None:
-            inputs["isometries"] = isometries
-        report = run_inequality(cfg.inequality_id, inputs, filt, cfg.p, q, lag,
-                                seed=cfg.seed)
+        best_xs = (1.0 / report.rhs.value) * best_xs
+        report = replay(best_xs)
     return SearchResult(
         best_ratio=float(report.ratio),
         witness=tuple(best_xs),

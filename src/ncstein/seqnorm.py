@@ -24,9 +24,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .opcore import (
+    EIG_CLAMP_REL,
     INF,
     abs_op,
-    as_operator,
+    as_stack,
     check_exponent,
     conjugate_exponent,
     herm,
@@ -36,6 +37,7 @@ from .opcore import (
     psd_power,
     schatten_norm,
     _complex_gaussian,
+    _complex_gaussians,
 )
 
 FACTOR_PINV_REL = 1e-12
@@ -90,16 +92,6 @@ class LinfBracket(NamedTuple):
     upper: NormValue
 
 
-def _as_sequence(seq) -> list[np.ndarray]:
-    items = [as_operator(x) for x in seq]
-    if not items:
-        raise ValueError("operator sequence must be nonempty")
-    dims = {x.shape[0] for x in items}
-    if len(dims) != 1:
-        raise ValueError(f"operator sequence mixes dimensions {sorted(dims)}")
-    return items
-
-
 def _all_zero(seq) -> bool:
     return all(not np.any(x) for x in seq)
 
@@ -110,52 +102,63 @@ def _require_positive(seq) -> None:
             raise ValueError(f"sequence item {n} is not positive semidefinite")
 
 
-def _abs_q_term(x: np.ndarray, q: float) -> np.ndarray:
-    """|x|^q for one sequence item; PSD inputs skip the absolute value."""
+def _abs_q_stack(xs: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """|x|^q for every operator of a trusted stack xs[..., d, d]; for q != 2 also
+    which terms are PSD (is_psd's test, from one batched eigh): those skip |x|."""
     if q == 2:
-        return x.conj().T @ x
-    if is_psd(x):
-        if q == 1:
-            return herm(x)
-        return psd_power(herm(x), q)
-    return psd_power(abs_op(x), q)
+        return xs.conj().swapaxes(-1, -2) @ xs, None
+    flat = xs.reshape(-1, *xs.shape[-2:])
+    h = herm(flat)
+    w, u = np.linalg.eigh(h)
+    clamp = EIG_CLAMP_REL * np.maximum(1.0, np.maximum(abs(w[:, 0]), abs(w[:, -1])))
+    psd = w[:, 0] >= -clamp
+    for k in np.flatnonzero(~np.all(flat == flat.conj().swapaxes(1, 2), axis=(1, 2))):
+        psd[k] = is_psd(flat[k])
+    out = h if q == 1 else herm((u * np.clip(w, 0.0, None)[:, None, :] ** q)
+                                @ u.conj().swapaxes(1, 2))
+    for k in np.flatnonzero(~psd):
+        out[k] = psd_power(abs_op(flat[k]), q)
+    return out.reshape(xs.shape), psd.reshape(xs.shape[:-2])
 
 
-def _psd_root_norm(s: np.ndarray, p: float, q: float) -> float:
-    """||s^(1/q)||_p for PSD s, via ||s||_{p/q}^{1/q} whenever p >= q."""
+def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
+    """||s^(1/q)||_p for every PSD operator of s[..., d, d] from one batched
+    eigvalsh: mean(w^(p/q))^(1/p), or max(w)^(1/q) at p = inf."""
+    w = np.clip(np.linalg.eigvalsh(herm(s)), 0.0, None)
     if p == INF:
-        return schatten_norm(s, INF) ** (1.0 / q)
-    if p >= q:
-        return schatten_norm(s, p / q) ** (1.0 / q)
-    return schatten_norm(psd_power(s, 1.0 / q), p)
+        return w[..., -1] ** (1.0 / q)
+    return np.mean(w ** (p / q), axis=-1) ** (1.0 / p)
+
+
+def _column_norms(xs: np.ndarray, p: float, q: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Column norms of trusted stacks xs[..., n, d, d], and _abs_q_stack's PSD flags."""
+    powers, psd = _abs_q_stack(xs, q)
+    return _root_norms(powers.sum(axis=-3), p, q), psd
 
 
 def column_q_norm(seq: Sequence, p, q) -> NormValue:
     """Column norm ||(sum_n |x_n|^q)^(1/q)||_p, exact.
 
     q must be finite (the positive ell_inf norm has its own entry point);
-    for p >= q the outer norm is evaluated as ||sum |x_n|^q||_{p/q}^{1/q}.
+    the outer norm is mean(w^(p/q))^(1/p) over the eigenvalues w of the sum.
     """
-    items = _as_sequence(seq)
+    xs = as_stack(seq)
     p = check_exponent(p)
     if q == INF:
         raise ValueError("q = inf is handled by linf_norm_positive")
     q = check_exponent(q)
-    if _all_zero(items):
-        return NormValue(0.0, "exact")
-    s = herm(sum(_abs_q_term(x, q) for x in items))
-    return NormValue(_psd_root_norm(s, p, q), "exact")
+    return NormValue(float(_column_norms(xs, p, q)[0]), "exact")
 
 
 def row_2_norm(seq: Sequence, p) -> NormValue:
     """Row norm ||(sum_n |x_n*|^2)^(1/2)||_p; the column norm of the adjoints."""
-    items = _as_sequence(seq)
-    return column_q_norm([x.conj().T for x in items], p, 2)
+    xs = as_stack(seq).conj().swapaxes(1, 2)
+    return NormValue(float(_column_norms(xs, check_exponent(p), 2.0)[0]), "exact")
 
 
 def l1_norm_positive(seq: Sequence, p) -> NormValue:
     """ell_1 norm of a positive sequence: ||sum_n x_n||_p, exact."""
-    items = _as_sequence(seq)
+    items = as_stack(seq)
     p = check_exponent(p)
     _require_positive(items)
     if _all_zero(items):
@@ -173,35 +176,32 @@ def crp_norm(seq: Sequence, p, *, seed: int = 0, max_steps: int = 2000) -> NormV
     the infimum over splittings x_n = a_n + b_n of column(a) + row(b),
     reported as the best value found (an upper bound) with its splitting.
     """
-    items = _as_sequence(seq)
+    items = as_stack(seq)
     p = check_exponent(p)
     if _all_zero(items):
         return NormValue(0.0, "exact")
-    if p >= 2:
-        col = column_q_norm(items, p, 2).value
-        row = row_2_norm(items, p).value
-        return NormValue(max(col, row), "exact")
+    if p >= 2:  # column and row norms from one batched eigvalsh
+        sides = np.stack([items, items.conj().swapaxes(1, 2)])
+        return NormValue(float(_column_norms(sides, p, 2.0)[0].max()), "exact")
     return _crp_split(items, p, seed, max_steps)
 
 
-def _crp_split(items: list[np.ndarray], p: float, seed: int, max_steps: int) -> NormValue:
-    d = items[0].shape[0]
+def _crp_split(items: np.ndarray, p: float, seed: int, max_steps: int) -> NormValue:
+    def objective(a_seq):  # column(a) + row(b), both from one batched eigvalsh
+        b_seq = items - a_seq
+        sides = np.stack([a_seq, b_seq.conj().swapaxes(1, 2)])
+        return float(_column_norms(sides, p, 2.0)[0].sum()), b_seq
 
-    def objective(a_seq):
-        b_seq = [x - a for x, a in zip(items, a_seq)]
-        return (column_q_norm(a_seq, p, 2).value + row_2_norm(b_seq, p).value, b_seq)
-
-    zeros = [np.zeros((d, d), dtype=complex) for _ in items]
     best_val, best_b = objective(items)  # a = x, b = 0
-    best_a = [x.copy() for x in items]
-    for cand in (zeros, [x / 2 for x in items]):
+    best_a = items.copy()
+    for cand in (np.zeros_like(items), items / 2):
         val, b_seq = objective(cand)
         if val < best_val:
             best_val, best_a, best_b = val, cand, b_seq
 
     # local refinement from the symmetric splitting
     rng = np.random.default_rng(seed)
-    a_cur = [x / 2 for x in items]
+    a_cur = items / 2
     cur_val, _ = objective(a_cur)
     scale = max(1e-30, max(op_norm(x) for x in items))
     step = 0.25 * scale
@@ -209,7 +209,7 @@ def _crp_split(items: list[np.ndarray], p: float, seed: int, max_steps: int) -> 
     for _ in range(max_steps):
         if step < 1e-8 * scale:
             break
-        proposal = [a + step * _complex_gaussian(rng, d) for a in a_cur]
+        proposal = a_cur + step * _complex_gaussians(rng, *items.shape[:2])
         val, b_seq = objective(proposal)
         if val < cur_val:
             a_cur, cur_val = proposal, val
@@ -442,7 +442,7 @@ def linf_norm_positive(seq: Sequence, p, *, restarts: int = 8,
     in between. Ascent restarts include a term-by-term trace-saturating
     start and a classical argmax start, then seeded random draws.
     """
-    items = _as_sequence(seq)
+    items = as_stack(seq)
     p = check_exponent(p)
     _require_positive(items)
     if restarts < 1:

@@ -62,3 +62,43 @@ def schatten_from_eig(x, p):
     if p == INF:
         return float(s[0])
     return float(np.mean(s**p) ** (1.0 / p))
+
+
+def loop_cond_exp(x, spec):
+    """Conditional expectation written block by block (one loop per block or
+    cell, np.kron for the tensor family): the reference for the stacked
+    implementation in ncstein.expectation."""
+    from ncstein import CellAverage, Pinching, TensorFactor
+
+    a = np.asarray(x, dtype=complex)
+    if isinstance(spec, Pinching):
+        out = np.zeros_like(a)
+        for b in spec.blocks:
+            lo, hi = b[0], b[-1] + 1
+            out[lo:hi, lo:hi] = a[lo:hi, lo:hi]
+        return out
+    if isinstance(spec, TensorFactor):
+        keep = math.prod(spec.local_dims[: spec.retained])
+        drop = spec.dim // keep
+        partial = np.einsum("ibjb->ij", a.reshape(keep, drop, keep, drop)) / drop
+        return np.kron(partial, np.eye(drop))
+    assert isinstance(spec, CellAverage)
+    d = spec.block_dim
+    out = np.zeros_like(a)
+    for cell in spec.cells:
+        avg = sum(a[w * d : (w + 1) * d, w * d : (w + 1) * d] for w in cell) / len(cell)
+        for w in cell:
+            out[w * d : (w + 1) * d, w * d : (w + 1) * d] = avg
+    return out
+
+
+def column_norm_svd(seq, p, q):
+    """||(sum_n |x_n|^q)^(1/q)||_p with |x|^q = V S^q V* from each term's SVD
+    and the outer norm from the singular values of the sum."""
+    total = 0
+    for x in seq:
+        _, s, vh = np.linalg.svd(np.asarray(x, dtype=complex))
+        v = vh.conj().T
+        total = total + (v * s**q) @ v.conj().T
+    sv = np.linalg.svd(total, compute_uv=False)
+    return float(np.mean(sv ** (p / q)) ** (1.0 / p))

@@ -62,6 +62,17 @@ def test_parse_validates_depth():
                               dim=4, seq_len=9, lag=0))
 
 
+def test_parse_validates_adapted_depth_at_lag_zero():
+    # adapted inputs are projected at lag 0, so seq_len 5 cannot run on d=8
+    with pytest.raises(ConfigError, match="filtration depth 4 at lag 0"):
+        parse_config(cfg_text(command="search", inequality="s_12_adapted", p=1, q=2,
+                              dim=8, seq_len=5, budget=400, restarts=2))
+    with pytest.raises(ConfigError, match="filtration depth 4 at lag 0"):
+        parse_config(cfg_text(command="search", inequality="s_qq", p=2, q=2, dim=8,
+                              seq_len=5, adapted_only=True))
+    parse_config(cfg_text(command="search", inequality="s_qq", p=2, q=2, dim=8, seq_len=5))
+
+
 def test_parse_search_budget_message():
     with pytest.raises(ConfigError, match="budget >= restarts >= 1"):
         parse_config(cfg_text(command="search", inequality="s_qq", p=2, q=2,

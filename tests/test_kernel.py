@@ -1,0 +1,172 @@
+"""Trusted stack kernel: equivalence with the public per-term routes, and
+the work the search loop does per evaluation."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from ncstein import (
+    CellAverage,
+    SearchConfig,
+    TensorFactor,
+    check_adapted_s12,
+    check_stein_pq,
+    cond_exp,
+    estimate_constant,
+    hermitian_eig,
+    is_psd,
+    level_index,
+    make_filtration,
+    pinching_from_sizes,
+    project_adapted,
+    sample_hermitian,
+    sample_psd,
+)
+from ncstein import cli, expectation, inequality, opcore, search, seqnorm
+from ncstein.expectation import _cond_exp_stack, _condition
+from ncstein.inequality import _stein_sides
+from ncstein.opcore import HERMITIAN_TOL, as_stack, _complex_gaussian, _complex_gaussians
+
+from oracles import column_norm_svd, loop_cond_exp
+
+SPECS = (
+    pinching_from_sizes([1, 3, 2, 2]),
+    TensorFactor((2, 3, 2), 0),
+    TensorFactor((2, 3, 2), 1),
+    TensorFactor((2, 3, 2), 2),
+    CellAverage(((0, 2), (1,), (3, 4, 5)), 2),
+)
+
+
+def general_stack(dim, count, seed):
+    """Non-Hermitian complex operators, as the axioms suite feeds cond_exp."""
+    return _complex_gaussians(np.random.default_rng(seed), count, dim)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+def test_stack_cond_exp_matches_per_term(spec):
+    xs = general_stack(spec.dim, 3, 11)
+    stacked = _cond_exp_stack(xs, spec)
+    for x, got in zip(xs, stacked):
+        np.testing.assert_array_equal(got, cond_exp(x, spec))
+        ref = loop_cond_exp(x, spec)
+        assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("lag", (0, 1))
+@pytest.mark.parametrize("filt", (
+    make_filtration("dyadic-pinching", dim=8),
+    make_filtration("tensor", local_dims=(2, 3, 2)),
+), ids=("dyadic", "tensor"))
+def test_condition_matches_per_level(filt, lag):
+    xs = general_stack(filt.dim, 4, 12)
+    got = _condition(xs, filt, lag)
+    for n, x in enumerate(xs):
+        spec = filt.levels[level_index(n, lag, len(filt))]
+        np.testing.assert_array_equal(got[n], cond_exp(x, spec))
+    np.testing.assert_array_equal(np.stack(project_adapted(list(xs), filt, lag)), got)
+
+
+def oracle_ratio(seq, filt, p, q, lag):
+    conditioned = [loop_cond_exp(x, filt.levels[level_index(n, lag, len(filt))])
+                   for n, x in enumerate(seq)]
+    return column_norm_svd(conditioned, p, q) / column_norm_svd(seq, p, q)
+
+
+@pytest.mark.parametrize("p, q, lag", ((3.0, 1.5, 0), (3.0, 2.0, 0), (2.5, 1.0, 1),
+                                       (1.5, 1.5, 1), (3.0, 3.0, 1)))
+def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
+    filt = make_filtration("dyadic-pinching", dim=8)
+    seq = [sample_psd(8, 300 + n) for n in range(4)]
+    lhs, rhs = _stein_sides(as_stack(seq), filt, p, q, lag)
+    report = check_stein_pq(seq, filt, p, q, lag)
+    assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
+    assert abs(lhs / rhs - oracle_ratio(seq, filt, p, q, lag)) <= 1e-12
+
+
+def test_kernel_ratio_adapted_s12():
+    filt = make_filtration("tensor", local_dims=(2, 2, 2))
+    seq = project_adapted([sample_psd(8, 400 + n) for n in range(4)], filt, 0)
+    lhs, rhs = _stein_sides(as_stack(seq), filt, 1.0, 2.0, 1, adapted=True)
+    report = check_adapted_s12(seq, filt)
+    assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
+    assert abs(lhs / rhs - oracle_ratio(seq, filt, 1.0, 2.0, 1)) <= 1e-12
+    with pytest.raises(ValueError, match="not adapted"):
+        _stein_sides(as_stack([sample_psd(8, 5)] * 2), filt, 1.0, 2.0, 1, adapted=True)
+
+
+def test_kernel_rejects_non_psd_terms_for_q_not_two():
+    filt = make_filtration("dyadic-pinching", dim=4)
+    seq = as_stack([sample_psd(4, 1), sample_hermitian(4, 2)])
+    with pytest.raises(ValueError, match="item 1 is not positive semidefinite"):
+        _stein_sides(seq, filt, 1.5, 1.5, 1)
+
+
+@pytest.mark.parametrize("count, dim", ((1, 3), (4, 8)))
+def test_batched_draw_equals_single_draws(count, dim):
+    batched = _complex_gaussians(np.random.default_rng([9, count]), count, dim)
+    rng = np.random.default_rng([9, count])
+    # the per-matrix formula the search loop used to draw with
+    single = [(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+              / np.sqrt(2) for _ in range(count)]
+    np.testing.assert_array_equal(batched, np.stack(single))
+    rng = np.random.default_rng([9, count])
+    np.testing.assert_array_equal(batched, np.stack([_complex_gaussian(rng, dim)
+                                                     for _ in range(count)]))
+
+
+def test_hermitian_checks_near_tolerance():
+    h = sample_psd(4, 21)
+    scale = max(1.0, np.linalg.norm(h, 2))
+    w_exact, _ = hermitian_eig(h)
+    np.testing.assert_array_equal(w_exact, np.linalg.eigh(h)[0])
+    assert is_psd(h)
+    for excess, accepted in ((0.1, True), (10.0, False)):
+        a = h.copy()
+        a[0, 1] += excess * HERMITIAN_TOL * scale
+        if accepted:
+            w, _ = hermitian_eig(a)
+            np.testing.assert_array_equal(w, np.linalg.eigh(opcore.herm(a))[0])
+            assert is_psd(a)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eig(a)
+            assert not is_psd(a)
+
+
+def count_calls(monkeypatch):
+    """Count LAPACK-backed numpy calls and as_operator validations from here on."""
+    counts = Counter()
+
+    def counted(name, fn, key):
+        def wrapper(*args, **kwargs):
+            if name != "norm" or (args[1] if len(args) > 1 else kwargs.get("ord")) == 2:
+                counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), "lapack"))
+    wrapped = counted("as_operator", opcore.as_operator, "as_operator")
+    for module in (opcore, expectation, seqnorm, inequality, search, cli):
+        if hasattr(module, "as_operator"):
+            monkeypatch.setattr(module, "as_operator", wrapped)
+    return counts
+
+
+def test_search_loop_work_per_evaluation(monkeypatch):
+    # Two budgets share their initial draws and the witness replay, so the
+    # difference in counts is the hill-climbing loop alone.
+    counts = count_calls(monkeypatch)
+    seen = []
+    for budget in (50, 250):
+        counts.clear()
+        cfg = SearchConfig(inequality_id="s_12_adapted", p=1, q=2, dim=8, seq_len=4,
+                           budget=budget, restarts=2, seed=3)
+        evaluations = estimate_constant(cfg).evaluations_used
+        seen.append((evaluations, counts["lapack"], counts["as_operator"]))
+    (e0, lapack0, ops0), (e1, lapack1, ops1) = seen
+    assert e1 - e0 == 200
+    assert lapack1 - lapack0 <= 2 * (e1 - e0)
+    assert ops1 == ops0

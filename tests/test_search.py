@@ -95,6 +95,13 @@ def test_doob_search_runs():
     assert len(res.witness) == 1
 
 
+def test_adapted_search_rejects_seq_len_beyond_depth_at_lag_zero():
+    cfg = SearchConfig(inequality_id="s_12_adapted", p=1, q=2, dim=8, seq_len=5,
+                       budget=400, restarts=2)
+    with pytest.raises(ValueError, match="needs filtration level 4"):
+        estimate_constant(cfg)
+
+
 def test_unsearchable_rejected():
     cfg = SearchConfig(inequality_id="projections", p=3, q=1, dim=4)
     with pytest.raises(ValueError, match="not a searchable"):
