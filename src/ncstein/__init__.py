@@ -18,7 +18,6 @@ from .opcore import (
     ntrace,
     op_norm,
     psd_power,
-    sample,
     sample_hermitian,
     sample_projection_family,
     sample_psd,
@@ -33,10 +32,10 @@ from .expectation import (
     Pinching,
     TensorFactor,
     axiom_residuals,
+    build_filtration,
     cond_exp,
     is_adapted,
     level_index,
-    make_filtration,
     pinching_from_sizes,
     sample_adapted_positive,
     tower_residual,
@@ -73,7 +72,6 @@ from .search import (
     SearchConfig,
     SearchResult,
     SweepRow,
-    build_filtration,
     estimate_constant,
     project_adapted,
     sweep,

@@ -27,22 +27,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expectation import axiom_residuals, tower_residual
+from .expectation import axiom_residuals, build_filtration, tower_residual
 from .inequality import (
     INEQUALITIES,
     ClassicalSpace,
     ceiling_violated,
-    default_lag,
-    input_kind,
+    get_inequality,
     run_inequality,
-    uses_q,
-    validate_exponents,
 )
 from .opcore import INF, herm, _complex_gaussian
 from .search import (
     SearchConfig,
-    build_filtration,
     estimate_constant,
+    isometry_family,
     seeded_inputs,
     sweep,
 )
@@ -123,16 +120,14 @@ def _parse_int(data, key, default, minimum):
     return value
 
 
-def _filtration_depth(kind: str, dim: int, local_dims) -> int:
-    if kind == "dyadic":
-        return dim.bit_length()
-    return len(local_dims) + 1
+def _reject_constant(name: str):
+    raise ConfigError(f"{name} is not a strict JSON number")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a strict-JSON configuration document."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON configuration: {exc}") from exc
     if not isinstance(data, dict):
@@ -155,30 +150,24 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("key 'out' must be a string path")
 
     filtration = data.get("filtration", "dyadic")
-    if filtration not in ("dyadic", "tensor"):
-        raise ConfigError(f"key 'filtration' must be 'dyadic' or 'tensor', got {filtration!r}")
-    dim = _parse_int(data, "dim", 4, 1)
     local_dims = data.get("local_dims")
-    if local_dims is not None:
-        if (not isinstance(local_dims, list) or not local_dims
-                or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in local_dims)):
-            raise ConfigError("key 'local_dims' must be a list of positive integers")
+    if local_dims is not None and (
+            not isinstance(local_dims, list) or not local_dims
+            or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in local_dims)):
+        raise ConfigError("key 'local_dims' must be a list of positive integers")
+    dim = _parse_int(data, "dim", 4, 1) if "dim" in data or local_dims is None else None
+    try:
+        filt = build_filtration(filtration, dim, local_dims)
+    except ValueError as exc:
+        raise ConfigError(f"invalid filtration: {exc}") from exc
+    if filtration == "tensor":
+        local_dims = filt.levels[0].local_dims
+    elif local_dims is not None:
         local_dims = tuple(local_dims)
-        if "dim" in data and int(np.prod(local_dims)) != dim:
-            raise ConfigError("key 'local_dims' must multiply to 'dim'")
-        if "dim" not in data:
-            dim = int(np.prod(local_dims))
-    if filtration == "dyadic" and dim & (dim - 1):
-        raise ConfigError(f"key 'dim' must be a power of 2 for the dyadic filtration, got {dim}")
-    if filtration == "tensor" and local_dims is None:
-        if dim & (dim - 1):
-            raise ConfigError("key 'local_dims' is required for a tensor filtration "
-                              "when 'dim' is not a power of 2")
-        local_dims = (2,) * (dim.bit_length() - 1)
 
     cfg = RunConfig(
         command=command, seed=seed, out=out, format=fmt,
-        dim=dim, local_dims=local_dims, filtration=filtration,
+        dim=filt.dim, local_dims=local_dims, filtration=filtration,
         trials=_parse_int(data, "trials", 50, 1),
     )
     if command == "axioms":
@@ -196,27 +185,29 @@ def parse_config(text: str) -> RunConfig:
         return dataclasses.replace(cfg, witness=data["witness"])
 
     inequality = data.get("inequality")
-    if inequality not in INEQUALITIES:
+    try:
+        ineq = get_inequality(inequality)
+    except ValueError:
         raise ConfigError(
             f"key 'inequality' must be one of {sorted(INEQUALITIES)}, got {inequality!r}"
-        )
-    if inequality == "semicommutative" and command != "check":
-        raise ConfigError("'semicommutative' supports the check command only")
+        ) from None
+    if command != "check" and not ineq.searchable:
+        raise ConfigError(f"{inequality!r} supports the check command only")
     if "p" not in data:
         raise ConfigError("key 'p' is required")
     p = _parse_exponent(data["p"], "p")
     q = None
-    if uses_q(inequality):
+    if ineq.uses_q:
         if "q" not in data:
             raise ConfigError(f"key 'q' is required for {inequality!r}")
         q = _parse_exponent(data["q"], "q")
     elif "q" in data:
         raise ConfigError(f"key 'q' does not apply to {inequality!r}")
-    lag = data.get("lag", default_lag(inequality))
+    lag = data.get("lag", ineq.default_lag)
     if lag not in (0, 1):
         raise ConfigError(f"key 'lag' must be 0 or 1, got {lag!r}")
     try:
-        validate_exponents(inequality, p, q)
+        ineq.validate(p, q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seq_len = _parse_int(data, "seq_len", 4, 1)
@@ -224,16 +215,16 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(adapted_only, bool):
         raise ConfigError("key 'adapted_only' must be a boolean")
 
-    kind = input_kind(inequality)
+    kind = ineq.input_kind
     if kind not in ("operator", "process"):
-        depth = _filtration_depth(filtration, dim, local_dims)
         # adapted inputs are also projected onto their own level, at lag 0
         at_lag = 0 if kind == "adapted-seq" or adapted_only else lag
-        if max(seq_len - 1 - at_lag, 0) >= depth:
+        if max(seq_len - 1 - at_lag, 0) >= len(filt):
             raise ConfigError(
-                f"key 'seq_len' = {seq_len} exceeds the filtration depth {depth} at lag {at_lag}"
+                f"key 'seq_len' = {seq_len} exceeds the filtration depth {len(filt)} "
+                f"at lag {at_lag}"
             )
-    if kind == "projections" and seq_len > dim:
+    if kind == "projections" and seq_len > filt.dim:
         raise ConfigError("key 'seq_len' cannot exceed 'dim' for projection families")
 
     cfg = dataclasses.replace(cfg, inequality=inequality, p=p, q=q, lag=lag,
@@ -245,7 +236,7 @@ def parse_config(text: str) -> RunConfig:
             if isinstance(assert_le, bool) or not isinstance(assert_le, (int, float)):
                 raise ConfigError("key 'assert_ratio_le' must be a number")
             cfg = dataclasses.replace(cfg, assert_ratio_le=float(assert_le))
-        if inequality == "semicommutative":
+        if kind == "process":
             atoms = _parse_int(data, "atoms", 2, 1)
             probs = data.get("probabilities")
             if probs is None:
@@ -292,9 +283,9 @@ def parse_config(text: str) -> RunConfig:
         parsed = []
         for i, (pp, qq) in enumerate(points):
             pe = _parse_exponent(pp, f"points[{i}].p")
-            qe = _parse_exponent(qq, f"points[{i}].q") if uses_q(inequality) else None
+            qe = _parse_exponent(qq, f"points[{i}].q") if ineq.uses_q else None
             try:
-                validate_exponents(inequality, pe, qe)
+                ineq.validate(pe, qe)
             except ValueError as exc:
                 raise ConfigError(f"points[{i}]: {exc}") from exc
             parsed.append((pe, qe))
@@ -433,11 +424,9 @@ def _write_witness(path: str, cfg: RunConfig, result) -> None:
 
 def _load_witness(path: str):
     """Read a witness file back into checker inputs plus its instance data."""
-    from .search import isometry_family
-
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read witness file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -447,21 +436,22 @@ def _load_witness(path: str):
     if not isinstance(data, dict) or set(data) != required:
         raise ConfigError(f"witness file must hold exactly the keys {sorted(required)}")
     inequality = data["inequality"]
-    if inequality not in INEQUALITIES:
-        raise ConfigError(f"witness file names unknown inequality {inequality!r}")
-    kind = input_kind(inequality)
-    if kind in ("projections", "process"):
+    try:
+        ineq = get_inequality(inequality)
+    except ValueError:
+        raise ConfigError(f"witness file names unknown inequality {inequality!r}") from None
+    if not ineq.searchable:
         raise ConfigError(f"{inequality!r} witnesses are not replayable")
+    kind = ineq.input_kind
     matrices = [decode_matrix(obj) for obj in data["witness"]]
     if not matrices:
         raise ConfigError("witness file holds no matrices")
     p = _parse_exponent(data["p"], "p")
     q = None if data["q"] is None else _parse_exponent(data["q"], "q")
-    validate_exponents(inequality, p, q)
+    ineq.validate(p, q)
     if data["lag"] not in (0, 1):
         raise ConfigError("witness 'lag' must be 0 or 1")
-    local = tuple(data["local_dims"]) if data["local_dims"] else None
-    filt = build_filtration(data["filtration"], int(data["dim"]), local)
+    filt = build_filtration(data["filtration"], int(data["dim"]), data["local_dims"] or None)
     if kind == "operator":
         inputs = {"x": matrices[0]}
     else:
@@ -536,7 +526,7 @@ def _run_check(cfg: RunConfig):
                             filtration=meta["filtration"], seed=int(meta["seed"]),
                             evaluations=1)]
         return rows, ceiling_violated(report), CSV_COLUMNS
-    if cfg.inequality == "semicommutative":
+    if get_inequality(cfg.inequality).input_kind == "process":
         inputs = _semicommutative_instance(cfg)
         filt = None
         filtration_name = "classical"

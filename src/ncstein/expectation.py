@@ -231,28 +231,37 @@ class Filtration:
         return self._plans[length, lag]
 
 
-def make_filtration(kind: str, *, dim: int | None = None,
-                    local_dims: Sequence[int] | None = None) -> Filtration:
-    """Build one of the two stock filtration families.
+def build_filtration(kind: str, dim: int | None = None,
+                     local_dims: Sequence[int] | None = None) -> Filtration:
+    """Build one of the two stock filtration families; the one place that
+    knows their shapes.
 
-    dyadic-pinching: dim = 2^N; level n pinches onto blocks of size 2^n, so
-    level 0 is the diagonal algebra and level N the full algebra.
+    dyadic: dim = 2^N; level n pinches onto blocks of size 2^n, so level 0 is
+    the diagonal algebra and level N the full algebra.
     tensor: level n retains the n leading factors of local_dims, from the
-    scalars (n = 0) up to the full algebra.
+    scalars (n = 0) up to the full algebra; local_dims defaults to (2,) * N
+    when dim = 2^N. Given both, dim must be the product of local_dims.
     """
-    if kind in ("dyadic-pinching", "dyadic"):
-        if dim is None or dim < 1 or dim & (dim - 1):
+    if local_dims is not None:
+        local_dims = tuple(int(d) for d in local_dims)
+        if dim is None:
+            dim = math.prod(local_dims)
+        elif math.prod(local_dims) != dim:
+            raise ValueError(f"product of local_dims {local_dims} must equal dim {dim}")
+    power_of_2 = dim is not None and dim >= 1 and not dim & (dim - 1)
+    if kind == "dyadic":
+        if not power_of_2:
             raise ValueError(f"dyadic pinching needs dim a power of 2, got {dim}")
-        depth = dim.bit_length() - 1
-        levels = [pinching_from_sizes([2**n] * (dim // 2**n)) for n in range(depth + 1)]
-        return Filtration(tuple(levels))
-    if kind == "tensor":
-        if not local_dims:
-            raise ValueError("tensor filtration needs local_dims")
-        dims = tuple(int(d) for d in local_dims)
-        levels = [TensorFactor(dims, r) for r in range(len(dims) + 1)]
-        return Filtration(tuple(levels))
-    raise ValueError(f"unknown filtration kind {kind!r}")
+        levels = [pinching_from_sizes([2**n] * (dim // 2**n)) for n in range(dim.bit_length())]
+    elif kind == "tensor":
+        if local_dims is None:
+            if not power_of_2:
+                raise ValueError("tensor filtration needs local_dims when dim is not a power of 2")
+            local_dims = (2,) * (dim.bit_length() - 1)
+        levels = [TensorFactor(local_dims, r) for r in range(len(local_dims) + 1)]
+    else:
+        raise ValueError(f"unknown filtration kind {kind!r}")
+    return Filtration(tuple(levels))
 
 
 def level_index(n: int, lag: int, n_levels: int) -> int:

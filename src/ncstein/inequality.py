@@ -6,10 +6,8 @@ exact; ell_inf-based sides are brackets, and a violation of a bound is only
 certified when the lhs lower end beats the rhs upper end, so optimizer slack
 can never manufacture counterexamples.
 
-Proved constants are exposed through hard_ceiling(): ratio <= 1 when the
-conditioning and column exponents agree, ratio <= 2 for adapted sequences at
-(p, q) = (1, 2) with one-step-behind conditioning, and exact equality of the
-summed-sequence check at p = 1.
+Every fact about an inequality id (default lag, input kind, exponent domain,
+proved ceiling, checker) lives in its one Inequality record in INEQUALITIES.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,19 +126,12 @@ def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
     """Column-norm contraction of conditioned sequences.
 
     lhs = ||(sum |E(x_n)|^q)^(1/q)||_p against the same norm of the inputs.
-    Both exponents must be finite with 1 <= q <= p; q > 2 is only meaningful
-    when p = q (outside that the bound is unproved and rejected; the proved
-    q > p instance for adapted sequences lives in check_adapted_s12).
-    Sequences must be positive unless q = 2.
+    (p, q) must lie in the domain of the `inequality_id` record; the proved
+    q > p instance for adapted sequences is check_adapted_s12. Sequences must
+    be positive unless q = 2.
     """
     xs = as_stack(seq)
-    p, q = check_exponent(p), check_exponent(q)
-    if p == INF or q == INF:
-        raise ValueError("both exponents must be finite here")
-    if q > p:
-        raise ValueError(f"need q <= p, got q={q} > p={p}")
-    if q > 2 and p != q:
-        raise ValueError(f"q={q} > 2 with p != q is outside the proved range")
+    p, q = get_inequality(inequality_id).validate(p, q)
     lhs, rhs = map(NormValue, _stein_sides(xs, filt, p, q, lag))
     return _make_report(inequality_id, lhs, rhs, p, q, lag)
 
@@ -166,11 +157,7 @@ def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
     """
     items = as_stack(seq)
     ys = as_stack(isometries)
-    p, q = check_exponent(p), check_exponent(q)
-    if not 1 <= q <= 2:
-        raise ValueError(f"need 1 <= q <= 2, got q={q}")
-    if p == INF or p < q:
-        raise ValueError(f"need q <= p < inf, got p={p}")
+    p, q = get_inequality(inequality_id).validate(p, q)
     if len(ys) != len(items):
         raise ValueError("sequence and isometries must have equal length")
     _require_positive(items)
@@ -194,9 +181,7 @@ def check_dual_doob(seq: Sequence, filt: Filtration, p,
     is 1 up to round-off.
     """
     items = as_stack(seq)
-    p = check_exponent(p)
-    if p == INF:
-        raise ValueError("p must be finite here")
+    p, _ = get_inequality(inequality_id).validate(p)
     _require_positive(items)
     sums = np.stack([_condition(items, filt, 0).sum(axis=0), items.sum(axis=0)])
     lhs, rhs = map(NormValue, _root_norms(sums, p, 1.0))
@@ -208,9 +193,7 @@ def check_doob_maximal(x, filt: Filtration, p, *, seed: int = 0,
     """ell_inf bracket of the full projection chain (E_0(x), ..., E_N(x))
     against the exact ||x||_p, for PSD x and p > 1."""
     a = as_operator(x)
-    p = check_exponent(p)
-    if p == 1:
-        raise ValueError("p = 1 is rejected: the dual exponent degenerates")
+    p, _ = get_inequality(inequality_id).validate(p)
     if not is_psd(a):
         raise ValueError("input operator must be positive semidefinite")
     chain = [cond_exp(a, spec) for spec in filt.levels]
@@ -226,9 +209,7 @@ def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0, *,
     the inputs; the scalar ratio pairs the certified sides (lhs lower over
     rhs upper) and ratio_interval holds the full enclosure."""
     items = as_stack(seq)
-    p = check_exponent(p)
-    if p == 1:
-        raise ValueError("p = 1 is rejected: the dual exponent degenerates")
+    p, _ = get_inequality(inequality_id).validate(p)
     _require_positive(items)
     conditioned = _condition(items, filt, lag)
     left: LinfBracket = linf_norm_positive(conditioned, p, seed=seed)
@@ -243,9 +224,7 @@ def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1, *,
     conditioning. For p < 2 both sides are splitting upper bounds and the
     report is flagged non-certifying."""
     items = as_stack(seq)
-    p = check_exponent(p)
-    if not 1 < p < INF:
-        raise ValueError(f"need 1 < p < inf, got p={p}")
+    p, _ = get_inequality(inequality_id).validate(p)
     _require_adapted(items, filt)
     conditioned = _condition(items, filt, lag)
     lhs = crp_norm(conditioned, p, seed=seed)
@@ -262,9 +241,7 @@ def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0,
     pinned to 1 and the ratio is the lhs itself.
     """
     items = as_stack(projs)
-    p, q = check_exponent(p), check_exponent(q)
-    if not (1 <= q <= 2 < p < INF):
-        raise ValueError(f"need 1 <= q <= 2 < p < inf, got p={p}, q={q}")
+    p, q = get_inequality(inequality_id).validate(p, q)
     for n, r in enumerate(items):
         if op_norm(r @ r - r) > PROJECTION_TOL or op_norm(r - r.conj().T) > PROJECTION_TOL:
             raise ValueError(f"item {n} is not a projection within tolerance")
@@ -392,98 +369,105 @@ def check_semicommutative(process: Sequence[Sequence], space: ClassicalSpace,
 
 
 # ---------------------------------------------------------------------------
-# Inequality catalogue
+# Inequality registry
 # ---------------------------------------------------------------------------
 
-# id -> (default lag, input kind, searchable, uses q)
-INEQUALITIES: dict[str, tuple[int, str, bool, bool]] = {
-    "s_pq": (0, "positive-seq", True, True),
-    "s_qq": (1, "positive-seq", True, True),
-    "s_12_adapted": (1, "adapted-seq", True, True),
-    "s_isometry": (0, "isometry-seq", True, True),
-    "dd_p": (0, "positive-seq", True, False),
-    "doob_maximal": (0, "operator", True, False),
-    "s_p_inf": (0, "positive-seq", True, False),
-    "crp_stein": (1, "adapted-seq", True, False),
-    "projections": (0, "projections", False, True),
-    "semicommutative": (0, "process", False, True),
-}
+
+@dataclass(frozen=True)
+class Inequality:
+    """Every fact about one inequality id.
+
+    `needs` states the exponent domain in words and is the error message when
+    `domain(p, q)` is false (q is None unless `uses_q`). `ceiling(p, q)` is the
+    proved-constant assertion or None; `check(inputs, filt, p, q, lag, seed)`
+    runs the checker. `stack_kernel` marks ids whose search proposals go
+    straight to the `_stein_sides` kernel.
+    """
+
+    id: str
+    input_kind: str
+    domain: Callable[[float, float | None], bool]
+    needs: str
+    check: Callable[..., RatioReport]
+    default_lag: int = 0
+    uses_q: bool = False
+    searchable: bool = True
+    stack_kernel: bool = False
+    ceiling: Callable[[float, float | None], tuple[str, float, float] | None] = (
+        lambda p, q: None)
+
+    def validate(self, p, q=None) -> tuple[float, float | None]:
+        """The exponents as floats; ValueError outside the domain."""
+        p = check_exponent(p)
+        if self.uses_q and q is None:
+            raise ValueError(f"{self.id} requires an exponent q")
+        q = check_exponent(q) if self.uses_q else None
+        if not self.domain(p, q):
+            got = f"p={p:g}" if q is None else f"p={p:g}, q={q:g}"
+            raise ValueError(f"{self.id} needs {self.needs}, got {got}")
+        return p, q
 
 
-def default_lag(inequality_id: str) -> int:
-    return INEQUALITIES[inequality_id][0]
+def _stein_domain(p, q):
+    return q <= p < INF and (q <= 2 or p == q)
 
 
-def input_kind(inequality_id: str) -> str:
-    return INEQUALITIES[inequality_id][1]
+_STEIN_NEEDS = "1 <= q <= p < inf with q <= 2 unless p = q (the proved range)"
+_P_ABOVE_ONE = "p > 1 (p = 1 is rejected: the dual exponent degenerates)"
+_LE_ONE = ("le", 1.0, 1e-8)
+
+INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
+    Inequality("s_pq", "positive-seq", _stein_domain, _STEIN_NEEDS, uses_q=True,
+               stack_kernel=True, ceiling=lambda p, q: _LE_ONE if p == q else None,
+               check=lambda i, f, p, q, lag, seed: check_stein_pq(i["seq"], f, p, q, lag)),
+    Inequality("s_qq", "positive-seq", lambda p, q: p == q < INF, "p = q finite",
+               default_lag=1, uses_q=True, stack_kernel=True, ceiling=lambda p, q: _LE_ONE,
+               check=lambda i, f, p, q, lag, seed: check_stein_pq(
+                   i["seq"], f, p, q, lag, inequality_id="s_qq")),
+    Inequality("s_12_adapted", "adapted-seq", lambda p, q: (p, q) == (1, 2),
+               "the fixed instance p = 1, q = 2", default_lag=1, uses_q=True,
+               stack_kernel=True, ceiling=lambda p, q: ("le", 2.0, 1e-6),
+               check=lambda i, f, p, q, lag, seed: check_adapted_s12(i["seq"], f, lag)),
+    Inequality("s_isometry", "isometry-seq", lambda p, q: q <= 2 and q <= p < INF,
+               "1 <= q <= 2 and q <= p < inf", uses_q=True,
+               check=lambda i, f, p, q, lag, seed: check_stein_isometry(
+                   i["seq"], i["isometries"], f, p, q, lag)),
+    Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p",
+               ceiling=lambda p, q: ("eq", 1.0, 1e-10) if p == 1 else None,
+               check=lambda i, f, p, q, lag, seed: check_dual_doob(i["seq"], f, p)),
+    Inequality("doob_maximal", "operator", lambda p, q: p > 1, _P_ABOVE_ONE,
+               check=lambda i, f, p, q, lag, seed: check_doob_maximal(i["x"], f, p, seed=seed)),
+    Inequality("s_p_inf", "positive-seq", lambda p, q: p > 1, _P_ABOVE_ONE,
+               check=lambda i, f, p, q, lag, seed: check_sp_inf(i["seq"], f, p, lag, seed=seed)),
+    Inequality("crp_stein", "adapted-seq", lambda p, q: 1 < p < INF, "1 < p < inf",
+               default_lag=1,
+               check=lambda i, f, p, q, lag, seed: check_crp_stein(
+                   i["seq"], f, p, lag, seed=seed)),
+    Inequality("projections", "projections", lambda p, q: q <= 2 < p < INF,
+               "1 <= q <= 2 < p < inf", uses_q=True, searchable=False,
+               check=lambda i, f, p, q, lag, seed: check_projections(
+                   i["projections"], f, p, q, lag)),
+    Inequality("semicommutative", "process", _stein_domain, _STEIN_NEEDS, uses_q=True,
+               searchable=False,
+               check=lambda i, f, p, q, lag, seed: check_semicommutative(
+                   i["process"], i["space"], p, q, lag)),
+)}
 
 
-def is_searchable(inequality_id: str) -> bool:
-    return INEQUALITIES[inequality_id][2]
-
-
-def uses_q(inequality_id: str) -> bool:
-    return INEQUALITIES[inequality_id][3]
-
-
-def validate_exponents(inequality_id: str, p, q) -> None:
-    """Reject (p, q) combinations outside an inequality's stated range."""
-    if inequality_id not in INEQUALITIES:
-        raise ValueError(f"unknown inequality {inequality_id!r}")
-    p = check_exponent(p)
-    if uses_q(inequality_id):
-        if q is None:
-            raise ValueError(f"{inequality_id} requires an exponent q")
-        q = check_exponent(q)
-    if inequality_id == "s_pq":
-        if p == INF or q > p or (q > 2 and p != q):
-            raise ValueError("s_pq needs 1 <= q <= p < inf with q <= 2 unless p = q")
-    elif inequality_id == "s_qq":
-        if p != q or p == INF:
-            raise ValueError("s_qq needs p = q finite")
-    elif inequality_id == "s_12_adapted":
-        if (p, q) != (1.0, 2.0):
-            raise ValueError("s_12_adapted is the fixed instance p = 1, q = 2")
-    elif inequality_id == "s_isometry":
-        if not (1 <= q <= 2 and q <= p < INF):
-            raise ValueError("s_isometry needs 1 <= q <= 2 <= p or q <= p, p finite")
-    elif inequality_id == "dd_p":
-        if p == INF:
-            raise ValueError("dd_p needs finite p")
-    elif inequality_id in ("doob_maximal", "s_p_inf"):
-        if p == 1:
-            raise ValueError(f"{inequality_id} needs p > 1")
-    elif inequality_id == "crp_stein":
-        if not 1 < p < INF:
-            raise ValueError("crp_stein needs 1 < p < inf")
-    elif inequality_id == "projections":
-        if not (1 <= q <= 2 < p < INF):
-            raise ValueError("projections needs 1 <= q <= 2 < p < inf")
+def get_inequality(inequality_id: str) -> Inequality:
+    """The registry record of an id; ValueError for an unknown one."""
+    try:
+        return INEQUALITIES[inequality_id]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown inequality {inequality_id!r}") from None
 
 
 def run_inequality(inequality_id: str, inputs: dict, filt: Filtration,
                    p, q, lag: int, seed: int = 0) -> RatioReport:
     """Uniform dispatcher used by the search engine and the CLI."""
-    validate_exponents(inequality_id, p, q)
-    if inequality_id in ("s_pq", "s_qq"):
-        return check_stein_pq(inputs["seq"], filt, p, q, lag, inequality_id=inequality_id)
-    if inequality_id == "s_12_adapted":
-        return check_adapted_s12(inputs["seq"], filt, lag)
-    if inequality_id == "s_isometry":
-        return check_stein_isometry(inputs["seq"], inputs["isometries"], filt, p, q, lag)
-    if inequality_id == "dd_p":
-        return check_dual_doob(inputs["seq"], filt, p)
-    if inequality_id == "doob_maximal":
-        return check_doob_maximal(inputs["x"], filt, p, seed=seed)
-    if inequality_id == "s_p_inf":
-        return check_sp_inf(inputs["seq"], filt, p, lag, seed=seed)
-    if inequality_id == "crp_stein":
-        return check_crp_stein(inputs["seq"], filt, p, lag, seed=seed)
-    if inequality_id == "projections":
-        return check_projections(inputs["projections"], filt, p, q, lag)
-    if inequality_id == "semicommutative":
-        return check_semicommutative(inputs["process"], inputs["space"], p, q, lag)
-    raise ValueError(f"unknown inequality {inequality_id!r}")
+    ineq = get_inequality(inequality_id)
+    ineq.validate(p, q)
+    return ineq.check(inputs, filt, p, q, lag, seed)
 
 
 def hard_ceiling(inequality_id: str, p, q) -> tuple[str, float, float] | None:
@@ -492,15 +476,7 @@ def hard_ceiling(inequality_id: str, p, q) -> tuple[str, float, float] | None:
     kind 'le' asserts ratio <= limit + tolerance; kind 'eq' asserts
     |ratio - limit| <= tolerance. None means the instance is observational.
     """
-    if inequality_id == "s_qq":
-        return ("le", 1.0, 1e-8)
-    if inequality_id == "s_pq" and p == q:
-        return ("le", 1.0, 1e-8)
-    if inequality_id == "s_12_adapted":
-        return ("le", 2.0, 1e-6)
-    if inequality_id == "dd_p" and p == 1:
-        return ("eq", 1.0, 1e-10)
-    return None
+    return get_inequality(inequality_id).ceiling(p, q)
 
 
 def ceiling_violated(report: RatioReport) -> bool:

@@ -218,42 +218,3 @@ def sample_projection_family(dim: int, count: int, seed: int) -> list[np.ndarray
         family.append(herm(cols @ cols.conj().T))
     return family
 
-
-def sample(kind: str, dim: int, seed: int, **params):
-    """Dispatch to one of the seeded generators by kind name.
-
-    Kinds: hermitian | psd | unitary | projection-family | adapted-positive.
-    projection-family takes count; adapted-positive takes filtration, length
-    and an optional lag.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if kind == "hermitian":
-        _reject_params(kind, params)
-        return sample_hermitian(dim, seed)
-    if kind == "psd":
-        _reject_params(kind, params)
-        return sample_psd(dim, seed)
-    if kind == "unitary":
-        _reject_params(kind, params)
-        return sample_unitary(dim, seed)
-    if kind == "projection-family":
-        count = params.pop("count", dim)
-        _reject_params(kind, params)
-        return sample_projection_family(dim, count, seed)
-    if kind == "adapted-positive":
-        from .expectation import sample_adapted_positive
-
-        filtration = params.pop("filtration")
-        length = params.pop("length")
-        lag = params.pop("lag", 0)
-        _reject_params(kind, params)
-        if filtration.dim != dim:
-            raise ValueError("dim does not match the filtration's space")
-        return sample_adapted_positive(filtration, length, seed, lag=lag)
-    raise ValueError(f"unknown sample kind {kind!r}")
-
-
-def _reject_params(kind: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(params)}")

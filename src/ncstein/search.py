@@ -4,7 +4,7 @@ The search hill-climbs over sequences parametrized as x_n = z_n* z_n, which
 keeps every iterate exactly positive; adapted instances are reached by
 projecting term n onto its filtration level. Ratios found this way are
 empirical lower bounds on best constants, never upper-bound claims: the only
-asserted ceilings are the proved ones exposed by the inequality catalogue.
+asserted ceilings are the proved ones held by the inequality registry.
 
 Restarts are independent given (seed, restart index), so results do not
 depend on evaluation order; one restart starts inside the coarsest
@@ -18,17 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation import Filtration, level_index, make_filtration, _cond_exp_stack, _condition
-from .inequality import (
-    RatioReport,
-    default_lag,
-    input_kind,
-    is_searchable,
-    run_inequality,
-    uses_q,
-    validate_exponents,
-    _stein_sides,
-)
+from .expectation import (Filtration, build_filtration, level_index, _cond_exp_stack,
+                          _condition)
+from .inequality import RatioReport, get_inequality, run_inequality, _stein_sides
 from .opcore import (as_stack, herm, sample_projection_family, sample_unitary,
                      _complex_gaussian, _complex_gaussians)
 from .seqnorm import _abs_q_stack
@@ -63,7 +55,7 @@ class SearchConfig:
             )
         if self.dim < 1 or self.seq_len < 1:
             raise ValueError("dim and seq_len must be >= 1")
-        if self.step_scale <= 0:
+        if not self.step_scale > 0:
             raise ValueError("step_scale must be positive")
 
 
@@ -86,26 +78,6 @@ class SweepRow:
     error: str | None = None
 
 
-def build_filtration(kind: str, dim: int,
-                     local_dims: tuple[int, ...] | None = None) -> Filtration:
-    """Stock filtration for a given total dimension."""
-    if kind == "dyadic":
-        return make_filtration("dyadic-pinching", dim=dim)
-    if kind == "tensor":
-        if local_dims is None:
-            if dim < 1 or dim & (dim - 1):
-                raise ValueError(
-                    "tensor filtration needs explicit local_dims when dim is not a power of 2"
-                )
-            local_dims = (2,) * (dim.bit_length() - 1)
-        if int(np.prod(local_dims)) != dim:
-            raise ValueError(
-                f"product of local_dims {local_dims} must equal dim {dim}"
-            )
-        return make_filtration("tensor", local_dims=local_dims)
-    raise ValueError(f"unknown filtration kind {kind!r}")
-
-
 def project_adapted(seq, filt: Filtration, lag: int = 0) -> list[np.ndarray]:
     """Feasibility projection onto adapted sequences: y_n = E_n(x_n).
 
@@ -123,7 +95,7 @@ def isometry_family(dim: int, seq_len: int, seed: int) -> list[np.ndarray]:
 def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration,
                   seed: int) -> dict:
     """Deterministic checker inputs for one inequality instance."""
-    kind = input_kind(inequality_id)
+    kind = get_inequality(inequality_id).input_kind
     rng = np.random.default_rng([int(seed), 0x5EED])
     if kind == "operator":
         z = _complex_gaussian(rng, dim)
@@ -141,18 +113,6 @@ def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration,
     return inputs
 
 
-def _resolved(cfg: SearchConfig) -> tuple[Filtration, int, float | None]:
-    filt = build_filtration(cfg.filtration, cfg.dim, cfg.local_dims)
-    lag = cfg.lag if cfg.lag is not None else default_lag(cfg.inequality_id)
-    q = cfg.q if uses_q(cfg.inequality_id) else None
-    validate_exponents(cfg.inequality_id, cfg.p, q)
-    kind = input_kind(cfg.inequality_id)
-    if kind != "operator":  # adapted searches also project each term at lag 0
-        adapted = kind == "adapted-seq" or cfg.adapted_only
-        level_index(cfg.seq_len - 1, 0 if adapted else lag, len(filt))
-    return filt, lag, q
-
-
 def estimate_constant(cfg: SearchConfig) -> SearchResult:
     """Hill-climb the ratio functional of one inequality.
 
@@ -162,11 +122,16 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     rescaled so its rhs equals 1, and best_ratio is the ratio of the checker
     replayed on that stored witness.
     """
-    if not is_searchable(cfg.inequality_id):
+    ineq = get_inequality(cfg.inequality_id)
+    if not ineq.searchable:
         raise ValueError(f"{cfg.inequality_id} is not a searchable inequality")
-    filt, lag, q = _resolved(cfg)
-    kind = input_kind(cfg.inequality_id)
+    filt = build_filtration(cfg.filtration, cfg.dim, cfg.local_dims)
+    lag = cfg.lag if cfg.lag is not None else ineq.default_lag
+    q = ineq.validate(cfg.p, cfg.q)[1]
+    kind = ineq.input_kind
     adapted = kind == "adapted-seq" or cfg.adapted_only
+    if kind != "operator":  # adapted searches also project each term at lag 0
+        level_index(cfg.seq_len - 1, 0 if adapted else lag, len(filt))
     n_mats = 1 if kind == "operator" else cfg.seq_len
     isometries = None
     if kind == "isometry-seq":
@@ -184,7 +149,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
             raise ValueError("proposal has non-finite entries")
         if adapted:
             xs = _condition(xs, filt, 0)
-        if cfg.inequality_id not in ("s_pq", "s_qq", "s_12_adapted"):  # no stack kernel
+        if not ineq.stack_kernel:
             return replay(xs).ratio, xs
         lhs, rhs = _stein_sides(xs, filt, cfg.p, q, lag, adapted=kind == "adapted-seq")
         return (lhs / rhs if rhs > 0 else None), xs

@@ -38,8 +38,8 @@ def report(criterion, detail, elapsed=None):
 
 
 def both_filtrations(dim):
-    yield "dyadic", nc.make_filtration("dyadic-pinching", dim=dim)
-    yield "tensor", nc.make_filtration("tensor", local_dims=(2,) * (dim.bit_length() - 1))
+    yield "dyadic", nc.build_filtration("dyadic", dim)
+    yield "tensor", nc.build_filtration("tensor", local_dims=(2,) * (dim.bit_length() - 1))
 
 
 def test_criterion_01_expectation_axioms():
@@ -169,7 +169,7 @@ def test_criterion_05b_jensen_q3_violation_on_m2():
     # trivial subalgebra reduces to tau(x^3) >= tau(x)^3. This probe fails
     # by construction; the attainable form needs block dimension >= 2
     # inside a larger space (see criterion 5).
-    filt = nc.make_filtration("dyadic-pinching", dim=2)
+    filt = nc.build_filtration("dyadic", 2)
     for seed in range(1000):
         _, mn = nc.jensen_gap(nc.sample_psd(2, seed), filt.levels[0], 3)
         if mn < -1e-6:
@@ -188,7 +188,7 @@ def test_criterion_06_classical_reduction():
     rng = np.random.default_rng(66)
     dim = 4
     weights = np.full(dim, 1 / dim)
-    filt = nc.make_filtration("dyadic-pinching", dim=dim)
+    filt = nc.build_filtration("dyadic", dim)
     fs = rng.uniform(0.1, 2.0, size=(3, dim))
     seq = [np.diag(f).astype(complex) for f in fs]
 

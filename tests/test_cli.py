@@ -1,13 +1,16 @@
 """CLI: strict config parsing, report schemas, exit codes, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+from ncstein import build_filtration
 from ncstein.cli import (
     AXIOM_COLUMNS,
     CSV_COLUMNS,
@@ -20,6 +23,8 @@ from ncstein.cli import (
     run_command,
     write_report,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cfg_text(**kwargs):
@@ -280,3 +285,85 @@ def test_config_roundtrip_is_frozen():
     assert isinstance(cfg, RunConfig)
     with pytest.raises(Exception):
         cfg.seed = 5
+
+
+def test_parse_rejects_nan_step_scale():
+    # json.loads accepts NaN by default, and NaN slips past a `<= 0` check
+    text = cfg_text(command="search", inequality="s_qq", p=2, q=2, budget=40, restarts=2,
+                    step_scale=0.25).replace("0.25", "NaN")
+    with pytest.raises(ConfigError, match="NaN is not a strict JSON number"):
+        parse_config(text)
+
+
+def test_parse_rejects_nan_and_infinite_assert_ratio_le():
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        text = cfg_text(command="check", inequality="s_qq", p=2, q=2,
+                        assert_ratio_le=1.5).replace("1.5", literal)
+        with pytest.raises(ConfigError, match=f"{literal} is not a strict JSON number"):
+            parse_config(text)
+
+
+def _search_with_witness(tmp_path, **kwargs):
+    witness_path = tmp_path / "w.json"
+    cfg = parse_config(cfg_text(command="search", witness_out=str(witness_path),
+                                out=str(tmp_path / "s.csv"), **kwargs))
+    assert run_command(cfg) == 0
+    return witness_path
+
+
+def test_witness_rejects_nan(tmp_path, capsys):
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    text = witness_path.read_text()
+    ratio = f'"best_ratio": {json.dumps(json.loads(text)["best_ratio"])}'
+    assert ratio in text
+    witness_path.write_text(text.replace(ratio, '"best_ratio": NaN'))
+    cfg = parse_config(cfg_text(command="check", witness=str(witness_path)))
+    assert run_command(cfg) == 1
+    assert "NaN is not a strict JSON number" in capsys.readouterr().err
+
+
+def test_parse_and_builder_reject_the_same_filtrations(tmp_path):
+    for filtration, dim, local_dims in (("dyadic", 6, None), ("tensor", 8, [2, 2]),
+                                        ("dyadic", 8, [2, 2]), ("tensor", 6, None)):
+        data = {"command": "axioms", "filtration": filtration, "dim": dim}
+        if local_dims is not None:
+            data["local_dims"] = local_dims
+        with pytest.raises(ConfigError):
+            parse_config(json.dumps(data))
+        with pytest.raises(ValueError):
+            build_filtration(filtration, dim, local_dims)
+
+    # the builder's tensor default reaches the witness file and its replay
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=8,
+                                        filtration="tensor", seq_len=3, budget=40,
+                                        restarts=2)
+    payload = json.loads(witness_path.read_text())
+    assert payload["local_dims"] == [2, 2, 2]
+    replay_out = tmp_path / "replay.csv"
+    replay = parse_config(cfg_text(command="check", witness=str(witness_path),
+                                   out=str(replay_out)))
+    assert run_command(replay) == 0
+    row = replay_out.read_text().strip().splitlines()[1].split(",")
+    assert abs(float(row[CSV_COLUMNS.index("ratio")]) - payload["best_ratio"]) <= 1e-10
+
+
+def test_bench_setup_path_runs(tmp_path, monkeypatch, capsys):
+    """bench/run.py times its SETUP_CODE (parse_config, then the package's
+    build_filtration) on each gated workload's first config; a rename that
+    breaks that code must fail here, not only in the benchmark."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    setup_code = next(node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                      and getattr(node.targets[0], "id", None) == "SETUP_CODE")
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert gated
+    for entry in gated:
+        workload = workloads.build(entry["name"], 1, tmp_path, tiny=True)
+        assert workload.setup_config == workload.ops[0].config
+        monkeypatch.setattr(sys, "argv", ["-c", str(ROOT / "src"),
+                                          json.dumps(workload.setup_config)])
+        exec(setup_code, {})
+        assert float(capsys.readouterr().out) > 0

@@ -11,15 +11,14 @@ from ncstein import (
     Pinching,
     TensorFactor,
     axiom_residuals,
+    build_filtration,
     cond_exp,
     herm,
     is_adapted,
     level_index,
-    make_filtration,
     ntrace,
     op_norm,
     pinching_from_sizes,
-    sample,
     sample_adapted_positive,
     sample_hermitian,
     sample_psd,
@@ -109,25 +108,25 @@ def test_axiom_residuals_pinching():
 
 
 def test_make_filtration_dyadic():
-    filt = make_filtration("dyadic-pinching", dim=4)
+    filt = build_filtration("dyadic", 4)
     assert [spec.blocks for spec in filt.levels] == [
         ((0,), (1,), (2,), (3,)),
         ((0, 1), (2, 3)),
         ((0, 1, 2, 3),),
     ]
     with pytest.raises(ValueError, match="power of 2"):
-        make_filtration("dyadic-pinching", dim=6)
+        build_filtration("dyadic", 6)
 
 
 def test_make_filtration_tensor():
-    filt = make_filtration("tensor", local_dims=(2, 2))
+    filt = build_filtration("tensor", local_dims=(2, 2))
     assert len(filt) == 3
     x = sample_hermitian(4, 5)
     np.testing.assert_allclose(
         cond_exp(x, filt.levels[0]), ntrace(x) * np.eye(4), atol=1e-12
     )
     with pytest.raises(ValueError, match="unknown filtration"):
-        make_filtration("weird", dim=4)
+        build_filtration("weird", dim=4)
 
 
 def test_filtration_must_increase():
@@ -138,11 +137,11 @@ def test_filtration_must_increase():
 
 
 @pytest.mark.parametrize("kind,kwargs", [
-    ("dyadic-pinching", {"dim": 4}),
+    ("dyadic", {"dim": 4}),
     ("tensor", {"local_dims": (2, 2)}),
 ])
 def test_tower_property(kind, kwargs):
-    filt = make_filtration(kind, **kwargs)
+    filt = build_filtration(kind, **kwargs)
     assert tower_residual(filt, trials=20, seed=3) <= 1e-10
 
 
@@ -157,14 +156,14 @@ def test_level_index():
 
 
 def test_is_adapted_constant_level0():
-    filt = make_filtration("dyadic-pinching", dim=4)
+    filt = build_filtration("dyadic", 4)
     x0 = cond_exp(sample_psd(4, 0), filt.levels[0])
     verdict = is_adapted([x0, x0, x0], filt, lag=0)
     assert verdict.adapted and verdict.residual <= 1e-12
 
 
 def test_is_adapted_off_diagonal_residual():
-    filt = make_filtration("dyadic-pinching", dim=2)
+    filt = build_filtration("dyadic", 2)
     x = np.array([[0.0, 0.25], [0.25, 0.0]])
     verdict = is_adapted([x], filt, lag=0)
     assert not verdict.adapted
@@ -172,29 +171,29 @@ def test_is_adapted_off_diagonal_residual():
 
 
 def test_projection_makes_adapted():
-    filt = make_filtration("tensor", local_dims=(2, 2))
+    filt = build_filtration("tensor", local_dims=(2, 2))
     raw = [sample_hermitian(4, s) for s in range(3)]
     projected = [cond_exp(x, filt.levels[n]) for n, x in enumerate(raw)]
     assert is_adapted(projected, filt, lag=0).adapted
 
 
 def test_sample_adapted_positive():
-    filt = make_filtration("dyadic-pinching", dim=8)
+    filt = build_filtration("dyadic", 8)
     seq = sample_adapted_positive(filt, 4, seed=5)
     assert is_adapted(seq, filt, lag=0).adapted
     for x in seq:
         assert np.linalg.eigvalsh(herm(x))[0] >= -1e-10
-    via_dispatch = sample("adapted-positive", 8, 5, filtration=filt, length=4)
-    for a, b in zip(seq, via_dispatch):
+    again = sample_adapted_positive(filt, 4, seed=5)
+    for a, b in zip(seq, again):
         np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
-    ("dyadic-pinching", {"dim": 8}),
+    ("dyadic", {"dim": 8}),
     ("tensor", {"local_dims": (2, 2, 2)}),
 ])
 def test_expectation_invariants(kind, kwargs):
-    filt = make_filtration(kind, **kwargs)
+    filt = build_filtration(kind, **kwargs)
     rng = np.random.default_rng(17)
     for _ in range(10):
         x = _complex_gaussian(rng, filt.dim)

@@ -1,5 +1,6 @@
 """Inequality checkers: ratio reports, proved ceilings, reductions."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ncstein import (
     CellAverage,
     ClassicalSpace,
     Filtration,
+    build_filtration,
     check_adapted_s12,
     check_crp_stein,
     check_doob_maximal,
@@ -24,7 +26,6 @@ from ncstein import (
     hard_ceiling,
     herm,
     jensen_gap,
-    make_filtration,
     ntrace,
     pinching_from_sizes,
     project_adapted,
@@ -34,7 +35,9 @@ from ncstein import (
     sample_unitary,
     schatten_norm,
 )
-from ncstein.inequality import ceiling_violated, run_inequality, _make_report
+from ncstein.cli import ConfigError, parse_config
+from ncstein.inequality import INEQUALITIES, ceiling_violated, run_inequality, _make_report
+from ncstein.search import seeded_inputs
 from ncstein.seqnorm import NormValue
 
 from oracles import scalar_cond_exp, scalar_lpq
@@ -43,7 +46,7 @@ INF = math.inf
 
 
 def dyadic(dim):
-    return make_filtration("dyadic-pinching", dim=dim)
+    return build_filtration("dyadic", dim)
 
 
 def psd_seq(dim, n, seed):
@@ -333,7 +336,7 @@ def test_projections_identity():
 
 
 def test_projections_rank_one_diagonal():
-    filt = make_filtration("tensor", local_dims=(2, 2))
+    filt = build_filtration("tensor", local_dims=(2, 2))
     projs = [np.diag([1.0 if i == k else 0.0 for i in range(4)]) for k in range(3)]
     rep = check_projections(projs, filt, 3, 1)
     # scalar data: E_0 r = 1/4, E_1 r = (diagonal block average), E_2 r = r
@@ -492,3 +495,97 @@ def test_run_inequality_dispatch_and_validation():
         run_inequality("s_qq", {"seq": psd_seq(4, 2, 2)}, filt, 2, 3, 1)
     with pytest.raises(ValueError, match="unknown inequality"):
         run_inequality("nope", {}, filt, 2, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# registry: one exponent domain per id
+# ---------------------------------------------------------------------------
+
+GRID = (1.0, 1.5, 2.0, 3.0, INF)
+
+
+def _classical_instance():
+    space = ClassicalSpace((Fraction(1, 2), Fraction(1, 2)), (((0, 1),), ((0,), (1,))))
+    process = [psd_seq(2, 2, 5), psd_seq(2, 2, 6)]
+    return space, process
+
+
+def _direct_checkers():
+    """Each id's public checker on valid seeded inputs, as (p, q) -> report.
+
+    s_12_adapted is absent: its checker takes no exponents."""
+    filt = dyadic(2)
+    seq = psd_seq(2, 2, 3)
+    adapted = sample_adapted_positive(filt, 2, 3)
+    isometries = [sample_unitary(2, 40 + n) for n in range(2)]
+    projections = sample_projection_family(2, 2, 3)
+    space, process = _classical_instance()
+    return {
+        "s_pq": lambda p, q: check_stein_pq(seq, filt, p, q, lag=0),
+        "s_qq": lambda p, q: check_stein_pq(seq, filt, p, q, lag=1, inequality_id="s_qq"),
+        "s_isometry": lambda p, q: check_stein_isometry(seq, isometries, filt, p, q),
+        "dd_p": lambda p, q: check_dual_doob(seq, filt, p),
+        "doob_maximal": lambda p, q: check_doob_maximal(seq[0], filt, p),
+        "s_p_inf": lambda p, q: check_sp_inf(seq, filt, p),
+        "crp_stein": lambda p, q: check_crp_stein(adapted, filt, p),
+        "projections": lambda p, q: check_projections(projections, filt, p, q),
+        "semicommutative": lambda p, q: check_semicommutative(process, space, p, q),
+    }
+
+
+def _accepts(call, inequality_id):
+    """Whether call() runs; a refusal must be the registry's domain message."""
+    try:
+        call()
+    except ValueError as exc:
+        assert str(exc).startswith(f"{inequality_id} needs "), exc
+        return False
+    return True
+
+
+def test_one_exponent_domain_per_inequality():
+    filt = dyadic(2)
+    direct = _direct_checkers()
+    for inequality_id, ineq in INEQUALITIES.items():
+        if ineq.input_kind == "process":
+            space, process = _classical_instance()
+            inputs = {"process": process, "space": space}
+        else:
+            inputs = seeded_inputs(inequality_id, 2, 2, filt, 3)
+        points = [(p, q) for p in GRID for q in (GRID if ineq.uses_q else (None,))]
+        accepted = set()
+        for p, q in points:
+            config = {"command": "check", "inequality": inequality_id, "dim": 2, "seq_len": 2,
+                      "p": "inf" if p == INF else p}
+            if ineq.uses_q:
+                config["q"] = "inf" if q == INF else q
+            try:
+                parse_config(json.dumps(config))
+                by_config = True
+            except ConfigError as exc:
+                assert str(exc).startswith(f"{inequality_id} needs "), exc
+                by_config = False
+            by_dispatch = _accepts(lambda: run_inequality(
+                inequality_id, inputs, filt, p, q, ineq.default_lag), inequality_id)
+            assert by_dispatch == by_config, (inequality_id, p, q)
+            if inequality_id in direct:
+                by_checker = _accepts(lambda: direct[inequality_id](p, q), inequality_id)
+                assert by_checker == by_config, (inequality_id, p, q)
+            if by_config:
+                accepted.add((p, q))
+        assert accepted and len(accepted) < len(points), inequality_id
+
+
+def test_hard_ceiling_pinned_for_every_id():
+    le_one = ("le", 1.0, 1e-8)
+    for inequality_id in INEQUALITIES:
+        for p in GRID:
+            for q in GRID:
+                want = {
+                    "s_qq": le_one,
+                    "s_pq": le_one if p == q else None,
+                    "s_12_adapted": ("le", 2.0, 1e-6),
+                    "dd_p": ("eq", 1.0, 1e-10) if p == 1 else None,
+                }.get(inequality_id)
+                assert hard_ceiling(inequality_id, p, q) == want, (inequality_id, p, q)
+    assert len(INEQUALITIES) == 10

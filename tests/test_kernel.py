@@ -10,6 +10,7 @@ from ncstein import (
     CellAverage,
     SearchConfig,
     TensorFactor,
+    build_filtration,
     check_adapted_s12,
     check_stein_pq,
     cond_exp,
@@ -17,7 +18,6 @@ from ncstein import (
     hermitian_eig,
     is_psd,
     level_index,
-    make_filtration,
     pinching_from_sizes,
     project_adapted,
     sample_hermitian,
@@ -56,8 +56,8 @@ def test_stack_cond_exp_matches_per_term(spec):
 
 @pytest.mark.parametrize("lag", (0, 1))
 @pytest.mark.parametrize("filt", (
-    make_filtration("dyadic-pinching", dim=8),
-    make_filtration("tensor", local_dims=(2, 3, 2)),
+    build_filtration("dyadic", 8),
+    build_filtration("tensor", local_dims=(2, 3, 2)),
 ), ids=("dyadic", "tensor"))
 def test_condition_matches_per_level(filt, lag):
     xs = general_stack(filt.dim, 4, 12)
@@ -77,7 +77,7 @@ def oracle_ratio(seq, filt, p, q, lag):
 @pytest.mark.parametrize("p, q, lag", ((3.0, 1.5, 0), (3.0, 2.0, 0), (2.5, 1.0, 1),
                                        (1.5, 1.5, 1), (3.0, 3.0, 1)))
 def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
-    filt = make_filtration("dyadic-pinching", dim=8)
+    filt = build_filtration("dyadic", 8)
     seq = [sample_psd(8, 300 + n) for n in range(4)]
     lhs, rhs = _stein_sides(as_stack(seq), filt, p, q, lag)
     report = check_stein_pq(seq, filt, p, q, lag)
@@ -86,7 +86,7 @@ def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
 
 
 def test_kernel_ratio_adapted_s12():
-    filt = make_filtration("tensor", local_dims=(2, 2, 2))
+    filt = build_filtration("tensor", local_dims=(2, 2, 2))
     seq = project_adapted([sample_psd(8, 400 + n) for n in range(4)], filt, 0)
     lhs, rhs = _stein_sides(as_stack(seq), filt, 1.0, 2.0, 1, adapted=True)
     report = check_adapted_s12(seq, filt)
@@ -97,7 +97,7 @@ def test_kernel_ratio_adapted_s12():
 
 
 def test_kernel_rejects_non_psd_terms_for_q_not_two():
-    filt = make_filtration("dyadic-pinching", dim=4)
+    filt = build_filtration("dyadic", 4)
     seq = as_stack([sample_psd(4, 1), sample_hermitian(4, 2)])
     with pytest.raises(ValueError, match="item 1 is not positive semidefinite"):
         _stein_sides(seq, filt, 1.5, 1.5, 1)

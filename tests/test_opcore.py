@@ -118,17 +118,17 @@ def test_conjugate_exponent():
 
 
 def test_sample_unitary():
-    u = oc.sample('unitary', 4, 7)
+    u = oc.sample_unitary(4, 7)
     assert oc.op_norm(u.conj().T @ u - np.eye(4)) <= 1e-10
 
 
 def test_sample_psd():
-    x = oc.sample('psd', 3, 1)
+    x = oc.sample_psd(3, 1)
     assert np.linalg.eigvalsh(x)[0] >= -1e-12
 
 
 def test_sample_projection_family():
-    family = oc.sample('projection-family', 4, 2, count=4)
+    family = oc.sample_projection_family(4, 4, 2)
     assert len(family) == 4
     for i, r in enumerate(family):
         assert oc.op_norm(r @ r - r) <= 1e-10
@@ -140,14 +140,12 @@ def test_sample_projection_family():
 
 
 def test_sample_determinism_and_rejection():
-    a = oc.sample('hermitian', 3, 11)
-    b = oc.sample('hermitian', 3, 11)
+    a = oc.sample_hermitian(3, 11)
+    b = oc.sample_hermitian(3, 11)
     np.testing.assert_array_equal(a, b)
-    assert oc.op_norm(a - oc.sample('hermitian', 3, 12)) > 1e-3
-    with pytest.raises(ValueError, match="unknown sample kind"):
-        oc.sample('bogus', 3, 0)
-    with pytest.raises(ValueError, match="unexpected parameters"):
-        oc.sample('psd', 3, 0, count=2)
+    assert oc.op_norm(a - oc.sample_hermitian(3, 12)) > 1e-3
+    with pytest.raises(ValueError, match="count <= dim"):
+        oc.sample_projection_family(3, 4, 0)
 
 
 def test_triangle_inequality():
