@@ -22,12 +22,12 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .expectation import axiom_residuals, build_filtration, tower_residual
+from .expectation import Filtration, axiom_residuals, build_filtration, tower_residual
 from .inequality import (
     INEQUALITIES,
     ClassicalSpace,
@@ -99,6 +99,8 @@ class RunConfig:
     probabilities: tuple[Fraction, ...] | None = None
     witness: str | None = None
     witness_out: str | None = None
+    # the filtration built while validating; filled by parse_config, not a config key
+    filt: Filtration | None = field(default=None, compare=False, repr=False)
 
 
 def _parse_exponent(value, key: str) -> float:
@@ -117,6 +119,21 @@ def _parse_int(data, key, default, minimum):
         raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"key {key!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _parse_lag(data, default) -> int:
+    lag = _parse_int(data, "lag", default, 0)
+    if lag > 1:
+        raise ConfigError(f"key 'lag' must be 0 or 1, got {lag!r}")
+    return lag
+
+
+def _parse_local_dims(value):
+    if value is not None and (
+            not isinstance(value, list) or not value
+            or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in value)):
+        raise ConfigError("key 'local_dims' must be a list of positive integers")
     return value
 
 
@@ -150,11 +167,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("key 'out' must be a string path")
 
     filtration = data.get("filtration", "dyadic")
-    local_dims = data.get("local_dims")
-    if local_dims is not None and (
-            not isinstance(local_dims, list) or not local_dims
-            or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in local_dims)):
-        raise ConfigError("key 'local_dims' must be a list of positive integers")
+    local_dims = _parse_local_dims(data.get("local_dims"))
     dim = _parse_int(data, "dim", 4, 1) if "dim" in data or local_dims is None else None
     try:
         filt = build_filtration(filtration, dim, local_dims)
@@ -168,7 +181,7 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(
         command=command, seed=seed, out=out, format=fmt,
         dim=filt.dim, local_dims=local_dims, filtration=filtration,
-        trials=_parse_int(data, "trials", 50, 1),
+        trials=_parse_int(data, "trials", 50, 1), filt=filt,
     )
     if command == "axioms":
         return cfg
@@ -203,9 +216,7 @@ def parse_config(text: str) -> RunConfig:
         q = _parse_exponent(data["q"], "q")
     elif "q" in data:
         raise ConfigError(f"key 'q' does not apply to {inequality!r}")
-    lag = data.get("lag", ineq.default_lag)
-    if lag not in (0, 1):
-        raise ConfigError(f"key 'lag' must be 0 or 1, got {lag!r}")
+    lag = _parse_lag(data, ineq.default_lag)
     try:
         ineq.validate(p, q)
     except ValueError as exc:
@@ -443,22 +454,22 @@ def _load_witness(path: str):
     if not ineq.searchable:
         raise ConfigError(f"{inequality!r} witnesses are not replayable")
     kind = ineq.input_kind
+    if not isinstance(data["witness"], list) or not data["witness"]:
+        raise ConfigError("witness file must hold a nonempty list of matrices")
     matrices = [decode_matrix(obj) for obj in data["witness"]]
-    if not matrices:
-        raise ConfigError("witness file holds no matrices")
     p = _parse_exponent(data["p"], "p")
     q = None if data["q"] is None else _parse_exponent(data["q"], "q")
     ineq.validate(p, q)
-    if data["lag"] not in (0, 1):
-        raise ConfigError("witness 'lag' must be 0 or 1")
-    filt = build_filtration(data["filtration"], int(data["dim"]), data["local_dims"] or None)
+    _parse_lag(data, None)
+    dim, seed = _parse_int(data, "dim", None, 1), _parse_int(data, "seed", None, 0)
+    _parse_int(data, "seq_len", None, 1)
+    filt = build_filtration(data["filtration"], dim, _parse_local_dims(data["local_dims"]))
     if kind == "operator":
         inputs = {"x": matrices[0]}
     else:
         inputs = {"seq": matrices}
         if kind == "isometry-seq":
-            inputs["isometries"] = isometry_family(int(data["dim"]), len(matrices),
-                                                   int(data["seed"]))
+            inputs["isometries"] = isometry_family(dim, len(matrices), seed)
     return inputs, filt, data, p, q
 
 
@@ -468,9 +479,8 @@ def _load_witness(path: str):
 
 
 def _run_axioms(cfg: RunConfig):
-    filt = build_filtration(cfg.filtration, cfg.dim, cfg.local_dims)
     rows = []
-    for level, spec in enumerate(filt.levels):
+    for level, spec in enumerate(cfg.filt.levels):
         res = axiom_residuals(spec, cfg.trials, cfg.seed + level)
         checks = {
             "projection": res.projection,
@@ -490,7 +500,7 @@ def _run_axioms(cfg: RunConfig):
     rows.append({
         "filtration": cfg.filtration, "dim": cfg.dim, "seed": cfg.seed,
         "trials": cfg.trials, "level": -1, "check": "tower",
-        "value": float(tower_residual(filt, cfg.trials, cfg.seed)),
+        "value": float(tower_residual(cfg.filt, cfg.trials, cfg.seed)),
     })
     violated = any(row["value"] > AXIOM_GATE for row in rows)
     return rows, violated, AXIOM_COLUMNS
@@ -521,9 +531,9 @@ def _run_check(cfg: RunConfig):
     if cfg.witness is not None:
         inputs, filt, meta, p, q = _load_witness(cfg.witness)
         report = run_inequality(meta["inequality"], inputs, filt, p, q,
-                                meta["lag"], seed=int(meta["seed"]))
-        rows = [_report_row(report, dim=int(meta["dim"]), seq_len=int(meta["seq_len"]),
-                            filtration=meta["filtration"], seed=int(meta["seed"]),
+                                meta["lag"], seed=meta["seed"])
+        rows = [_report_row(report, dim=meta["dim"], seq_len=meta["seq_len"],
+                            filtration=meta["filtration"], seed=meta["seed"],
                             evaluations=1)]
         return rows, ceiling_violated(report), CSV_COLUMNS
     if get_inequality(cfg.inequality).input_kind == "process":
@@ -531,7 +541,7 @@ def _run_check(cfg: RunConfig):
         filt = None
         filtration_name = "classical"
     else:
-        filt = build_filtration(cfg.filtration, cfg.dim, cfg.local_dims)
+        filt = cfg.filt
         inputs = seeded_inputs(cfg.inequality, cfg.dim, cfg.seq_len, filt, cfg.seed)
         filtration_name = cfg.filtration
     report = run_inequality(cfg.inequality, inputs, filt, cfg.p, cfg.q, cfg.lag,

@@ -188,7 +188,7 @@ def check_dual_doob(seq: Sequence, filt: Filtration, p,
     return _make_report(inequality_id, lhs, rhs, p, None, 0)
 
 
-def check_doob_maximal(x, filt: Filtration, p, *, seed: int = 0,
+def check_doob_maximal(x, filt: Filtration, p,
                        inequality_id: str = "doob_maximal") -> RatioReport:
     """ell_inf bracket of the full projection chain (E_0(x), ..., E_N(x))
     against the exact ||x||_p, for PSD x and p > 1."""
@@ -197,14 +197,14 @@ def check_doob_maximal(x, filt: Filtration, p, *, seed: int = 0,
     if not is_psd(a):
         raise ValueError("input operator must be positive semidefinite")
     chain = [cond_exp(a, spec) for spec in filt.levels]
-    bracket = linf_norm_positive(chain, p, seed=seed)
+    bracket = linf_norm_positive(chain, p)
     rhs = NormValue(schatten_norm(a, p), "exact")
     return _make_report(inequality_id, bracket.lower, rhs, p, None, 0,
                         lhs_upper=bracket.upper)
 
 
-def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0, *,
-                 seed: int = 0, inequality_id: str = "s_p_inf") -> RatioReport:
+def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0,
+                 inequality_id: str = "s_p_inf") -> RatioReport:
     """ell_inf bracket of the conditioned sequence against the bracket of
     the inputs; the scalar ratio pairs the certified sides (lhs lower over
     rhs upper) and ratio_interval holds the full enclosure."""
@@ -212,8 +212,8 @@ def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0, *,
     p, _ = get_inequality(inequality_id).validate(p)
     _require_positive(items)
     conditioned = _condition(items, filt, lag)
-    left: LinfBracket = linf_norm_positive(conditioned, p, seed=seed)
-    right: LinfBracket = linf_norm_positive(items, p, seed=seed + 1)
+    left: LinfBracket = linf_norm_positive(conditioned, p)
+    right: LinfBracket = linf_norm_positive(items, p)
     return _make_report(inequality_id, left.lower, right.upper, p, INF, lag,
                         lhs_upper=left.upper, rhs_lower=right.lower)
 
@@ -436,9 +436,9 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
                ceiling=lambda p, q: ("eq", 1.0, 1e-10) if p == 1 else None,
                check=lambda i, f, p, q, lag, seed: check_dual_doob(i["seq"], f, p)),
     Inequality("doob_maximal", "operator", lambda p, q: p > 1, _P_ABOVE_ONE,
-               check=lambda i, f, p, q, lag, seed: check_doob_maximal(i["x"], f, p, seed=seed)),
+               check=lambda i, f, p, q, lag, seed: check_doob_maximal(i["x"], f, p)),
     Inequality("s_p_inf", "positive-seq", lambda p, q: p > 1, _P_ABOVE_ONE,
-               check=lambda i, f, p, q, lag, seed: check_sp_inf(i["seq"], f, p, lag, seed=seed)),
+               check=lambda i, f, p, q, lag, seed: check_sp_inf(i["seq"], f, p, lag)),
     Inequality("crp_stein", "adapted-seq", lambda p, q: 1 < p < INF, "1 < p < inf",
                default_lag=1,
                check=lambda i, f, p, q, lag, seed: check_crp_stein(

@@ -4,16 +4,16 @@ Closed forms: the column/row ell_2 norms, general ell_q column norms, the
 CR_p norm for p >= 2, and the ell_1 norm of positive sequences (norm of the
 sum). Two quantities are only bracketed:
 
-  * CR_p for p < 2 is an infimum over splittings x_n = a_n + b_n; a local
-    search returns an upper bound together with its splitting.
-  * The ell_inf norm of a positive sequence is sandwiched between the best
-    dual pairing found by projected ascent (a certified lower bound) and
-    the value of an explicit factorization x_n = a y_n b with contractions
-    y_n (a certified upper bound). The dual side maximizes
-    sum_n ntrace(x_n y_n) over positive duals with ||sum y_n||_p' <= 1.
+  * CR_p for p < 2 is an infimum over splittings x_n = a_n + b_n; a seeded
+    local search returns an upper bound together with its splitting.
+  * The ell_inf norm of a positive sequence, min ||a||_p over a >= x_n, comes
+    from one deterministic log-det barrier solve (damped Newton on the d^2
+    real coordinates of a Hermitian a). Its majorant a gives the upper end,
+    certified by the factorization x_n = a^(1/2) y_n a^(1/2) with contractions
+    y_n; its duals y_n ~ (a - x_n)^-1, scaled to ||sum y_n||_p' <= 1, give the
+    lower end sum_n ntrace(x_n y_n).
 
-Every optimizer is seeded and pure; repeated calls with equal arguments
-return identical values.
+Repeated calls with equal arguments return identical values.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ from .opcore import (
     conjugate_exponent,
     herm,
     is_psd,
-    ntrace,
     op_norm,
     psd_power,
     schatten_norm,
-    _complex_gaussian,
     _complex_gaussians,
 )
 
-FACTOR_PINV_REL = 1e-12
-FACTOR_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -226,230 +222,154 @@ def _crp_split(items: np.ndarray, p: float, seed: int, max_steps: int) -> NormVa
 
 
 # ---------------------------------------------------------------------------
-# ell_inf of positive sequences: factorization upper bound
+# ell_inf of positive sequences: one log-det barrier solve
 # ---------------------------------------------------------------------------
 
+LINF_GAP_REL = 1e-9  # the solve stops once (upper - lower) / upper is certified below this
+FACTOR_PINV_REL = 1e-12  # eigenvalues of the majorant below this share of its top are dropped
+FACTOR_RESIDUAL_TOL = 1e-8  # largest reassembly error of a factorization, relative
+_T_GROWTH = 30.0  # barrier weight factor between two centring stages
+_NEWTON_TINY = 1e-14  # half the squared Newton decrement that counts as centred
+_QUADRATIC = 0.25  # squared decrement below which a full Newton step is tried first
 
-def _pinching_basis(items: list[np.ndarray]) -> np.ndarray:
-    """Eigenbasis of the sum, tie-broken so that simultaneously diagonalizable
-    inputs keep their common eigenbasis even when the sum has repeated
-    eigenvalues."""
-    s = herm(sum(items))
-    tie = sum((n + 1) * x for n, x in enumerate(items)) * (1e-3 / (len(items) + 1))
-    _, v = np.linalg.eigh(herm(s + tie))
-    return v
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis B_k of the d x d Hermitian matrices under tr(a b), as the
+    unitary d^2 x d^2 matrix whose column k is B_k flattened row-major."""
+    e = np.eye(d * d).reshape(-1, d, d)
+    i, j = np.divmod(np.arange(d * d), d)
+    scale = np.where(i == j, 0.5, np.sqrt(0.5))[:, None, None]
+    sym, anti = e + e.swapaxes(1, 2), 1j * (e.swapaxes(1, 2) - e)
+    return (scale * np.where((i <= j)[:, None, None], sym, anti)).reshape(d * d, d * d).T
+
+
+def _barrier(xs, a, p, t) -> float:
+    """t ||a||_p - sum_n log det(a - x_n); inf unless every a - x_n > 0."""
+    w = np.linalg.eigvalsh(np.concatenate([a[None], a - xs]))
+    if w[1:, 0].min() <= 0:
+        return INF
+    return t * float(np.mean(w[0] ** p) ** (1 / p)) - float(np.log(w[1:]).sum())
+
+
+def _newton_system(xs, a, p, t, basis):
+    """The barrier's gradient and Hessian in `basis` coordinates, and that of ||a||_p."""
+    d, adj = len(a), basis.conj().T
+    w, u = np.linalg.eigh(a)
+    f = float(np.mean(w**p) ** (1 / p))
+    gw = (w / f) ** (p - 1)  # spectrum of (a / f)^(p-1), the gradient under ntrace
+    h = (adj @ ((u * gw) @ u.conj().T).reshape(-1)).real / d
+    sinv = np.linalg.inv(a - xs)
+    grad = t * h - (adj @ sinv.sum(axis=0).reshape(-1)).real
+    # D -> sum_n S_n^-1 D S_n^-1 acts on row-major vectors as sum_n S_n^-1 (x) S_n^-T
+    kron = np.einsum("nij,nkl->iljk", sinv, sinv).reshape(d * d, d * d)
+    # Daleckii-Krein: the derivative of (a / f)^(p-1) along D is u (gamma o u* D u) u*,
+    # with gamma the divided differences of (lambda / f)^(p-1)
+    diff = w[:, None] - w[None, :]
+    tie = np.abs(diff) <= 1e-8 * w[-1]
+    gamma = np.where(tie, (p - 1) / f * ((w[:, None] + w[None, :]) / (2 * f)) ** (p - 2),
+                     (gw[:, None] - gw[None, :]) / np.where(tie, 1.0, diff))
+    rot = (u.conj().T @ basis.T.reshape(-1, d, d) @ u).reshape(d * d, d * d).T
+    hess = ((adj @ kron @ basis).real
+            + t * (rot.conj().T @ (gamma.reshape(-1, 1) * rot)).real / d
+            + t * (1 - p) / f * np.outer(h, h))
+    return grad, h, hess
+
+
+def _center(xs, a, p, t, basis):
+    """Damped Newton on the barrier at weight t, until the decrement is tiny,
+    stops shrinking under full steps (round-off), or no step decreases it."""
+    last = INF
+    while True:
+        grad, h, hess = _newton_system(xs, a, p, t, basis)
+        step = np.linalg.solve(hess, -grad)
+        dec = float(-grad @ step)
+        if dec / 2 <= _NEWTON_TINY or dec >= last:
+            return a, h, hess
+        move, s = (basis @ step).reshape(a.shape), 1.0
+        if dec < _QUADRATIC and np.linalg.eigvalsh(a + move - xs)[:, 0].min() > 0:
+            last = dec
+        else:  # backtracking to sufficient decrease; infeasible points are inf
+            last, start = INF, _barrier(xs, a, p, t)
+            while _barrier(xs, a + s * move, p, t) >= start - s * dec / 4:
+                s /= 2
+                if s < 1e-10:
+                    return a, h, hess
+        a = herm(a + s * move)
+
+
+def _duals(xs, a, p):
+    """Duals y_n = (a - x_n)^-1 / ||sum_m (a - x_m)^-1||_p' and their pairing (a lower bound)."""
+    ys = herm(np.linalg.inv(a - xs))
+    ys /= _root_norms(ys.sum(axis=0), conjugate_exponent(p), 1.0)
+    return ys, float(np.einsum("nij,nji->", xs, ys).real) / a.shape[0]
+
+
+def _barrier_solve(xs, p, top) -> np.ndarray:
+    """A majorant a > x_n of near-minimal ||a||_p (1 <= p < inf, top = max_n ||x_n||_inf).
+    Each stage multiplies t by _T_GROWTH and starts from the last centre moved along
+    the path's tangent, as the path is close to linear in 1/t."""
+    n, d = xs.shape[:2]
+    basis, xs = _hermitian_basis(d), xs / top  # solved at max_n ||x_n||_inf = 1
+    a, t = 2.0 * np.eye(d, dtype=complex), 0.5 * n * d  # duality gap n d / t ~ ||a||_p
+    best, best_gap = a, INF
+    while True:
+        a, h, hess = _center(xs, a, p, t, basis)
+        gap = 1.0 - _duals(xs, a, p)[1] / float(_root_norms(a, p, 1.0))
+        if gap >= best_gap:  # round-off has taken over: keep the best stage
+            return top * best
+        if gap <= LINF_GAP_REL:
+            return top * a
+        best, best_gap = a, gap
+        tangent = (basis @ np.linalg.solve(hess, -h)).reshape(d, d) * t * (1 - 1 / _T_GROWTH)
+        feasible = (s for s in 0.5 ** np.arange(10)
+                    if np.linalg.eigvalsh(a + s * tangent - xs)[:, 0].min() > 0)
+        a, t = herm(a + next(feasible, 0.0) * tangent), t * _T_GROWTH
 
 
 def _try_factorization(items, m, p):
-    """Factor through the PSD middle term m; None when m misses some range."""
+    """Factor x_n = r y_n r with contractions y_n through r = (c m)^(1/2), c the largest
+    ||m^(-1/2) x_n m^(-1/2)||_inf: returns (c ||m||_p, witness), or raises RuntimeError."""
     w, v = np.linalg.eigh(herm(m))
-    w = np.clip(w, 0.0, None)
-    top = float(w[-1])
-    if top <= 0.0:
-        return None
-    cutoff = FACTOR_PINV_REL * top
-    r = np.where(w > cutoff, np.sqrt(w), 0.0)
-    rinv = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
-    root = (v * r) @ v.conj().T
-    rooti = (v * rinv) @ v.conj().T
-    ys = [herm(rooti @ x @ rooti) for x in items]
-    x_scale = max(1.0, max(op_norm(x) for x in items))
+    keep = w > FACTOR_PINV_REL * w[-1]
+    root = (v * np.sqrt(np.where(keep, w, 0.0))) @ v.conj().T
+    rooti = (v * np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)) @ v.conj().T
+    ys = herm(rooti @ items @ rooti)
     residual = max(op_norm(root @ y @ root - x) for y, x in zip(ys, items))
-    if residual > FACTOR_RESIDUAL_TOL * x_scale:
-        return None
-    contraction = max(op_norm(y) for y in ys)
-    if contraction <= 0.0:
-        return None
-    two_p = INF if p == INF else 2.0 * p
-    value = contraction * schatten_norm(root, two_p) ** 2
-    # renormalize so every stored contraction has norm <= 1
-    side = np.sqrt(contraction) * root
-    ys = tuple(y / contraction for y in ys)
-    witness = FactorizationWitness(side, side, ys, residual)
-    return value, witness
-
-
-def _factorization_upper(items: list[np.ndarray], p: float) -> NormValue:
-    s = herm(sum(items))
-    candidates = [s]
-    v = _pinching_basis(items)
-    diag = np.stack([np.einsum("ij,jk,ki->i", v.conj().T, x, v).real for x in items])
-    pointwise_max = np.clip(diag.max(axis=0), 0.0, None)
-    candidates.append(herm((v * pointwise_max) @ v.conj().T))
-
-    best = None
-    for m in candidates:
-        res = _try_factorization(items, m, p)
-        if res is not None and (best is None or res[0] < best[0]):
-            best = res
-    if best is None:
+    if residual > FACTOR_RESIDUAL_TOL * max(1.0, max(op_norm(x) for x in items)):
         raise RuntimeError("no valid factorization found for a positive sequence")
-    return NormValue(best[0], "upper", best[1])
+    contraction = max(op_norm(y) for y in ys)
+    side = np.sqrt(contraction) * root
+    value = contraction * schatten_norm(root, INF if p == INF else 2.0 * p) ** 2
+    return value, FactorizationWitness(side, side, tuple(ys / contraction), residual)
 
 
-# ---------------------------------------------------------------------------
-# ell_inf of positive sequences: dual ascent lower bound
-# ---------------------------------------------------------------------------
+def linf_norm_positive(seq: Sequence, p, *, seed: int = 0) -> LinfBracket:
+    """Bracket for ||(x_n)||_{L_p(ell_inf)} = min ||a||_p over a >= x_n (x_n >= 0).
 
-
-def _w_norm(w: np.ndarray, pp: float) -> float:
-    """Schatten p'-norm of a PSD matrix from its (clamped) eigenvalues."""
-    if pp == INF:
-        return float(w[-1])
-    return float(np.mean(w**pp) ** (1.0 / pp))
-
-
-def _norm_gradient_eig(w, v, pp, d) -> np.ndarray:
-    """Scaled gradient of ||S||_{p'} from the eigendecomposition of S,
-    normalized so the ratio-ascent direction is z_n @ (x_n - ell * grad)."""
-    if pp == INF:
-        top = w >= w[-1] * (1.0 - 1e-12)
-        proj = (v * top.astype(float)) @ v.conj().T
-        return d * herm(proj) / max(1, int(top.sum()))
-    norm = _w_norm(w, pp)
-    if norm <= 0:
-        return np.zeros((d, d), dtype=complex)
-    return herm((v * (w ** (pp - 1.0))) @ v.conj().T) * norm ** (1.0 - pp)
-
-
-def _ascend(items, zs, pp, max_iter, tol):
-    """Projected gradient ascent of the dual pairing on ||sum z*z||_{p'} = 1.
-
-    Steps follow the gradient of the scale-invariant ratio
-    sum ntrace(x_n z_n* z_n) / ||sum z_n* z_n||_{p'}, with backtracking and
-    renormalization after every move; ascent stops once the relative gain
-    stays below tol or the step size underflows.
-    """
-    x_stack = np.stack(items)
-    d = x_stack.shape[1]
-    z_stack = np.stack([np.asarray(z, dtype=complex) for z in zs])
-
-    def spectrum(z_arr):
-        y = np.matmul(z_arr.conj().transpose(0, 2, 1), z_arr)
-        w, v = np.linalg.eigh(herm(y.sum(axis=0)))
-        return y, np.clip(w, 0.0, None), v
-
-    y, w, v = spectrum(z_stack)
-    g = _w_norm(w, pp)
-    if g <= 0:
-        return list(z_stack), 0.0
-    z_stack, y, w = z_stack / np.sqrt(g), y / g, w / g
-    ell = float(np.real(np.einsum("nij,nji->", x_stack, y))) / d
-
-    eta = 0.1
-    stall = 0
-    for _ in range(max_iter):
-        ghat = _norm_gradient_eig(w, v, pp, d)
-        direction = np.matmul(z_stack, x_stack - ell * ghat[None])
-        dscale = np.linalg.norm(direction)
-        zscale = np.linalg.norm(z_stack)
-        if dscale <= 0 or zscale <= 0:
-            break
-        trial = z_stack + eta * (zscale / dscale) * direction
-        y_t, w_t, v_t = spectrum(trial)
-        g_t = _w_norm(w_t, pp)
-        if g_t <= 0:
-            break
-        trial, y_t, w_t = trial / np.sqrt(g_t), y_t / g_t, w_t / g_t
-        ell_new = float(np.real(np.einsum("nij,nji->", x_stack, y_t))) / d
-        if ell_new > ell:
-            gain = ell_new - ell
-            z_stack, y, w, v, ell = trial, y_t, w_t, v_t, ell_new
-            eta = min(eta * 1.3, 1.0)
-            stall = stall + 1 if gain < tol * max(1.0, ell) else 0
-        else:
-            eta /= 2
-            stall += 1
-            if eta < 1e-12:
-                break
-        if stall >= 10:
-            break
-    return list(z_stack), ell
-
-
-def _holder_start(items, p):
-    """Dual guess saturating the trace pairing term by term."""
-    starts = []
-    for x in items:
-        w, v = np.linalg.eigh(herm(x))
-        w = np.clip(w, 0.0, None)
-        if p == INF:
-            top = (w >= w[-1] * (1.0 - 1e-12)) & (w > 0)
-            weights = top.astype(float)
-        else:
-            weights = w ** ((p - 1.0) / 2.0)
-        starts.append((v * weights) @ v.conj().T)
-    return starts
-
-
-def _pinched_start(items, p):
-    """Classical argmax dual in a joint-ish eigenbasis; exact for commuting
-    sequences."""
-    v = _pinching_basis(items)
-    diag = np.stack([np.clip(np.einsum("ij,jk,ki->i", v.conj().T, x, v).real, 0.0, None)
-                     for x in items])
-    pointwise_max = diag.max(axis=0)
-    owner = diag.argmax(axis=0)
-    if p == INF:
-        top = pointwise_max.max()
-        weights = ((pointwise_max >= top * (1.0 - 1e-12)) & (pointwise_max > 0)).astype(float)
-    else:
-        weights = pointwise_max ** (p - 1.0)
-    starts = []
-    for n in range(len(items)):
-        u = np.sqrt(np.where(owner == n, weights, 0.0))
-        starts.append(u[:, None] * v.conj().T)
-    return starts
-
-
-def _dual_lower(items, p, restarts, max_iter, tol, seed) -> NormValue:
-    d = items[0].shape[0]
-    pp = conjugate_exponent(p)
-    rng = np.random.default_rng(seed)
-    starts = [_holder_start(items, p), _pinched_start(items, p)]
-    while len(starts) < restarts:
-        starts.append([_complex_gaussian(rng, d) for _ in items])
-
-    best_obj = 0.0
-    best_zs = None
-    for zs in starts[:restarts]:
-        zs_out, obj = _ascend(items, zs, pp, max_iter, tol)
-        if obj > best_obj:
-            best_obj, best_zs = obj, zs_out
-
-    if best_zs is None:
-        duals = tuple(np.zeros((d, d), dtype=complex) for _ in items)
-        return NormValue(0.0, "lower", DualCertificate(duals, 0.0, 0.0))
-    duals = [herm(z.conj().T @ z) for z in best_zs]
-    feas = schatten_norm(herm(sum(duals)), pp)
-    if feas > 1.0:
-        duals = [y / feas for y in duals]
-        feas = schatten_norm(herm(sum(duals)), pp)
-    objective = sum(float(np.real(ntrace(x @ y))) for x, y in zip(items, duals))
-    cert = DualCertificate(tuple(duals), objective, feas)
-    return NormValue(max(objective, 0.0), "lower", cert)
-
-
-def linf_norm_positive(seq: Sequence, p, *, restarts: int = 8,
-                       max_iter: int = 5000, tol: float = 1e-8,
-                       seed: int = 0) -> LinfBracket:
-    """Bracket for the ell_inf norm of a positive sequence.
-
-    The lower end is the best dual pairing sum_n ntrace(x_n y_n) found over
-    positive duals with ||sum y_n||_{p'} <= 1 (certificate attached); the
-    upper end is the value of an explicit factorization through the sum or
-    a pinched pointwise maximum, whichever is smaller. The true norm lies
-    in between. Ascent restarts include a term-by-term trace-saturating
-    start and a classical argmax start, then seeded random draws.
+    The upper end factors x_n = a^(1/2) y_n a^(1/2) through the barrier
+    solve's majorant a, with contractions y_n; the lower end pairs the x_n
+    with its duals y_n >= 0, ||sum y_n||_p' <= 1. At p = inf both ends are
+    the closed form max_n ||x_n||_inf. The solve is deterministic: `seed` is
+    accepted and ignored.
     """
     items = as_stack(seq)
     p = check_exponent(p)
     _require_positive(items)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     if _all_zero(items):
         zero = NormValue(0.0, "exact")
         return LinfBracket(zero, zero)
-    upper = _factorization_upper(items, p)
-    lower = _dual_lower(items, p, restarts, max_iter, tol, seed)
-    return LinfBracket(lower, upper)
+    xs, d = herm(items), items.shape[1]
+    w, v = np.linalg.eigh(xs)
+    n = int(np.argmax(w[:, -1]))
+    if p == INF:  # a = max_n ||x_n||_inf 1; the dual sits on that term's top eigenvector
+        a, duals = w[n, -1] * np.eye(d), np.zeros_like(xs)
+        duals[n] = d * np.outer(v[n, :, -1], v[n, :, -1].conj())
+    else:
+        a = _barrier_solve(xs, p, w[n, -1])
+        duals = _duals(xs, a, p)[0]
+    objective = float(np.einsum("nij,nji->", items, duals).real) / d
+    feasibility = schatten_norm(duals.sum(axis=0), conjugate_exponent(p))
+    lower = NormValue(max(objective, 0.0), "lower",
+                      DualCertificate(tuple(duals), objective, feasibility))
+    value, witness = _try_factorization(items, a, p)
+    return LinfBracket(lower, NormValue(value, "upper", witness))

@@ -367,3 +367,56 @@ def test_bench_setup_path_runs(tmp_path, monkeypatch, capsys):
                                           json.dumps(workload.setup_config)])
         exec(setup_code, {})
         assert float(capsys.readouterr().out) > 0
+
+
+def test_lag_must_be_an_integer_in_config_and_witness(tmp_path, capsys):
+    # `lag not in (0, 1)` let true through (the report printed it) and 1.0
+    # through to a TypeError deep in the conditioning code
+    for lag in (True, 1.0):
+        with pytest.raises(ConfigError, match="'lag' must be an integer"):
+            parse_config(cfg_text(command="check", inequality="s_qq", p=2, q=2, lag=lag))
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    payload = json.loads(witness_path.read_text())
+    for lag in (True, 1.0):
+        witness_path.write_text(json.dumps({**payload, "lag": lag}))
+        assert run_command(parse_config(cfg_text(command="check",
+                                                 witness=str(witness_path)))) == 1
+        assert "ncstein: error: key 'lag' must be an integer" in capsys.readouterr().err
+
+
+def test_witness_rejects_malformed_fields(tmp_path, capsys):
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    payload = json.loads(witness_path.read_text())
+    for key, value in (("witness", 5), ("local_dims", 7), ("seed", [1]), ("dim", "4")):
+        witness_path.write_text(json.dumps({**payload, key: value}))
+        cfg = parse_config(cfg_text(command="check", witness=str(witness_path)))
+        assert run_command(cfg) == 1, key
+        assert capsys.readouterr().err.startswith("ncstein: error: "), key
+
+
+def test_reports_identical_across_blas_thread_counts(tmp_path):
+    """The thread count is set for each child process only."""
+    configs = {
+        "check": {"command": "check", "inequality": "s_p_inf", "p": 2, "dim": 8,
+                  "seq_len": 4, "seed": 3},
+        "search": {"command": "search", "inequality": "doob_maximal", "p": 2, "dim": 8,
+                   "budget": 20, "restarts": 2, "seed": 4},
+    }
+    outputs = {}
+    for threads in ("1", "2"):
+        for name, config in configs.items():
+            witness = tmp_path / f"{name}-{threads}.witness.json"
+            if name == "search":
+                config = {**config, "witness_out": str(witness)}
+            path = tmp_path / f"{name}-{threads}.json"
+            path.write_text(json.dumps(config))
+            proc = run_cli([name, "--config", str(path)],
+                           env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs[name, threads] = (proc.stdout,
+                                      witness.read_bytes() if witness.exists() else None)
+    for name in configs:
+        assert outputs[name, "1"] == outputs[name, "2"], name
+    assert outputs["search", "1"][1] is not None

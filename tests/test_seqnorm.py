@@ -19,7 +19,14 @@ from ncstein import (
     sample_psd,
     schatten_norm,
 )
-from ncstein.seqnorm import _crp_split, _abs_q_stack, _root_norms
+from ncstein.seqnorm import (
+    _abs_q_stack,
+    _barrier,
+    _crp_split,
+    _hermitian_basis,
+    _newton_system,
+    _root_norms,
+)
 
 from oracles import scalar_lpq, schatten_from_eig
 
@@ -175,16 +182,39 @@ def test_linf_zero_sequence():
     assert br.lower.bound == "exact" and br.upper.bound == "exact"
 
 
-def test_linf_certificates():
-    seq = [sample_psd(4, 100 + n) for n in range(3)]
-    br = linf_norm_positive(seq, 2, seed=5)
+# criterion 7's first 30 brackets (shapes and exponents cycle together, so
+# p = 1 and p = inf both occur) plus the original seeds 100-102, p = 2 instance
+C7_SHAPES = ((2, 1), (3, 2), (4, 3), (5, 2), (6, 4), (3, 5))
+C7_EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
+LINF_CASES = {"seeds100-102-p2": ([sample_psd(4, 100 + n) for n in range(3)], 2.0)}
+for _seed in range(30):
+    _dim, _terms = C7_SHAPES[_seed % 6]
+    LINF_CASES[f"c7-seed{_seed}-p{C7_EXPONENTS[_seed % 5]:g}"] = (
+        [sample_psd(_dim, 40_000 * _seed + n) for n in range(_terms)], C7_EXPONENTS[_seed % 5])
+
+
+@pytest.fixture(scope="module")
+def linf_brackets():
+    return {case: linf_norm_positive(seq, p) for case, (seq, p) in LINF_CASES.items()}
+
+
+@pytest.mark.parametrize("case", list(LINF_CASES))
+def test_linf_certificates(case, linf_brackets):
+    seq, p = LINF_CASES[case]
+    br = linf_brackets[case]
+    d = seq[0].shape[0]
     cert = br.lower.certificate
     assert cert.feasibility <= 1 + 1e-8
     assert cert.objective <= br.lower.value + 1e-10
     for y in cert.duals:
         assert np.linalg.eigvalsh(herm(y))[0] >= -1e-10
+    # both certificates re-checked from their matrices alone
+    w = np.clip(np.linalg.eigvalsh(herm(sum(cert.duals))), 0.0, None)  # a PSD sum
+    p_dual = 1.0 if p == INF else (INF if p == 1 else p / (p - 1))
+    assert (w.max() if p_dual == INF else np.mean(w**p_dual) ** (1 / p_dual)) <= 1 + 1e-8
+    pairing = sum(np.trace(x @ y).real / d for x, y in zip(seq, cert.duals))
+    assert pairing == pytest.approx(cert.objective, rel=1e-10, abs=1e-12)
     # duality: any feasible pairing stays below the factorization value
-    pairing = sum(np.trace(x @ y).real / 4 for x, y in zip(seq, cert.duals))
     assert pairing <= br.upper.value + 1e-8
     wit = br.upper.certificate
     assert wit.residual <= 1e-8 * max(1, max(op_norm(x) for x in seq))
@@ -192,6 +222,31 @@ def test_linf_certificates():
         assert op_norm(y) <= 1 + 1e-8
     for x, y in zip(seq, wit.contractions):
         assert op_norm(wit.left @ y @ wit.right - x) <= 1e-8 * max(1, op_norm(x))
+    sides = schatten_from_eig(wit.left, 2 * p) * schatten_from_eig(wit.right, 2 * p)
+    assert br.upper.value == pytest.approx(sides, rel=1e-9)
+    # the bracket is closed: each gap at most 1e-5, the family's median at most 1e-6
+    gaps = [(b.upper.value - b.lower.value) / b.upper.value for b in linf_brackets.values()]
+    assert (br.upper.value - br.lower.value) / br.upper.value <= 1e-5
+    assert np.median(gaps) <= 1e-6
+
+
+def test_barrier_derivatives_match_finite_differences():
+    d = 3
+    basis = _hermitian_basis(d)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(d * d), atol=1e-14)
+    xs = np.stack([sample_psd(d, 60 + n) for n in range(2)])
+    xs /= 2 * max(op_norm(x) for x in xs)
+    a = np.eye(d) + 0.1 * herm(sample_hermitian(d, 61))
+    eps = 1e-5
+    for p in (1.0, 1.5, 3.0):
+        grad, _, hess = _newton_system(xs, a, p, 2.0, basis)
+        for k in range(d * d):
+            step = basis[:, k].reshape(d, d) * eps  # basis matrix k
+            fd_grad = (_barrier(xs, a + step, p, 2.0) - _barrier(xs, a - step, p, 2.0)) / (2 * eps)
+            assert fd_grad == pytest.approx(grad[k], rel=1e-6, abs=1e-7), (p, k)
+            fd_hess = (_newton_system(xs, a + step, p, 2.0, basis)[0]
+                       - _newton_system(xs, a - step, p, 2.0, basis)[0]) / (2 * eps)
+            np.testing.assert_allclose(fd_hess, hess[:, k], rtol=1e-5, atol=1e-6)
 
 
 def test_linf_bracket_order():
