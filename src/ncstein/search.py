@@ -13,14 +13,15 @@ subalgebra, where the equality regime of the ratio-1 instances lives.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .expectation import (Filtration, build_filtration, level_index, _cond_exp_stack,
-                          _condition)
-from .inequality import RatioReport, get_inequality, run_inequality, _stein_sides
+from .expectation import Filtration, build_filtration, _cond_exp_stack, _condition
+from .inequality import (ClassicalSpace, RatioReport, get_inequality, run_inequality,
+                         _stein_sides)
 from .opcore import (as_stack, herm, sample_projection_family, sample_unitary,
                      _complex_gaussian, _complex_gaussians)
 from .seqnorm import _abs_q_stack
@@ -31,7 +32,12 @@ MAX_INITIAL_DRAWS = 100
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters of one extremal-ratio search."""
+    """Parameters of one extremal-ratio search.
+
+    Construction checks each field on its own and fills in the default lag;
+    `filt` is the filtration the config names, built once on first use;
+    `resolve` checks the fields against each other.
+    """
 
     inequality_id: str
     p: float
@@ -57,6 +63,40 @@ class SearchConfig:
             raise ValueError("dim and seq_len must be >= 1")
         if not self.step_scale > 0:
             raise ValueError("step_scale must be positive")
+        if self.lag is None and self.inequality_id is not None:
+            object.__setattr__(self, "lag", get_inequality(self.inequality_id).default_lag)
+
+    @cached_property
+    def filt(self) -> Filtration:
+        try:
+            return build_filtration(self.filtration, self.dim, self.local_dims)
+        except ValueError as exc:
+            raise ValueError(f"invalid filtration: {exc}") from exc
+
+    def resolve(self, p=None, q=None) -> tuple[float, float | None]:
+        """The exponents (p, q), default the config's, as floats (q None unless
+        the inequality takes it); ValueError unless they lie in the exponent
+        domain, the filtration is deep enough for seq_len terms at the
+        effective lag (lag 0 for adapted inputs, which are projected onto their
+        own level) and a projection family fits in dim."""
+        ineq = get_inequality(self.inequality_id)
+        if p is None:
+            p, q = self.p, self.q
+        p, q = ineq.validate(p, q)
+        kind = ineq.input_kind
+        if kind in ("operator", "process"):
+            return p, q
+        at_lag = 0 if kind == "adapted-seq" or self.adapted_only else self.lag
+        depth = len(self.filt)
+        if self.seq_len - 1 - at_lag >= depth:
+            raise ValueError(
+                f"seq_len = {self.seq_len} exceeds the filtration depth {depth} at lag "
+                f"{at_lag}: sequence term {self.seq_len - 1} needs filtration level "
+                f"{self.seq_len - 1 - at_lag}"
+            )
+        if kind == "projections" and self.seq_len > self.filt.dim:
+            raise ValueError("seq_len cannot exceed dim for projection families")
+        return p, q
 
 
 @dataclass(frozen=True)
@@ -93,17 +133,32 @@ def isometry_family(dim: int, seq_len: int, seed: int) -> list[np.ndarray]:
 
 
 def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration,
-                  seed: int) -> dict:
-    """Deterministic checker inputs for one inequality instance."""
+                  seed: int, probabilities: tuple[Fraction, ...] | None = None) -> dict:
+    """Deterministic checker inputs for one inequality instance; a `process`
+    instance takes its atom weights from `probabilities`."""
     kind = get_inequality(inequality_id).input_kind
+    if kind == "process":
+        if probabilities is None:
+            raise ValueError(f"{inequality_id} inputs need the atom probabilities")
+        # default classical chain: split atoms off one at a time, repeat the
+        # finest level until the sequence fits
+        atoms = len(probabilities)
+        levels = [tuple((i,) for i in range(split)) + (tuple(range(split, atoms)),)
+                  for split in range(atoms)]
+        while len(levels) < seq_len:
+            levels.append(levels[-1])
+        rng = np.random.default_rng([int(seed), 0xC1A55])
+        process = [
+            [herm(g.conj().T @ g) for g in (_complex_gaussian(rng, dim) for _ in range(seq_len))]
+            for _ in range(atoms)
+        ]
+        return {"process": process, "space": ClassicalSpace(probabilities, tuple(levels))}
     rng = np.random.default_rng([int(seed), 0x5EED])
     if kind == "operator":
         z = _complex_gaussian(rng, dim)
         return {"x": herm(z.conj().T @ z)}
     if kind == "projections":
         return {"projections": sample_projection_family(dim, min(seq_len, dim), seed)}
-    if kind == "process":
-        raise ValueError(f"{inequality_id} inputs cannot be sampled from (dim, seq_len)")
     seq = [herm(g.conj().T @ g) for g in (_complex_gaussian(rng, dim) for _ in range(seq_len))]
     if kind == "adapted-seq":
         seq = project_adapted(seq, filt, 0)
@@ -122,16 +177,18 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     rescaled so its rhs equals 1, and best_ratio is the ratio of the checker
     replayed on that stored witness.
     """
+    return _climb(cfg, cfg.p, cfg.q)
+
+
+def _climb(cfg: SearchConfig, p, q) -> SearchResult:
+    """estimate_constant at the exponents (p, q) in place of the config's."""
     ineq = get_inequality(cfg.inequality_id)
     if not ineq.searchable:
         raise ValueError(f"{cfg.inequality_id} is not a searchable inequality")
-    filt = build_filtration(cfg.filtration, cfg.dim, cfg.local_dims)
-    lag = cfg.lag if cfg.lag is not None else ineq.default_lag
-    q = ineq.validate(cfg.p, cfg.q)[1]
+    p, q = cfg.resolve(p, q)
+    filt, lag = cfg.filt, cfg.lag
     kind = ineq.input_kind
     adapted = kind == "adapted-seq" or cfg.adapted_only
-    if kind != "operator":  # adapted searches also project each term at lag 0
-        level_index(cfg.seq_len - 1, 0 if adapted else lag, len(filt))
     n_mats = 1 if kind == "operator" else cfg.seq_len
     isometries = None
     if kind == "isometry-seq":
@@ -141,7 +198,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
         inputs = {"x": xs[0]} if kind == "operator" else {"seq": list(xs)}
         if isometries is not None:
             inputs["isometries"] = isometries
-        return run_inequality(cfg.inequality_id, inputs, filt, cfg.p, q, lag, seed=cfg.seed)
+        return run_inequality(cfg.inequality_id, inputs, filt, p, q, lag, seed=cfg.seed)
 
     def evaluate(zs):
         xs = herm(zs.conj().swapaxes(1, 2) @ zs)
@@ -151,7 +208,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
             xs = _condition(xs, filt, 0)
         if not ineq.stack_kernel:
             return replay(xs).ratio, xs
-        lhs, rhs = _stein_sides(xs, filt, cfg.p, q, lag, adapted=kind == "adapted-seq")
+        lhs, rhs = _stein_sides(xs, filt, p, q, lag, adapted=kind == "adapted-seq")
         return (lhs / rhs if rhs > 0 else None), xs
 
     evaluations = 0
@@ -235,14 +292,14 @@ def sweep(points, base_cfg: SearchConfig) -> list[SweepRow]:
     """Run estimate_constant over a grid of (p, q) pairs.
 
     Per-point failures are recorded in the row instead of aborting the
-    remaining grid. Total evaluations stay below len(points) * budget.
+    remaining grid. Total evaluations stay below len(points) * budget. Every
+    point searches on the base config's one filtration.
     """
     rows = []
     for p, q in points:
-        cfg = dataclasses.replace(base_cfg, p=p, q=q)
         try:
             rows.append(SweepRow(p=float(p), q=None if q is None else float(q),
-                                 result=estimate_constant(cfg)))
+                                 result=_climb(base_cfg, p, q)))
         except (ValueError, RuntimeError) as exc:
             rows.append(SweepRow(p=float(p), q=None if q is None else float(q),
                                  error=str(exc)))

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 from ncstein import build_filtration
 from ncstein.cli import (
     AXIOM_COLUMNS,
+    COMMAND_KEYS,
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
@@ -389,7 +391,8 @@ def test_witness_rejects_malformed_fields(tmp_path, capsys):
     witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
                                         seq_len=3, budget=20, restarts=2)
     payload = json.loads(witness_path.read_text())
-    for key, value in (("witness", 5), ("local_dims", 7), ("seed", [1]), ("dim", "4")):
+    for key, value in (("witness", 5), ("local_dims", 7), ("seed", [1]), ("dim", "4"),
+                       ("best_ratio", "x")):
         witness_path.write_text(json.dumps({**payload, key: value}))
         cfg = parse_config(cfg_text(command="check", witness=str(witness_path)))
         assert run_command(cfg) == 1, key
@@ -420,3 +423,89 @@ def test_reports_identical_across_blas_thread_counts(tmp_path):
     for name in configs:
         assert outputs[name, "1"] == outputs[name, "2"], name
     assert outputs["search", "1"][1] is not None
+
+
+def test_witness_seq_len_is_its_number_of_matrices(tmp_path):
+    # the stored seq_len used to be the config's, and the replay printed it
+    # as stored: an edited 99 replayed with exit 0 and printed 99
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    payload = json.loads(witness_path.read_text())
+    assert payload["seq_len"] == 3
+    witness_path.write_text(json.dumps({**payload, "seq_len": 99}))
+    replay_out = tmp_path / "replay.csv"
+    replay = parse_config(cfg_text(command="check", witness=str(witness_path),
+                                   out=str(replay_out)))
+    assert run_command(replay) == 0
+    row = replay_out.read_text().strip().splitlines()[1].split(",")
+    assert row[CSV_COLUMNS.index("seq_len")] == "3"
+
+    doob_dir = tmp_path / "doob"
+    doob_dir.mkdir()
+    doob_path = _search_with_witness(doob_dir, inequality="doob_maximal", p=2, dim=4,
+                                     budget=20, restarts=2)
+    doob = json.loads(doob_path.read_text())
+    assert len(doob["witness"]) == 1 and doob["seq_len"] == 1
+
+
+def test_seed_overrides_pass_the_config_seed_check(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(cfg_text(command="check", inequality="s_qq", p=2, q=2, dim=4, seed=1))
+    for args, env in ((["--seed", "-1"], None), ([], {"NCSTEIN_SEED": "-1"})):
+        proc = run_cli(["check", "--config", str(config), *args], env=env)
+        assert proc.returncode == 1, args
+        assert proc.stderr == "ncstein: error: key 'seed' must be >= 0, got -1\n", args
+        assert proc.stdout == "", args
+
+
+def test_each_command_builds_its_filtration_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_filtration(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "ncstein" or name.startswith("ncstein."))
+                and getattr(module, "build_filtration", None) is build_filtration):
+            monkeypatch.setattr(module, "build_filtration", counting)
+    witness_path = tmp_path / "w.json"
+    configs = [
+        dict(command="axioms", filtration="tensor", dim=8, trials=2),
+        dict(command="check", inequality="s_pq", p=3, q=1.5, dim=8, filtration="tensor"),
+        dict(command="search", inequality="s_12_adapted", p=1, q=2, dim=8, budget=20,
+             restarts=2, witness_out=str(witness_path)),
+        dict(command="check", witness=str(witness_path)),
+        dict(command="table", inequality="s_qq", p=2, q=2, dim=4, seq_len=3, budget=20,
+             restarts=2, points=[[1, 1], [2, 2], [3, 3]]),
+    ]
+    for config in configs:
+        calls.clear()
+        cfg = parse_config(json.dumps({**config, "out": str(tmp_path / "r.csv")}))
+        assert run_command(cfg) == 0, config
+        assert len(calls) == 1, (config, calls)
+
+
+def test_config_and_witness_share_one_instance_parser(tmp_path, capsys):
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    payload = json.loads(witness_path.read_text())
+    base = dict(command="check", inequality="s_qq", p=2, q=2, dim=4, seq_len=3)
+    for key, value in (("inequality", "bogus"), ("q", 0.5), ("lag", 2), ("dim", 0),
+                       ("local_dims", [0]), ("filtration", "weird")):
+        with pytest.raises(ConfigError) as from_config:
+            parse_config(json.dumps({**base, key: value}))
+        witness_path.write_text(json.dumps({**payload, key: value}))
+        assert run_command(parse_config(cfg_text(command="check",
+                                                 witness=str(witness_path)))) == 1, key
+        assert capsys.readouterr().err == f"ncstein: error: {from_config.value}\n", key
+
+
+def test_readme_lists_each_command_keys():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    intro = text[text.index("Config keys by command"):]
+    common = set(re.findall(r"`([^`]+)`", intro[:intro.index("|")]))
+    rows = dict(re.findall(r"^\| `(\w+)` +\| (.*) \|$", intro, re.MULTILINE))
+    assert set(rows) == set(COMMAND_KEYS)
+    for command, keys in rows.items():
+        assert common | set(re.findall(r"`([^`]+)`", keys)) == COMMAND_KEYS[command], command
