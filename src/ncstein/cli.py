@@ -141,9 +141,11 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
     if (not isinstance(value, list)
             or any(not isinstance(w, list) or len(w) != 2 for w in value)):
         raise ConfigError("key 'probabilities' must list one [numerator, denominator] per atom")
+    if any(isinstance(n, bool) or not isinstance(n, int) for w in value for n in w):
+        raise ConfigError(f"key 'probabilities' must hold integers, got {value!r}")
     try:
-        weights = tuple(Fraction(int(a), int(b)) for a, b in value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        weights = tuple(Fraction(a, b) for a, b in value)
+    except ZeroDivisionError as exc:
         raise ConfigError(f"invalid probability fraction: {exc}") from exc
     if any(w <= 0 for w in weights) or sum(weights) != 1:
         raise ConfigError("key 'probabilities' must be positive and sum to 1")

@@ -7,7 +7,7 @@ certified when the lhs lower end beats the rhs upper end, so optimizer slack
 can never manufacture counterexamples.
 
 Every fact about an inequality id (default lag, input kind, exponent domain,
-proved ceiling, checker) lives in its one Inequality record in INEQUALITIES.
+proved ceiling, kernel) lives in its one Inequality record in INEQUALITIES.
 """
 
 from __future__ import annotations
@@ -33,19 +33,17 @@ from .opcore import (
     as_stack,
     check_exponent,
     herm,
-    is_psd,
     op_norm,
     psd_power,
     schatten_norm,
+    _psd_flags,
 )
 from .seqnorm import (
-    LinfBracket,
     NormValue,
-    column_q_norm,
-    crp_norm,
-    linf_norm_positive,
     _abs_q_stack,
     _column_norms,
+    _crp,
+    _linf_bracket,
     _require_positive,
     _root_norms,
 )
@@ -103,22 +101,44 @@ def _make_report(inequality_id, lhs, rhs, p, q, lag, lhs_upper=None, rhs_lower=N
     )
 
 
-def _require_adapted(xs: np.ndarray, filt: Filtration) -> None:
-    residual = _adapted_residual(xs, filt, 0)
-    if residual > ADAPTED_TOL:
-        raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
+def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int) -> np.ndarray:
+    """The column norms [lhs, rhs] of E(xs) and xs."""
+    return _column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q)
 
 
-def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int,
-                 adapted: bool = False) -> tuple[float, float]:
-    """Trusted kernel of check_stein_pq, check_adapted_s12 and the search loop: the column
-    norms (lhs, rhs) of E(xs) and xs. Terms must be PSD unless q = 2, and adapted if `adapted`."""
-    if adapted:
-        _require_adapted(xs, filt)
-    norms, psd = _column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q)
-    if psd is not None and not psd[1].all():
-        raise ValueError(f"sequence item {int(np.argmin(psd[1]))} is not positive semidefinite")
-    return float(norms[0]), float(norms[1])
+def _stein_kernel(xs, filt, p, q, lag, seed, ys):
+    return tuple(map(NormValue, _stein_sides(xs, filt, p, q, lag)))
+
+
+def _isometry_kernel(xs, filt, p, q, lag, seed, ys):
+    ys_adj = ys.conj().swapaxes(1, 2)
+    powers = _abs_q_stack(np.stack([_condition(ys_adj @ xs @ ys, filt, lag), xs]), q)
+    sums = np.stack([powers[0].sum(axis=0), (ys_adj @ powers[1] @ ys).sum(axis=0)])
+    return tuple(map(NormValue, _root_norms(sums, p, q)))
+
+
+def _dual_doob_kernel(xs, filt, p, q, lag, seed, ys):
+    sums = np.stack([_condition(xs, filt, 0).sum(axis=0), xs.sum(axis=0)])
+    return tuple(map(NormValue, _root_norms(sums, p, 1.0)))
+
+
+def _doob_kernel(xs, filt, p, q, lag, seed, ys):
+    # the chain (E_0(x), ..., E_N(x)) conditions one copy of x per level at lag 0
+    bracket = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=0), filt, 0), p)
+    return bracket.lower, NormValue(schatten_norm(xs[0], p), "exact"), bracket.upper
+
+
+def _sp_inf_kernel(xs, filt, p, q, lag, seed, ys):
+    left, right = _linf_bracket(_condition(xs, filt, lag), p), _linf_bracket(xs, p)
+    return left.lower, right.upper, left.upper, right.lower
+
+
+def _crp_kernel(xs, filt, p, q, lag, seed, ys):
+    return _crp(_condition(xs, filt, lag), p, seed), _crp(xs, p, seed + 1)
+
+
+def _projections_kernel(xs, filt, p, q, lag, seed, ys):
+    return NormValue(float(_column_norms(_condition(xs, filt, lag), p, q))), NormValue(1.0)
 
 
 def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
@@ -130,10 +150,7 @@ def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
     q > p instance for adapted sequences is check_adapted_s12. Sequences must
     be positive unless q = 2.
     """
-    xs = as_stack(seq)
-    p, q = get_inequality(inequality_id).validate(p, q)
-    lhs, rhs = map(NormValue, _stein_sides(xs, filt, p, q, lag))
-    return _make_report(inequality_id, lhs, rhs, p, q, lag)
+    return run_inequality(inequality_id, {"seq": seq}, filt, p, q, lag)
 
 
 def check_adapted_s12(seq: Sequence, filt: Filtration, lag: int = 1,
@@ -143,8 +160,7 @@ def check_adapted_s12(seq: Sequence, filt: Filtration, lag: int = 1,
 
     Adaptedness (term n inside level n) is a precondition and is verified.
     """
-    lhs, rhs = map(NormValue, _stein_sides(as_stack(seq), filt, 1.0, 2.0, lag, adapted=True))
-    return _make_report(inequality_id, lhs, rhs, 1.0, 2.0, lag)
+    return run_inequality(inequality_id, {"seq": seq}, filt, 1, 2, lag)
 
 
 def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
@@ -155,22 +171,7 @@ def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
 
     With identity isometries both sides collapse to check_stein_pq at lag 0.
     """
-    items = as_stack(seq)
-    ys = as_stack(isometries)
-    p, q = get_inequality(inequality_id).validate(p, q)
-    if len(ys) != len(items):
-        raise ValueError("sequence and isometries must have equal length")
-    _require_positive(items)
-    d = items[0].shape[0]
-    eye = np.eye(d)
-    for n, u in enumerate(ys):
-        if op_norm(u.conj().T @ u - eye) > UNITARY_CHECK_TOL:
-            raise ValueError(f"isometry {n} is not unitary within tolerance")
-    ys_adj = ys.conj().swapaxes(1, 2)
-    powers, _ = _abs_q_stack(np.stack([_condition(ys_adj @ items @ ys, filt, lag), items]), q)
-    sums = np.stack([powers[0].sum(axis=0), (ys_adj @ powers[1] @ ys).sum(axis=0)])
-    lhs, rhs = map(NormValue, _root_norms(sums, p, q))
-    return _make_report(inequality_id, lhs, rhs, p, q, lag)
+    return run_inequality(inequality_id, {"seq": seq, "isometries": isometries}, filt, p, q, lag)
 
 
 def check_dual_doob(seq: Sequence, filt: Filtration, p,
@@ -180,27 +181,14 @@ def check_dual_doob(seq: Sequence, filt: Filtration, p,
     At p = 1 both sides equal the normalized trace of the sum, so the ratio
     is 1 up to round-off.
     """
-    items = as_stack(seq)
-    p, _ = get_inequality(inequality_id).validate(p)
-    _require_positive(items)
-    sums = np.stack([_condition(items, filt, 0).sum(axis=0), items.sum(axis=0)])
-    lhs, rhs = map(NormValue, _root_norms(sums, p, 1.0))
-    return _make_report(inequality_id, lhs, rhs, p, None, 0)
+    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, 0)
 
 
 def check_doob_maximal(x, filt: Filtration, p,
                        inequality_id: str = "doob_maximal") -> RatioReport:
     """ell_inf bracket of the full projection chain (E_0(x), ..., E_N(x))
     against the exact ||x||_p, for PSD x and p > 1."""
-    a = as_operator(x)
-    p, _ = get_inequality(inequality_id).validate(p)
-    if not is_psd(a):
-        raise ValueError("input operator must be positive semidefinite")
-    chain = [cond_exp(a, spec) for spec in filt.levels]
-    bracket = linf_norm_positive(chain, p)
-    rhs = NormValue(schatten_norm(a, p), "exact")
-    return _make_report(inequality_id, bracket.lower, rhs, p, None, 0,
-                        lhs_upper=bracket.upper)
+    return run_inequality(inequality_id, {"x": x}, filt, p, None, 0)
 
 
 def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0,
@@ -208,14 +196,7 @@ def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0,
     """ell_inf bracket of the conditioned sequence against the bracket of
     the inputs; the scalar ratio pairs the certified sides (lhs lower over
     rhs upper) and ratio_interval holds the full enclosure."""
-    items = as_stack(seq)
-    p, _ = get_inequality(inequality_id).validate(p)
-    _require_positive(items)
-    conditioned = _condition(items, filt, lag)
-    left: LinfBracket = linf_norm_positive(conditioned, p)
-    right: LinfBracket = linf_norm_positive(items, p)
-    return _make_report(inequality_id, left.lower, right.upper, p, INF, lag,
-                        lhs_upper=left.upper, rhs_lower=right.lower)
+    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, lag)
 
 
 def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1, *,
@@ -223,13 +204,7 @@ def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1, *,
     """CR_p contraction for adapted sequences under one-step-behind
     conditioning. For p < 2 both sides are splitting upper bounds and the
     report is flagged non-certifying."""
-    items = as_stack(seq)
-    p, _ = get_inequality(inequality_id).validate(p)
-    _require_adapted(items, filt)
-    conditioned = _condition(items, filt, lag)
-    lhs = crp_norm(conditioned, p, seed=seed)
-    rhs = crp_norm(items, p, seed=seed + 1)
-    return _make_report(inequality_id, lhs, rhs, p, 2.0, lag)
+    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, lag, seed)
 
 
 def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0,
@@ -240,17 +215,7 @@ def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0,
     identity, the uncontracted side is at most ||1||_p = 1; the rhs is
     pinned to 1 and the ratio is the lhs itself.
     """
-    items = as_stack(projs)
-    p, q = get_inequality(inequality_id).validate(p, q)
-    for n, r in enumerate(items):
-        if op_norm(r @ r - r) > PROJECTION_TOL or op_norm(r - r.conj().T) > PROJECTION_TOL:
-            raise ValueError(f"item {n} is not a projection within tolerance")
-        for m in range(n):
-            if op_norm(items[m] @ r) > PROJECTION_TOL:
-                raise ValueError(f"projections {m} and {n} are not orthogonal")
-    lhs = column_q_norm(_condition(items, filt, lag), p, q)
-    rhs = NormValue(1.0, "exact")
-    return _make_report(inequality_id, lhs, rhs, p, q, lag)
+    return run_inequality(inequality_id, {"projections": projs}, filt, p, q, lag)
 
 
 def jensen_gap(x, spec, q) -> tuple[np.ndarray, float]:
@@ -350,8 +315,13 @@ def check_semicommutative(process: Sequence[Sequence], space: ClassicalSpace,
     process[w] is the sequence (f_n(w))_n at atom w. The process embeds
     block-diagonally (one block per replicated slot) into a single tracial
     space, the classical filtration becomes a chain of cell-averaging
-    subalgebras, and the check delegates to check_stein_pq there.
+    subalgebras, and the check runs check_stein_pq's kernel there.
     """
+    return run_inequality(inequality_id, {"process": process, "space": space}, None, p, q, lag)
+
+
+def _embedded(process: Sequence[Sequence], space: ClassicalSpace) -> tuple[np.ndarray, Filtration]:
+    """The block-diagonal stack of a process over `space` and its filtration."""
     if len(process) != space.atoms:
         raise ValueError("process must supply one sequence per atom")
     per_atom = [as_stack(seq) for seq in process]
@@ -365,7 +335,7 @@ def check_semicommutative(process: Sequence[Sequence], space: ClassicalSpace,
     for atom, atom_slots in enumerate(slots):
         for s in atom_slots:
             embedded[:, s * d : (s + 1) * d, s * d : (s + 1) * d] = per_atom[atom]
-    return check_stein_pq(embedded, filt, p, q, lag, inequality_id=inequality_id)
+    return embedded, filt
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +349,21 @@ class Inequality:
 
     `needs` states the exponent domain in words and is the error message when
     `domain(p, q)` is false (q is None unless `uses_q`). `ceiling(p, q)` is the
-    proved-constant assertion or None; `check(inputs, filt, p, q, lag, seed)`
-    runs the checker. `stack_kernel` marks ids whose search proposals go
-    straight to the `_stein_sides` kernel.
+    proved-constant assertion or None. `kernel(xs, filt, p, q, lag, seed, ys)`
+    returns the sides (lhs, rhs[, lhs_upper, rhs_lower]) from trusted stacks
+    (ys: the isometries) and validates nothing. A report shows `report_q` as q
+    when the id takes none.
     """
 
     id: str
     input_kind: str
     domain: Callable[[float, float | None], bool]
     needs: str
-    check: Callable[..., RatioReport]
+    kernel: Callable[..., tuple[NormValue, ...]]
     default_lag: int = 0
     uses_q: bool = False
+    report_q: float | None = None
     searchable: bool = True
-    stack_kernel: bool = False
     ceiling: Callable[[float, float | None], tuple[str, float, float] | None] = (
         lambda p, q: None)
 
@@ -417,40 +388,26 @@ _P_ABOVE_ONE = "p > 1 (p = 1 is rejected: the dual exponent degenerates)"
 _LE_ONE = ("le", 1.0, 1e-8)
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
-    Inequality("s_pq", "positive-seq", _stein_domain, _STEIN_NEEDS, uses_q=True,
-               stack_kernel=True, ceiling=lambda p, q: _LE_ONE if p == q else None,
-               check=lambda i, f, p, q, lag, seed: check_stein_pq(i["seq"], f, p, q, lag)),
-    Inequality("s_qq", "positive-seq", lambda p, q: p == q < INF, "p = q finite",
-               default_lag=1, uses_q=True, stack_kernel=True, ceiling=lambda p, q: _LE_ONE,
-               check=lambda i, f, p, q, lag, seed: check_stein_pq(
-                   i["seq"], f, p, q, lag, inequality_id="s_qq")),
+    Inequality("s_pq", "positive-seq", _stein_domain, _STEIN_NEEDS, _stein_kernel, uses_q=True,
+               ceiling=lambda p, q: _LE_ONE if p == q else None),
+    Inequality("s_qq", "positive-seq", lambda p, q: p == q < INF, "p = q finite", _stein_kernel,
+               default_lag=1, uses_q=True, ceiling=lambda p, q: _LE_ONE),
     Inequality("s_12_adapted", "adapted-seq", lambda p, q: (p, q) == (1, 2),
-               "the fixed instance p = 1, q = 2", default_lag=1, uses_q=True,
-               stack_kernel=True, ceiling=lambda p, q: ("le", 2.0, 1e-6),
-               check=lambda i, f, p, q, lag, seed: check_adapted_s12(i["seq"], f, lag)),
+               "the fixed instance p = 1, q = 2", _stein_kernel, default_lag=1, uses_q=True,
+               ceiling=lambda p, q: ("le", 2.0, 1e-6)),
     Inequality("s_isometry", "isometry-seq", lambda p, q: q <= 2 and q <= p < INF,
-               "1 <= q <= 2 and q <= p < inf", uses_q=True,
-               check=lambda i, f, p, q, lag, seed: check_stein_isometry(
-                   i["seq"], i["isometries"], f, p, q, lag)),
-    Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p",
-               ceiling=lambda p, q: ("eq", 1.0, 1e-10) if p == 1 else None,
-               check=lambda i, f, p, q, lag, seed: check_dual_doob(i["seq"], f, p)),
-    Inequality("doob_maximal", "operator", lambda p, q: p > 1, _P_ABOVE_ONE,
-               check=lambda i, f, p, q, lag, seed: check_doob_maximal(i["x"], f, p)),
-    Inequality("s_p_inf", "positive-seq", lambda p, q: p > 1, _P_ABOVE_ONE,
-               check=lambda i, f, p, q, lag, seed: check_sp_inf(i["seq"], f, p, lag)),
+               "1 <= q <= 2 and q <= p < inf", _isometry_kernel, uses_q=True),
+    Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p", _dual_doob_kernel,
+               ceiling=lambda p, q: ("eq", 1.0, 1e-10) if p == 1 else None),
+    Inequality("doob_maximal", "operator", lambda p, q: p > 1, _P_ABOVE_ONE, _doob_kernel),
+    Inequality("s_p_inf", "positive-seq", lambda p, q: p > 1, _P_ABOVE_ONE, _sp_inf_kernel,
+               report_q=INF),
     Inequality("crp_stein", "adapted-seq", lambda p, q: 1 < p < INF, "1 < p < inf",
-               default_lag=1,
-               check=lambda i, f, p, q, lag, seed: check_crp_stein(
-                   i["seq"], f, p, lag, seed=seed)),
+               _crp_kernel, default_lag=1, report_q=2.0),
     Inequality("projections", "projections", lambda p, q: q <= 2 < p < INF,
-               "1 <= q <= 2 < p < inf", uses_q=True, searchable=False,
-               check=lambda i, f, p, q, lag, seed: check_projections(
-                   i["projections"], f, p, q, lag)),
-    Inequality("semicommutative", "process", _stein_domain, _STEIN_NEEDS, uses_q=True,
-               searchable=False,
-               check=lambda i, f, p, q, lag, seed: check_semicommutative(
-                   i["process"], i["space"], p, q, lag)),
+               "1 <= q <= 2 < p < inf", _projections_kernel, uses_q=True, searchable=False),
+    Inequality("semicommutative", "process", _stein_domain, _STEIN_NEEDS, _stein_kernel,
+               uses_q=True, searchable=False),
 )}
 
 
@@ -462,12 +419,51 @@ def get_inequality(inequality_id: str) -> Inequality:
         raise ValueError(f"unknown inequality {inequality_id!r}") from None
 
 
+def _checked_inputs(kind: str, inputs: dict, filt: Filtration | None, q: float | None):
+    """The trusted stacks (xs, ys) of a checker's inputs and the filtration they live
+    on, after the one check of their input kind; ValueError when it fails."""
+    ys = None
+    if kind == "process":
+        xs, filt = _embedded(inputs["process"], inputs["space"])
+    elif kind == "operator":
+        xs = as_stack([inputs["x"]])
+        if not _psd_flags(xs)[0]:
+            raise ValueError("input operator must be positive semidefinite")
+    else:
+        xs = as_stack(inputs["projections" if kind == "projections" else "seq"])
+    if kind == "adapted-seq" and (residual := _adapted_residual(xs, filt, 0)) > ADAPTED_TOL:
+        raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
+    elif kind == "isometry-seq":
+        ys = as_stack(inputs["isometries"])
+        if len(ys) != len(xs):
+            raise ValueError("sequence and isometries must have equal length")
+        _require_positive(xs)
+        eye = np.eye(xs.shape[1])
+        for n, u in enumerate(ys):
+            if op_norm(u.conj().T @ u - eye) > UNITARY_CHECK_TOL:
+                raise ValueError(f"isometry {n} is not unitary within tolerance")
+    elif kind == "projections":
+        for n, r in enumerate(xs):
+            if op_norm(r @ r - r) > PROJECTION_TOL or op_norm(r - r.conj().T) > PROJECTION_TOL:
+                raise ValueError(f"item {n} is not a projection within tolerance")
+            for m in range(n):
+                if op_norm(xs[m] @ r) > PROJECTION_TOL:
+                    raise ValueError(f"projections {m} and {n} are not orthogonal")
+    elif kind in ("positive-seq", "process") and q != 2:
+        _require_positive(xs)
+    return xs, ys, filt
+
+
 def run_inequality(inequality_id: str, inputs: dict, filt: Filtration,
                    p, q, lag: int, seed: int = 0) -> RatioReport:
-    """Uniform dispatcher used by the search engine and the CLI."""
+    """The one validating path of every checker, the CLI and the search's replay:
+    the exponents against the id's domain, then the inputs by their kind, then
+    the id's trusted kernel."""
     ineq = get_inequality(inequality_id)
-    ineq.validate(p, q)
-    return ineq.check(inputs, filt, p, q, lag, seed)
+    p, q = ineq.validate(p, q)
+    xs, ys, filt = _checked_inputs(ineq.input_kind, inputs, filt, q)
+    lhs, rhs, *ends = ineq.kernel(xs, filt, p, q, lag, seed, ys)
+    return _make_report(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 
 
 def hard_ceiling(inequality_id: str, p, q) -> tuple[str, float, float] | None:

@@ -124,14 +124,19 @@ def psd_power(a, r) -> np.ndarray:
     return herm((u * s) @ u.conj().T)
 
 
-def is_psd(x, rel_tol: float = EIG_CLAMP_REL) -> bool:
+def is_psd(x) -> bool:
     """True when x is Hermitian and its spectrum clears the clamp threshold."""
-    a = as_operator(x)
-    if not np.array_equal(a, a.conj().T):  # a bitwise Hermitian input needs no SVD
-        if op_norm(a - a.conj().T) > HERMITIAN_TOL * max(1.0, op_norm(a)):
-            return False
-    w = np.linalg.eigvalsh(herm(a))
-    return bool(w[0] >= -rel_tol * max(1.0, float(abs(w[0])), float(abs(w[-1]))))
+    return bool(_psd_flags(as_operator(x)[None])[0])
+
+
+def _psd_flags(xs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """is_psd for every operator of a trusted stack xs[n, d, d] with spectra w of herm(xs)."""
+    if w is None:
+        w = np.linalg.eigvalsh(herm(xs))
+    psd = w[:, 0] >= -EIG_CLAMP_REL * np.maximum(1.0, np.maximum(abs(w[:, 0]), abs(w[:, -1])))
+    for k in np.flatnonzero(~np.all(xs == xs.conj().swapaxes(1, 2), axis=(1, 2))):
+        psd[k] &= op_norm(xs[k] - xs[k].conj().T) <= HERMITIAN_TOL * max(1.0, op_norm(xs[k]))
+    return psd
 
 
 def schatten_norm(x, p) -> float:

@@ -20,8 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .expectation import Filtration, build_filtration, _cond_exp_stack, _condition
-from .inequality import (ClassicalSpace, RatioReport, get_inequality, run_inequality,
-                         _stein_sides)
+from .inequality import ClassicalSpace, RatioReport, get_inequality, run_inequality
 from .opcore import (as_stack, herm, sample_projection_family, sample_unitary,
                      _complex_gaussian, _complex_gaussians)
 from .seqnorm import _abs_q_stack
@@ -192,13 +191,7 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
     n_mats = 1 if kind == "operator" else cfg.seq_len
     isometries = None
     if kind == "isometry-seq":
-        isometries = isometry_family(cfg.dim, n_mats, cfg.seed)
-
-    def replay(xs):
-        inputs = {"x": xs[0]} if kind == "operator" else {"seq": list(xs)}
-        if isometries is not None:
-            inputs["isometries"] = isometries
-        return run_inequality(cfg.inequality_id, inputs, filt, p, q, lag, seed=cfg.seed)
+        isometries = as_stack(isometry_family(cfg.dim, n_mats, cfg.seed))
 
     def evaluate(zs):
         xs = herm(zs.conj().swapaxes(1, 2) @ zs)
@@ -206,10 +199,14 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
             raise ValueError("proposal has non-finite entries")
         if adapted:
             xs = _condition(xs, filt, 0)
-        if not ineq.stack_kernel:
-            return replay(xs).ratio, xs
-        lhs, rhs = _stein_sides(xs, filt, p, q, lag, adapted=kind == "adapted-seq")
-        return (lhs / rhs if rhs > 0 else None), xs
+        lhs, rhs = ineq.kernel(xs, filt, p, q, lag, cfg.seed, isometries)[:2]
+        return (lhs.value / rhs.value if rhs.value > 0 else None), xs
+
+    def replay(xs):
+        inputs = {"x": xs[0]} if kind == "operator" else {"seq": list(xs)}
+        if isometries is not None:
+            inputs["isometries"] = isometries
+        return run_inequality(cfg.inequality_id, inputs, filt, p, q, lag, seed=cfg.seed)
 
     evaluations = 0
     per_restart = cfg.budget // cfg.restarts
@@ -230,7 +227,7 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
             if restart == 0:
                 # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
                 coarse = _cond_exp_stack(herm(zs.conj().swapaxes(1, 2) @ zs), filt.levels[0])
-                zs = _abs_q_stack(coarse, 0.5)[0]
+                zs = _abs_q_stack(coarse, 0.5)
             evaluations += 1
             try:
                 ratio, xs = evaluate(zs)
@@ -276,9 +273,13 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
 
     # store the witness normalized to rhs = 1 and replay it
     report = replay(best_xs)
-    if report.rhs.value > 0:
-        best_xs = (1.0 / report.rhs.value) * best_xs
+    scale = report.rhs.value
+    if scale > 0:
+        best_xs = (1.0 / scale) * best_xs
         report = replay(best_xs)
+    if report.ratio is None:
+        raise RuntimeError(f"the best {cfg.inequality_id} witness at p={p:g} replays with no "
+                           f"ratio: its rhs is {scale:g}, which cannot be normalized to 1")
     return SearchResult(
         best_ratio=float(report.ratio),
         witness=tuple(best_xs),

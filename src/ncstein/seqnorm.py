@@ -24,18 +24,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .opcore import (
-    EIG_CLAMP_REL,
     INF,
     abs_op,
     as_stack,
     check_exponent,
     conjugate_exponent,
     herm,
-    is_psd,
     op_norm,
     psd_power,
     schatten_norm,
     _complex_gaussians,
+    _psd_flags,
 )
 
 
@@ -92,29 +91,26 @@ def _all_zero(seq) -> bool:
     return all(not np.any(x) for x in seq)
 
 
-def _require_positive(seq) -> None:
-    for n, x in enumerate(seq):
-        if not is_psd(x):
-            raise ValueError(f"sequence item {n} is not positive semidefinite")
+def _require_positive(xs: np.ndarray) -> None:
+    """ValueError naming the first term of a trusted stack that fails is_psd."""
+    bad = np.flatnonzero(~_psd_flags(xs))
+    if bad.size:
+        raise ValueError(f"sequence item {bad[0]} is not positive semidefinite")
 
 
-def _abs_q_stack(xs: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """|x|^q for every operator of a trusted stack xs[..., d, d]; for q != 2 also
-    which terms are PSD (is_psd's test, from one batched eigh): those skip |x|."""
+def _abs_q_stack(xs: np.ndarray, q: float) -> np.ndarray:
+    """|x|^q for every operator of a trusted stack xs[..., d, d]; for q != 2 the terms
+    that pass is_psd's test (from one batched eigh) skip |x|."""
     if q == 2:
-        return xs.conj().swapaxes(-1, -2) @ xs, None
+        return xs.conj().swapaxes(-1, -2) @ xs
     flat = xs.reshape(-1, *xs.shape[-2:])
     h = herm(flat)
     w, u = np.linalg.eigh(h)
-    clamp = EIG_CLAMP_REL * np.maximum(1.0, np.maximum(abs(w[:, 0]), abs(w[:, -1])))
-    psd = w[:, 0] >= -clamp
-    for k in np.flatnonzero(~np.all(flat == flat.conj().swapaxes(1, 2), axis=(1, 2))):
-        psd[k] = is_psd(flat[k])
     out = h if q == 1 else herm((u * np.clip(w, 0.0, None)[:, None, :] ** q)
                                 @ u.conj().swapaxes(1, 2))
-    for k in np.flatnonzero(~psd):
+    for k in np.flatnonzero(~_psd_flags(flat, w)):
         out[k] = psd_power(abs_op(flat[k]), q)
-    return out.reshape(xs.shape), psd.reshape(xs.shape[:-2])
+    return out.reshape(xs.shape)
 
 
 def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -126,10 +122,9 @@ def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
     return np.mean(w ** (p / q), axis=-1) ** (1.0 / p)
 
 
-def _column_norms(xs: np.ndarray, p: float, q: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Column norms of trusted stacks xs[..., n, d, d], and _abs_q_stack's PSD flags."""
-    powers, psd = _abs_q_stack(xs, q)
-    return _root_norms(powers.sum(axis=-3), p, q), psd
+def _column_norms(xs: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Column norms of trusted stacks xs[..., n, d, d]."""
+    return _root_norms(_abs_q_stack(xs, q).sum(axis=-3), p, q)
 
 
 def column_q_norm(seq: Sequence, p, q) -> NormValue:
@@ -143,13 +138,13 @@ def column_q_norm(seq: Sequence, p, q) -> NormValue:
     if q == INF:
         raise ValueError("q = inf is handled by linf_norm_positive")
     q = check_exponent(q)
-    return NormValue(float(_column_norms(xs, p, q)[0]), "exact")
+    return NormValue(float(_column_norms(xs, p, q)), "exact")
 
 
 def row_2_norm(seq: Sequence, p) -> NormValue:
     """Row norm ||(sum_n |x_n*|^2)^(1/2)||_p; the column norm of the adjoints."""
     xs = as_stack(seq).conj().swapaxes(1, 2)
-    return NormValue(float(_column_norms(xs, check_exponent(p), 2.0)[0]), "exact")
+    return NormValue(float(_column_norms(xs, check_exponent(p), 2.0)), "exact")
 
 
 def l1_norm_positive(seq: Sequence, p) -> NormValue:
@@ -172,13 +167,16 @@ def crp_norm(seq: Sequence, p, *, seed: int = 0, max_steps: int = 2000) -> NormV
     the infimum over splittings x_n = a_n + b_n of column(a) + row(b),
     reported as the best value found (an upper bound) with its splitting.
     """
-    items = as_stack(seq)
-    p = check_exponent(p)
+    return _crp(as_stack(seq), check_exponent(p), seed, max_steps)
+
+
+def _crp(items: np.ndarray, p: float, seed: int = 0, max_steps: int = 2000) -> NormValue:
+    """crp_norm of a trusted stack."""
     if _all_zero(items):
         return NormValue(0.0, "exact")
     if p >= 2:  # column and row norms from one batched eigvalsh
         sides = np.stack([items, items.conj().swapaxes(1, 2)])
-        return NormValue(float(_column_norms(sides, p, 2.0)[0].max()), "exact")
+        return NormValue(float(_column_norms(sides, p, 2.0).max()), "exact")
     return _crp_split(items, p, seed, max_steps)
 
 
@@ -186,7 +184,7 @@ def _crp_split(items: np.ndarray, p: float, seed: int, max_steps: int) -> NormVa
     def objective(a_seq):  # column(a) + row(b), both from one batched eigvalsh
         b_seq = items - a_seq
         sides = np.stack([a_seq, b_seq.conj().swapaxes(1, 2)])
-        return float(_column_norms(sides, p, 2.0)[0].sum()), b_seq
+        return float(_column_norms(sides, p, 2.0).sum()), b_seq
 
     best_val, best_b = objective(items)  # a = x, b = 0
     best_a = items.copy()
@@ -355,6 +353,11 @@ def linf_norm_positive(seq: Sequence, p, *, seed: int = 0) -> LinfBracket:
     items = as_stack(seq)
     p = check_exponent(p)
     _require_positive(items)
+    return _linf_bracket(items, p)
+
+
+def _linf_bracket(items: np.ndarray, p: float) -> LinfBracket:
+    """linf_norm_positive of a trusted PSD stack."""
     if _all_zero(items):
         zero = NormValue(0.0, "exact")
         return LinfBracket(zero, zero)

@@ -1,6 +1,7 @@
 """CLI: strict config parsing, report schemas, exit codes, determinism."""
 
 import ast
+import csv
 import json
 import re
 import subprocess
@@ -237,6 +238,32 @@ def test_semicommutative_check_runs(tmp_path):
                                 probabilities=[[1, 3], [2, 3]], out=str(out)))
     assert run_command(cfg) == 0
     assert out.read_text().count("\n") == 2
+
+
+def test_probabilities_must_be_integer_fractions():
+    # int() truncated 1.9 to 1 (so the weights read 1/2, 1/2) and parsed "1"
+    for probabilities in ([[1.9, 2], [1, 2]], [["1", "2"], [1, 2]], [[True, 2], [1, 2]]):
+        with pytest.raises(ConfigError, match="'probabilities' must hold integers"):
+            parse_config(cfg_text(command="check", inequality="semicommutative", p=3, q=2,
+                                  dim=2, probabilities=probabilities))
+
+
+def test_search_whose_witness_replays_with_no_ratio(tmp_path, capsys):
+    # at p = 1e6 the rhs upper end overflows to inf, so the witness cannot be
+    # normalized to rhs = 1 and its replay has no ratio
+    instance = dict(inequality="s_p_inf", p=2, dim=4, seq_len=3, budget=20, restarts=2, seed=1)
+    out = tmp_path / "t.csv"
+    cfg = parse_config(cfg_text(command="table", points=[[2, None], [1000000, None]],
+                                out=str(out), **instance))
+    with np.errstate(over="ignore"):
+        assert run_command(cfg) == 0
+    assert "point (p=1000000.0, q=None) failed: " in capsys.readouterr().err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["p"], row["ratio"] != "") for row in rows] == [("2", True), ("1000000", False)]
+    cfg = parse_config(cfg_text(command="search", **{**instance, "p": 1000000}))
+    with np.errstate(over="ignore"):
+        assert run_command(cfg) == 1
+    assert capsys.readouterr().err.startswith("ncstein: error: ")
 
 
 def test_matrix_wire_format_round_trip():

@@ -456,6 +456,14 @@ def test_semicommutative_rejects_bad_probabilities():
         ClassicalSpace((Fraction(1, 2), Fraction(1, 3)), (((0, 1),),))
 
 
+def test_semicommutative_rejects_non_psd_terms_unless_q_is_two():
+    space, process = _classical_instance()
+    process[1][1] = -process[1][1]  # term 1 at atom 1 is negative definite
+    with pytest.raises(ValueError, match="sequence item 1 is not positive semidefinite"):
+        check_semicommutative(process, space, 2, 1.5)
+    assert check_semicommutative(process, space, 2, 2).ratio is not None
+
+
 def test_classical_dyadic_chain_with_real_averaging():
     """Checkers against the scalar oracle on a filtration whose conditional
     expectations genuinely average (not the identity on diagonals)."""

@@ -12,6 +12,11 @@ from ncstein import (
     TensorFactor,
     build_filtration,
     check_adapted_s12,
+    check_crp_stein,
+    check_doob_maximal,
+    check_dual_doob,
+    check_sp_inf,
+    check_stein_isometry,
     check_stein_pq,
     cond_exp,
     estimate_constant,
@@ -25,7 +30,8 @@ from ncstein import (
 )
 from ncstein import cli, expectation, inequality, opcore, search, seqnorm
 from ncstein.expectation import _cond_exp_stack, _condition
-from ncstein.inequality import _stein_sides
+from ncstein.inequality import INEQUALITIES, _stein_sides
+from ncstein.search import seeded_inputs
 from ncstein.opcore import HERMITIAN_TOL, as_stack, _complex_gaussian, _complex_gaussians
 
 from oracles import column_norm_svd, loop_cond_exp
@@ -85,22 +91,55 @@ def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
     assert abs(lhs / rhs - oracle_ratio(seq, filt, p, q, lag)) <= 1e-12
 
 
+# each searchable id's public checker at one instance: (p, q, lag, checker(inputs, filt))
+CHECKERS = {
+    "s_pq": (3.0, 1.5, 0, lambda i, f: check_stein_pq(i["seq"], f, 3, 1.5, 0)),
+    "s_qq": (1.5, 1.5, 1, lambda i, f: check_stein_pq(i["seq"], f, 1.5, 1.5, 1,
+                                                       inequality_id="s_qq")),
+    "s_12_adapted": (1.0, 2.0, 1, lambda i, f: check_adapted_s12(i["seq"], f)),
+    "s_isometry": (3.0, 1.5, 0, lambda i, f: check_stein_isometry(i["seq"], i["isometries"],
+                                                                   f, 3, 1.5)),
+    "dd_p": (2.0, None, 0, lambda i, f: check_dual_doob(i["seq"], f, 2)),
+    "doob_maximal": (2.0, None, 0, lambda i, f: check_doob_maximal(i["x"], f, 2)),
+    "s_p_inf": (2.0, None, 0, lambda i, f: check_sp_inf(i["seq"], f, 2)),
+    "crp_stein": (1.5, None, 1, lambda i, f: check_crp_stein(i["seq"], f, 1.5, seed=7)),
+}
+
+
+def test_checkers_cover_every_searchable_id():
+    assert set(CHECKERS) == {i for i, ineq in INEQUALITIES.items() if ineq.searchable}
+
+
+@pytest.mark.parametrize("inequality_id", CHECKERS)
+def test_kernel_sides_equal_checker_sides(inequality_id):
+    filt = build_filtration("dyadic", 4)
+    p, q, lag, checker = CHECKERS[inequality_id]
+    inputs = seeded_inputs(inequality_id, 4, 3, filt, 5)
+    xs = as_stack([inputs["x"]] if "x" in inputs else inputs["seq"])
+    ys = as_stack(inputs["isometries"]) if "isometries" in inputs else None
+    ineq = INEQUALITIES[inequality_id]
+    sides = ineq.kernel(xs, filt, *ineq.validate(p, q), lag, 7, ys)
+    report = checker(inputs, filt)
+    ends = (report.lhs, report.rhs, report.lhs_upper, report.rhs_lower)
+    assert [side.value for side in sides] == [end.value for end in ends if end is not None]
+
+
 def test_kernel_ratio_adapted_s12():
     filt = build_filtration("tensor", local_dims=(2, 2, 2))
     seq = project_adapted([sample_psd(8, 400 + n) for n in range(4)], filt, 0)
-    lhs, rhs = _stein_sides(as_stack(seq), filt, 1.0, 2.0, 1, adapted=True)
+    lhs, rhs = _stein_sides(as_stack(seq), filt, 1.0, 2.0, 1)
     report = check_adapted_s12(seq, filt)
     assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
     assert abs(lhs / rhs - oracle_ratio(seq, filt, 1.0, 2.0, 1)) <= 1e-12
     with pytest.raises(ValueError, match="not adapted"):
-        _stein_sides(as_stack([sample_psd(8, 5)] * 2), filt, 1.0, 2.0, 1, adapted=True)
+        check_adapted_s12([sample_psd(8, 5)] * 2, filt)
 
 
 def test_kernel_rejects_non_psd_terms_for_q_not_two():
     filt = build_filtration("dyadic", 4)
     seq = as_stack([sample_psd(4, 1), sample_hermitian(4, 2)])
     with pytest.raises(ValueError, match="item 1 is not positive semidefinite"):
-        _stein_sides(seq, filt, 1.5, 1.5, 1)
+        check_stein_pq(seq, filt, 1.5, 1.5, 1)
 
 
 @pytest.mark.parametrize("count, dim", ((1, 3), (4, 8)))
@@ -136,7 +175,7 @@ def test_hermitian_checks_near_tolerance():
 
 
 def count_calls(monkeypatch):
-    """Count LAPACK-backed numpy calls and as_operator validations from here on."""
+    """Count LAPACK-backed numpy calls, as_operator validations and Schatten norms from here on."""
     counts = Counter()
 
     def counted(name, fn, key):
@@ -148,25 +187,49 @@ def count_calls(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), "lapack"))
-    wrapped = counted("as_operator", opcore.as_operator, "as_operator")
-    for module in (opcore, expectation, seqnorm, inequality, search, cli):
-        if hasattr(module, "as_operator"):
-            monkeypatch.setattr(module, "as_operator", wrapped)
+    for fn in ("as_operator", "schatten_norm"):
+        wrapped = counted(fn, getattr(opcore, fn), fn)
+        for module in (opcore, expectation, seqnorm, inequality, search, cli):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, wrapped)
     return counts
 
 
-def test_search_loop_work_per_evaluation(monkeypatch):
+# (p, q, dim, seq_len, budgets, LAPACK calls per evaluation) per searchable id. The
+# two ell_inf ids solve a barrier problem per bracket, so they run at d = 4 on small
+# budgets; s_isometry's conditioned terms E(y* x y) are Hermitian only to round-off,
+# so is_psd's test pays two SVD norms for each of them.
+LOOP_CASES = {
+    "s_pq": (3, 1.5, 8, 4, (50, 250), 2),
+    "s_qq": (1.5, 1.5, 8, 4, (50, 250), 2),
+    "s_12_adapted": (1, 2, 8, 4, (50, 250), 2),
+    "s_isometry": (3, 1.5, 8, 4, (50, 250), 2 + 2 * 4),
+    "dd_p": (2, None, 8, 4, (50, 250), 2),
+    "crp_stein": (3, None, 8, 4, (50, 250), 2),
+    "doob_maximal": (2, None, 4, 3, (6, 16), None),
+    "s_p_inf": (2, None, 4, 3, (6, 16), None),
+}
+
+
+@pytest.mark.parametrize("inequality_id", LOOP_CASES)
+def test_search_loop_work_per_evaluation(monkeypatch, inequality_id):
     # Two budgets share their initial draws and the witness replay, so the
     # difference in counts is the hill-climbing loop alone.
+    p, q, dim, seq_len, budgets, lapack_per_eval = LOOP_CASES[inequality_id]
     counts = count_calls(monkeypatch)
     seen = []
-    for budget in (50, 250):
+    for budget in budgets:
         counts.clear()
-        cfg = SearchConfig(inequality_id="s_12_adapted", p=1, q=2, dim=8, seq_len=4,
+        cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q, dim=dim, seq_len=seq_len,
                            budget=budget, restarts=2, seed=3)
         evaluations = estimate_constant(cfg).evaluations_used
-        seen.append((evaluations, counts["lapack"], counts["as_operator"]))
-    (e0, lapack0, ops0), (e1, lapack1, ops1) = seen
-    assert e1 - e0 == 200
-    assert lapack1 - lapack0 <= 2 * (e1 - e0)
-    assert ops1 == ops0
+        seen.append((evaluations, counts["lapack"], counts["as_operator"],
+                     counts["schatten_norm"]))
+    (e0, lapack0, ops0, norms0), (e1, lapack1, ops1, norms1) = seen
+    assert e1 - e0 == budgets[1] - budgets[0]
+    if lapack_per_eval is None:
+        # no validation of the proposal: each as_operator call is a Schatten norm's
+        assert ops1 - ops0 == norms1 - norms0 <= 4 * (e1 - e0)
+    else:
+        assert lapack1 - lapack0 <= lapack_per_eval * (e1 - e0)
+        assert ops1 == ops0
