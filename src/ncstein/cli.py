@@ -448,7 +448,7 @@ def _run_check(cfg: RunConfig):
                                cfg.probabilities)
     classical = get_inequality(cfg.inequality_id).input_kind == "process"
     report = run_inequality(cfg.inequality_id, inputs, None if classical else cfg.filt,
-                            cfg.p, cfg.q, cfg.lag, seed=cfg.seed)
+                            cfg.p, cfg.q, cfg.lag)
     rows = [_report_row(cfg, report, 1, "classical" if classical else None)]
     violated = ceiling_violated(report)
     if (cfg.assert_ratio_le is not None and report.ratio is not None

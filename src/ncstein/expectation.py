@@ -389,6 +389,8 @@ def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResidu
 
 def tower_residual(filt: Filtration, trials: int, seed: int) -> float:
     """Max deviation of E_m E_n from E_min(m,n) over sampled inputs and all pairs."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

@@ -106,38 +106,38 @@ def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int)
     return _column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q)
 
 
-def _stein_kernel(xs, filt, p, q, lag, seed, ys):
+def _stein_kernel(xs, filt, p, q, lag, ys):
     return tuple(map(NormValue, _stein_sides(xs, filt, p, q, lag)))
 
 
-def _isometry_kernel(xs, filt, p, q, lag, seed, ys):
+def _isometry_kernel(xs, filt, p, q, lag, ys):
     ys_adj = ys.conj().swapaxes(1, 2)
-    powers = _abs_q_stack(np.stack([_condition(ys_adj @ xs @ ys, filt, lag), xs]), q)
+    powers = _abs_q_stack(np.stack([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
     sums = np.stack([powers[0].sum(axis=0), (ys_adj @ powers[1] @ ys).sum(axis=0)])
     return tuple(map(NormValue, _root_norms(sums, p, q)))
 
 
-def _dual_doob_kernel(xs, filt, p, q, lag, seed, ys):
+def _dual_doob_kernel(xs, filt, p, q, lag, ys):
     sums = np.stack([_condition(xs, filt, 0).sum(axis=0), xs.sum(axis=0)])
     return tuple(map(NormValue, _root_norms(sums, p, 1.0)))
 
 
-def _doob_kernel(xs, filt, p, q, lag, seed, ys):
+def _doob_kernel(xs, filt, p, q, lag, ys):
     # the chain (E_0(x), ..., E_N(x)) conditions one copy of x per level at lag 0
     bracket = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=0), filt, 0), p)
     return bracket.lower, NormValue(schatten_norm(xs[0], p), "exact"), bracket.upper
 
 
-def _sp_inf_kernel(xs, filt, p, q, lag, seed, ys):
+def _sp_inf_kernel(xs, filt, p, q, lag, ys):
     left, right = _linf_bracket(_condition(xs, filt, lag), p), _linf_bracket(xs, p)
     return left.lower, right.upper, left.upper, right.lower
 
 
-def _crp_kernel(xs, filt, p, q, lag, seed, ys):
-    return _crp(_condition(xs, filt, lag), p, seed), _crp(xs, p, seed + 1)
+def _crp_kernel(xs, filt, p, q, lag, ys):
+    return _crp(_condition(xs, filt, lag), p), _crp(xs, p)
 
 
-def _projections_kernel(xs, filt, p, q, lag, seed, ys):
+def _projections_kernel(xs, filt, p, q, lag, ys):
     return NormValue(float(_column_norms(_condition(xs, filt, lag), p, q))), NormValue(1.0)
 
 
@@ -199,12 +199,12 @@ def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0,
     return run_inequality(inequality_id, {"seq": seq}, filt, p, None, lag)
 
 
-def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1, *,
-                    seed: int = 0, inequality_id: str = "crp_stein") -> RatioReport:
+def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1,
+                    inequality_id: str = "crp_stein") -> RatioReport:
     """CR_p contraction for adapted sequences under one-step-behind
     conditioning. For p < 2 both sides are splitting upper bounds and the
     report is flagged non-certifying."""
-    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, lag, seed)
+    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, lag)
 
 
 def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0,
@@ -349,7 +349,7 @@ class Inequality:
 
     `needs` states the exponent domain in words and is the error message when
     `domain(p, q)` is false (q is None unless `uses_q`). `ceiling(p, q)` is the
-    proved-constant assertion or None. `kernel(xs, filt, p, q, lag, seed, ys)`
+    proved-constant assertion or None. `kernel(xs, filt, p, q, lag, ys)`
     returns the sides (lhs, rhs[, lhs_upper, rhs_lower]) from trusted stacks
     (ys: the isometries) and validates nothing. A report shows `report_q` as q
     when the id takes none.
@@ -455,14 +455,14 @@ def _checked_inputs(kind: str, inputs: dict, filt: Filtration | None, q: float |
 
 
 def run_inequality(inequality_id: str, inputs: dict, filt: Filtration,
-                   p, q, lag: int, seed: int = 0) -> RatioReport:
+                   p, q, lag: int) -> RatioReport:
     """The one validating path of every checker, the CLI and the search's replay:
     the exponents against the id's domain, then the inputs by their kind, then
     the id's trusted kernel."""
     ineq = get_inequality(inequality_id)
     p, q = ineq.validate(p, q)
     xs, ys, filt = _checked_inputs(ineq.input_kind, inputs, filt, q)
-    lhs, rhs, *ends = ineq.kernel(xs, filt, p, q, lag, seed, ys)
+    lhs, rhs, *ends = ineq.kernel(xs, filt, p, q, lag, ys)
     return _make_report(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 
 

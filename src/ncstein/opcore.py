@@ -19,8 +19,7 @@ INF = math.inf
 # Acceptance / drift tolerances, relative to max(1, operator norm).
 HERMITIAN_TOL = 1e-8
 EIG_CLAMP_REL = 1e-10
-UNITARY_TOL = 1e-10
-PSD_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # smallest normal float: the scale of a zero spectrum
 
 
 def as_operator(x) -> np.ndarray:
@@ -139,6 +138,16 @@ def _psd_flags(xs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     return psd
 
 
+def _p_mean(s: np.ndarray, p: float, top: int = -1) -> np.ndarray:
+    """(mean of s^p over the last axis)^(1/p) of nonnegative spectra sorted along it,
+    with the largest entry at index `top` (-1 for eigvalsh, 0 for svd): the max at
+    p = inf, 0 for a zero spectrum. Scaled by the largest entry, so s^p cannot overflow."""
+    if p == INF:
+        return s[..., top]
+    scale = np.maximum(s[..., top], _TINY)
+    return scale * (((s / scale[..., None]) ** p).sum(axis=-1) / s.shape[-1]) ** (1 / p)
+
+
 def schatten_norm(x, p) -> float:
     """Schatten p-norm under the normalized trace.
 
@@ -147,10 +156,7 @@ def schatten_norm(x, p) -> float:
     """
     a = as_operator(x)
     p = check_exponent(p)
-    if p == INF:
-        return op_norm(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(np.mean(s**p) ** (1.0 / p))
+    return float(_p_mean(np.linalg.svd(a, compute_uv=False), p, top=0))
 
 
 def conjugate_exponent(p) -> float:

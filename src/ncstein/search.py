@@ -199,14 +199,14 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
             raise ValueError("proposal has non-finite entries")
         if adapted:
             xs = _condition(xs, filt, 0)
-        lhs, rhs = ineq.kernel(xs, filt, p, q, lag, cfg.seed, isometries)[:2]
+        lhs, rhs = ineq.kernel(xs, filt, p, q, lag, isometries)[:2]
         return (lhs.value / rhs.value if rhs.value > 0 else None), xs
 
     def replay(xs):
         inputs = {"x": xs[0]} if kind == "operator" else {"seq": list(xs)}
         if isometries is not None:
             inputs["isometries"] = isometries
-        return run_inequality(cfg.inequality_id, inputs, filt, p, q, lag, seed=cfg.seed)
+        return run_inequality(cfg.inequality_id, inputs, filt, p, q, lag)
 
     evaluations = 0
     per_restart = cfg.budget // cfg.restarts

@@ -4,8 +4,8 @@ Closed forms: the column/row ell_2 norms, general ell_q column norms, the
 CR_p norm for p >= 2, and the ell_1 norm of positive sequences (norm of the
 sum). Two quantities are only bracketed:
 
-  * CR_p for p < 2 is an infimum over splittings x_n = a_n + b_n; a seeded
-    local search returns an upper bound together with its splitting.
+  * CR_p for p < 2 is an infimum over splittings x_n = a_n + b_n; a local
+    search on one fixed stream returns an upper bound and its splitting.
   * The ell_inf norm of a positive sequence, min ||a||_p over a >= x_n, comes
     from one deterministic log-det barrier solve (damped Newton on the d^2
     real coordinates of a Hermitian a). Its majorant a gives the upper end,
@@ -34,6 +34,7 @@ from .opcore import (
     psd_power,
     schatten_norm,
     _complex_gaussians,
+    _p_mean,
     _psd_flags,
 )
 
@@ -115,11 +116,8 @@ def _abs_q_stack(xs: np.ndarray, q: float) -> np.ndarray:
 
 def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
     """||s^(1/q)||_p for every PSD operator of s[..., d, d] from one batched
-    eigvalsh: mean(w^(p/q))^(1/p), or max(w)^(1/q) at p = inf."""
-    w = np.clip(np.linalg.eigvalsh(herm(s)), 0.0, None)
-    if p == INF:
-        return w[..., -1] ** (1.0 / q)
-    return np.mean(w ** (p / q), axis=-1) ** (1.0 / p)
+    eigvalsh: the (p/q)-mean of its spectrum w, to the power 1/q."""
+    return _p_mean(np.clip(np.linalg.eigvalsh(herm(s)), 0.0, None), p / q) ** (1.0 / q)
 
 
 def _column_norms(xs: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -162,25 +160,25 @@ def l1_norm_positive(seq: Sequence, p) -> NormValue:
 # ---------------------------------------------------------------------------
 
 
-def crp_norm(seq: Sequence, p, *, seed: int = 0, max_steps: int = 2000) -> NormValue:
+def crp_norm(seq: Sequence, p) -> NormValue:
     """CR_p norm: max of column and row norms for p >= 2 (exact); for p < 2
     the infimum over splittings x_n = a_n + b_n of column(a) + row(b),
     reported as the best value found (an upper bound) with its splitting.
     """
-    return _crp(as_stack(seq), check_exponent(p), seed, max_steps)
+    return _crp(as_stack(seq), check_exponent(p))
 
 
-def _crp(items: np.ndarray, p: float, seed: int = 0, max_steps: int = 2000) -> NormValue:
+def _crp(items: np.ndarray, p: float) -> NormValue:
     """crp_norm of a trusted stack."""
     if _all_zero(items):
         return NormValue(0.0, "exact")
     if p >= 2:  # column and row norms from one batched eigvalsh
         sides = np.stack([items, items.conj().swapaxes(1, 2)])
         return NormValue(float(_column_norms(sides, p, 2.0).max()), "exact")
-    return _crp_split(items, p, seed, max_steps)
+    return _crp_split(items, p)
 
 
-def _crp_split(items: np.ndarray, p: float, seed: int, max_steps: int) -> NormValue:
+def _crp_split(items: np.ndarray, p: float) -> NormValue:
     def objective(a_seq):  # column(a) + row(b), both from one batched eigvalsh
         b_seq = items - a_seq
         sides = np.stack([a_seq, b_seq.conj().swapaxes(1, 2)])
@@ -193,14 +191,14 @@ def _crp_split(items: np.ndarray, p: float, seed: int, max_steps: int) -> NormVa
         if val < best_val:
             best_val, best_a, best_b = val, cand, b_seq
 
-    # local refinement from the symmetric splitting
-    rng = np.random.default_rng(seed)
+    # local refinement from the symmetric splitting: 2,000 proposals on one fixed stream
+    rng = np.random.default_rng(0)
     a_cur = items / 2
     cur_val, _ = objective(a_cur)
     scale = max(1e-30, max(op_norm(x) for x in items))
     step = 0.25 * scale
     rejected = 0
-    for _ in range(max_steps):
+    for _ in range(2000):
         if step < 1e-8 * scale:
             break
         proposal = a_cur + step * _complex_gaussians(rng, *items.shape[:2])
@@ -246,14 +244,14 @@ def _barrier(xs, a, p, t) -> float:
     w = np.linalg.eigvalsh(np.concatenate([a[None], a - xs]))
     if w[1:, 0].min() <= 0:
         return INF
-    return t * float(np.mean(w[0] ** p) ** (1 / p)) - float(np.log(w[1:]).sum())
+    return t * float(_p_mean(w[0], p)) - float(np.log(w[1:]).sum())
 
 
 def _newton_system(xs, a, p, t, basis):
     """The barrier's gradient and Hessian in `basis` coordinates, and that of ||a||_p."""
     d, adj = len(a), basis.conj().T
     w, u = np.linalg.eigh(a)
-    f = float(np.mean(w**p) ** (1 / p))
+    f = float(_p_mean(w, p))
     gw = (w / f) ** (p - 1)  # spectrum of (a / f)^(p-1), the gradient under ntrace
     h = (adj @ ((u * gw) @ u.conj().T).reshape(-1)).real / d
     sinv = np.linalg.inv(a - xs)

@@ -35,7 +35,7 @@ def test_boundary_checks_once_then_runs_the_kernel(inequality_id, dim, seed, dat
     ineq = INEQUALITIES[inequality_id]
 
     report = run_inequality(inequality_id, {"seq": list(xs)}, filt, p, q, 0)
-    kernel = ineq.kernel(xs, filt, *ineq.validate(p, q), 0, 0, None)
+    kernel = ineq.kernel(xs, filt, *ineq.validate(p, q), 0, None)
     assert sides(report) == [(side.value, side.bound) for side in kernel]
 
     bad = data.draw(st.integers(0, n - 1), label="non-PSD term")

@@ -2,7 +2,9 @@
 
 import ast
 import csv
+import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -13,6 +15,8 @@ import pytest
 import numpy as np
 
 from ncstein import build_filtration
+from ncstein.inequality import INEQUALITIES
+from ncstein.seqnorm import NormValue
 from ncstein.cli import (
     AXIOM_COLUMNS,
     COMMAND_KEYS,
@@ -248,22 +252,41 @@ def test_probabilities_must_be_integer_fractions():
                                   dim=2, probabilities=probabilities))
 
 
-def test_search_whose_witness_replays_with_no_ratio(tmp_path, capsys):
-    # at p = 1e6 the rhs upper end overflows to inf, so the witness cannot be
-    # normalized to rhs = 1 and its replay has no ratio
-    instance = dict(inequality="s_p_inf", p=2, dim=4, seq_len=3, budget=20, restarts=2, seed=1)
+SP_INF_SEARCH = dict(inequality="s_p_inf", p=2, dim=4, seq_len=3, budget=20, restarts=2, seed=1)
+
+
+def test_search_whose_witness_replays_with_no_ratio(tmp_path, capsys, monkeypatch):
+    # a kernel whose nonzero rhs is inf at p = 1e6, as an overflowing norm would
+    # give: the witness cannot be normalized to rhs = 1 and its replay has no ratio
+    record = INEQUALITIES["s_p_inf"]
+
+    def overflowing(xs, filt, p, q, lag, ys):
+        lhs, rhs, *ends = record.kernel(xs, filt, p, q, lag, ys)
+        return (lhs, NormValue(math.inf, "upper") if p == 1e6 and rhs.value > 0 else rhs, *ends)
+
+    monkeypatch.setitem(INEQUALITIES, "s_p_inf", dataclasses.replace(record, kernel=overflowing))
     out = tmp_path / "t.csv"
     cfg = parse_config(cfg_text(command="table", points=[[2, None], [1000000, None]],
-                                out=str(out), **instance))
-    with np.errstate(over="ignore"):
-        assert run_command(cfg) == 0
+                                out=str(out), **SP_INF_SEARCH))
+    assert run_command(cfg) == 0
     assert "point (p=1000000.0, q=None) failed: " in capsys.readouterr().err
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [(row["p"], row["ratio"] != "") for row in rows] == [("2", True), ("1000000", False)]
-    cfg = parse_config(cfg_text(command="search", **{**instance, "p": 1000000}))
-    with np.errstate(over="ignore"):
-        assert run_command(cfg) == 1
+    cfg = parse_config(cfg_text(command="search", **{**SP_INF_SEARCH, "p": 1000000}))
+    assert run_command(cfg) == 1
     assert capsys.readouterr().err.startswith("ncstein: error: ")
+
+
+def test_large_p_table_reports_finite_ratios(tmp_path, capsys):
+    # the norms scale by the top of each spectrum, so no side overflows at p = 1e6
+    out = tmp_path / "t.csv"
+    cfg = parse_config(cfg_text(command="table", points=[[2, None], [1000000, None]],
+                                out=str(out), **SP_INF_SEARCH))
+    assert run_command(cfg) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["p"] for row in rows] == ["2", "1000000"]
+    assert all(math.isfinite(float(row["ratio"])) for row in rows)
 
 
 def test_matrix_wire_format_round_trip():

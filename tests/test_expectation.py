@@ -145,6 +145,15 @@ def test_tower_property(kind, kwargs):
     assert tower_residual(filt, trials=20, seed=3) <= 1e-10
 
 
+def test_residuals_need_a_trial():
+    # zero trials would report 0.0, a pass that checked nothing
+    filt = build_filtration("dyadic", 4)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        tower_residual(filt, trials=0, seed=3)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        axiom_residuals(filt.levels[0], trials=0, seed=3)
+
+
 def test_level_index():
     assert level_index(0, 1, 3) == 0
     assert level_index(2, 1, 3) == 1

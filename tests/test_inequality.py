@@ -311,7 +311,7 @@ def test_crp_stein_fixed_terms():
 def test_crp_stein_small_p_observational():
     filt = dyadic(2)
     seq = project_adapted(psd_seq(2, 2, 7), filt, 0)
-    rep = check_crp_stein(seq, filt, 1.5, seed=1)
+    rep = check_crp_stein(seq, filt, 1.5)
     assert np.isfinite(rep.ratio)
     assert rep.lhs.bound == "upper" and rep.rhs.bound == "upper"
     assert not rep.certifying

@@ -133,7 +133,7 @@ def test_crp_split_branch_feasibility():
 def test_crp_split_agrees_with_max_at_p2():
     # the infimal-splitting value at p = 2 must match the max branch
     seq = [sample_hermitian(2, s) for s in range(2)]
-    split = _crp_split(np.stack(seq).astype(complex), 2.0, seed=0, max_steps=500)
+    split = _crp_split(np.stack(seq).astype(complex), 2.0)
     assert split.value == pytest.approx(crp_norm(seq, 2).value, abs=1e-6)
 
 
@@ -247,6 +247,27 @@ def test_barrier_derivatives_match_finite_differences():
             fd_hess = (_newton_system(xs, a + step, p, 2.0, basis)[0]
                        - _newton_system(xs, a - step, p, 2.0, basis)[0]) / (2 * eps)
             np.testing.assert_allclose(fd_hess, hess[:, k], rtol=1e-5, atol=1e-6)
+
+
+def test_large_exponents_do_not_overflow():
+    # ||1e3 1||^p passes 1e308 at p = 200; each norm scales by the top of its spectrum
+    big = 1e3 * np.eye(2)
+    assert schatten_norm(big, 200) == 1000.0
+    assert column_q_norm([big], 200, 1.5).value == pytest.approx(1000.0, rel=1e-14)
+    seq = [big, big / 2]
+    br = linf_norm_positive(seq, 200)
+    assert br.upper.value == pytest.approx(1000.0, rel=1e-12)
+    assert (br.upper.value - br.lower.value) / br.upper.value <= 1e-5
+    # both certificates re-checked from their matrices alone
+    cert, wit = br.lower.certificate, br.upper.certificate
+    w = np.clip(np.linalg.eigvalsh(herm(sum(cert.duals))), 0.0, None)
+    assert cert.feasibility <= 1 + 1e-8 and np.mean(w ** (200 / 199)) <= 1 + 1e-8
+    pairing = sum(np.trace(x @ y).real / 2 for x, y in zip(seq, cert.duals))
+    assert pairing == pytest.approx(br.lower.value, rel=1e-10)
+    assert wit.residual <= 1e-8 * 1000
+    for x, y in zip(seq, wit.contractions):
+        assert op_norm(y) <= 1 + 1e-8
+        assert op_norm(wit.left @ y @ wit.right - x) <= 1e-8 * op_norm(x)
 
 
 def test_linf_bracket_order():
