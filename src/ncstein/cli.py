@@ -153,8 +153,8 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
 
 
 # every key of a config document or a witness instance: the RunConfig field it
-# sets and its parser, in the order the keys are checked; build_filtration
-# checks the filtration kind
+# sets and its parser, in the order the keys are checked; SearchConfig checks
+# the filtration kind
 _KEYS = {
     "command": ("command", _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
                                     f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}")),
@@ -197,8 +197,9 @@ def _fields(data: dict) -> dict:
 
 
 def _build(fields: dict) -> RunConfig:
-    """The RunConfig of fields, its filtration built and, for an inequality
-    instance, the checks between fields run; ConfigError when one fails."""
+    """The RunConfig of fields, its filtration built (a process instance
+    builds none) and, for an inequality instance, the checks between fields
+    run; ConfigError when one fails."""
     try:
         cfg = RunConfig(**fields)
         cfg.filt  # the command's one build of its filtration
@@ -366,10 +367,8 @@ def decode_matrix(obj) -> np.ndarray:
     """Inverse of encode_matrix with strict validation."""
     if not isinstance(obj, dict) or set(obj) != {"dim", "entries"}:
         raise ConfigError("matrix objects need exactly the keys 'dim' and 'entries'")
-    dim = obj["dim"]
+    dim = _at_least(1)(obj["dim"], "matrix dim")
     entries = obj["entries"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError(f"matrix 'dim' must be a positive integer, got {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ConfigError(f"matrix 'entries' must hold dim^2 = {dim * dim} pairs")
     flat = []
@@ -391,9 +390,10 @@ def _write_witness(path: str, cfg: RunConfig, result) -> None:
         handle.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _load_witness(path: str) -> tuple[RunConfig, dict]:
+def _load_witness(path: str) -> tuple[RunConfig, tuple]:
     """A witness file's instance, validated as a config document's is, with
-    seq_len the number of stored matrices, and its checker inputs."""
+    seq_len the number of stored matrices, and its run_inequality arguments
+    (seq, filt, isometries)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = _load_json(handle.read(), "witness file")
@@ -411,10 +411,8 @@ def _load_witness(path: str) -> tuple[RunConfig, dict]:
     if not ineq.searchable:
         raise ConfigError(f"{ineq.id!r} witnesses are not replayable")
     cfg = _instance(fields)
-    inputs = {"x": matrices[0]} if ineq.input_kind == "operator" else {"seq": matrices}
-    if ineq.input_kind == "isometry-seq":
-        inputs["isometries"] = isometry_family(cfg.dim, len(matrices), cfg.seed)
-    return cfg, inputs
+    return cfg, (matrices, cfg.filt,
+                 isometry_family(cfg.inequality_id, cfg.dim, len(matrices), cfg.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +440,12 @@ def _run_axioms(cfg: RunConfig):
 
 def _run_check(cfg: RunConfig):
     if cfg.witness is not None:
-        cfg, inputs = _load_witness(cfg.witness)
+        cfg, (seq, filt, isometries) = _load_witness(cfg.witness)
     else:
-        inputs = seeded_inputs(cfg.inequality_id, cfg.dim, cfg.seq_len, cfg.filt, cfg.seed,
-                               cfg.probabilities)
-    classical = get_inequality(cfg.inequality_id).input_kind == "process"
-    report = run_inequality(cfg.inequality_id, inputs, None if classical else cfg.filt,
-                            cfg.p, cfg.q, cfg.lag)
-    rows = [_report_row(cfg, report, 1, "classical" if classical else None)]
+        seq, filt, isometries = seeded_inputs(cfg.inequality_id, cfg.dim, cfg.seq_len,
+                                              cfg.filt, cfg.seed, cfg.probabilities)
+    report = run_inequality(cfg.inequality_id, seq, filt, cfg.p, cfg.q, cfg.lag, isometries)
+    rows = [_report_row(cfg, report, 1, "classical" if cfg.filt is None else None)]
     violated = ceiling_violated(report)
     if (cfg.assert_ratio_le is not None and report.ratio is not None
             and report.ratio > cfg.assert_ratio_le):

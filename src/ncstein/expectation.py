@@ -231,6 +231,9 @@ class Filtration:
         return self._plans[length, lag]
 
 
+FILTRATION_KINDS = ("dyadic", "tensor")  # the stock families build_filtration builds
+
+
 def build_filtration(kind: str, dim: int | None = None,
                      local_dims: Sequence[int] | None = None) -> Filtration:
     """Build one of the two stock filtration families; the one place that

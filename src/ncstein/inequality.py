@@ -6,6 +6,13 @@ exact; ell_inf-based sides are brackets, and a violation of a bound is only
 certified when the lhs lower end beats the rhs upper end, so optimizer slack
 can never manufacture counterexamples.
 
+Every check is one call, run_inequality(id, seq, filt, p, q, lag,
+isometries=None): the operator sequence (x_n), the filtration its conditional
+expectations come from, the exponents and the lag. doob_maximal's sequence
+holds its one operator; a process over a classical base is embedded into one
+tracial space first (embed_process), so it arrives as a sequence on its
+classical chain like any other.
+
 Every fact about an inequality id (default lag, input kind, exponent domain,
 proved ceiling, kernel) lives in its one Inequality record in INEQUALITIES.
 """
@@ -36,7 +43,6 @@ from .opcore import (
     op_norm,
     psd_power,
     schatten_norm,
-    _psd_flags,
 )
 from .seqnorm import (
     NormValue,
@@ -150,72 +156,65 @@ def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
     q > p instance for adapted sequences is check_adapted_s12. Sequences must
     be positive unless q = 2.
     """
-    return run_inequality(inequality_id, {"seq": seq}, filt, p, q, lag)
+    return run_inequality(inequality_id, seq, filt, p, q, lag)
 
 
-def check_adapted_s12(seq: Sequence, filt: Filtration, lag: int = 1,
-                      inequality_id: str = "s_12_adapted") -> RatioReport:
+def check_adapted_s12(seq: Sequence, filt: Filtration, lag: int = 1) -> RatioReport:
     """The adapted instance at (p, q) = (1, 2) with one-step-behind
     conditioning, where the ratio is capped by the proved constant 2.
 
     Adaptedness (term n inside level n) is a precondition and is verified.
     """
-    return run_inequality(inequality_id, {"seq": seq}, filt, 1, 2, lag)
+    return run_inequality("s_12_adapted", seq, filt, 1, 2, lag)
 
 
 def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
-                         p, q, lag: int = 0,
-                         inequality_id: str = "s_isometry") -> RatioReport:
+                         p, q, lag: int = 0) -> RatioReport:
     """Conjugated variant: ||(sum (E(y* x y))^q)^(1/q)||_p against
     ||(sum y* x^q y)^(1/q)||_p for unitaries y_n and positive x_n.
 
     With identity isometries both sides collapse to check_stein_pq at lag 0.
     """
-    return run_inequality(inequality_id, {"seq": seq, "isometries": isometries}, filt, p, q, lag)
+    return run_inequality("s_isometry", seq, filt, p, q, lag, isometries)
 
 
-def check_dual_doob(seq: Sequence, filt: Filtration, p,
-                    inequality_id: str = "dd_p") -> RatioReport:
+def check_dual_doob(seq: Sequence, filt: Filtration, p) -> RatioReport:
     """||sum E_n(x_n)||_p against ||sum x_n||_p for positive x_n.
 
     At p = 1 both sides equal the normalized trace of the sum, so the ratio
     is 1 up to round-off.
     """
-    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, 0)
+    return run_inequality("dd_p", seq, filt, p, None, 0)
 
 
-def check_doob_maximal(x, filt: Filtration, p,
-                       inequality_id: str = "doob_maximal") -> RatioReport:
+def check_doob_maximal(x, filt: Filtration, p) -> RatioReport:
     """ell_inf bracket of the full projection chain (E_0(x), ..., E_N(x))
     against the exact ||x||_p, for PSD x and p > 1."""
-    return run_inequality(inequality_id, {"x": x}, filt, p, None, 0)
+    return run_inequality("doob_maximal", [x], filt, p, None, 0)
 
 
-def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0,
-                 inequality_id: str = "s_p_inf") -> RatioReport:
+def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0) -> RatioReport:
     """ell_inf bracket of the conditioned sequence against the bracket of
     the inputs; the scalar ratio pairs the certified sides (lhs lower over
     rhs upper) and ratio_interval holds the full enclosure."""
-    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, lag)
+    return run_inequality("s_p_inf", seq, filt, p, None, lag)
 
 
-def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1,
-                    inequality_id: str = "crp_stein") -> RatioReport:
+def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1) -> RatioReport:
     """CR_p contraction for adapted sequences under one-step-behind
     conditioning. For p < 2 both sides are splitting upper bounds and the
     report is flagged non-certifying."""
-    return run_inequality(inequality_id, {"seq": seq}, filt, p, None, lag)
+    return run_inequality("crp_stein", seq, filt, p, None, lag)
 
 
-def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0,
-                      inequality_id: str = "projections") -> RatioReport:
+def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0) -> RatioReport:
     """Column norm of conditioned mutually orthogonal projections.
 
     Since r^q = r for projections and the family sums to at most the
     identity, the uncontracted side is at most ||1||_p = 1; the rhs is
     pinned to 1 and the ratio is the lhs itself.
     """
-    return run_inequality(inequality_id, {"projections": projs}, filt, p, q, lag)
+    return run_inequality("projections", projs, filt, p, q, lag)
 
 
 def jensen_gap(x, spec, q) -> tuple[np.ndarray, float]:
@@ -282,60 +281,48 @@ class ClassicalSpace:
         return len(self.probabilities)
 
 
-def embed_classical(space: ClassicalSpace, block_dim: int) -> tuple[Filtration, list[list[int]]]:
-    """Replicate atoms to uniform weight and build the induced filtration.
+def embed_process(process: Sequence[Sequence],
+                  space: ClassicalSpace) -> tuple[np.ndarray, Filtration]:
+    """The block-diagonal stack of a matrix-valued process over `space` and
+    the filtration it lives on.
 
-    Each atom of weight k/m becomes k slots of weight 1/m, so the uniform
-    normalized trace on the enlarged space reproduces the weighted classical
-    expectation. Returns the filtration of cell-averaging subalgebras and
-    the slot lists per atom.
+    process[w] is the sequence (f_n(w))_n at atom w. Each atom of weight k/m
+    becomes k slots of weight 1/m, one d x d diagonal block each, so the
+    uniform normalized trace on the enlarged space reproduces the weighted
+    classical expectation; the classical levels become cell-averaging
+    subalgebras over the slots.
     """
-    den = math.lcm(*(w.denominator for w in space.probabilities))
-    counts = [w.numerator * (den // w.denominator) for w in space.probabilities]
-    slots: list[list[int]] = []
-    start = 0
-    for k in counts:
-        slots.append(list(range(start, start + k)))
-        start += k
-    levels = []
-    for lv in space.levels:
-        cells = tuple(
-            tuple(s for atom in cell for s in slots[atom]) for cell in lv
-        )
-        levels.append(CellAverage(cells, block_dim))
-    return Filtration(tuple(levels)), slots
-
-
-def check_semicommutative(process: Sequence[Sequence], space: ClassicalSpace,
-                          p, q, lag: int = 0,
-                          inequality_id: str = "semicommutative") -> RatioReport:
-    """Column-norm contraction for a positive matrix-valued process over a
-    finite classical base.
-
-    process[w] is the sequence (f_n(w))_n at atom w. The process embeds
-    block-diagonally (one block per replicated slot) into a single tracial
-    space, the classical filtration becomes a chain of cell-averaging
-    subalgebras, and the check runs check_stein_pq's kernel there.
-    """
-    return run_inequality(inequality_id, {"process": process, "space": space}, None, p, q, lag)
-
-
-def _embedded(process: Sequence[Sequence], space: ClassicalSpace) -> tuple[np.ndarray, Filtration]:
-    """The block-diagonal stack of a process over `space` and its filtration."""
     if len(process) != space.atoms:
         raise ValueError("process must supply one sequence per atom")
     per_atom = [as_stack(seq) for seq in process]
-    lengths = {len(seq) for seq in per_atom}
-    dims = {seq[0].shape[0] for seq in per_atom}
-    if len(lengths) != 1 or len(dims) != 1:
+    shapes = {seq.shape for seq in per_atom}
+    if len(shapes) != 1:
         raise ValueError("all atom sequences must share length and dimension")
-    d = dims.pop()
-    filt, slots = embed_classical(space, d)
-    embedded = np.zeros((lengths.pop(), filt.dim, filt.dim), dtype=complex)
+    n, d, _ = shapes.pop()
+    den = math.lcm(*(w.denominator for w in space.probabilities))
+    bounds = np.cumsum([0] + [w.numerator * (den // w.denominator) for w in space.probabilities])
+    slots = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    filt = Filtration(tuple(
+        CellAverage(tuple(tuple(s for atom in cell for s in slots[atom]) for cell in level), d)
+        for level in space.levels))
+    embedded = np.zeros((n, filt.dim, filt.dim), dtype=complex)
     for atom, atom_slots in enumerate(slots):
         for s in atom_slots:
             embedded[:, s * d : (s + 1) * d, s * d : (s + 1) * d] = per_atom[atom]
     return embedded, filt
+
+
+def check_semicommutative(process: Sequence[Sequence], space: ClassicalSpace,
+                          p, q, lag: int = 0) -> RatioReport:
+    """Column-norm contraction for a positive matrix-valued process over a
+    finite classical base.
+
+    process[w] is the sequence (f_n(w))_n at atom w. The process embeds
+    block-diagonally into a single tracial space (embed_process), the
+    classical filtration becomes a chain of cell-averaging subalgebras, and
+    the check runs check_stein_pq's kernel there.
+    """
+    return run_inequality("semicommutative", *embed_process(process, space), p, q, lag)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +406,14 @@ def get_inequality(inequality_id: str) -> Inequality:
         raise ValueError(f"unknown inequality {inequality_id!r}") from None
 
 
-def _checked_inputs(kind: str, inputs: dict, filt: Filtration | None, q: float | None):
-    """The trusted stacks (xs, ys) of a checker's inputs and the filtration they live
-    on, after the one check of their input kind; ValueError when it fails."""
-    ys = None
-    if kind == "process":
-        xs, filt = _embedded(inputs["process"], inputs["space"])
-    elif kind == "operator":
-        xs = as_stack([inputs["x"]])
-        if not _psd_flags(xs)[0]:
-            raise ValueError("input operator must be positive semidefinite")
-    else:
-        xs = as_stack(inputs["projections" if kind == "projections" else "seq"])
+def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtration,
+                  q: float | None) -> None:
+    """The one check of an input kind on the stacks of a checker's sequence (xs)
+    and isometries (ys); ValueError when it fails."""
     if kind == "adapted-seq" and (residual := _adapted_residual(xs, filt, 0)) > ADAPTED_TOL:
         raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
     elif kind == "isometry-seq":
-        ys = as_stack(inputs["isometries"])
-        if len(ys) != len(xs):
+        if ys is None or len(ys) != len(xs):
             raise ValueError("sequence and isometries must have equal length")
         _require_positive(xs)
         eye = np.eye(xs.shape[1])
@@ -449,19 +427,29 @@ def _checked_inputs(kind: str, inputs: dict, filt: Filtration | None, q: float |
             for m in range(n):
                 if op_norm(xs[m] @ r) > PROJECTION_TOL:
                     raise ValueError(f"projections {m} and {n} are not orthogonal")
+    elif kind == "operator":
+        if len(xs) != 1:
+            raise ValueError(f"the sequence must hold one operator, got {len(xs)}")
+        _require_positive(xs)
     elif kind in ("positive-seq", "process") and q != 2:
         _require_positive(xs)
-    return xs, ys, filt
 
 
-def run_inequality(inequality_id: str, inputs: dict, filt: Filtration,
-                   p, q, lag: int) -> RatioReport:
-    """The one validating path of every checker, the CLI and the search's replay:
-    the exponents against the id's domain, then the inputs by their kind, then
-    the id's trusted kernel."""
+def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q, lag: int,
+                   isometries: Sequence | None = None) -> RatioReport:
+    """The one validating path of every checker, the CLI and the search's replay.
+
+    seq is the operator sequence (one operator for doob_maximal), filt the
+    filtration it lives on and isometries the unitaries s_isometry pairs with
+    it. Checks the exponents against the id's domain, then the inputs as
+    finite equal-size (n, d, d) stacks by the id's input kind, then runs the
+    id's trusted kernel.
+    """
     ineq = get_inequality(inequality_id)
     p, q = ineq.validate(p, q)
-    xs, ys, filt = _checked_inputs(ineq.input_kind, inputs, filt, q)
+    xs = as_stack(seq)
+    ys = None if isometries is None else as_stack(isometries)
+    _check_inputs(ineq.input_kind, xs, ys, filt, q)
     lhs, rhs, *ends = ineq.kernel(xs, filt, p, q, lag, ys)
     return _make_report(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 

@@ -90,11 +90,6 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def _eig_clamp(w: np.ndarray) -> float:
-    scale = max(1.0, float(abs(w[0])), float(abs(w[-1])))
-    return EIG_CLAMP_REL * scale
-
-
 def abs_op(x) -> np.ndarray:
     """Absolute value |x| = (x* x)^(1/2); always PSD."""
     a = as_operator(x)
@@ -106,19 +101,17 @@ def abs_op(x) -> np.ndarray:
 def psd_power(a, r) -> np.ndarray:
     """Fractional power a^r of a PSD operator through its eigenbasis.
 
-    Eigenvalues in [-clamp, 0) are flushed to zero before powering, with
-    clamp = EIG_CLAMP_REL * max(1, ||a||); spectrum below -clamp means the
-    input is not PSD and is rejected.
+    The input must pass is_psd; eigenvalues in its clamp band below 0 are
+    flushed to zero before powering.
     """
     r = float(r)
     if not r > 0:
         raise ValueError(f"power must be positive, got {r}")
-    w, u = hermitian_eig(a)
-    clamp = _eig_clamp(w)
-    if w[0] < -clamp:
-        raise ValueError(
-            f"operator is not PSD: min eigenvalue {w[0]:.3e} below -{clamp:.3e}"
-        )
+    a = as_operator(a)
+    w, u = np.linalg.eigh(herm(a))
+    if not _psd_flags(a[None], w[None])[0]:
+        raise ValueError(f"operator is not PSD: not Hermitian within tolerance, or min "
+                         f"eigenvalue {w[0]:.3e} below the clamp")
     s = np.clip(w, 0.0, None) ** r
     return herm((u * s) @ u.conj().T)
 

@@ -19,8 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .expectation import Filtration, build_filtration, _cond_exp_stack, _condition
-from .inequality import ClassicalSpace, RatioReport, get_inequality, run_inequality
+from .expectation import (FILTRATION_KINDS, Filtration, build_filtration, _cond_exp_stack,
+                          _condition)
+from .inequality import (ClassicalSpace, RatioReport, embed_process, get_inequality,
+                         run_inequality)
 from .opcore import (as_stack, herm, sample_projection_family, sample_unitary,
                      _complex_gaussian, _complex_gaussians)
 from .seqnorm import _abs_q_stack
@@ -34,7 +36,8 @@ class SearchConfig:
     """Parameters of one extremal-ratio search.
 
     Construction checks each field on its own and fills in the default lag;
-    `filt` is the filtration the config names, built once on first use;
+    `filt` is the filtration the config names, built once on first use (None
+    for a `process` instance, whose inputs bring their classical chain);
     `resolve` checks the fields against each other.
     """
 
@@ -64,9 +67,14 @@ class SearchConfig:
             raise ValueError("step_scale must be positive")
         if self.lag is None and self.inequality_id is not None:
             object.__setattr__(self, "lag", get_inequality(self.inequality_id).default_lag)
+        if self.filtration not in FILTRATION_KINDS:
+            raise ValueError(f"invalid filtration: unknown filtration kind {self.filtration!r}")
 
     @cached_property
-    def filt(self) -> Filtration:
+    def filt(self) -> Filtration | None:
+        if (self.inequality_id is not None
+                and get_inequality(self.inequality_id).input_kind == "process"):
+            return None
         try:
             return build_filtration(self.filtration, self.dim, self.local_dims)
         except ValueError as exc:
@@ -126,15 +134,19 @@ def project_adapted(seq, filt: Filtration, lag: int = 0) -> list[np.ndarray]:
     return list(_condition(as_stack(seq), filt, lag))
 
 
-def isometry_family(dim: int, seq_len: int, seed: int) -> list[np.ndarray]:
-    """The deterministic unitary family paired with a (dim, seed) instance."""
-    return [sample_unitary(dim, seed + 7_000_000 + n) for n in range(seq_len)]
+def isometry_family(inequality_id: str, dim: int, seq_len: int, seed: int) -> np.ndarray | None:
+    """The deterministic unitary stack an instance of `inequality_id` at (dim, seed)
+    pairs with its sequence, or None when the id takes no isometries."""
+    if get_inequality(inequality_id).input_kind != "isometry-seq":
+        return None
+    return np.stack([sample_unitary(dim, seed + 7_000_000 + n) for n in range(seq_len)])
 
 
-def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration,
-                  seed: int, probabilities: tuple[Fraction, ...] | None = None) -> dict:
-    """Deterministic checker inputs for one inequality instance; a `process`
-    instance takes its atom weights from `probabilities`."""
+def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration | None,
+                  seed: int, probabilities: tuple[Fraction, ...] | None = None) -> tuple:
+    """The run_inequality arguments (seq, filt, isometries) of one deterministic
+    instance. A `process` instance takes its atom weights from `probabilities`
+    and returns its embedded stack and classical chain in place of `filt`."""
     kind = get_inequality(inequality_id).input_kind
     if kind == "process":
         if probabilities is None:
@@ -151,20 +163,18 @@ def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration,
             [herm(g.conj().T @ g) for g in (_complex_gaussian(rng, dim) for _ in range(seq_len))]
             for _ in range(atoms)
         ]
-        return {"process": process, "space": ClassicalSpace(probabilities, tuple(levels))}
+        return *embed_process(process, ClassicalSpace(probabilities, tuple(levels))), None
     rng = np.random.default_rng([int(seed), 0x5EED])
     if kind == "operator":
         z = _complex_gaussian(rng, dim)
-        return {"x": herm(z.conj().T @ z)}
-    if kind == "projections":
-        return {"projections": sample_projection_family(dim, min(seq_len, dim), seed)}
-    seq = [herm(g.conj().T @ g) for g in (_complex_gaussian(rng, dim) for _ in range(seq_len))]
-    if kind == "adapted-seq":
-        seq = project_adapted(seq, filt, 0)
-    inputs: dict = {"seq": seq}
-    if kind == "isometry-seq":
-        inputs["isometries"] = isometry_family(dim, seq_len, seed)
-    return inputs
+        seq = [herm(z.conj().T @ z)]
+    elif kind == "projections":
+        seq = sample_projection_family(dim, min(seq_len, dim), seed)
+    else:
+        seq = [herm(g.conj().T @ g) for g in (_complex_gaussian(rng, dim) for _ in range(seq_len))]
+        if kind == "adapted-seq":
+            seq = project_adapted(seq, filt, 0)
+    return seq, filt, isometry_family(inequality_id, dim, seq_len, seed)
 
 
 def estimate_constant(cfg: SearchConfig) -> SearchResult:
@@ -189,9 +199,7 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
     kind = ineq.input_kind
     adapted = kind == "adapted-seq" or cfg.adapted_only
     n_mats = 1 if kind == "operator" else cfg.seq_len
-    isometries = None
-    if kind == "isometry-seq":
-        isometries = as_stack(isometry_family(cfg.dim, n_mats, cfg.seed))
+    isometries = isometry_family(cfg.inequality_id, cfg.dim, n_mats, cfg.seed)
 
     def evaluate(zs):
         xs = herm(zs.conj().swapaxes(1, 2) @ zs)
@@ -203,10 +211,7 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
         return (lhs.value / rhs.value if rhs.value > 0 else None), xs
 
     def replay(xs):
-        inputs = {"x": xs[0]} if kind == "operator" else {"seq": list(xs)}
-        if isometries is not None:
-            inputs["isometries"] = isometries
-        return run_inequality(cfg.inequality_id, inputs, filt, p, q, lag)
+        return run_inequality(cfg.inequality_id, xs, filt, p, q, lag, isometries)
 
     evaluations = 0
     per_restart = cfg.budget // cfg.restarts

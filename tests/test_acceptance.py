@@ -113,8 +113,7 @@ def test_criterion_04_adapted_s12_constant_two():
     result = nc.estimate_constant(cfg)
     assert result.best_ratio <= 2 + 1e-6
     filt = nc.build_filtration("dyadic", 8)
-    replay = run_inequality("s_12_adapted", {"seq": list(result.witness)},
-                            filt, 1, 2, 1)
+    replay = run_inequality("s_12_adapted", result.witness, filt, 1, 2, 1)
     assert abs(replay.ratio - result.best_ratio) <= 1e-10
     elapsed = time.time() - t0
     assert elapsed < 180

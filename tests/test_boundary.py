@@ -34,7 +34,7 @@ def test_boundary_checks_once_then_runs_the_kernel(inequality_id, dim, seed, dat
     p, q = EXPONENTS[inequality_id]
     ineq = INEQUALITIES[inequality_id]
 
-    report = run_inequality(inequality_id, {"seq": list(xs)}, filt, p, q, 0)
+    report = run_inequality(inequality_id, xs, filt, p, q, 0)
     kernel = ineq.kernel(xs, filt, *ineq.validate(p, q), 0, None)
     assert sides(report) == [(side.value, side.bound) for side in kernel]
 
@@ -42,10 +42,10 @@ def test_boundary_checks_once_then_runs_the_kernel(inequality_id, dim, seed, dat
     flipped = xs.copy()
     flipped[bad] *= -1
     with pytest.raises(ValueError, match=f"sequence item {bad} is not positive semidefinite"):
-        run_inequality(inequality_id, {"seq": list(flipped)}, filt, p, q, 0)
+        run_inequality(inequality_id, flipped, filt, p, q, 0)
 
     adapted = _condition(xs, filt, 0)
     off = data.draw(st.integers(0, n - 1), label="non-adapted term")
     adapted[off] = xs[off]  # z* z lies in no proper pinching
     with pytest.raises(ValueError, match="not adapted"):
-        run_inequality("s_12_adapted", {"seq": list(adapted)}, filt, 1, 2, 1)
+        run_inequality("s_12_adapted", adapted, filt, 1, 2, 1)

@@ -242,6 +242,18 @@ def test_semicommutative_check_runs(tmp_path):
                                 probabilities=[[1, 3], [2, 3]], out=str(out)))
     assert run_command(cfg) == 0
     assert out.read_text().count("\n") == 2
+    # the check runs on its own classical chain and builds no stock filtration:
+    # a block dim no stock filtration takes (dyadic needs a power of 2) used to
+    # be refused as an invalid filtration
+    for instance in (dict(dim=3), dict(dim=8, filtration="tensor", local_dims=[2, 2, 2])):
+        cfg = parse_config(cfg_text(command="check", inequality="semicommutative", p=2,
+                                    q=1.5, seq_len=2, out=str(out), **instance))
+        assert cfg.filt is None and run_command(cfg) == 0, instance
+        row = dict(zip(CSV_COLUMNS, out.read_text().splitlines()[1].split(",")))
+        assert (row["dim"], row["filtration"]) == (str(instance["dim"]), "classical")
+    with pytest.raises(ConfigError, match="unknown filtration kind 'weird'"):
+        parse_config(cfg_text(command="check", inequality="semicommutative", p=2, q=1.5,
+                              dim=3, filtration="weird"))
 
 
 def test_probabilities_must_be_integer_fractions():
@@ -441,8 +453,10 @@ def test_witness_rejects_malformed_fields(tmp_path, capsys):
     witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
                                         seq_len=3, budget=20, restarts=2)
     payload = json.loads(witness_path.read_text())
+    # a 1 x 1 matrix with dim true used to escape as a TypeError
+    bool_dim = [{"dim": True, "entries": [[1.0, 0.0]]}] * 3
     for key, value in (("witness", 5), ("local_dims", 7), ("seed", [1]), ("dim", "4"),
-                       ("best_ratio", "x")):
+                       ("best_ratio", "x"), ("witness", bool_dim)):
         witness_path.write_text(json.dumps({**payload, key: value}))
         cfg = parse_config(cfg_text(command="check", witness=str(witness_path)))
         assert run_command(cfg) == 1, key
@@ -475,7 +489,7 @@ def test_reports_identical_across_blas_thread_counts(tmp_path):
     assert outputs["search", "1"][1] is not None
 
 
-def test_witness_seq_len_is_its_number_of_matrices(tmp_path):
+def test_witness_seq_len_is_its_number_of_matrices(tmp_path, capsys):
     # the stored seq_len used to be the config's, and the replay printed it
     # as stored: an edited 99 replayed with exit 0 and printed 99
     witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
@@ -496,6 +510,11 @@ def test_witness_seq_len_is_its_number_of_matrices(tmp_path):
                                      budget=20, restarts=2)
     doob = json.loads(doob_path.read_text())
     assert len(doob["witness"]) == 1 and doob["seq_len"] == 1
+    # a second stored operator was dropped and the replay printed seq_len 2
+    doob_path.write_text(json.dumps({**doob, "witness": doob["witness"] * 2}))
+    assert run_command(parse_config(cfg_text(command="check", witness=str(doob_path)))) == 1
+    assert capsys.readouterr().err == (
+        "ncstein: error: the sequence must hold one operator, got 2\n")
 
 
 def test_seed_overrides_pass_the_config_seed_check(tmp_path):

@@ -36,7 +36,8 @@ from ncstein import (
     schatten_norm,
 )
 from ncstein.cli import ConfigError, parse_config
-from ncstein.inequality import INEQUALITIES, ceiling_violated, run_inequality, _make_report
+from ncstein.inequality import (INEQUALITIES, ceiling_violated, embed_process, run_inequality,
+                                _make_report)
 from ncstein.search import seeded_inputs
 from ncstein.seqnorm import NormValue
 
@@ -433,15 +434,21 @@ def test_semicommutative_scalar_oracle():
 
 
 def test_semicommutative_weighted_embedding():
-    from ncstein.inequality import embed_classical
-
     space = ClassicalSpace(
         (Fraction(1, 3), Fraction(2, 3)),
         (((0, 1),), ((0,), (1,))),
     )
-    filt, slots = embed_classical(space, 2)
-    # denominators force three slots of weight 1/3; atom 1 owns two of them
-    assert filt.dim == 6 and slots == [[0], [1, 2]]
+    a, b = sample_psd(2, 1), sample_psd(2, 2)
+    stack, filt = embed_process([[a, 2 * a], [b, 3 * b]], space)
+    # denominators force three slots of weight 1/3; atom 1 owns slots 1 and 2
+    assert filt.dim == 6 and stack.shape == (2, 6, 6)
+    assert [level.cells for level in filt.levels] == [((0, 1, 2),), ((0,), (1, 2))]
+    want = np.zeros((2, 6, 6), dtype=complex)
+    for n, scale in enumerate((1, 2)):
+        want[n, :2, :2] = scale * a
+    for n, scale in enumerate((1, 3)):
+        want[n, 2:4, 2:4] = want[n, 4:, 4:] = scale * b
+    np.testing.assert_array_equal(stack, want)
     eye = np.eye(2, dtype=complex)
     process = [[eye, eye], [eye, eye]]
     rep = check_semicommutative(process, space, 3, 2)
@@ -497,12 +504,18 @@ def test_classical_dyadic_chain_with_real_averaging():
 
 def test_run_inequality_dispatch_and_validation():
     filt = dyadic(4)
-    rep = run_inequality("dd_p", {"seq": psd_seq(4, 2, 2)}, filt, 2, None, 0)
+    rep = run_inequality("dd_p", psd_seq(4, 2, 2), filt, 2, None, 0)
     assert rep.inequality_id == "dd_p"
     with pytest.raises(ValueError, match="s_qq needs p = q"):
-        run_inequality("s_qq", {"seq": psd_seq(4, 2, 2)}, filt, 2, 3, 1)
+        run_inequality("s_qq", psd_seq(4, 2, 2), filt, 2, 3, 1)
     with pytest.raises(ValueError, match="unknown inequality"):
-        run_inequality("nope", {}, filt, 2, 2, 0)
+        run_inequality("nope", [], filt, 2, 2, 0)
+    # doob_maximal's sequence holds its one operator
+    x, y = psd_seq(4, 2, 3)
+    one = run_inequality("doob_maximal", [x], filt, 2, None, 0)
+    assert one.ratio_interval == check_doob_maximal(x, filt, 2).ratio_interval
+    with pytest.raises(ValueError, match="must hold one operator, got 2"):
+        run_inequality("doob_maximal", [x, y], filt, 2, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +568,8 @@ def test_one_exponent_domain_per_inequality():
     filt = dyadic(2)
     direct = _direct_checkers()
     for inequality_id, ineq in INEQUALITIES.items():
-        if ineq.input_kind == "process":
-            space, process = _classical_instance()
-            inputs = {"process": process, "space": space}
-        else:
-            inputs = seeded_inputs(inequality_id, 2, 2, filt, 3)
+        seq, seq_filt, isometries = seeded_inputs(inequality_id, 2, 2, filt, 3,
+                                                  (Fraction(1, 2),) * 2)
         points = [(p, q) for p in GRID for q in (GRID if ineq.uses_q else (None,))]
         accepted = set()
         for p, q in points:
@@ -574,7 +584,7 @@ def test_one_exponent_domain_per_inequality():
                 assert str(exc).startswith(f"{inequality_id} needs "), exc
                 by_config = False
             by_dispatch = _accepts(lambda: run_inequality(
-                inequality_id, inputs, filt, p, q, ineq.default_lag), inequality_id)
+                inequality_id, seq, seq_filt, p, q, ineq.default_lag, isometries), inequality_id)
             assert by_dispatch == by_config, (inequality_id, p, q)
             if inequality_id in direct:
                 by_checker = _accepts(lambda: direct[inequality_id](p, q), inequality_id)

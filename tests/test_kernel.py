@@ -91,18 +91,18 @@ def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
     assert abs(lhs / rhs - oracle_ratio(seq, filt, p, q, lag)) <= 1e-12
 
 
-# each searchable id's public checker at one instance: (p, q, lag, checker(inputs, filt))
+# each searchable id's public checker at one instance:
+# (p, q, lag, checker(seq, filt, isometries))
 CHECKERS = {
-    "s_pq": (3.0, 1.5, 0, lambda i, f: check_stein_pq(i["seq"], f, 3, 1.5, 0)),
-    "s_qq": (1.5, 1.5, 1, lambda i, f: check_stein_pq(i["seq"], f, 1.5, 1.5, 1,
-                                                       inequality_id="s_qq")),
-    "s_12_adapted": (1.0, 2.0, 1, lambda i, f: check_adapted_s12(i["seq"], f)),
-    "s_isometry": (3.0, 1.5, 0, lambda i, f: check_stein_isometry(i["seq"], i["isometries"],
-                                                                   f, 3, 1.5)),
-    "dd_p": (2.0, None, 0, lambda i, f: check_dual_doob(i["seq"], f, 2)),
-    "doob_maximal": (2.0, None, 0, lambda i, f: check_doob_maximal(i["x"], f, 2)),
-    "s_p_inf": (2.0, None, 0, lambda i, f: check_sp_inf(i["seq"], f, 2)),
-    "crp_stein": (1.5, None, 1, lambda i, f: check_crp_stein(i["seq"], f, 1.5)),
+    "s_pq": (3.0, 1.5, 0, lambda s, f, y: check_stein_pq(s, f, 3, 1.5, 0)),
+    "s_qq": (1.5, 1.5, 1, lambda s, f, y: check_stein_pq(s, f, 1.5, 1.5, 1,
+                                                          inequality_id="s_qq")),
+    "s_12_adapted": (1.0, 2.0, 1, lambda s, f, y: check_adapted_s12(s, f)),
+    "s_isometry": (3.0, 1.5, 0, lambda s, f, y: check_stein_isometry(s, y, f, 3, 1.5)),
+    "dd_p": (2.0, None, 0, lambda s, f, y: check_dual_doob(s, f, 2)),
+    "doob_maximal": (2.0, None, 0, lambda s, f, y: check_doob_maximal(s[0], f, 2)),
+    "s_p_inf": (2.0, None, 0, lambda s, f, y: check_sp_inf(s, f, 2)),
+    "crp_stein": (1.5, None, 1, lambda s, f, y: check_crp_stein(s, f, 1.5)),
 }
 
 
@@ -114,12 +114,10 @@ def test_checkers_cover_every_searchable_id():
 def test_kernel_sides_equal_checker_sides(inequality_id):
     filt = build_filtration("dyadic", 4)
     p, q, lag, checker = CHECKERS[inequality_id]
-    inputs = seeded_inputs(inequality_id, 4, 3, filt, 5)
-    xs = as_stack([inputs["x"]] if "x" in inputs else inputs["seq"])
-    ys = as_stack(inputs["isometries"]) if "isometries" in inputs else None
+    seq, filt, isometries = seeded_inputs(inequality_id, 4, 3, filt, 5)
     ineq = INEQUALITIES[inequality_id]
-    sides = ineq.kernel(xs, filt, *ineq.validate(p, q), lag, ys)
-    report = checker(inputs, filt)
+    sides = ineq.kernel(as_stack(seq), filt, *ineq.validate(p, q), lag, isometries)
+    report = checker(seq, filt, isometries)
     ends = (report.lhs, report.rhs, report.lhs_upper, report.rhs_lower)
     assert [side.value for side in sides] == [end.value for end in ends if end is not None]
 

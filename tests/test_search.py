@@ -52,7 +52,7 @@ def test_witness_replay_and_normalization():
     res = estimate_constant(cfg)
     assert res.report.rhs.value == pytest.approx(1.0, rel=1e-10)
     filt = build_filtration("dyadic", 4)
-    replay = run_inequality("s_pq", {"seq": list(res.witness)}, filt, 3, 2, 0)
+    replay = run_inequality("s_pq", res.witness, filt, 3, 2, 0)
     assert abs(replay.ratio - res.best_ratio) <= 1e-10
 
 
