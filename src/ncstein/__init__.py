@@ -55,16 +55,7 @@ from .seqnorm import (
 from .inequality import (
     ClassicalSpace,
     RatioReport,
-    check_adapted_s12,
-    check_crp_stein,
-    check_doob_maximal,
-    check_dual_doob,
-    check_projections,
-    check_semicommutative,
-    check_sp_inf,
-    check_stein_isometry,
-    check_stein_pq,
-    hard_ceiling,
+    embed_process,
     jensen_gap,
     run_inequality,
 )

@@ -334,8 +334,10 @@ def _sort_key(row):
     return (row["inequality_id"], row["p"], -1.0 if q is None else q, row["seed"])
 
 
-def _report_row(cfg: RunConfig, report, evaluations=0, filtration=None, point=None) -> dict:
-    """The row of cfg's instance: the exponents and sides of report, or the
+def _report_row(cfg: RunConfig, report, evaluations=0, seq_len=None, filtration=None,
+                point=None) -> dict:
+    """The row of cfg's instance: the exponents and sides of report and the
+    number of operators checked (seq_len, default the config's), or the
     exponents `point` and empty sides when the instance failed."""
     row = {column: getattr(cfg, column) for column in INSTANCE_COLUMNS}
     if report is None:
@@ -345,7 +347,8 @@ def _report_row(cfg: RunConfig, report, evaluations=0, filtration=None, point=No
         row.update(p=report.p, q=report.q, lhs=report.lhs.value, lhs_bound=report.lhs.bound,
                    rhs=report.rhs.value, rhs_bound=report.rhs.bound, ratio=report.ratio,
                    certifying=report.certifying)
-    row.update(filtration=filtration or cfg.filtration, evaluations=evaluations)
+    row.update(seq_len=seq_len or cfg.seq_len, filtration=filtration or cfg.filtration,
+               evaluations=evaluations)
     return row
 
 
@@ -445,7 +448,7 @@ def _run_check(cfg: RunConfig):
         seq, filt, isometries = seeded_inputs(cfg.inequality_id, cfg.dim, cfg.seq_len,
                                               cfg.filt, cfg.seed, cfg.probabilities)
     report = run_inequality(cfg.inequality_id, seq, filt, cfg.p, cfg.q, cfg.lag, isometries)
-    rows = [_report_row(cfg, report, 1, "classical" if cfg.filt is None else None)]
+    rows = [_report_row(cfg, report, 1, len(seq), "classical" if cfg.filt is None else None)]
     violated = ceiling_violated(report)
     if (cfg.assert_ratio_le is not None and report.ratio is not None
             and report.ratio > cfg.assert_ratio_le):
@@ -457,7 +460,7 @@ def _run_search(cfg: RunConfig):
     result = estimate_constant(cfg)
     if cfg.witness_out is not None:
         _write_witness(cfg.witness_out, cfg, result)
-    rows = [_report_row(cfg, result.report, result.evaluations_used)]
+    rows = [_report_row(cfg, result.report, result.evaluations_used, len(result.witness))]
     return rows, ceiling_violated(result.report), CSV_COLUMNS
 
 
@@ -469,7 +472,8 @@ def _run_table(cfg: RunConfig):
             print(f"point (p={row.p}, q={row.q}) failed: {row.error}", file=sys.stderr)
             rows.append(_report_row(cfg, None, point=(row.p, row.q)))
             continue
-        rows.append(_report_row(cfg, row.result.report, row.result.evaluations_used))
+        rows.append(_report_row(cfg, row.result.report, row.result.evaluations_used,
+                                len(row.result.witness)))
         violated = violated or ceiling_violated(row.result.report)
     rows.sort(key=_sort_key)
     return rows, violated, CSV_COLUMNS

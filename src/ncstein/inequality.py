@@ -1,17 +1,16 @@
-"""Inequality checkers producing ratio reports.
+"""Inequality ratio reports.
 
-Each checker evaluates both sides of one martingale-type inequality on
-concrete inputs and reports lhs, rhs and their ratio. Closed-form sides are
-exact; ell_inf-based sides are brackets, and a violation of a bound is only
-certified when the lhs lower end beats the rhs upper end, so optimizer slack
-can never manufacture counterexamples.
+Every check is one call, run_inequality(id, seq, filt, p, q=None, lag=None,
+isometries=None): it evaluates both sides of one martingale-type inequality
+on the operator sequence (x_n) and the filtration its conditional
+expectations come from, and reports lhs, rhs and their ratio. q and lag
+default to the id's registry record. doob_maximal's sequence holds its one
+operator; a process over a classical base is embedded into one tracial space
+first (embed_process), so it arrives as a sequence on its classical chain.
 
-Every check is one call, run_inequality(id, seq, filt, p, q, lag,
-isometries=None): the operator sequence (x_n), the filtration its conditional
-expectations come from, the exponents and the lag. doob_maximal's sequence
-holds its one operator; a process over a classical base is embedded into one
-tracial space first (embed_process), so it arrives as a sequence on its
-classical chain like any other.
+Closed-form sides are exact; ell_inf-based sides are brackets, and a
+violation of a bound is only certified when the lhs lower end beats the rhs
+upper end, so optimizer slack can never manufacture counterexamples.
 
 Every fact about an inequality id (default lag, input kind, exponent domain,
 proved ceiling, kernel) lives in its one Inequality record in INEQUALITIES.
@@ -36,9 +35,9 @@ from .expectation import (
 )
 from .opcore import (
     INF,
+    as_exponent,
     as_operator,
     as_stack,
-    check_exponent,
     herm,
     op_norm,
     psd_power,
@@ -107,16 +106,23 @@ def _make_report(inequality_id, lhs, rhs, p, q, lag, lhs_upper=None, rhs_lower=N
     )
 
 
+# In every kernel E(x_n) is E_{max(n - lag, 0)}(x_n), the level the lag pairs
+# with term n, so each id conditions at the lag its report prints.
+
+
 def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int) -> np.ndarray:
     """The column norms [lhs, rhs] of E(xs) and xs."""
     return _column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q)
 
 
 def _stein_kernel(xs, filt, p, q, lag, ys):
+    # ||(sum |E(x_n)|^q)^(1/q)||_p against ||(sum |x_n|^q)^(1/q)||_p
     return tuple(map(NormValue, _stein_sides(xs, filt, p, q, lag)))
 
 
 def _isometry_kernel(xs, filt, p, q, lag, ys):
+    # ||(sum E(y_n* x_n y_n)^q)^(1/q)||_p against ||(sum y_n* x_n^q y_n)^(1/q)||_p for
+    # unitaries y_n; identity isometries give s_pq's sides
     ys_adj = ys.conj().swapaxes(1, 2)
     powers = _abs_q_stack(np.stack([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
     sums = np.stack([powers[0].sum(axis=0), (ys_adj @ powers[1] @ ys).sum(axis=0)])
@@ -124,97 +130,36 @@ def _isometry_kernel(xs, filt, p, q, lag, ys):
 
 
 def _dual_doob_kernel(xs, filt, p, q, lag, ys):
-    sums = np.stack([_condition(xs, filt, 0).sum(axis=0), xs.sum(axis=0)])
+    # ||sum E(x_n)||_p against ||sum x_n||_p; at p = 1 both sides are tau(sum x_n),
+    # since every E is trace preserving, so the ratio is 1 at either lag
+    sums = np.stack([_condition(xs, filt, lag).sum(axis=0), xs.sum(axis=0)])
     return tuple(map(NormValue, _root_norms(sums, p, 1.0)))
 
 
 def _doob_kernel(xs, filt, p, q, lag, ys):
-    # the chain (E_0(x), ..., E_N(x)) conditions one copy of x per level at lag 0
-    bracket = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=0), filt, 0), p)
+    # the ell_inf bracket of the chain (E(x))_n, one copy of x per level: E_0(x), ...,
+    # E_N(x) at lag 0 and E_0(x), E_0(x), ..., E_{N-1}(x) at lag 1; against the exact ||x||_p
+    bracket = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=0), filt, lag), p)
     return bracket.lower, NormValue(schatten_norm(xs[0], p), "exact"), bracket.upper
 
 
 def _sp_inf_kernel(xs, filt, p, q, lag, ys):
+    # the ell_inf brackets of (E(x_n)) and (x_n); the ratio pairs the certified ends
+    # (lhs lower over rhs upper) and ratio_interval holds the full enclosure
     left, right = _linf_bracket(_condition(xs, filt, lag), p), _linf_bracket(xs, p)
     return left.lower, right.upper, left.upper, right.lower
 
 
 def _crp_kernel(xs, filt, p, q, lag, ys):
+    # CR_p norms of (E(x_n)) and (x_n); below p = 2 both are splitting upper bounds,
+    # so the report is non-certifying
     return _crp(_condition(xs, filt, lag), p), _crp(xs, p)
 
 
 def _projections_kernel(xs, filt, p, q, lag, ys):
+    # the lhs of s_pq; r^q = r for projections and the family sums to at most 1, so
+    # the rhs is at most ||1||_p = 1 and is pinned to 1: the ratio is the lhs
     return NormValue(float(_column_norms(_condition(xs, filt, lag), p, q))), NormValue(1.0)
-
-
-def check_stein_pq(seq: Sequence, filt: Filtration, p, q, lag: int = 1,
-                   inequality_id: str = "s_pq") -> RatioReport:
-    """Column-norm contraction of conditioned sequences.
-
-    lhs = ||(sum |E(x_n)|^q)^(1/q)||_p against the same norm of the inputs.
-    (p, q) must lie in the domain of the `inequality_id` record; the proved
-    q > p instance for adapted sequences is check_adapted_s12. Sequences must
-    be positive unless q = 2.
-    """
-    return run_inequality(inequality_id, seq, filt, p, q, lag)
-
-
-def check_adapted_s12(seq: Sequence, filt: Filtration, lag: int = 1) -> RatioReport:
-    """The adapted instance at (p, q) = (1, 2) with one-step-behind
-    conditioning, where the ratio is capped by the proved constant 2.
-
-    Adaptedness (term n inside level n) is a precondition and is verified.
-    """
-    return run_inequality("s_12_adapted", seq, filt, 1, 2, lag)
-
-
-def check_stein_isometry(seq: Sequence, isometries: Sequence, filt: Filtration,
-                         p, q, lag: int = 0) -> RatioReport:
-    """Conjugated variant: ||(sum (E(y* x y))^q)^(1/q)||_p against
-    ||(sum y* x^q y)^(1/q)||_p for unitaries y_n and positive x_n.
-
-    With identity isometries both sides collapse to check_stein_pq at lag 0.
-    """
-    return run_inequality("s_isometry", seq, filt, p, q, lag, isometries)
-
-
-def check_dual_doob(seq: Sequence, filt: Filtration, p) -> RatioReport:
-    """||sum E_n(x_n)||_p against ||sum x_n||_p for positive x_n.
-
-    At p = 1 both sides equal the normalized trace of the sum, so the ratio
-    is 1 up to round-off.
-    """
-    return run_inequality("dd_p", seq, filt, p, None, 0)
-
-
-def check_doob_maximal(x, filt: Filtration, p) -> RatioReport:
-    """ell_inf bracket of the full projection chain (E_0(x), ..., E_N(x))
-    against the exact ||x||_p, for PSD x and p > 1."""
-    return run_inequality("doob_maximal", [x], filt, p, None, 0)
-
-
-def check_sp_inf(seq: Sequence, filt: Filtration, p, lag: int = 0) -> RatioReport:
-    """ell_inf bracket of the conditioned sequence against the bracket of
-    the inputs; the scalar ratio pairs the certified sides (lhs lower over
-    rhs upper) and ratio_interval holds the full enclosure."""
-    return run_inequality("s_p_inf", seq, filt, p, None, lag)
-
-
-def check_crp_stein(seq: Sequence, filt: Filtration, p, lag: int = 1) -> RatioReport:
-    """CR_p contraction for adapted sequences under one-step-behind
-    conditioning. For p < 2 both sides are splitting upper bounds and the
-    report is flagged non-certifying."""
-    return run_inequality("crp_stein", seq, filt, p, None, lag)
-
-
-def check_projections(projs: Sequence, filt: Filtration, p, q, lag: int = 0) -> RatioReport:
-    """Column norm of conditioned mutually orthogonal projections.
-
-    Since r^q = r for projections and the family sums to at most the
-    identity, the uncontracted side is at most ||1||_p = 1; the rhs is
-    pinned to 1 and the ratio is the lhs itself.
-    """
-    return run_inequality("projections", projs, filt, p, q, lag)
 
 
 def jensen_gap(x, spec, q) -> tuple[np.ndarray, float]:
@@ -312,19 +257,6 @@ def embed_process(process: Sequence[Sequence],
     return embedded, filt
 
 
-def check_semicommutative(process: Sequence[Sequence], space: ClassicalSpace,
-                          p, q, lag: int = 0) -> RatioReport:
-    """Column-norm contraction for a positive matrix-valued process over a
-    finite classical base.
-
-    process[w] is the sequence (f_n(w))_n at atom w. The process embeds
-    block-diagonally into a single tracial space (embed_process), the
-    classical filtration becomes a chain of cell-averaging subalgebras, and
-    the check runs check_stein_pq's kernel there.
-    """
-    return run_inequality("semicommutative", *embed_process(process, space), p, q, lag)
-
-
 # ---------------------------------------------------------------------------
 # Inequality registry
 # ---------------------------------------------------------------------------
@@ -336,7 +268,9 @@ class Inequality:
 
     `needs` states the exponent domain in words and is the error message when
     `domain(p, q)` is false (q is None unless `uses_q`). `ceiling(p, q)` is the
-    proved-constant assertion or None. `kernel(xs, filt, p, q, lag, ys)`
+    proved-constant assertion (kind, limit, tolerance) or None: 'le' asserts
+    ratio <= limit + tolerance, 'eq' |ratio - limit| <= tolerance.
+    `kernel(xs, filt, p, q, lag, ys)`
     returns the sides (lhs, rhs[, lhs_upper, rhs_lower]) from trusted stacks
     (ys: the isometries) and validates nothing. A report shows `report_q` as q
     when the id takes none.
@@ -356,10 +290,10 @@ class Inequality:
 
     def validate(self, p, q=None) -> tuple[float, float | None]:
         """The exponents as floats; ValueError outside the domain."""
-        p = check_exponent(p)
+        p = as_exponent(p)
         if self.uses_q and q is None:
             raise ValueError(f"{self.id} requires an exponent q")
-        q = check_exponent(q) if self.uses_q else None
+        q = as_exponent(q) if self.uses_q else None
         if not self.domain(p, q):
             got = f"p={p:g}" if q is None else f"p={p:g}, q={q:g}"
             raise ValueError(f"{self.id} needs {self.needs}, got {got}")
@@ -379,6 +313,7 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
                ceiling=lambda p, q: _LE_ONE if p == q else None),
     Inequality("s_qq", "positive-seq", lambda p, q: p == q < INF, "p = q finite", _stein_kernel,
                default_lag=1, uses_q=True, ceiling=lambda p, q: _LE_ONE),
+    # adapted sequences (term n inside level n) at (p, q) = (1, 2), one step behind
     Inequality("s_12_adapted", "adapted-seq", lambda p, q: (p, q) == (1, 2),
                "the fixed instance p = 1, q = 2", _stein_kernel, default_lag=1, uses_q=True,
                ceiling=lambda p, q: ("le", 2.0, 1e-6)),
@@ -389,10 +324,12 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("doob_maximal", "operator", lambda p, q: p > 1, _P_ABOVE_ONE, _doob_kernel),
     Inequality("s_p_inf", "positive-seq", lambda p, q: p > 1, _P_ABOVE_ONE, _sp_inf_kernel,
                report_q=INF),
+    # adapted sequences, one step behind
     Inequality("crp_stein", "adapted-seq", lambda p, q: 1 < p < INF, "1 < p < inf",
                _crp_kernel, default_lag=1, report_q=2.0),
     Inequality("projections", "projections", lambda p, q: q <= 2 < p < INF,
                "1 <= q <= 2 < p < inf", _projections_kernel, uses_q=True, searchable=False),
+    # s_pq for a positive process over a classical base, embedded by embed_process
     Inequality("semicommutative", "process", _stein_domain, _STEIN_NEEDS, _stein_kernel,
                uses_q=True, searchable=False),
 )}
@@ -435,18 +372,19 @@ def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtra
         _require_positive(xs)
 
 
-def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q, lag: int,
-                   isometries: Sequence | None = None) -> RatioReport:
-    """The one validating path of every checker, the CLI and the search's replay.
+def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q=None,
+                   lag: int | None = None, isometries: Sequence | None = None) -> RatioReport:
+    """The one validating path of every check, the CLI and the search's replay.
 
     seq is the operator sequence (one operator for doob_maximal), filt the
     filtration it lives on and isometries the unitaries s_isometry pairs with
-    it. Checks the exponents against the id's domain, then the inputs as
-    finite equal-size (n, d, d) stacks by the id's input kind, then runs the
-    id's trusted kernel.
+    it; lag None is the id's default_lag. Checks the exponents against the
+    id's domain, then the inputs as finite equal-size (n, d, d) stacks by the
+    id's input kind, then runs the id's trusted kernel.
     """
     ineq = get_inequality(inequality_id)
     p, q = ineq.validate(p, q)
+    lag = ineq.default_lag if lag is None else lag
     xs = as_stack(seq)
     ys = None if isometries is None else as_stack(isometries)
     _check_inputs(ineq.input_kind, xs, ys, filt, q)
@@ -454,18 +392,9 @@ def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q, la
     return _make_report(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 
 
-def hard_ceiling(inequality_id: str, p, q) -> tuple[str, float, float] | None:
-    """Proved-constant assertion for an instance: (kind, limit, tolerance).
-
-    kind 'le' asserts ratio <= limit + tolerance; kind 'eq' asserts
-    |ratio - limit| <= tolerance. None means the instance is observational.
-    """
-    return get_inequality(inequality_id).ceiling(p, q)
-
-
 def ceiling_violated(report: RatioReport) -> bool:
-    """Whether a report breaches its proved ceiling (certified sides only)."""
-    ceiling = hard_ceiling(report.inequality_id, report.p, report.q)
+    """Whether a report breaches its id's proved ceiling (certified sides only)."""
+    ceiling = get_inequality(report.inequality_id).ceiling(report.p, report.q)
     if ceiling is None or report.ratio is None:
         return False
     kind, limit, tol = ceiling

@@ -62,7 +62,7 @@ def op_norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x), 2))
 
 
-def check_exponent(p) -> float:
+def as_exponent(p) -> float:
     """Validate an exponent in [1, inf] and return it as a float."""
     p = float(p)
     if not p >= 1:
@@ -148,13 +148,13 @@ def schatten_norm(x, p) -> float:
     p = inf gives the operator norm. Nondecreasing in p since ntrace(1) = 1.
     """
     a = as_operator(x)
-    p = check_exponent(p)
+    p = as_exponent(p)
     return float(_p_mean(np.linalg.svd(a, compute_uv=False), p, top=0))
 
 
 def conjugate_exponent(p) -> float:
     """Dual exponent p' with 1/p + 1/p' = 1; 1 and inf are swapped."""
-    p = check_exponent(p)
+    p = as_exponent(p)
     if p == 1:
         return INF
     if p == INF:

@@ -37,8 +37,9 @@ class SearchConfig:
 
     Construction checks each field on its own and fills in the default lag;
     `filt` is the filtration the config names, built once on first use (None
-    for a `process` instance, whose inputs bring their classical chain);
-    `resolve` checks the fields against each other.
+    for a `process` instance, whose inputs bring their classical chain, but
+    whose local_dims must still multiply to dim); `resolve` checks the fields
+    against each other.
     """
 
     inequality_id: str
@@ -72,11 +73,14 @@ class SearchConfig:
 
     @cached_property
     def filt(self) -> Filtration | None:
-        if (self.inequality_id is not None
-                and get_inequality(self.inequality_id).input_kind == "process"):
-            return None
+        process = (self.inequality_id is not None
+                   and get_inequality(self.inequality_id).input_kind == "process")
         try:
-            return build_filtration(self.filtration, self.dim, self.local_dims)
+            if not process:
+                return build_filtration(self.filtration, self.dim, self.local_dims)
+            if self.local_dims is not None:
+                build_filtration("tensor", self.dim, self.local_dims)
+            return None
         except ValueError as exc:
             raise ValueError(f"invalid filtration: {exc}") from exc
 

@@ -26,8 +26,8 @@ import numpy as np
 from .opcore import (
     INF,
     abs_op,
+    as_exponent,
     as_stack,
-    check_exponent,
     conjugate_exponent,
     herm,
     op_norm,
@@ -132,23 +132,23 @@ def column_q_norm(seq: Sequence, p, q) -> NormValue:
     the outer norm is mean(w^(p/q))^(1/p) over the eigenvalues w of the sum.
     """
     xs = as_stack(seq)
-    p = check_exponent(p)
+    p = as_exponent(p)
     if q == INF:
         raise ValueError("q = inf is handled by linf_norm_positive")
-    q = check_exponent(q)
+    q = as_exponent(q)
     return NormValue(float(_column_norms(xs, p, q)), "exact")
 
 
 def row_2_norm(seq: Sequence, p) -> NormValue:
     """Row norm ||(sum_n |x_n*|^2)^(1/2)||_p; the column norm of the adjoints."""
     xs = as_stack(seq).conj().swapaxes(1, 2)
-    return NormValue(float(_column_norms(xs, check_exponent(p), 2.0)), "exact")
+    return NormValue(float(_column_norms(xs, as_exponent(p), 2.0)), "exact")
 
 
 def l1_norm_positive(seq: Sequence, p) -> NormValue:
     """ell_1 norm of a positive sequence: ||sum_n x_n||_p, exact."""
     items = as_stack(seq)
-    p = check_exponent(p)
+    p = as_exponent(p)
     _require_positive(items)
     if _all_zero(items):
         return NormValue(0.0, "exact")
@@ -165,7 +165,7 @@ def crp_norm(seq: Sequence, p) -> NormValue:
     the infimum over splittings x_n = a_n + b_n of column(a) + row(b),
     reported as the best value found (an upper bound) with its splitting.
     """
-    return _crp(as_stack(seq), check_exponent(p))
+    return _crp(as_stack(seq), as_exponent(p))
 
 
 def _crp(items: np.ndarray, p: float) -> NormValue:
@@ -349,7 +349,7 @@ def linf_norm_positive(seq: Sequence, p, *, seed: int = 0) -> LinfBracket:
     accepted and ignored.
     """
     items = as_stack(seq)
-    p = check_exponent(p)
+    p = as_exponent(p)
     _require_positive(items)
     return _linf_bracket(items, p)
 

@@ -81,7 +81,7 @@ def test_criterion_02_sqq_constant_one(q):
     for seed, (dim, n_terms, kind) in _sqq_cases():
         filt = nc.build_filtration(kind, dim)
         seq = [nc.sample_psd(dim, 10_000 * seed + 71 * n) for n in range(n_terms)]
-        rep = nc.check_stein_pq(seq, filt, q, q, lag=1, inequality_id="s_qq")
+        rep = nc.run_inequality("s_qq", seq, filt, q, q, 1)
         worst = max(worst, rep.ratio)
         assert rep.ratio <= 1 + 1e-8, (q, seed, dim, n_terms, kind)
     elapsed = time.time() - t0
@@ -98,7 +98,7 @@ def test_criterion_03_dual_doob_equality_at_p1():
         dim, n_terms, kind = next(shapes)
         filt = nc.build_filtration(kind, dim)
         seq = [nc.sample_psd(dim, 20_000 * seed + 13 * n) for n in range(n_terms)]
-        rep = nc.check_dual_doob(seq, filt, 1)
+        rep = nc.run_inequality("dd_p", seq, filt, 1)
         gap = abs(rep.lhs.value - rep.rhs.value)
         worst = max(worst, gap)
         assert gap <= 1e-10, (seed, gap)
@@ -193,22 +193,22 @@ def test_criterion_06_classical_reduction():
 
     # pinching fixes diagonals, so the classical filtration is the discrete
     # one and conditioning acts as the identity on the scalar side
-    stein = nc.check_stein_pq(seq, filt, 3, 2, lag=0)
+    stein = nc.run_inequality("s_pq", seq, filt, 3, 2, 0)
     assert stein.lhs.value == pytest.approx(scalar_lpq(fs, 3, 2, weights), abs=1e-10)
     assert stein.rhs.value == pytest.approx(scalar_lpq(fs, 3, 2, weights), abs=1e-10)
 
-    dd = nc.check_dual_doob(seq, filt, 2)
+    dd = nc.run_inequality("dd_p", seq, filt, 2)
     assert dd.lhs.value == pytest.approx(scalar_lpq(fs, 2, 1, weights), abs=1e-10)
     assert dd.rhs.value == pytest.approx(scalar_lpq(fs, 2, 1, weights), abs=1e-10)
 
     f = fs[0]
-    doob = nc.check_doob_maximal(np.diag(f).astype(complex), filt, 2)
+    doob = nc.run_inequality("doob_maximal", [np.diag(f).astype(complex)], filt, 2)
     doob_want = scalar_lpq(np.tile(f, (len(filt), 1)), 2, INF, weights)
     assert doob.lhs.value == pytest.approx(doob_want, abs=1e-6)
     assert doob.lhs_upper.value == pytest.approx(doob_want, abs=1e-6)
     assert doob.rhs.value == pytest.approx(float(weights @ f**2) ** 0.5, abs=1e-10)
 
-    spinf = nc.check_sp_inf(seq, filt, 2)
+    spinf = nc.run_inequality("s_p_inf", seq, filt, 2)
     want_inf = scalar_lpq(fs, 2, INF, weights)
     assert spinf.rhs.value == pytest.approx(want_inf, abs=1e-6)
     assert spinf.rhs_lower.value == pytest.approx(want_inf, abs=1e-6)

@@ -254,6 +254,12 @@ def test_semicommutative_check_runs(tmp_path):
     with pytest.raises(ConfigError, match="unknown filtration kind 'weird'"):
         parse_config(cfg_text(command="check", inequality="semicommutative", p=2, q=1.5,
                               dim=3, filtration="weird"))
+    # local_dims must still multiply to dim, with a stock instance's message
+    for inequality in ("semicommutative", "s_pq"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "invalid filtration: product of local_dims (2, 3) must equal dim 4")):
+            parse_config(cfg_text(command="check", inequality=inequality, p=2, q=1.5, dim=4,
+                                  local_dims=[2, 3]))
 
 
 def test_probabilities_must_be_integer_fractions():
@@ -510,6 +516,15 @@ def test_witness_seq_len_is_its_number_of_matrices(tmp_path, capsys):
                                      budget=20, restarts=2)
     doob = json.loads(doob_path.read_text())
     assert len(doob["witness"]) == 1 and doob["seq_len"] == 1
+    # a row's seq_len is the number of operators checked, not the config's default 4
+    replay_out, check_out = doob_dir / "replay.csv", doob_dir / "check.csv"
+    assert run_command(parse_config(cfg_text(command="check", witness=str(doob_path),
+                                             out=str(replay_out)))) == 0
+    assert run_command(parse_config(cfg_text(command="check", inequality="doob_maximal", p=2,
+                                             dim=4, out=str(check_out)))) == 0
+    for path in (doob_dir / "s.csv", replay_out, check_out):
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[CSV_COLUMNS.index("seq_len")] == "1", path.name
     # a second stored operator was dropped and the replay printed seq_len 2
     doob_path.write_text(json.dumps({**doob, "witness": doob["witness"] * 2}))
     assert run_command(parse_config(cfg_text(command="check", witness=str(doob_path)))) == 1

@@ -12,18 +12,9 @@ from ncstein import (
     ClassicalSpace,
     Filtration,
     build_filtration,
-    check_adapted_s12,
-    check_crp_stein,
-    check_doob_maximal,
-    check_dual_doob,
-    check_projections,
-    check_semicommutative,
-    check_sp_inf,
-    check_stein_isometry,
-    check_stein_pq,
     column_q_norm,
     cond_exp,
-    hard_ceiling,
+    embed_process,
     herm,
     jensen_gap,
     ntrace,
@@ -36,8 +27,7 @@ from ncstein import (
     schatten_norm,
 )
 from ncstein.cli import ConfigError, parse_config
-from ncstein.inequality import (INEQUALITIES, ceiling_violated, embed_process, run_inequality,
-                                _make_report)
+from ncstein.inequality import INEQUALITIES, ceiling_violated, run_inequality, _make_report
 from ncstein.search import seeded_inputs
 from ncstein.seqnorm import NormValue
 
@@ -66,7 +56,7 @@ def diag_seq(rows):
 def test_stein_pq_fixed_terms_ratio_one():
     filt = dyadic(4)
     base = cond_exp(sample_psd(4, 0), filt.levels[0])
-    rep = check_stein_pq([base] * 3, filt, 3, 2, lag=1)
+    rep = run_inequality("s_pq", [base] * 3, filt, 3, 2, 1)
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
@@ -74,7 +64,7 @@ def test_stein_pq_fixed_terms_ratio_one():
 def test_stein_pp_constant_one(q):
     filt = dyadic(8)
     for seed in range(10):
-        rep = check_stein_pq(psd_seq(8, 4, seed), filt, q, q, lag=1, inequality_id="s_qq")
+        rep = run_inequality("s_qq", psd_seq(8, 4, seed), filt, q, q, 1)
         assert rep.ratio <= 1 + 1e-8
         assert not ceiling_violated(rep)
 
@@ -83,7 +73,7 @@ def test_stein_pq_diagonal_oracle():
     rng = np.random.default_rng(4)
     fs = rng.uniform(0.1, 2.0, size=(3, 4))
     filt = dyadic(4)
-    rep = check_stein_pq(diag_seq(fs), filt, 3, 2, lag=0)
+    rep = run_inequality("s_pq", diag_seq(fs), filt, 3, 2, 0)
     w = np.full(4, 0.25)
     # pinching fixes diagonal inputs, so both sides are plain column norms
     assert rep.lhs.value == pytest.approx(scalar_lpq(fs, 3, 2, w), abs=1e-10)
@@ -94,13 +84,13 @@ def test_stein_pq_rejections():
     filt = dyadic(4)
     seq = psd_seq(4, 2, 0)
     with pytest.raises(ValueError, match="q <= p"):
-        check_stein_pq(seq, filt, 1.5, 2, lag=0)
+        run_inequality("s_pq", seq, filt, 1.5, 2, 0)
     with pytest.raises(ValueError, match="proved range"):
-        check_stein_pq(seq, filt, 4, 3, lag=0)
+        run_inequality("s_pq", seq, filt, 4, 3, 0)
     with pytest.raises(ValueError, match="not positive"):
-        check_stein_pq([np.diag([1.0, -1.0, 0, 0])], filt, 3, 1.5, lag=0)
+        run_inequality("s_pq", [np.diag([1.0, -1.0, 0, 0])], filt, 3, 1.5, 0)
     # q = 2 admits non-positive entries
-    rep = check_stein_pq([np.diag([1.0, -1.0, 0, 0])], filt, 3, 2, lag=0)
+    rep = run_inequality("s_pq", [np.diag([1.0, -1.0, 0, 0])], filt, 3, 2, 0)
     assert rep.ratio is not None
 
 
@@ -108,15 +98,15 @@ def test_stein_pq_lag_consistency():
     # terms measurable one level behind are fixed by lag-1 conditioning
     filt = dyadic(8)
     seq = [cond_exp(sample_psd(8, k), filt.levels[max(k - 1, 0)]) for k in range(4)]
-    rep = check_stein_pq(seq, filt, 3, 2, lag=1)
+    rep = run_inequality("s_pq", seq, filt, 3, 2, 1)
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_report_determinism():
     filt = dyadic(4)
     seq = psd_seq(4, 3, 9)
-    a = check_stein_pq(seq, filt, 2.5, 1.5, lag=1)
-    b = check_stein_pq(seq, filt, 2.5, 1.5, lag=1)
+    a = run_inequality("s_pq", seq, filt, 2.5, 1.5, 1)
+    b = run_inequality("s_pq", seq, filt, 2.5, 1.5, 1)
     assert (a.lhs.value, a.rhs.value, a.ratio) == (b.lhs.value, b.rhs.value, b.ratio)
 
 
@@ -135,15 +125,15 @@ def test_adapted_s12_bound():
     filt = dyadic(8)
     for seed in range(20):
         seq = sample_adapted_positive(filt, 4, seed)
-        rep = check_adapted_s12(seq, filt)
+        rep = run_inequality("s_12_adapted", seq, filt, 1, 2)
         assert rep.ratio <= 2 + 1e-6
-    assert hard_ceiling("s_12_adapted", 1, 2) == ("le", 2.0, 1e-6)
+    assert INEQUALITIES["s_12_adapted"].ceiling(1, 2) == ("le", 2.0, 1e-6)
 
 
 def test_adapted_s12_rejects_unadapted():
     filt = dyadic(4)
     with pytest.raises(ValueError, match="not adapted"):
-        check_adapted_s12(psd_seq(4, 3, 1), filt)
+        run_inequality("s_12_adapted", psd_seq(4, 3, 1), filt, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +145,8 @@ def test_isometry_identity_reduces_to_stein_pq():
     filt = dyadic(4)
     seq = psd_seq(4, 3, 2)
     eyes = [np.eye(4, dtype=complex)] * 3
-    via_isom = check_stein_isometry(seq, eyes, filt, 3, 1.5)
-    direct = check_stein_pq(seq, filt, 3, 1.5, lag=0)
+    via_isom = run_inequality("s_isometry", seq, filt, 3, 1.5, isometries=eyes)
+    direct = run_inequality("s_pq", seq, filt, 3, 1.5, 0)
     assert via_isom.lhs.value == direct.lhs.value
     assert via_isom.rhs.value == direct.rhs.value
     assert via_isom.ratio == direct.ratio
@@ -167,7 +157,7 @@ def test_isometry_scalar_reduction():
     coeffs = [0.7, 1.3, 0.4]
     seq = [c * np.eye(4) for c in coeffs]
     ys = [sample_unitary(4, s) for s in range(3)]
-    rep = check_stein_isometry(seq, ys, filt, 3, 1.5)
+    rep = run_inequality("s_isometry", seq, filt, 3, 1.5, isometries=ys)
     want = (sum(c**1.5 for c in coeffs)) ** (1 / 1.5)
     assert rep.lhs.value == pytest.approx(want, rel=1e-10)
     assert rep.rhs.value == pytest.approx(want, rel=1e-10)
@@ -177,9 +167,9 @@ def test_isometry_q1_matches_dual_doob():
     filt = dyadic(4)
     seq = psd_seq(4, 3, 5)
     ys = [sample_unitary(4, 50 + s) for s in range(3)]
-    rep = check_stein_isometry(seq, ys, filt, 3, 1)
+    rep = run_inequality("s_isometry", seq, filt, 3, 1, isometries=ys)
     conj = [u.conj().T @ x @ u for u, x in zip(ys, seq)]
-    dd = check_dual_doob(conj, filt, 3)
+    dd = run_inequality("dd_p", conj, filt, 3)
     assert rep.lhs.value == pytest.approx(dd.lhs.value, rel=1e-12)
     assert rep.rhs.value == pytest.approx(dd.rhs.value, rel=1e-12)
 
@@ -189,7 +179,7 @@ def test_isometry_rejects_non_unitary():
     seq = psd_seq(4, 2, 1)
     bad = [np.eye(4), np.diag([1.0, 1.0, 1.0, 0.5])]
     with pytest.raises(ValueError, match="not unitary"):
-        check_stein_isometry(seq, bad, filt, 3, 1.5)
+        run_inequality("s_isometry", seq, filt, 3, 1.5, isometries=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +188,28 @@ def test_isometry_rejects_non_unitary():
 
 
 def test_dual_doob_trace_equality_at_p1():
+    # every E is trace preserving, so the equality holds at either lag
     filt = dyadic(8)
     for seed in range(10):
-        rep = check_dual_doob(psd_seq(8, 4, seed), filt, 1)
-        assert abs(rep.lhs.value - rep.rhs.value) <= 1e-10
-        assert not ceiling_violated(rep)
+        for lag in (0, 1):
+            rep = run_inequality("dd_p", psd_seq(8, 4, seed), filt, 1, lag=lag)
+            assert rep.lag == lag
+            assert abs(rep.lhs.value - rep.rhs.value) <= 1e-10
+            assert not ceiling_violated(rep)
 
 
 def test_dual_doob_fixed_terms():
     filt = dyadic(4)
     seq = [cond_exp(sample_psd(4, k), filt.levels[k]) for k in range(3)]
-    rep = check_dual_doob(seq, filt, 2)
+    rep = run_inequality("dd_p", seq, filt, 2)
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dual_doob_deterministic():
     filt = dyadic(8)
     seq = psd_seq(8, 4, 3)
-    r1 = check_dual_doob(seq, filt, 2)
-    r2 = check_dual_doob(seq, filt, 2)
+    r1 = run_inequality("dd_p", seq, filt, 2)
+    r2 = run_inequality("dd_p", seq, filt, 2)
     assert r1.ratio == r2.ratio
     assert np.isfinite(r1.ratio)
 
@@ -229,14 +222,14 @@ def test_dual_doob_deterministic():
 def test_doob_maximal_constant_martingale():
     filt = dyadic(4)
     x = cond_exp(sample_psd(4, 2), filt.levels[0])
-    rep = check_doob_maximal(x, filt, 2)
+    rep = run_inequality("doob_maximal", [x], filt, 2)
     assert rep.ratio == pytest.approx(1.0, abs=1e-6)
     assert rep.ratio_interval[1] >= rep.ratio_interval[0]
 
 
 def test_doob_maximal_identity():
     filt = dyadic(4)
-    rep = check_doob_maximal(np.eye(4), filt, 3)
+    rep = run_inequality("doob_maximal", [np.eye(4)], filt, 3)
     assert rep.ratio == pytest.approx(1.0, abs=1e-6)
 
 
@@ -244,7 +237,7 @@ def test_doob_maximal_diagonal_oracle():
     rng = np.random.default_rng(8)
     f = rng.uniform(0.2, 2.0, size=4)
     filt = dyadic(4)
-    rep = check_doob_maximal(np.diag(f).astype(complex), filt, 2)
+    rep = run_inequality("doob_maximal", [np.diag(f).astype(complex)], filt, 2)
     # pinching fixes a diagonal operator, so the chain is constant
     want = scalar_lpq(np.tile(f, (len(filt), 1)), 2, INF, np.full(4, 0.25))
     assert rep.lhs.value == pytest.approx(want, abs=1e-6)
@@ -254,13 +247,13 @@ def test_doob_maximal_diagonal_oracle():
 
 def test_doob_maximal_rejects_p1():
     with pytest.raises(ValueError, match="p = 1"):
-        check_doob_maximal(np.eye(4), dyadic(4), 1)
+        run_inequality("doob_maximal", [np.eye(4)], dyadic(4), 1)
 
 
 def test_sp_inf_constant_level0():
     filt = dyadic(4)
     x = cond_exp(sample_psd(4, 1), filt.levels[0])
-    rep = check_sp_inf([x] * 3, filt, 2)
+    rep = run_inequality("s_p_inf", [x] * 3, filt, 2)
     lo, hi = rep.ratio_interval
     assert lo <= 1 <= hi
     assert rep.certifying
@@ -269,8 +262,8 @@ def test_sp_inf_constant_level0():
 def test_sp_inf_reduces_to_doob_on_constant_sequence():
     filt = dyadic(4)
     x = sample_psd(4, 6)
-    rep = check_sp_inf([x] * len(filt), filt, 2)
-    doob = check_doob_maximal(x, filt, 2)
+    rep = run_inequality("s_p_inf", [x] * len(filt), filt, 2)
+    doob = run_inequality("doob_maximal", [x], filt, 2)
     assert rep.lhs.value == pytest.approx(doob.lhs.value, rel=1e-6)
     assert rep.lhs_upper.value == pytest.approx(doob.lhs_upper.value, rel=1e-6)
 
@@ -279,7 +272,7 @@ def test_sp_inf_diagonal_oracle():
     rng = np.random.default_rng(12)
     fs = rng.uniform(0.1, 2.0, size=(3, 4))
     filt = dyadic(4)
-    rep = check_sp_inf(diag_seq(fs), filt, 2)
+    rep = run_inequality("s_p_inf", diag_seq(fs), filt, 2)
     want = scalar_lpq(fs, 2, INF, np.full(4, 0.25))
     assert rep.rhs.value == pytest.approx(want, abs=1e-6)
     assert rep.rhs_lower.value == pytest.approx(want, abs=1e-6)
@@ -296,8 +289,8 @@ def test_crp_stein_p2_matches_column_ratio():
     filt = dyadic(8)
     raw = [herm(sample_psd(8, 30 + k)) for k in range(3)]
     seq = project_adapted(raw, filt, 0)
-    rep = check_crp_stein(seq, filt, 2)
-    stein = check_stein_pq(seq, filt, 2, 2, lag=1)
+    rep = run_inequality("crp_stein", seq, filt, 2)
+    stein = run_inequality("s_pq", seq, filt, 2, 2, 1)
     assert rep.ratio == pytest.approx(stein.ratio, rel=1e-10)
     assert rep.certifying
 
@@ -305,14 +298,14 @@ def test_crp_stein_p2_matches_column_ratio():
 def test_crp_stein_fixed_terms():
     filt = dyadic(8)
     seq = [cond_exp(sample_psd(8, k), filt.levels[max(k - 1, 0)]) for k in range(3)]
-    rep = check_crp_stein(seq, filt, 3)
+    rep = run_inequality("crp_stein", seq, filt, 3)
     assert rep.ratio == pytest.approx(1.0, abs=1e-10)
 
 
 def test_crp_stein_small_p_observational():
     filt = dyadic(2)
     seq = project_adapted(psd_seq(2, 2, 7), filt, 0)
-    rep = check_crp_stein(seq, filt, 1.5)
+    rep = run_inequality("crp_stein", seq, filt, 1.5)
     assert np.isfinite(rep.ratio)
     assert rep.lhs.bound == "upper" and rep.rhs.bound == "upper"
     assert not rep.certifying
@@ -321,7 +314,7 @@ def test_crp_stein_small_p_observational():
 def test_crp_stein_rejects_unadapted():
     filt = dyadic(4)
     with pytest.raises(ValueError, match="not adapted"):
-        check_crp_stein(psd_seq(4, 2, 3), filt, 2)
+        run_inequality("crp_stein", psd_seq(4, 2, 3), filt, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ def test_crp_stein_rejects_unadapted():
 
 def test_projections_identity():
     filt = dyadic(4)
-    rep = check_projections([np.eye(4)], filt, 3, 1)
+    rep = run_inequality("projections", [np.eye(4)], filt, 3, 1)
     assert rep.ratio == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs.value == 1.0
 
@@ -339,7 +332,7 @@ def test_projections_identity():
 def test_projections_rank_one_diagonal():
     filt = build_filtration("tensor", local_dims=(2, 2))
     projs = [np.diag([1.0 if i == k else 0.0 for i in range(4)]) for k in range(3)]
-    rep = check_projections(projs, filt, 3, 1)
+    rep = run_inequality("projections", projs, filt, 3, 1)
     # scalar data: E_0 r = 1/4, E_1 r = (diagonal block average), E_2 r = r
     terms = [cond_exp(r, filt.levels[n]) for n, r in enumerate(projs)]
     want = schatten_norm(sum(terms), 3)
@@ -349,8 +342,8 @@ def test_projections_rank_one_diagonal():
 def test_projections_match_stein_formula():
     filt = dyadic(4)
     projs = sample_projection_family(4, 3, seed=4)
-    rep = check_projections(projs, filt, 3, 2)
-    stein = check_stein_pq(projs, filt, 3, 2, lag=0)
+    rep = run_inequality("projections", projs, filt, 3, 2)
+    stein = run_inequality("s_pq", projs, filt, 3, 2, 0)
     assert rep.lhs.value == stein.lhs.value
 
 
@@ -358,7 +351,7 @@ def test_projections_reject_overlapping():
     filt = dyadic(4)
     p1 = np.diag([1.0, 0, 0, 0])
     with pytest.raises(ValueError, match="orthogonal"):
-        check_projections([p1, p1], filt, 3, 1)
+        run_inequality("projections", [p1, p1], filt, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +400,7 @@ def test_semicommutative_single_atom():
     trivial = (((0,),),) * 2  # repeat the only partition to cover both terms
     space = ClassicalSpace((Fraction(1),), trivial)
     process = [psd_seq(2, 2, 6)]
-    rep = check_semicommutative(process, space, 3, 2)
+    rep = run_inequality("semicommutative", *embed_process(process, space), 3, 2)
     # one atom, trivial classical information: conditioning is the identity
     direct = column_q_norm(process[0], 3, 2).value
     assert rep.lhs.value == pytest.approx(direct, rel=1e-10)
@@ -423,7 +416,7 @@ def test_semicommutative_scalar_oracle():
         (((0, 1),), ((0,), (1,))),
     )
     process = [[np.array([[fs[n, w]]], dtype=complex) for n in range(2)] for w in range(2)]
-    rep = check_semicommutative(process, space, 3, 2)
+    rep = run_inequality("semicommutative", *embed_process(process, space), 3, 2)
     w = np.full(2, 0.5)
     conditioned = np.stack([
         scalar_cond_exp(fs[0], [(0, 1)], w),
@@ -451,7 +444,7 @@ def test_semicommutative_weighted_embedding():
     np.testing.assert_array_equal(stack, want)
     eye = np.eye(2, dtype=complex)
     process = [[eye, eye], [eye, eye]]
-    rep = check_semicommutative(process, space, 3, 2)
+    rep = run_inequality("semicommutative", *embed_process(process, space), 3, 2)
     # the embedded identity has unit normalized trace, so both sides are
     # ||sqrt(2) * 1||_3 = sqrt(2)
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
@@ -466,9 +459,10 @@ def test_semicommutative_rejects_bad_probabilities():
 def test_semicommutative_rejects_non_psd_terms_unless_q_is_two():
     space, process = _classical_instance()
     process[1][1] = -process[1][1]  # term 1 at atom 1 is negative definite
+    seq, filt = embed_process(process, space)
     with pytest.raises(ValueError, match="sequence item 1 is not positive semidefinite"):
-        check_semicommutative(process, space, 2, 1.5)
-    assert check_semicommutative(process, space, 2, 2).ratio is not None
+        run_inequality("semicommutative", seq, filt, 2, 1.5)
+    assert run_inequality("semicommutative", seq, filt, 2, 2).ratio is not None
 
 
 def test_classical_dyadic_chain_with_real_averaging():
@@ -482,24 +476,28 @@ def test_classical_dyadic_chain_with_real_averaging():
     fs = rng.uniform(0.1, 2.0, size=(3, atoms))
     seq = [np.diag(f).astype(complex) for f in fs]
 
-    conditioned = np.stack([scalar_cond_exp(fs[n], chains[n], w) for n in range(3)])
-
-    stein = check_stein_pq(seq, filt, 3, 2, lag=0)
-    assert stein.lhs.value == pytest.approx(scalar_lpq(conditioned, 3, 2, w), abs=1e-10)
-    assert stein.rhs.value == pytest.approx(scalar_lpq(fs, 3, 2, w), abs=1e-10)
-
-    dd = check_dual_doob(seq, filt, 2)
-    assert dd.lhs.value == pytest.approx(
-        float(np.sqrt(w @ conditioned.sum(axis=0) ** 2)), abs=1e-10)
-    assert dd.rhs.value == pytest.approx(
-        float(np.sqrt(w @ fs.sum(axis=0) ** 2)), abs=1e-10)
-
     f = fs[0]
-    chain_values = np.stack([scalar_cond_exp(f, cells, w) for cells in chains])
-    doob = check_doob_maximal(np.diag(f).astype(complex), filt, 2)
-    doob_want = scalar_lpq(chain_values, 2, INF, w)
-    assert doob.lhs.value == pytest.approx(doob_want, abs=1e-6)
-    assert doob.lhs_upper.value == pytest.approx(doob_want, abs=1e-6)
+    # term n conditions on level max(n - lag, 0) in every check, the doob chain's
+    # copy n of f included
+    for lag in (0, 1):
+        level = [chains[max(n - lag, 0)] for n in range(3)]
+        conditioned = np.stack([scalar_cond_exp(fs[n], level[n], w) for n in range(3)])
+
+        stein = run_inequality("s_pq", seq, filt, 3, 2, lag)
+        assert stein.lhs.value == pytest.approx(scalar_lpq(conditioned, 3, 2, w), abs=1e-10)
+        assert stein.rhs.value == pytest.approx(scalar_lpq(fs, 3, 2, w), abs=1e-10)
+
+        dd = run_inequality("dd_p", seq, filt, 2, lag=lag)
+        assert dd.lhs.value == pytest.approx(
+            float(np.sqrt(w @ conditioned.sum(axis=0) ** 2)), abs=1e-10), lag
+        assert dd.rhs.value == pytest.approx(
+            float(np.sqrt(w @ fs.sum(axis=0) ** 2)), abs=1e-10)
+
+        chain_values = np.stack([scalar_cond_exp(f, cells, w) for cells in level])
+        doob = run_inequality("doob_maximal", [np.diag(f).astype(complex)], filt, 2, lag=lag)
+        doob_want = scalar_lpq(chain_values, 2, INF, w)
+        assert doob.lhs.value == pytest.approx(doob_want, abs=1e-6), lag
+        assert doob.lhs_upper.value == pytest.approx(doob_want, abs=1e-6), lag
 
 
 def test_run_inequality_dispatch_and_validation():
@@ -513,7 +511,7 @@ def test_run_inequality_dispatch_and_validation():
     # doob_maximal's sequence holds its one operator
     x, y = psd_seq(4, 2, 3)
     one = run_inequality("doob_maximal", [x], filt, 2, None, 0)
-    assert one.ratio_interval == check_doob_maximal(x, filt, 2).ratio_interval
+    assert one.ratio_interval == run_inequality("doob_maximal", [x], filt, 2).ratio_interval
     with pytest.raises(ValueError, match="must hold one operator, got 2"):
         run_inequality("doob_maximal", [x, y], filt, 2, None, 0)
 
@@ -531,42 +529,17 @@ def _classical_instance():
     return space, process
 
 
-def _direct_checkers():
-    """Each id's public checker on valid seeded inputs, as (p, q) -> report.
-
-    s_12_adapted is absent: its checker takes no exponents."""
-    filt = dyadic(2)
-    seq = psd_seq(2, 2, 3)
-    adapted = sample_adapted_positive(filt, 2, 3)
-    isometries = [sample_unitary(2, 40 + n) for n in range(2)]
-    projections = sample_projection_family(2, 2, 3)
-    space, process = _classical_instance()
-    return {
-        "s_pq": lambda p, q: check_stein_pq(seq, filt, p, q, lag=0),
-        "s_qq": lambda p, q: check_stein_pq(seq, filt, p, q, lag=1, inequality_id="s_qq"),
-        "s_isometry": lambda p, q: check_stein_isometry(seq, isometries, filt, p, q),
-        "dd_p": lambda p, q: check_dual_doob(seq, filt, p),
-        "doob_maximal": lambda p, q: check_doob_maximal(seq[0], filt, p),
-        "s_p_inf": lambda p, q: check_sp_inf(seq, filt, p),
-        "crp_stein": lambda p, q: check_crp_stein(adapted, filt, p),
-        "projections": lambda p, q: check_projections(projections, filt, p, q),
-        "semicommutative": lambda p, q: check_semicommutative(process, space, p, q),
-    }
-
-
-def _accepts(call, inequality_id):
-    """Whether call() runs; a refusal must be the registry's domain message."""
+def _report(call, inequality_id):
+    """call()'s report, or None when it refuses with the registry's domain message."""
     try:
-        call()
+        return call()
     except ValueError as exc:
         assert str(exc).startswith(f"{inequality_id} needs "), exc
-        return False
-    return True
+        return None
 
 
 def test_one_exponent_domain_per_inequality():
     filt = dyadic(2)
-    direct = _direct_checkers()
     for inequality_id, ineq in INEQUALITIES.items():
         seq, seq_filt, isometries = seeded_inputs(inequality_id, 2, 2, filt, 3,
                                                   (Fraction(1, 2),) * 2)
@@ -578,18 +551,16 @@ def test_one_exponent_domain_per_inequality():
             if ineq.uses_q:
                 config["q"] = "inf" if q == INF else q
             try:
-                parse_config(json.dumps(config))
-                by_config = True
+                cfg = parse_config(json.dumps(config))
             except ConfigError as exc:
                 assert str(exc).startswith(f"{inequality_id} needs "), exc
-                by_config = False
-            by_dispatch = _accepts(lambda: run_inequality(
-                inequality_id, seq, seq_filt, p, q, ineq.default_lag, isometries), inequality_id)
-            assert by_dispatch == by_config, (inequality_id, p, q)
-            if inequality_id in direct:
-                by_checker = _accepts(lambda: direct[inequality_id](p, q), inequality_id)
-                assert by_checker == by_config, (inequality_id, p, q)
-            if by_config:
+                cfg = None
+            # lag omitted: the registry's default_lag, the one the CLI fills in
+            report = _report(lambda: run_inequality(
+                inequality_id, seq, seq_filt, p, q, isometries=isometries), inequality_id)
+            assert (report is None) == (cfg is None), (inequality_id, p, q)
+            if cfg is not None:
+                assert report.lag == cfg.lag == ineq.default_lag, (inequality_id, p, q)
                 accepted.add((p, q))
         assert accepted and len(accepted) < len(points), inequality_id
 
@@ -605,5 +576,5 @@ def test_hard_ceiling_pinned_for_every_id():
                     "s_12_adapted": ("le", 2.0, 1e-6),
                     "dd_p": ("eq", 1.0, 1e-10) if p == 1 else None,
                 }.get(inequality_id)
-                assert hard_ceiling(inequality_id, p, q) == want, (inequality_id, p, q)
+                assert INEQUALITIES[inequality_id].ceiling(p, q) == want, (inequality_id, p, q)
     assert len(INEQUALITIES) == 10

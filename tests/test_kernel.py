@@ -11,13 +11,6 @@ from ncstein import (
     SearchConfig,
     TensorFactor,
     build_filtration,
-    check_adapted_s12,
-    check_crp_stein,
-    check_doob_maximal,
-    check_dual_doob,
-    check_sp_inf,
-    check_stein_isometry,
-    check_stein_pq,
     cond_exp,
     estimate_constant,
     hermitian_eig,
@@ -25,6 +18,7 @@ from ncstein import (
     level_index,
     pinching_from_sizes,
     project_adapted,
+    run_inequality,
     sample_hermitian,
     sample_psd,
 )
@@ -86,58 +80,57 @@ def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
     filt = build_filtration("dyadic", 8)
     seq = [sample_psd(8, 300 + n) for n in range(4)]
     lhs, rhs = _stein_sides(as_stack(seq), filt, p, q, lag)
-    report = check_stein_pq(seq, filt, p, q, lag)
+    report = run_inequality("s_pq", seq, filt, p, q, lag)
     assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
     assert abs(lhs / rhs - oracle_ratio(seq, filt, p, q, lag)) <= 1e-12
 
 
-# each searchable id's public checker at one instance:
-# (p, q, lag, checker(seq, filt, isometries))
-CHECKERS = {
-    "s_pq": (3.0, 1.5, 0, lambda s, f, y: check_stein_pq(s, f, 3, 1.5, 0)),
-    "s_qq": (1.5, 1.5, 1, lambda s, f, y: check_stein_pq(s, f, 1.5, 1.5, 1,
-                                                          inequality_id="s_qq")),
-    "s_12_adapted": (1.0, 2.0, 1, lambda s, f, y: check_adapted_s12(s, f)),
-    "s_isometry": (3.0, 1.5, 0, lambda s, f, y: check_stein_isometry(s, y, f, 3, 1.5)),
-    "dd_p": (2.0, None, 0, lambda s, f, y: check_dual_doob(s, f, 2)),
-    "doob_maximal": (2.0, None, 0, lambda s, f, y: check_doob_maximal(s[0], f, 2)),
-    "s_p_inf": (2.0, None, 0, lambda s, f, y: check_sp_inf(s, f, 2)),
-    "crp_stein": (1.5, None, 1, lambda s, f, y: check_crp_stein(s, f, 1.5)),
+# the exponents (p, q) of one instance of each searchable id
+EXPONENTS = {
+    "s_pq": (3.0, 1.5),
+    "s_qq": (1.5, 1.5),
+    "s_12_adapted": (1.0, 2.0),
+    "s_isometry": (3.0, 1.5),
+    "dd_p": (2.0, None),
+    "doob_maximal": (2.0, None),
+    "s_p_inf": (2.0, None),
+    "crp_stein": (1.5, None),
 }
 
 
 def test_checkers_cover_every_searchable_id():
-    assert set(CHECKERS) == {i for i, ineq in INEQUALITIES.items() if ineq.searchable}
+    assert set(EXPONENTS) == {i for i, ineq in INEQUALITIES.items() if ineq.searchable}
 
 
-@pytest.mark.parametrize("inequality_id", CHECKERS)
+@pytest.mark.parametrize("inequality_id", EXPONENTS)
 def test_kernel_sides_equal_checker_sides(inequality_id):
-    filt = build_filtration("dyadic", 4)
-    p, q, lag, checker = CHECKERS[inequality_id]
-    seq, filt, isometries = seeded_inputs(inequality_id, 4, 3, filt, 5)
+    p, q = EXPONENTS[inequality_id]
+    seq, filt, isometries = seeded_inputs(inequality_id, 4, 3, build_filtration("dyadic", 4), 5)
     ineq = INEQUALITIES[inequality_id]
-    sides = ineq.kernel(as_stack(seq), filt, *ineq.validate(p, q), lag, isometries)
-    report = checker(seq, filt, isometries)
-    ends = (report.lhs, report.rhs, report.lhs_upper, report.rhs_lower)
-    assert [side.value for side in sides] == [end.value for end in ends if end is not None]
+    for lag in (0, 1):
+        sides = ineq.kernel(as_stack(seq), filt, *ineq.validate(p, q), lag, isometries)
+        report = run_inequality(inequality_id, seq, filt, p, q, lag, isometries)
+        ends = (report.lhs, report.rhs, report.lhs_upper, report.rhs_lower)
+        assert report.lag == lag
+        assert [side.value for side in sides] == [end.value for end in ends if end is not None]
 
 
 def test_kernel_ratio_adapted_s12():
     filt = build_filtration("tensor", local_dims=(2, 2, 2))
     seq = project_adapted([sample_psd(8, 400 + n) for n in range(4)], filt, 0)
     lhs, rhs = _stein_sides(as_stack(seq), filt, 1.0, 2.0, 1)
-    report = check_adapted_s12(seq, filt)
+    report = run_inequality("s_12_adapted", seq, filt, 1, 2)
     assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
     assert abs(lhs / rhs - oracle_ratio(seq, filt, 1.0, 2.0, 1)) <= 1e-12
     with pytest.raises(ValueError, match="not adapted"):
-        check_adapted_s12([sample_psd(8, 5)] * 2, filt)
+        run_inequality("s_12_adapted", [sample_psd(8, 5)] * 2, filt, 1, 2)
 
 
 def test_kernel_rejects_non_psd_terms_for_q_not_two():
     filt = build_filtration("dyadic", 4)
     seq = as_stack([sample_psd(4, 1), sample_hermitian(4, 2)])
     with pytest.raises(ValueError, match="item 1 is not positive semidefinite"):
-        check_stein_pq(seq, filt, 1.5, 1.5, 1)
+        run_inequality("s_pq", seq, filt, 1.5, 1.5, 1)
 
 
 @pytest.mark.parametrize("count, dim", ((1, 3), (4, 8)))
