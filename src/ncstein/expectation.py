@@ -156,23 +156,25 @@ def cond_exp(x, spec: SubalgebraSpec) -> np.ndarray:
 
 
 def _cond_exp_stack(xs: np.ndarray, spec: SubalgebraSpec) -> np.ndarray:
-    """cond_exp of every operator in a trusted (n, d, d) stack, in one operation."""
-    n, d = xs.shape[:2]
+    """cond_exp of every operator in a trusted (..., d, d) stack, in one operation."""
     if isinstance(spec, Pinching):
         return np.where(spec._mask, xs, 0)
+    d = xs.shape[-1]
+    n = xs.size // (d * d)  # the leading axes, flattened
     if isinstance(spec, TensorFactor):
         keep = math.prod(spec.local_dims[: spec.retained])
         drop = d // keep
         partial = np.einsum("nibjb->nij", xs.reshape(n, keep, drop, keep, drop)) / drop
-        return (partial[:, :, None, :, None] * np.eye(drop)[:, None, :]).reshape(n, d, d)
-    if isinstance(spec, CellAverage):
+        out = partial[:, :, None, :, None] * np.eye(drop)[:, None, :]
+    elif isinstance(spec, CellAverage):
         m, b = spec.atoms, spec.block_dim
         blocks = np.einsum("nwiwj->nwij", xs.reshape(n, m, b, m, b))
         out = np.zeros((n, m, b, m, b), dtype=xs.dtype)
         for c in spec.cells:  # every diagonal block of a cell gets the cell's mean block
             out[:, c, :, c, :] = blocks[:, list(c)].mean(axis=1)
-        return out.reshape(n, d, d)
-    raise TypeError(f"unknown subalgebra spec {type(spec).__name__}")
+    else:
+        raise TypeError(f"unknown subalgebra spec {type(spec).__name__}")
+    return out.reshape(xs.shape)
 
 
 def _contains(outer: SubalgebraSpec, inner: SubalgebraSpec) -> bool:
@@ -286,17 +288,17 @@ class AdaptedCheck(NamedTuple):
 
 
 def _condition(xs: np.ndarray, filt: Filtration, lag: int) -> np.ndarray:
-    """E_{level(n)}(x_n) for every term of a trusted (n, d, d) stack: one masking
+    """E_{level(n)}(x_n) for every term of trusted stacks xs[..., n, d, d]: one masking
     call on a pinching chain, else one stacked cond_exp per distinct level."""
     if xs.shape[-1] != filt.dim:
         raise ValueError(f"operator dimension {xs.shape[-1]} does not match {filt.dim}")
-    levels, masks = filt._term_plan(len(xs), lag)
+    levels, masks = filt._term_plan(xs.shape[-3], lag)
     if masks is not None:
         return np.where(masks, xs, 0)
     out = np.empty_like(xs)
     for lvl in set(levels):
         at = [n for n, k in enumerate(levels) if k == lvl]
-        out[at] = _cond_exp_stack(xs[at], filt.levels[lvl])
+        out[..., at, :, :] = _cond_exp_stack(xs[..., at, :, :], filt.levels[lvl])
     return out
 
 

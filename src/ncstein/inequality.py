@@ -48,6 +48,7 @@ from .seqnorm import (
     _abs_q_stack,
     _column_norms,
     _crp,
+    _crp_columns,
     _linf_bracket,
     _require_positive,
     _root_norms,
@@ -106,8 +107,10 @@ def _make_report(inequality_id, lhs, rhs, p, q, lag, lhs_upper=None, rhs_lower=N
     )
 
 
-# In every kernel E(x_n) is E_{max(n - lag, 0)}(x_n), the level the lag pairs
-# with term n, so each id conditions at the lag its report prints.
+# Every kernel scores a batch: xs[k, n, d, d] holds k sequences, and each side it
+# returns has one entry per sequence, a float array for a closed form and k NormValues
+# for a bracket. In every kernel E(x_n) is E_{max(n - lag, 0)}(x_n), the level the lag
+# pairs with term n, so each id conditions at the lag its report prints.
 
 
 def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int) -> np.ndarray:
@@ -117,7 +120,7 @@ def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int)
 
 def _stein_kernel(xs, filt, p, q, lag, ys):
     # ||(sum |E(x_n)|^q)^(1/q)||_p against ||(sum |x_n|^q)^(1/q)||_p
-    return tuple(map(NormValue, _stein_sides(xs, filt, p, q, lag)))
+    return tuple(_stein_sides(xs, filt, p, q, lag))
 
 
 def _isometry_kernel(xs, filt, p, q, lag, ys):
@@ -125,17 +128,26 @@ def _isometry_kernel(xs, filt, p, q, lag, ys):
     # unitaries y_n; identity isometries give s_pq's sides
     ys_adj = ys.conj().swapaxes(1, 2)
     powers = _abs_q_stack(np.stack([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
-    sums = np.stack([powers[0].sum(axis=0), (ys_adj @ powers[1] @ ys).sum(axis=0)])
-    return tuple(map(NormValue, _root_norms(sums, p, q)))
+    sums = np.stack([powers[0].sum(axis=-3), (ys_adj @ powers[1] @ ys).sum(axis=-3)])
+    return tuple(_root_norms(sums, p, q))
 
 
 def _dual_doob_kernel(xs, filt, p, q, lag, ys):
     # ||sum E(x_n)||_p against ||sum x_n||_p; at p = 1 both sides are tau(sum x_n),
     # since every E is trace preserving, so the ratio is 1 at either lag
-    sums = np.stack([_condition(xs, filt, lag).sum(axis=0), xs.sum(axis=0)])
-    return tuple(map(NormValue, _root_norms(sums, p, 1.0)))
+    sums = np.stack([_condition(xs, filt, lag).sum(axis=-3), xs.sum(axis=-3)])
+    return tuple(_root_norms(sums, p, 1.0))
 
 
+def _each(kernel):
+    """The batch kernel that runs `kernel`, whose sides are the NormValues of one
+    (n, d, d) stack, on each sequence in turn."""
+    def batched(xs, filt, p, q, lag, ys):
+        return tuple(zip(*(kernel(x, filt, p, q, lag, ys) for x in xs)))
+    return batched
+
+
+@_each
 def _doob_kernel(xs, filt, p, q, lag, ys):
     # the ell_inf bracket of the chain (E(x))_n, one copy of x per level: E_0(x), ...,
     # E_N(x) at lag 0 and E_0(x), E_0(x), ..., E_{N-1}(x) at lag 1; against the exact ||x||_p
@@ -143,6 +155,7 @@ def _doob_kernel(xs, filt, p, q, lag, ys):
     return bracket.lower, NormValue(schatten_norm(xs[0], p), "exact"), bracket.upper
 
 
+@_each
 def _sp_inf_kernel(xs, filt, p, q, lag, ys):
     # the ell_inf brackets of (E(x_n)) and (x_n); the ratio pairs the certified ends
     # (lhs lower over rhs upper) and ratio_interval holds the full enclosure
@@ -153,13 +166,23 @@ def _sp_inf_kernel(xs, filt, p, q, lag, ys):
 def _crp_kernel(xs, filt, p, q, lag, ys):
     # CR_p norms of (E(x_n)) and (x_n); below p = 2 both are splitting upper bounds,
     # so the report is non-certifying
-    return _crp(_condition(xs, filt, lag), p), _crp(xs, p)
+    sides = np.stack([_condition(xs, filt, lag), xs])
+    if p >= 2:
+        return tuple(_crp_columns(sides, p))
+    return tuple(tuple(_crp(x, p) for x in side) for side in sides)
 
 
 def _projections_kernel(xs, filt, p, q, lag, ys):
     # the lhs of s_pq; r^q = r for projections and the family sums to at most 1, so
     # the rhs is at most ||1||_p = 1 and is pinned to 1: the ratio is the lhs
-    return NormValue(float(_column_norms(_condition(xs, filt, lag), p, q))), NormValue(1.0)
+    lhs = _column_norms(_condition(xs, filt, lag), p, q)
+    return lhs, np.ones_like(lhs)
+
+
+def _first(sides) -> list[NormValue]:
+    """The first sequence's entry of each kernel side, as a NormValue (a float entry
+    is an exact side)."""
+    return [side[0] if isinstance(side[0], NormValue) else NormValue(side[0]) for side in sides]
 
 
 def jensen_gap(x, spec, q) -> tuple[np.ndarray, float]:
@@ -270,17 +293,17 @@ class Inequality:
     `domain(p, q)` is false (q is None unless `uses_q`). `ceiling(p, q)` is the
     proved-constant assertion (kind, limit, tolerance) or None: 'le' asserts
     ratio <= limit + tolerance, 'eq' |ratio - limit| <= tolerance.
-    `kernel(xs, filt, p, q, lag, ys)`
-    returns the sides (lhs, rhs[, lhs_upper, rhs_lower]) from trusted stacks
-    (ys: the isometries) and validates nothing. A report shows `report_q` as q
-    when the id takes none.
+    `kernel(xs, filt, p, q, lag, ys)` scores the k sequences of a trusted
+    xs[k, n, d, d] (ys: the isometries) and validates nothing; it returns the
+    sides (lhs, rhs[, lhs_upper, rhs_lower]), each with one entry per
+    sequence. A report shows `report_q` as q when the id takes none.
     """
 
     id: str
     input_kind: str
     domain: Callable[[float, float | None], bool]
     needs: str
-    kernel: Callable[..., tuple[NormValue, ...]]
+    kernel: Callable[..., tuple]
     default_lag: int = 0
     uses_q: bool = False
     report_q: float | None = None
@@ -388,7 +411,7 @@ def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q=Non
     xs = as_stack(seq)
     ys = None if isometries is None else as_stack(isometries)
     _check_inputs(ineq.input_kind, xs, ys, filt, q)
-    lhs, rhs, *ends = ineq.kernel(xs, filt, p, q, lag, ys)
+    lhs, rhs, *ends = _first(ineq.kernel(xs[None], filt, p, q, lag, ys))
     return _make_report(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 
 

@@ -169,7 +169,9 @@ def conjugate_exponent(p) -> float:
 
 
 def _complex_gaussians(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """(count, dim, dim) standard complex Gaussians; one draw at a time gives the same stream."""
+    """(count, dim, dim) standard complex Gaussians. The stream does not depend on how
+    it is cut: one draw of count * m reshaped to (count, m, dim, dim) equals count
+    successive draws of m, which lets the search draw a restart's budget at once."""
     g = rng.standard_normal((count, 2, dim, dim))
     return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
 

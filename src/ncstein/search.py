@@ -6,9 +6,12 @@ projecting term n onto its filtration level. Ratios found this way are
 empirical lower bounds on best constants, never upper-bound claims: the only
 asserted ceilings are the proved ones held by the inequality registry.
 
-Restarts are independent given (seed, restart index), so results do not
-depend on evaluation order; one restart starts inside the coarsest
-subalgebra, where the equality regime of the ratio-1 instances lives.
+Restarts step in lockstep: each step scores one proposal from every running
+restart with one batched kernel call. Each restart keeps its own stream
+(seed, restart index), step, rejection count and stop rule, so the result is
+bit for bit that of running the restarts one after another, and trajectory
+indices count evaluations in restart order. Restart 0 starts inside the
+coarsest subalgebra, where the equality regime of the ratio-1 instances lives.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .seqnorm import _abs_q_stack
 
 MIN_STEP = 1e-6
 MAX_INITIAL_DRAWS = 100
+NOISE_ENTRIES = 1 << 18  # complex entries (4 MB) of noise a restart draws at once
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,8 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best ratio found, its witness sequence, and the search trace."""
+    """Best ratio found, its witness sequence, and the search trace: (evaluation,
+    best ratio) at each improvement, evaluations counted in restart order."""
 
     best_ratio: float
     witness: tuple[np.ndarray, ...]
@@ -184,11 +189,12 @@ def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration |
 def estimate_constant(cfg: SearchConfig) -> SearchResult:
     """Hill-climb the ratio functional of one inequality.
 
-    Runs cfg.restarts independent climbs with additive Gaussian proposals on
-    the z parameters and an adaptive step (halved after 20 consecutive
-    rejections, restart abandoned below 1e-6). The returned witness is
-    rescaled so its rhs equals 1, and best_ratio is the ratio of the checker
-    replayed on that stored witness.
+    Runs cfg.restarts climbs with additive Gaussian proposals on the z
+    parameters and an adaptive step (halved after 20 consecutive rejections,
+    restart abandoned below 1e-6). The restarts step in lockstep, each on its
+    own stream; trajectory indices count evaluations in restart order. The
+    returned witness is rescaled so its rhs equals 1, and best_ratio is the
+    ratio of the checker replayed on that stored witness.
     """
     return _climb(cfg, cfg.p, cfg.q)
 
@@ -205,78 +211,93 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
     n_mats = 1 if kind == "operator" else cfg.seq_len
     isometries = isometry_family(cfg.inequality_id, cfg.dim, n_mats, cfg.seed)
 
-    def evaluate(zs):
-        xs = herm(zs.conj().swapaxes(1, 2) @ zs)
-        if not np.isfinite(xs).all():
-            raise ValueError("proposal has non-finite entries")
-        if adapted:
-            xs = _condition(xs, filt, 0)
-        lhs, rhs = ineq.kernel(xs, filt, p, q, lag, isometries)[:2]
-        return (lhs.value / rhs.value if rhs.value > 0 else None), xs
+    def score(xs):
+        """The proposals xs[k, n, d, d], projected when the search is adapted, and
+        their lhs and rhs values. A proposal gets (0, 0), which the search rejects
+        as it rejects any vanishing rhs, when it has non-finite entries (it never
+        reaches the kernel) or the kernel raises ValueError on it: a batch with
+        either is scored again one proposal at a time."""
+        if np.isfinite(xs).all():
+            ys = _condition(xs, filt, 0) if adapted else xs
+            try:
+                return ys, *np.asarray(ineq.kernel(ys, filt, p, q, lag, isometries)[:2], float)
+            except ValueError:
+                pass
+        if len(xs) == 1:
+            return xs, np.zeros(1), np.zeros(1)
+        return tuple(map(np.concatenate, zip(*map(score, xs[:, None]))))
 
     def replay(xs):
         return run_inequality(cfg.inequality_id, xs, filt, p, q, lag, isometries)
 
-    evaluations = 0
-    per_restart = cfg.budget // cfg.restarts
-    best_ratio = -np.inf
-    best_xs = None
-    trajectory: list[tuple[int, float]] = []
+    restarts, per_restart, d = cfg.restarts, cfg.budget // cfg.restarts, cfg.dim
+    # Restart r draws from its own stream [seed, r], one (n, d, d) draw per
+    # evaluation, so its budget is drawn at once (in chunks when it exceeds
+    # NOISE_ENTRIES). Every running restart spends one evaluation per step:
+    # after t steps each has used t.
+    live = list(range(restarts))  # the running restarts; row j of the arrays is live[j]'s
+    rngs = [np.random.default_rng([cfg.seed, r]) for r in live]
+    chunk = max(1, NOISE_ENTRIES // (n_mats * d * d))
+    current = np.zeros((restarts, n_mats, d, d), complex)
+    step = np.full(restarts, cfg.step_scale)
+    current_ratio = [None] * restarts  # None until a restart's first scored draw
+    rejections = [0] * restarts
+    used = [0] * restarts
+    accepts = [[] for _ in live]  # (evaluation in the restart, ratio) of each accept
+    last_xs = [None] * restarts  # the last accepted sequence
+    t = 0
+    while live:
+        if t % chunk == 0:
+            count = min(chunk, per_restart - t)
+            noise = np.stack([_complex_gaussians(rngs[r], count * n_mats, d)
+                              .reshape(count, n_mats, d, d) for r in live])
+        draws = noise[:, t % chunk]
+        zs = current + step[:, None, None, None] * draws
+        t += 1
+        for j, r in enumerate(live):
+            if current_ratio[r] is None:  # an initial draw
+                zs[j] = draws[j]
+                if r == 0:
+                    # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
+                    coarse = _cond_exp_stack(herm(zs[j].conj().swapaxes(1, 2) @ zs[j]),
+                                             filt.levels[0])
+                    zs[j] = _abs_q_stack(coarse, 0.5)
+        xs, lhs, rhs = score(herm(zs.conj().swapaxes(-1, -2) @ zs))
 
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        start_evals = evaluations
-        current = None
-        current_ratio = -np.inf
-        current_xs = None
-        for _ in range(MAX_INITIAL_DRAWS):
-            if evaluations - start_evals >= per_restart:
-                break
-            zs = _complex_gaussians(rng, n_mats, cfg.dim)
-            if restart == 0:
-                # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
-                coarse = _cond_exp_stack(herm(zs.conj().swapaxes(1, 2) @ zs), filt.levels[0])
-                zs = _abs_q_stack(coarse, 0.5)
-            evaluations += 1
-            try:
-                ratio, xs = evaluate(zs)
-            except ValueError:
-                continue
-            if ratio is not None:
-                current, current_ratio, current_xs = zs, ratio, xs
-                break
-        if current is None:
-            if evaluations - start_evals >= per_restart:
-                continue
-            raise RuntimeError(
-                f"checker rejected {MAX_INITIAL_DRAWS} initial draws for "
-                f"{cfg.inequality_id} (restart {restart})"
-            )
-        if current_ratio > best_ratio:
-            best_ratio, best_xs = current_ratio, current_xs
-            trajectory.append((evaluations, best_ratio))
+        done = []
+        for j, (r, num, den) in enumerate(zip(live, lhs.tolist(), rhs.tolist())):
+            ratio = num / den if den > 0 else None
+            climbing = current_ratio[r] is not None
+            if ratio is not None and (not climbing or ratio > current_ratio[r]):
+                current[j], current_ratio[r], rejections[r] = zs[j], ratio, 0
+                accepts[r].append((t, ratio))
+                last_xs[r] = xs[j]
+            elif climbing:
+                rejections[r] += 1
+                if rejections[r] >= 20:
+                    step[j] /= 2
+                    rejections[r] = 0
+            elif MAX_INITIAL_DRAWS == t < per_restart:
+                raise RuntimeError(f"checker rejected {MAX_INITIAL_DRAWS} initial draws for "
+                                   f"{cfg.inequality_id} (restart {r})")
+            if t == per_restart or current_ratio[r] is not None and step[j] < MIN_STEP:
+                done.append(j)
+                used[r] = t
+        if done:
+            keep = [j for j in range(len(live)) if j not in done]
+            live = [live[j] for j in keep]
+            noise, current, step = noise[keep], current[keep], step[keep]
 
-        step = cfg.step_scale
-        rejections = 0
-        while evaluations - start_evals < per_restart and step >= MIN_STEP:
-            proposal = current + step * _complex_gaussians(rng, n_mats, cfg.dim)
-            evaluations += 1
-            try:
-                ratio, xs = evaluate(proposal)
-            except ValueError:
-                ratio = None
-            if ratio is not None and ratio > current_ratio:
-                current, current_ratio = proposal, ratio
-                rejections = 0
-                if ratio > best_ratio:
-                    best_ratio, best_xs = ratio, xs
-                    trajectory.append((evaluations, best_ratio))
-            else:
-                rejections += 1
-                if rejections >= 20:
-                    step /= 2
-                    rejections = 0
-
+    # merge the restarts' accepts in restart order; a restart's accepted ratios
+    # increase, so its last accepted sequence is its best
+    best_ratio, best_xs, trajectory = -np.inf, None, []
+    start = 0
+    for r in range(restarts):
+        for evaluation, ratio in accepts[r]:
+            if ratio > best_ratio:
+                best_ratio, best_xs = ratio, last_xs[r]
+                trajectory.append((start + evaluation, ratio))
+        start += used[r]
     if best_xs is None:
         raise RuntimeError("search produced no accepted evaluation")
 
@@ -292,7 +313,7 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
     return SearchResult(
         best_ratio=float(report.ratio),
         witness=tuple(best_xs),
-        evaluations_used=evaluations,
+        evaluations_used=sum(used),
         trajectory=tuple(trajectory),
         report=report,
     )

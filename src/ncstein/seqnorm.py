@@ -55,6 +55,9 @@ class NormValue:
         if self.bound not in ("exact", "lower", "upper"):
             raise ValueError(f"unknown bound direction {self.bound!r}")
 
+    def __float__(self) -> float:
+        return self.value
+
 
 @dataclass(frozen=True)
 class DualCertificate:
@@ -172,10 +175,16 @@ def _crp(items: np.ndarray, p: float) -> NormValue:
     """crp_norm of a trusted stack."""
     if _all_zero(items):
         return NormValue(0.0, "exact")
-    if p >= 2:  # column and row norms from one batched eigvalsh
-        sides = np.stack([items, items.conj().swapaxes(1, 2)])
-        return NormValue(float(_column_norms(sides, p, 2.0).max()), "exact")
+    if p >= 2:
+        return NormValue(float(_crp_columns(items, p)), "exact")
     return _crp_split(items, p)
+
+
+def _crp_columns(items: np.ndarray, p: float) -> np.ndarray:
+    """CR_p (p >= 2) of trusted stacks items[..., n, d, d]: the larger of the column
+    and row norms, both from one batched eigvalsh."""
+    sides = np.stack([items, items.conj().swapaxes(-1, -2)])
+    return _column_norms(sides, p, 2.0).max(axis=0)
 
 
 def _crp_split(items: np.ndarray, p: float) -> NormValue:

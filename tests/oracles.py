@@ -102,3 +102,107 @@ def column_norm_svd(seq, p, q):
         total = total + (v * s**q) @ v.conj().T
     sv = np.linalg.svd(total, compute_uv=False)
     return float(np.mean(sv ** (p / q)) ** (1.0 / p))
+
+
+def sequential_climb(cfg, p=None, q=None):
+    """estimate_constant (at the exponents (p, q) when given) with its restarts run
+    one after another, each scoring one proposal per kernel call: the reference
+    for the lockstep search in ncstein.search."""
+    from ncstein.expectation import _cond_exp_stack, _condition
+    from ncstein.inequality import _first, get_inequality, run_inequality
+    from ncstein.opcore import herm, _complex_gaussians
+    from ncstein.search import MAX_INITIAL_DRAWS, MIN_STEP, SearchResult, isometry_family
+    from ncstein.seqnorm import _abs_q_stack
+
+    ineq = get_inequality(cfg.inequality_id)
+    p, q = cfg.resolve(*((cfg.p, cfg.q) if p is None else (p, q)))
+    filt, lag = cfg.filt, cfg.lag
+    kind = ineq.input_kind
+    adapted = kind == "adapted-seq" or cfg.adapted_only
+    n_mats = 1 if kind == "operator" else cfg.seq_len
+    isometries = isometry_family(cfg.inequality_id, cfg.dim, n_mats, cfg.seed)
+
+    def evaluate(zs):
+        xs = herm(zs.conj().swapaxes(1, 2) @ zs)
+        if not np.isfinite(xs).all():
+            raise ValueError("proposal has non-finite entries")
+        if adapted:
+            xs = _condition(xs, filt, 0)
+        lhs, rhs = _first(ineq.kernel(xs[None], filt, p, q, lag, isometries))[:2]
+        return (lhs.value / rhs.value if rhs.value > 0 else None), xs
+
+    def replay(xs):
+        return run_inequality(cfg.inequality_id, xs, filt, p, q, lag, isometries)
+
+    evaluations = 0
+    per_restart = cfg.budget // cfg.restarts
+    best_ratio = -np.inf
+    best_xs = None
+    trajectory = []
+
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, restart])
+        start_evals = evaluations
+        current = None
+        current_ratio = -np.inf
+        current_xs = None
+        for _ in range(MAX_INITIAL_DRAWS):
+            if evaluations - start_evals >= per_restart:
+                break
+            zs = _complex_gaussians(rng, n_mats, cfg.dim)
+            if restart == 0:
+                coarse = _cond_exp_stack(herm(zs.conj().swapaxes(1, 2) @ zs), filt.levels[0])
+                zs = _abs_q_stack(coarse, 0.5)
+            evaluations += 1
+            try:
+                ratio, xs = evaluate(zs)
+            except ValueError:
+                continue
+            if ratio is not None:
+                current, current_ratio, current_xs = zs, ratio, xs
+                break
+        if current is None:
+            if evaluations - start_evals >= per_restart:
+                continue
+            raise RuntimeError(
+                f"checker rejected {MAX_INITIAL_DRAWS} initial draws for "
+                f"{cfg.inequality_id} (restart {restart})"
+            )
+        if current_ratio > best_ratio:
+            best_ratio, best_xs = current_ratio, current_xs
+            trajectory.append((evaluations, best_ratio))
+
+        step = cfg.step_scale
+        rejections = 0
+        while evaluations - start_evals < per_restart and step >= MIN_STEP:
+            proposal = current + step * _complex_gaussians(rng, n_mats, cfg.dim)
+            evaluations += 1
+            try:
+                ratio, xs = evaluate(proposal)
+            except ValueError:
+                ratio = None
+            if ratio is not None and ratio > current_ratio:
+                current, current_ratio = proposal, ratio
+                rejections = 0
+                if ratio > best_ratio:
+                    best_ratio, best_xs = ratio, xs
+                    trajectory.append((evaluations, best_ratio))
+            else:
+                rejections += 1
+                if rejections >= 20:
+                    step /= 2
+                    rejections = 0
+
+    if best_xs is None:
+        raise RuntimeError("search produced no accepted evaluation")
+    report = replay(best_xs)
+    scale = report.rhs.value
+    if scale > 0:
+        best_xs = (1.0 / scale) * best_xs
+        report = replay(best_xs)
+    if report.ratio is None:
+        raise RuntimeError(f"the best {cfg.inequality_id} witness at p={p:g} replays with no "
+                           f"ratio: its rhs is {scale:g}, which cannot be normalized to 1")
+    return SearchResult(best_ratio=float(report.ratio), witness=tuple(best_xs),
+                        evaluations_used=evaluations, trajectory=tuple(trajectory),
+                        report=report)

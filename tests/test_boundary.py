@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncstein import build_filtration, run_inequality
 from ncstein.expectation import _condition
-from ncstein.inequality import INEQUALITIES
+from ncstein.inequality import INEQUALITIES, _first
 from ncstein.opcore import herm, _complex_gaussians
 
 # positive-seq ids whose inputs must be PSD, at one exponent pair each
@@ -35,7 +35,7 @@ def test_boundary_checks_once_then_runs_the_kernel(inequality_id, dim, seed, dat
     ineq = INEQUALITIES[inequality_id]
 
     report = run_inequality(inequality_id, xs, filt, p, q, 0)
-    kernel = ineq.kernel(xs, filt, *ineq.validate(p, q), 0, None)
+    kernel = _first(ineq.kernel(xs[None], filt, *ineq.validate(p, q), 0, None))
     assert sides(report) == [(side.value, side.bound) for side in kernel]
 
     bad = data.draw(st.integers(0, n - 1), label="non-PSD term")

@@ -280,7 +280,9 @@ def test_search_whose_witness_replays_with_no_ratio(tmp_path, capsys, monkeypatc
 
     def overflowing(xs, filt, p, q, lag, ys):
         lhs, rhs, *ends = record.kernel(xs, filt, p, q, lag, ys)
-        return (lhs, NormValue(math.inf, "upper") if p == 1e6 and rhs.value > 0 else rhs, *ends)
+        rhs = tuple(NormValue(math.inf, "upper") if p == 1e6 and side.value > 0 else side
+                    for side in rhs)
+        return (lhs, rhs, *ends)
 
     monkeypatch.setitem(INEQUALITIES, "s_p_inf", dataclasses.replace(record, kernel=overflowing))
     out = tmp_path / "t.csv"

@@ -24,7 +24,7 @@ from ncstein import (
 )
 from ncstein import cli, expectation, inequality, opcore, search, seqnorm
 from ncstein.expectation import _cond_exp_stack, _condition
-from ncstein.inequality import INEQUALITIES, _stein_sides
+from ncstein.inequality import INEQUALITIES, _first, _stein_sides
 from ncstein.search import seeded_inputs
 from ncstein.opcore import HERMITIAN_TOL, as_stack, _complex_gaussian, _complex_gaussians
 
@@ -108,7 +108,8 @@ def test_kernel_sides_equal_checker_sides(inequality_id):
     seq, filt, isometries = seeded_inputs(inequality_id, 4, 3, build_filtration("dyadic", 4), 5)
     ineq = INEQUALITIES[inequality_id]
     for lag in (0, 1):
-        sides = ineq.kernel(as_stack(seq), filt, *ineq.validate(p, q), lag, isometries)
+        sides = _first(ineq.kernel(as_stack(seq)[None], filt, *ineq.validate(p, q), lag,
+                                   isometries))
         report = run_inequality(inequality_id, seq, filt, p, q, lag, isometries)
         ends = (report.lhs, report.rhs, report.lhs_upper, report.rhs_lower)
         assert report.lag == lag
@@ -144,6 +145,14 @@ def test_batched_draw_equals_single_draws(count, dim):
     rng = np.random.default_rng([9, count])
     np.testing.assert_array_equal(batched, np.stack([_complex_gaussian(rng, dim)
                                                      for _ in range(count)]))
+    # the search's pre-draw: one (budget * count) draw, cut into budget (count, d, d)
+    # draws, is the stream of budget successive draws
+    budget = 5
+    whole = _complex_gaussians(np.random.default_rng([9, count]), budget * count, dim)
+    rng = np.random.default_rng([9, count])
+    np.testing.assert_array_equal(whole.reshape(budget, count, dim, dim),
+                                  np.stack([_complex_gaussians(rng, count, dim)
+                                            for _ in range(budget)]))
 
 
 def test_hermitian_checks_near_tolerance():
@@ -204,22 +213,29 @@ LOOP_CASES = {
 @pytest.mark.parametrize("inequality_id", LOOP_CASES)
 def test_search_loop_work_per_evaluation(monkeypatch, inequality_id):
     # Two budgets share their initial draws and the witness replay, so the
-    # difference in counts is the hill-climbing loop alone.
+    # difference in counts is the hill-climbing loop alone. Each restart count
+    # runs the same two numbers of lockstep steps.
     p, q, dim, seq_len, budgets, lapack_per_eval = LOOP_CASES[inequality_id]
     counts = count_calls(monkeypatch)
-    seen = []
-    for budget in budgets:
-        counts.clear()
-        cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q, dim=dim, seq_len=seq_len,
-                           budget=budget, restarts=2, seed=3)
-        evaluations = estimate_constant(cfg).evaluations_used
-        seen.append((evaluations, counts["lapack"], counts["as_operator"],
-                     counts["schatten_norm"]))
-    (e0, lapack0, ops0, norms0), (e1, lapack1, ops1, norms1) = seen
-    assert e1 - e0 == budgets[1] - budgets[0]
-    if lapack_per_eval is None:
-        # no validation of the proposal: each as_operator call is a Schatten norm's
-        assert ops1 - ops0 == norms1 - norms0 <= 4 * (e1 - e0)
-    else:
-        assert lapack1 - lapack0 <= lapack_per_eval * (e1 - e0)
-        assert ops1 == ops0
+    loop_lapack = {}
+    for restarts in (2, 8):
+        seen = []
+        for budget in budgets:
+            counts.clear()
+            cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q, dim=dim, seq_len=seq_len,
+                               budget=budget * restarts // 2, restarts=restarts, seed=3)
+            evaluations = estimate_constant(cfg).evaluations_used
+            seen.append((evaluations, counts["lapack"], counts["as_operator"],
+                         counts["schatten_norm"]))
+        (e0, lapack0, ops0, norms0), (e1, lapack1, ops1, norms1) = seen
+        assert e1 - e0 == (budgets[1] - budgets[0]) * restarts // 2
+        if lapack_per_eval is None:
+            # no validation of the proposal: each as_operator call is a Schatten norm's
+            assert ops1 - ops0 == norms1 - norms0 <= 4 * (e1 - e0)
+        else:
+            assert lapack1 - lapack0 <= lapack_per_eval * (e1 - e0)
+            assert ops1 == ops0
+        loop_lapack[restarts] = lapack1 - lapack0
+    if lapack_per_eval is not None:
+        # a closed-form kernel scores every running restart in one call
+        assert loop_lapack[8] == loop_lapack[2]
