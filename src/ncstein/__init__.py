@@ -62,10 +62,8 @@ from .inequality import (
 from .search import (
     SearchConfig,
     SearchResult,
-    SweepRow,
     estimate_constant,
     project_adapted,
-    sweep,
 )
 
 __version__ = "0.1.0"

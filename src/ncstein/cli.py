@@ -22,15 +22,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .expectation import axiom_residuals, tower_residual
+from .expectation import FILTRATION_KINDS, axiom_residuals, build_filtration, tower_residual
 from .inequality import INEQUALITIES, ceiling_violated, get_inequality, run_inequality
 from .opcore import INF
-from .search import SearchConfig, estimate_constant, isometry_family, seeded_inputs, sweep
+from .search import SearchConfig, estimate_constant, isometry_family, seeded_inputs
 
 AXIOM_GATE = 1e-9
 
@@ -66,11 +66,15 @@ COMMAND_KEYS = {
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(SearchConfig):
     """One validated command: the instance and search fields of SearchConfig,
-    which the search takes as they are, plus the fields only the CLI reads.
-    parse_config builds it once, filtration included, and runs every check
-    before any computation starts."""
+    which the search takes as they are, plus the fields only the CLI reads:
+    the filtration's kind and shape, which build `filt` and fill the report
+    columns, and the command's own keys. parse_config builds it once,
+    filtration included, and runs every check before any computation starts."""
 
     command: str
+    dim: int = 4
+    filtration: str = "dyadic"  # 'dyadic' | 'tensor'
+    local_dims: tuple[int, ...] | None = None
     out: str | None = None
     format: str = "csv"
     trials: int = 50
@@ -153,8 +157,8 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
 
 
 # every key of a config document or a witness instance: the RunConfig field it
-# sets and its parser, in the order the keys are checked; SearchConfig checks
-# the filtration kind
+# sets and its parser, in the order the keys are checked; _build checks the
+# filtration kind
 _KEYS = {
     "command": ("command", _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
                                     f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}")),
@@ -196,18 +200,27 @@ def _fields(data: dict) -> dict:
     return fields
 
 
-def _build(fields: dict) -> RunConfig:
-    """The RunConfig of fields, its filtration built (a process instance
-    builds none) and, for an inequality instance, the checks between fields
-    run; ConfigError when one fails."""
+def _build(fields: dict, process: bool = False) -> RunConfig:
+    """The RunConfig of fields, with the command's one build of its filtration,
+    passed in, and every check run; ConfigError when one fails. A process
+    instance builds none, since its inputs bring their classical chain, but its
+    filtration must still name a known kind and its local_dims multiply to dim."""
+    kind, dim, local_dims = (fields.get(name, getattr(RunConfig, name))
+                             for name in ("filtration", "dim", "local_dims"))
+    filt = None
     try:
-        cfg = RunConfig(**fields)
-        cfg.filt  # the command's one build of its filtration
-        if cfg.inequality_id is not None:
-            cfg.resolve()
+        if not process:
+            filt = build_filtration(kind, dim, local_dims)
+        elif kind not in FILTRATION_KINDS:
+            raise ValueError(f"unknown filtration kind {kind!r}")
+        elif local_dims is not None:
+            build_filtration("tensor", dim, local_dims)
+    except ValueError as exc:
+        raise ConfigError(f"invalid filtration: {exc}") from exc
+    try:
+        return RunConfig(filt=filt, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def _instance(fields: dict) -> RunConfig:
@@ -244,7 +257,7 @@ def _instance(fields: dict) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"points[{i}]: {exc}") from exc
         fields["points"] = tuple(parsed)
-    return _build(fields)
+    return _build(fields, ineq.input_kind == "process")
 
 
 def _reject_constant(name: str):
@@ -465,16 +478,20 @@ def _run_search(cfg: RunConfig):
 
 
 def _run_table(cfg: RunConfig):
+    """One search per point on the config's one filtration; a point that fails
+    gets an empty row and a stderr line, and the rest of the grid still runs."""
     rows = []
     violated = False
-    for row in sweep(cfg.points, cfg):
-        if row.result is None:
-            print(f"point (p={row.p}, q={row.q}) failed: {row.error}", file=sys.stderr)
-            rows.append(_report_row(cfg, None, point=(row.p, row.q)))
+    for p, q in cfg.points:
+        try:
+            result = estimate_constant(replace(cfg, p=p, q=q))
+        except (ValueError, RuntimeError) as exc:
+            print(f"point (p={p}, q={q}) failed: {exc}", file=sys.stderr)
+            rows.append(_report_row(cfg, None, point=(p, q)))
             continue
-        rows.append(_report_row(cfg, row.result.report, row.result.evaluations_used,
-                                len(row.result.witness)))
-        violated = violated or ceiling_violated(row.result.report)
+        rows.append(_report_row(cfg, result.report, result.evaluations_used,
+                                len(result.witness)))
+        violated = violated or ceiling_violated(result.report)
     rows.sort(key=_sort_key)
     return rows, violated, CSV_COLUMNS
 

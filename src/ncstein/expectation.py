@@ -269,10 +269,17 @@ def build_filtration(kind: str, dim: int | None = None,
     return Filtration(tuple(levels))
 
 
+def as_lag(lag) -> int:
+    """lag, which must be the integer 0 or 1 (not a bool or a float); ValueError
+    otherwise."""
+    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag not in (0, 1):
+        raise ValueError(f"lag must be the integer 0 or 1, got {lag!r}")
+    return int(lag)
+
+
 def level_index(n: int, lag: int, n_levels: int) -> int:
     """Filtration level paired with sequence term n under the lag convention."""
-    if lag not in (0, 1):
-        raise ValueError(f"lag must be 0 or 1, got {lag}")
+    lag = as_lag(lag)
     lvl = max(n - lag, 0)
     if lvl >= n_levels:
         raise ValueError(

@@ -29,6 +29,7 @@ from .expectation import (
     ADAPTED_TOL,
     CellAverage,
     Filtration,
+    as_lag,
     cond_exp,
     _adapted_residual,
     _condition,
@@ -407,7 +408,7 @@ def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q=Non
     """
     ineq = get_inequality(inequality_id)
     p, q = ineq.validate(p, q)
-    lag = ineq.default_lag if lag is None else lag
+    lag = ineq.default_lag if lag is None else as_lag(lag)
     xs = as_stack(seq)
     ys = None if isometries is None else as_stack(isometries)
     _check_inputs(ineq.input_kind, xs, ys, filt, q)

@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
-from .expectation import (FILTRATION_KINDS, Filtration, build_filtration, _cond_exp_stack,
-                          _condition)
+from .expectation import Filtration, as_lag, _cond_exp_stack, _condition
 from .inequality import (ClassicalSpace, RatioReport, embed_process, get_inequality,
                          run_inequality)
-from .opcore import (as_stack, herm, sample_projection_family, sample_unitary,
-                     _complex_gaussian, _complex_gaussians)
+from .opcore import as_stack, herm, sample_projection_family, sample_unitary, _complex_gaussians
 from .seqnorm import _abs_q_stack
 
 MIN_STEP = 1e-6
@@ -37,22 +34,22 @@ NOISE_ENTRIES = 1 << 18  # complex entries (4 MB) of noise a restart draws at on
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters of one extremal-ratio search.
+    """Parameters of one extremal-ratio search, checked once, when built.
 
-    Construction checks each field on its own and fills in the default lag;
-    `filt` is the filtration the config names, built once on first use (None
-    for a `process` instance, whose inputs bring their classical chain, but
-    whose local_dims must still multiply to dim); `resolve` checks the fields
-    against each other.
+    filt is the filtration the instance lives on, as in run_inequality (None
+    only for a `process` instance, whose inputs bring their classical chain).
+    Construction checks the fields, fills in the default lag, stores p and q as
+    floats in the inequality's exponent domain (q None unless it takes one),
+    and checks that filt is deep enough for seq_len terms at the effective lag
+    (lag 0 for adapted inputs, which are projected onto their own level) and
+    that a projection family fits in its dim.
     """
 
     inequality_id: str
     p: float
     q: float | None = None
-    dim: int = 4
+    filt: Filtration | None = None
     seq_len: int = 4
-    filtration: str = "dyadic"  # 'dyadic' | 'tensor'
-    local_dims: tuple[int, ...] | None = None
     lag: int | None = None  # None -> the inequality's printed form
     budget: int = 5000
     restarts: int = 8
@@ -66,42 +63,23 @@ class SearchConfig:
                 f"search requires budget >= restarts >= 1, got budget={self.budget}, "
                 f"restarts={self.restarts}"
             )
-        if self.dim < 1 or self.seq_len < 1:
-            raise ValueError("dim and seq_len must be >= 1")
+        if self.seq_len < 1:
+            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
         if not self.step_scale > 0:
             raise ValueError("step_scale must be positive")
-        if self.lag is None and self.inequality_id is not None:
-            object.__setattr__(self, "lag", get_inequality(self.inequality_id).default_lag)
-        if self.filtration not in FILTRATION_KINDS:
-            raise ValueError(f"invalid filtration: unknown filtration kind {self.filtration!r}")
-
-    @cached_property
-    def filt(self) -> Filtration | None:
-        process = (self.inequality_id is not None
-                   and get_inequality(self.inequality_id).input_kind == "process")
-        try:
-            if not process:
-                return build_filtration(self.filtration, self.dim, self.local_dims)
-            if self.local_dims is not None:
-                build_filtration("tensor", self.dim, self.local_dims)
-            return None
-        except ValueError as exc:
-            raise ValueError(f"invalid filtration: {exc}") from exc
-
-    def resolve(self, p=None, q=None) -> tuple[float, float | None]:
-        """The exponents (p, q), default the config's, as floats (q None unless
-        the inequality takes it); ValueError unless they lie in the exponent
-        domain, the filtration is deep enough for seq_len terms at the
-        effective lag (lag 0 for adapted inputs, which are projected onto their
-        own level) and a projection family fits in dim."""
+        if self.inequality_id is None:  # a CLI command that runs no instance
+            return
         ineq = get_inequality(self.inequality_id)
-        if p is None:
-            p, q = self.p, self.q
-        p, q = ineq.validate(p, q)
+        lag = ineq.default_lag if self.lag is None else as_lag(self.lag)
+        p, q = ineq.validate(self.p, self.q)
+        for name, value in (("lag", lag), ("p", p), ("q", q)):
+            object.__setattr__(self, name, value)
         kind = ineq.input_kind
+        if kind != "process" and self.filt is None:
+            raise ValueError(f"{self.inequality_id} needs a filtration")
         if kind in ("operator", "process"):
-            return p, q
-        at_lag = 0 if kind == "adapted-seq" or self.adapted_only else self.lag
+            return
+        at_lag = 0 if kind == "adapted-seq" or self.adapted_only else lag
         depth = len(self.filt)
         if self.seq_len - 1 - at_lag >= depth:
             raise ValueError(
@@ -111,7 +89,6 @@ class SearchConfig:
             )
         if kind == "projections" and self.seq_len > self.filt.dim:
             raise ValueError("seq_len cannot exceed dim for projection families")
-        return p, q
 
 
 @dataclass(frozen=True)
@@ -124,14 +101,6 @@ class SearchResult:
     evaluations_used: int
     trajectory: tuple[tuple[int, float], ...]
     report: RatioReport
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    p: float
-    q: float | None
-    result: SearchResult | None = None
-    error: str | None = None
 
 
 def project_adapted(seq, filt: Filtration, lag: int = 0) -> list[np.ndarray]:
@@ -151,6 +120,12 @@ def isometry_family(inequality_id: str, dim: int, seq_len: int, seed: int) -> np
     return np.stack([sample_unitary(dim, seed + 7_000_000 + n) for n in range(seq_len)])
 
 
+def _psd_draws(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """count PSD operators g* g, g standard complex Gaussian, from one draw."""
+    g = _complex_gaussians(rng, count, dim)
+    return herm(g.conj().swapaxes(-1, -2) @ g)
+
+
 def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration | None,
                   seed: int, probabilities: tuple[Fraction, ...] | None = None) -> tuple:
     """The run_inequality arguments (seq, filt, isometries) of one deterministic
@@ -168,19 +143,15 @@ def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration |
         while len(levels) < seq_len:
             levels.append(levels[-1])
         rng = np.random.default_rng([int(seed), 0xC1A55])
-        process = [
-            [herm(g.conj().T @ g) for g in (_complex_gaussian(rng, dim) for _ in range(seq_len))]
-            for _ in range(atoms)
-        ]
+        process = _psd_draws(rng, atoms * seq_len, dim).reshape(atoms, seq_len, dim, dim)
         return *embed_process(process, ClassicalSpace(probabilities, tuple(levels))), None
     rng = np.random.default_rng([int(seed), 0x5EED])
     if kind == "operator":
-        z = _complex_gaussian(rng, dim)
-        seq = [herm(z.conj().T @ z)]
+        seq = _psd_draws(rng, 1, dim)
     elif kind == "projections":
         seq = sample_projection_family(dim, min(seq_len, dim), seed)
     else:
-        seq = [herm(g.conj().T @ g) for g in (_complex_gaussian(rng, dim) for _ in range(seq_len))]
+        seq = _psd_draws(rng, seq_len, dim)
         if kind == "adapted-seq":
             seq = project_adapted(seq, filt, 0)
     return seq, filt, isometry_family(inequality_id, dim, seq_len, seed)
@@ -196,20 +167,14 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     returned witness is rescaled so its rhs equals 1, and best_ratio is the
     ratio of the checker replayed on that stored witness.
     """
-    return _climb(cfg, cfg.p, cfg.q)
-
-
-def _climb(cfg: SearchConfig, p, q) -> SearchResult:
-    """estimate_constant at the exponents (p, q) in place of the config's."""
     ineq = get_inequality(cfg.inequality_id)
     if not ineq.searchable:
         raise ValueError(f"{cfg.inequality_id} is not a searchable inequality")
-    p, q = cfg.resolve(p, q)
-    filt, lag = cfg.filt, cfg.lag
+    p, q, filt, lag = cfg.p, cfg.q, cfg.filt, cfg.lag
     kind = ineq.input_kind
     adapted = kind == "adapted-seq" or cfg.adapted_only
     n_mats = 1 if kind == "operator" else cfg.seq_len
-    isometries = isometry_family(cfg.inequality_id, cfg.dim, n_mats, cfg.seed)
+    isometries = isometry_family(cfg.inequality_id, filt.dim, n_mats, cfg.seed)
 
     def score(xs):
         """The proposals xs[k, n, d, d], projected when the search is adapted, and
@@ -230,7 +195,7 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
     def replay(xs):
         return run_inequality(cfg.inequality_id, xs, filt, p, q, lag, isometries)
 
-    restarts, per_restart, d = cfg.restarts, cfg.budget // cfg.restarts, cfg.dim
+    restarts, per_restart, d = cfg.restarts, cfg.budget // cfg.restarts, filt.dim
     # Restart r draws from its own stream [seed, r], one (n, d, d) draw per
     # evaluation, so its budget is drawn at once (in chunks when it exceeds
     # NOISE_ENTRIES). Every running restart spends one evaluation per step:
@@ -318,20 +283,3 @@ def _climb(cfg: SearchConfig, p, q) -> SearchResult:
         report=report,
     )
 
-
-def sweep(points, base_cfg: SearchConfig) -> list[SweepRow]:
-    """Run estimate_constant over a grid of (p, q) pairs.
-
-    Per-point failures are recorded in the row instead of aborting the
-    remaining grid. Total evaluations stay below len(points) * budget. Every
-    point searches on the base config's one filtration.
-    """
-    rows = []
-    for p, q in points:
-        try:
-            rows.append(SweepRow(p=float(p), q=None if q is None else float(q),
-                                 result=_climb(base_cfg, p, q)))
-        except (ValueError, RuntimeError) as exc:
-            rows.append(SweepRow(p=float(p), q=None if q is None else float(q),
-                                 error=str(exc)))
-    return rows

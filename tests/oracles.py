@@ -104,10 +104,10 @@ def column_norm_svd(seq, p, q):
     return float(np.mean(sv ** (p / q)) ** (1.0 / p))
 
 
-def sequential_climb(cfg, p=None, q=None):
-    """estimate_constant (at the exponents (p, q) when given) with its restarts run
-    one after another, each scoring one proposal per kernel call: the reference
-    for the lockstep search in ncstein.search."""
+def sequential_climb(cfg):
+    """estimate_constant with its restarts run one after another, each scoring one
+    proposal per kernel call: the reference for the lockstep search in
+    ncstein.search."""
     from ncstein.expectation import _cond_exp_stack, _condition
     from ncstein.inequality import _first, get_inequality, run_inequality
     from ncstein.opcore import herm, _complex_gaussians
@@ -115,12 +115,11 @@ def sequential_climb(cfg, p=None, q=None):
     from ncstein.seqnorm import _abs_q_stack
 
     ineq = get_inequality(cfg.inequality_id)
-    p, q = cfg.resolve(*((cfg.p, cfg.q) if p is None else (p, q)))
-    filt, lag = cfg.filt, cfg.lag
+    p, q, filt, lag = cfg.p, cfg.q, cfg.filt, cfg.lag
     kind = ineq.input_kind
     adapted = kind == "adapted-seq" or cfg.adapted_only
     n_mats = 1 if kind == "operator" else cfg.seq_len
-    isometries = isometry_family(cfg.inequality_id, cfg.dim, n_mats, cfg.seed)
+    isometries = isometry_family(cfg.inequality_id, filt.dim, n_mats, cfg.seed)
 
     def evaluate(zs):
         xs = herm(zs.conj().swapaxes(1, 2) @ zs)
@@ -149,7 +148,7 @@ def sequential_climb(cfg, p=None, q=None):
         for _ in range(MAX_INITIAL_DRAWS):
             if evaluations - start_evals >= per_restart:
                 break
-            zs = _complex_gaussians(rng, n_mats, cfg.dim)
+            zs = _complex_gaussians(rng, n_mats, filt.dim)
             if restart == 0:
                 coarse = _cond_exp_stack(herm(zs.conj().swapaxes(1, 2) @ zs), filt.levels[0])
                 zs = _abs_q_stack(coarse, 0.5)
@@ -175,7 +174,7 @@ def sequential_climb(cfg, p=None, q=None):
         step = cfg.step_scale
         rejections = 0
         while evaluations - start_evals < per_restart and step >= MIN_STEP:
-            proposal = current + step * _complex_gaussians(rng, n_mats, cfg.dim)
+            proposal = current + step * _complex_gaussians(rng, n_mats, filt.dim)
             evaluations += 1
             try:
                 ratio, xs = evaluate(proposal)

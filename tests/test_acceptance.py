@@ -107,12 +107,11 @@ def test_criterion_03_dual_doob_equality_at_p1():
 
 def test_criterion_04_adapted_s12_constant_two():
     t0 = time.time()
-    cfg = nc.SearchConfig(inequality_id="s_12_adapted", p=1, q=2, dim=8,
-                          seq_len=4, filtration="dyadic", budget=10_000,
-                          restarts=8, seed=2024)
+    filt = nc.build_filtration("dyadic", 8)
+    cfg = nc.SearchConfig(inequality_id="s_12_adapted", p=1, q=2, filt=filt,
+                          seq_len=4, budget=10_000, restarts=8, seed=2024)
     result = nc.estimate_constant(cfg)
     assert result.best_ratio <= 2 + 1e-6
-    filt = nc.build_filtration("dyadic", 8)
     replay = run_inequality("s_12_adapted", result.witness, filt, 1, 2, 1)
     assert abs(replay.ratio - result.best_ratio) <= 1e-10
     elapsed = time.time() - t0
@@ -251,11 +250,11 @@ def test_criterion_07_linf_bracket_sanity():
 
 def test_criterion_08_s22_search_sanity():
     t0 = time.time()
-    cfg = nc.SearchConfig(inequality_id="s_qq", p=2, q=2, dim=4, seq_len=4,
+    filt = nc.build_filtration("dyadic", 4)
+    cfg = nc.SearchConfig(inequality_id="s_qq", p=2, q=2, filt=filt, seq_len=4,
                           budget=5000, restarts=8, seed=0)
     result = nc.estimate_constant(cfg)
     assert 1 - 1e-6 <= result.best_ratio <= 1 + 1e-8
-    filt = nc.build_filtration("dyadic", 4)
     coarsest = filt.levels[0]
     for x in result.witness:
         assert nc.op_norm(nc.cond_exp(x, coarsest) - x) <= 1e-10

@@ -222,7 +222,8 @@ def test_search_loop_work_per_evaluation(monkeypatch, inequality_id):
         seen = []
         for budget in budgets:
             counts.clear()
-            cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q, dim=dim, seq_len=seq_len,
+            cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q,
+                               filt=build_filtration("dyadic", dim), seq_len=seq_len,
                                budget=budget * restarts // 2, restarts=restarts, seed=3)
             evaluations = estimate_constant(cfg).evaluations_used
             seen.append((evaluations, counts["lapack"], counts["as_operator"],

@@ -1,8 +1,11 @@
-"""Extremal-ratio search: determinism, ceilings, witnesses, sweeps, and the
+"""Extremal-ratio search: determinism, ceilings, witnesses, (p, q) sweeps, and the
 lockstep search against its sequential oracle."""
 
+import csv
 import dataclasses
+import json
 import pickle
+import re
 import zlib
 
 import numpy as np
@@ -18,9 +21,9 @@ from ncstein import (
     project_adapted,
     sample_hermitian,
     sample_psd,
-    sweep,
 )
 from ncstein import opcore, search
+from ncstein.cli import CSV_COLUMNS, parse_config, run_command
 from ncstein.inequality import INEQUALITIES, run_inequality
 
 from oracles import sequential_climb
@@ -31,13 +34,45 @@ def test_config_validation():
         SearchConfig(inequality_id="s_qq", p=2, q=2, budget=0)
     with pytest.raises(ValueError, match="budget >= restarts >= 1"):
         SearchConfig(inequality_id="s_qq", p=2, q=2, budget=4, restarts=8)
-    with pytest.raises(ValueError, match="dim and seq_len"):
-        SearchConfig(inequality_id="s_qq", p=2, q=2, dim=0)
+    with pytest.raises(ValueError, match="seq_len must be >= 1, got 0"):
+        SearchConfig(inequality_id="s_qq", p=2, q=2, filt=build_filtration("dyadic", 4),
+                     seq_len=0)
+
+
+def test_config_is_valid_once_built():
+    filt = build_filtration("dyadic", 4)
+    cfg = SearchConfig(inequality_id="s_pq", p=3, q=2, filt=filt, seq_len=3)
+    assert (cfg.p, cfg.q, cfg.lag) == (3.0, 2.0, 0) and cfg.filt is filt
+    assert isinstance(cfg.p, float) and isinstance(cfg.q, float)
+    # an id without q stores None, whatever q it was given
+    assert SearchConfig(inequality_id="dd_p", p=2, q=5, filt=filt, seq_len=3).q is None
+    with pytest.raises(ValueError, match="s_qq needs p = q finite, got p=2, q=3"):
+        SearchConfig(inequality_id="s_qq", p=2, q=3, filt=filt, seq_len=3)
+    with pytest.raises(ValueError, match="s_pq needs a filtration"):
+        SearchConfig(inequality_id="s_pq", p=3, q=2, seq_len=3)
+    with pytest.raises(ValueError, match="doob_maximal needs a filtration"):
+        SearchConfig(inequality_id="doob_maximal", p=2)
+    with pytest.raises(ValueError, match="filtration depth 3 at lag 0"):
+        SearchConfig(inequality_id="s_pq", p=3, q=2, filt=filt, seq_len=4)
+    # a process instance brings its own classical chain
+    assert SearchConfig(inequality_id="semicommutative", p=3, q=2).filt is None
+
+
+@pytest.mark.parametrize("lag", (2, -1, True, 1.0, "1"))
+def test_config_rejects_a_lag_other_than_the_integer_0_or_1(lag):
+    filt = build_filtration("dyadic", 8)
+    message = re.escape(f"lag must be the integer 0 or 1, got {lag!r}")
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(inequality_id="s_qq", p=2, q=2, filt=filt, seq_len=3, lag=lag)
+    seq = [sample_psd(8, n) for n in range(3)]
+    with pytest.raises(ValueError, match=message):
+        run_inequality("s_qq", seq, filt, 2, 2, lag)
+    assert SearchConfig(inequality_id="s_qq", p=2, q=2, filt=filt, lag=np.int64(0)).lag == 0
 
 
 def test_s22_search_hits_one():
-    cfg = SearchConfig(inequality_id="s_qq", p=2, q=2, dim=4, seq_len=4,
-                       budget=2000, restarts=8, seed=0)
+    cfg = SearchConfig(inequality_id="s_qq", p=2, q=2, filt=build_filtration("dyadic", 4),
+                       seq_len=4, budget=2000, restarts=8, seed=0)
     res = estimate_constant(cfg)
     assert 1 - 1e-6 <= res.best_ratio <= 1 + 1e-8
     # the witness comes from the coarsest-subalgebra start and stays there
@@ -48,15 +83,15 @@ def test_s22_search_hits_one():
 
 
 def test_dd1_search_equality_regime():
-    cfg = SearchConfig(inequality_id="dd_p", p=1, dim=4, seq_len=3,
-                       budget=600, restarts=4, seed=1)
+    cfg = SearchConfig(inequality_id="dd_p", p=1, filt=build_filtration("dyadic", 4),
+                       seq_len=3, budget=600, restarts=4, seed=1)
     res = estimate_constant(cfg)
     assert abs(res.best_ratio - 1) <= 1e-10
 
 
 def test_witness_replay_and_normalization():
-    cfg = SearchConfig(inequality_id="s_pq", p=3, q=2, dim=4, seq_len=3,
-                       budget=800, restarts=4, seed=2)
+    cfg = SearchConfig(inequality_id="s_pq", p=3, q=2, filt=build_filtration("dyadic", 4),
+                       seq_len=3, budget=800, restarts=4, seed=2)
     res = estimate_constant(cfg)
     assert res.report.rhs.value == pytest.approx(1.0, rel=1e-10)
     filt = build_filtration("dyadic", 4)
@@ -65,8 +100,8 @@ def test_witness_replay_and_normalization():
 
 
 def test_trajectory_and_budget():
-    cfg = SearchConfig(inequality_id="s_pq", p=3, q=2, dim=4, seq_len=3,
-                       budget=500, restarts=4, seed=3)
+    cfg = SearchConfig(inequality_id="s_pq", p=3, q=2, filt=build_filtration("dyadic", 4),
+                       seq_len=3, budget=500, restarts=4, seed=3)
     res = estimate_constant(cfg)
     assert res.evaluations_used <= cfg.budget
     bests = [b for _, b in res.trajectory]
@@ -76,8 +111,8 @@ def test_trajectory_and_budget():
 
 
 def test_search_deterministic():
-    cfg = SearchConfig(inequality_id="s_qq", p=1.5, q=1.5, dim=4, seq_len=3,
-                       budget=400, restarts=4, seed=7)
+    cfg = SearchConfig(inequality_id="s_qq", p=1.5, q=1.5, filt=build_filtration("dyadic", 4),
+                       seq_len=3, budget=400, restarts=4, seed=7)
     r1 = estimate_constant(cfg)
     r2 = estimate_constant(cfg)
     assert r1.best_ratio == r2.best_ratio
@@ -87,8 +122,9 @@ def test_search_deterministic():
 
 
 def test_adapted_search_emits_adapted_witness():
-    cfg = SearchConfig(inequality_id="s_12_adapted", p=1, q=2, dim=4, seq_len=3,
-                       budget=800, restarts=4, seed=4)
+    cfg = SearchConfig(inequality_id="s_12_adapted", p=1, q=2,
+                       filt=build_filtration("dyadic", 4), seq_len=3, budget=800, restarts=4,
+                       seed=4)
     res = estimate_constant(cfg)
     filt = build_filtration("dyadic", 4)
     assert is_adapted(list(res.witness), filt, 0).adapted
@@ -96,22 +132,22 @@ def test_adapted_search_emits_adapted_witness():
 
 
 def test_doob_search_runs():
-    cfg = SearchConfig(inequality_id="doob_maximal", p=2, dim=4, seq_len=1,
-                       budget=300, restarts=3, seed=5)
+    cfg = SearchConfig(inequality_id="doob_maximal", p=2, filt=build_filtration("dyadic", 4),
+                       seq_len=1, budget=300, restarts=3, seed=5)
     res = estimate_constant(cfg)
     assert np.isfinite(res.best_ratio)
     assert len(res.witness) == 1
 
 
 def test_adapted_search_rejects_seq_len_beyond_depth_at_lag_zero():
-    cfg = SearchConfig(inequality_id="s_12_adapted", p=1, q=2, dim=8, seq_len=5,
-                       budget=400, restarts=2)
     with pytest.raises(ValueError, match="needs filtration level 4"):
-        estimate_constant(cfg)
+        SearchConfig(inequality_id="s_12_adapted", p=1, q=2, filt=build_filtration("dyadic", 8),
+                     seq_len=5, budget=400, restarts=2)
 
 
 def test_unsearchable_rejected():
-    cfg = SearchConfig(inequality_id="projections", p=3, q=1, dim=4)
+    cfg = SearchConfig(inequality_id="projections", p=3, q=1,
+                       filt=build_filtration("dyadic", 4), seq_len=3)
     with pytest.raises(ValueError, match="not a searchable"):
         estimate_constant(cfg)
 
@@ -129,30 +165,49 @@ def test_project_adapted():
         assert op_norm(z) == 0.0
 
 
+# A (p, q) sweep is one search per point, each on a copy of one config that
+# shares its filtration, estimate_constant(dataclasses.replace(cfg, p=p, q=q)):
+# what the CLI's table command runs.
+
+
 def test_sweep_qq_grid():
-    base = SearchConfig(inequality_id="s_qq", p=2, q=2, dim=4, seq_len=3,
-                        budget=300, restarts=3, seed=6)
-    rows = sweep([(q, q) for q in (1.0, 1.5, 2.0, 3.0)], base)
-    assert len(rows) == 4
+    base = SearchConfig(inequality_id="s_qq", p=2, q=2, filt=build_filtration("dyadic", 4),
+                        seq_len=3, budget=300, restarts=3, seed=6)
     total = 0
-    for row in rows:
-        assert row.error is None
-        assert 1 - 1e-6 <= row.result.best_ratio <= 1 + 1e-8
-        total += row.result.evaluations_used
+    for q in (1.0, 1.5, 2.0, 3.0):
+        cfg = dataclasses.replace(base, p=q, q=q)
+        assert cfg.filt is base.filt
+        result = estimate_constant(cfg)
+        assert 1 - 1e-6 <= result.best_ratio <= 1 + 1e-8
+        total += result.evaluations_used
         assert total <= 4 * base.budget
 
 
-def test_sweep_propagates_point_failures():
-    base = SearchConfig(inequality_id="s_qq", p=2, q=2, dim=4, seq_len=3,
-                        budget=200, restarts=2, seed=8)
-    rows = sweep([(2.0, 2.0), (2.0, 3.0)], base)
-    assert rows[0].error is None
-    assert rows[1].result is None and "p = q" in rows[1].error
+def test_sweep_propagates_point_failures(capsys):
+    base = SearchConfig(inequality_id="s_qq", p=2, q=2, filt=build_filtration("dyadic", 4),
+                        seq_len=3, budget=200, restarts=2, seed=8)
+    assert estimate_constant(dataclasses.replace(base, p=2.0, q=2.0)).report.ratio is not None
+    # a point outside the exponent domain is refused when its config is built
+    with pytest.raises(ValueError, match="p = q"):
+        dataclasses.replace(base, p=2.0, q=3.0)
+    # a point whose search fails gets an empty row and a stderr line in a table,
+    # and the rest of the grid still runs: the barrier solve refuses p = 1e300
+    cfg = parse_config(json.dumps(dict(command="table", inequality="s_p_inf", p=2, dim=4,
+                                       seq_len=2, budget=8, restarts=2,
+                                       points=[[1e300, None], [2, None]])))
+    assert run_command(cfg) == 0
+    out, err = capsys.readouterr()
+    assert err == "point (p=1e+300, q=None) failed: search produced no accepted evaluation\n"
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(row["p"], row["ratio"] != "", row["evaluations"]) for row in rows] == [
+        ("2", True, "8"), ("1.0000000000000001e+300", False, "0")]
 
 
-def test_sweep_empty_grid():
-    base = SearchConfig(inequality_id="s_qq", p=2, q=2, dim=4, budget=100, restarts=2)
-    assert sweep([], base) == []
+def test_sweep_empty_grid(capsys):
+    cfg = parse_config(json.dumps(dict(command="table", inequality="s_qq", p=2, q=2, dim=4,
+                                       budget=100, restarts=2, seq_len=3, points=[])))
+    assert run_command(cfg) == 0
+    assert capsys.readouterr() == (",".join(CSV_COLUMNS) + "\n", "")
 
 
 # (p, q, budget, seq_len) of one search per searchable id against the sequential
@@ -187,9 +242,9 @@ def outcome(run, *args):
 def test_lockstep_search_equals_sequential_oracle(inequality_id, shape, restarts):
     p, q, budget, seq_len = ORACLE_CASES[inequality_id]
     filtration, dim, local_dims = SHAPES[shape]
-    cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q, dim=dim, seq_len=seq_len,
-                       filtration=filtration, local_dims=local_dims, budget=budget,
-                       restarts=restarts, seed=11)
+    cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q,
+                       filt=build_filtration(filtration, dim, local_dims), seq_len=seq_len,
+                       budget=budget, restarts=restarts, seed=11)
     result = estimate_constant(cfg)
     assert pickle.dumps(result) == pickle.dumps(sequential_climb(cfg))
     assert result.evaluations_used == budget // restarts * restarts
@@ -197,15 +252,15 @@ def test_lockstep_search_equals_sequential_oracle(inequality_id, shape, restarts
 
 @pytest.mark.parametrize("cfg", (
     # CR_p below p = 2: the kernel runs its splitting search once per restart
-    SearchConfig(inequality_id="crp_stein", p=1.5, dim=4, seq_len=2, budget=5, restarts=2,
-                 seed=12),
-    SearchConfig(inequality_id="s_pq", p=3, q=1.5, dim=8, seq_len=3, budget=90, restarts=8,
-                 seed=13, adapted_only=True),
+    SearchConfig(inequality_id="crp_stein", p=1.5, filt=build_filtration("dyadic", 4),
+                 seq_len=2, budget=5, restarts=2, seed=12),
+    SearchConfig(inequality_id="s_pq", p=3, q=1.5, filt=build_filtration("dyadic", 8),
+                 seq_len=3, budget=90, restarts=8, seed=13, adapted_only=True),
     # dd_p's ratio is 1 at p = 1, so nearly every proposal is rejected and the step
     # falls below MIN_STEP: the restarts stop after different numbers of evaluations,
     # well inside the budget, and a later restart still improves the best ratio
-    SearchConfig(inequality_id="dd_p", p=1, dim=4, seq_len=3, budget=800, restarts=4,
-                 seed=19, step_scale=1e-5),
+    SearchConfig(inequality_id="dd_p", p=1, filt=build_filtration("dyadic", 4), seq_len=3,
+                 budget=800, restarts=4, seed=19, step_scale=1e-5),
 ), ids=("crp_stein_p1.5", "s_pq_adapted_only", "early_stops"))
 def test_lockstep_search_equals_oracle_off_the_grid(cfg):
     got = outcome(estimate_constant, cfg)
@@ -215,20 +270,21 @@ def test_lockstep_search_equals_oracle_off_the_grid(cfg):
 def test_lockstep_search_draws_noise_in_chunks(monkeypatch):
     # a budget beyond NOISE_ENTRIES is drawn a few evaluations at a time, on the
     # same streams
-    cfg = SearchConfig(inequality_id="s_pq", p=3, q=1.5, dim=4, seq_len=3, budget=50,
-                       restarts=3, seed=16)
+    cfg = SearchConfig(inequality_id="s_pq", p=3, q=1.5, filt=build_filtration("dyadic", 4),
+                       seq_len=3, budget=50, restarts=3, seed=16)
     monkeypatch.setattr(search, "NOISE_ENTRIES", 4 * 3 * 4 * 4)
     assert pickle.dumps(estimate_constant(cfg)) == pickle.dumps(sequential_climb(cfg))
 
 
-def test_lockstep_sweep_equals_oracle(monkeypatch):
-    base = SearchConfig(inequality_id="s_qq", p=2, q=2, dim=4, seq_len=3, budget=70,
-                        restarts=3, seed=14)
-    points = [(q, q) for q in (1.0, 1.5, 3.0)] + [(2.0, 3.0)]
-    rows = sweep(points, base)
-    monkeypatch.setattr(search, "_climb", sequential_climb)
-    assert pickle.dumps(rows) == pickle.dumps(sweep(points, base))
-    assert rows[-1].error is not None
+def test_lockstep_sweep_equals_oracle():
+    base = SearchConfig(inequality_id="s_qq", p=2, q=2, filt=build_filtration("dyadic", 4),
+                        seq_len=3, budget=70, restarts=3, seed=14)
+    for q in (1.0, 1.5, 3.0):
+        cfg = dataclasses.replace(base, p=q, q=q)
+        got = outcome(estimate_constant, cfg)
+        assert isinstance(got, bytes) and got == outcome(sequential_climb, cfg)
+    with pytest.raises(ValueError, match="p = q"):
+        dataclasses.replace(base, p=2.0, q=3.0)
 
 
 def flagged(xs) -> bool:
@@ -236,8 +292,9 @@ def flagged(xs) -> bool:
     return zlib.crc32(np.ascontiguousarray(xs).tobytes()) % 4 == 0
 
 
-REJECTION_SEARCH = SearchConfig(inequality_id="s_qq", p=1.5, q=1.5, dim=8, seq_len=3,
-                                budget=120, restarts=4, seed=15)
+REJECTION_SEARCH = SearchConfig(inequality_id="s_qq", p=1.5, q=1.5,
+                                filt=build_filtration("dyadic", 8), seq_len=3, budget=120,
+                                restarts=4, seed=15)
 
 
 def flags(kernel, xs, args):
