@@ -33,9 +33,9 @@ from .opcore import (
     herm,
     ntrace,
     op_norm,
-    schatten_norm,
     _complex_gaussian,
     _complex_gaussians,
+    _p_mean,
 )
 
 ADAPTED_TOL = 1e-10
@@ -362,7 +362,9 @@ def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResidu
     for a, b in the subalgebra, the trace residual |tr E(x) - tr x| / d, the
     positivity violation max(0, -min eig E(psd)), the adjoint residual
     ||E(x*) - E(x)*||, and the contractivity excess max(0, ||E(x)||_p -
-    ||x||_p) for p in {1, 2, 3, inf}.
+    ||x||_p) for p in {1, 2, 3, inf}. The four Schatten norms of a trial come
+    from one SVD of the stack [E(x), x], which gives each matrix the singular
+    values schatten_norm would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -393,8 +395,9 @@ def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResidu
         out["adjoint"] = max(out["adjoint"], op_norm(cond_exp(x.conj().T, spec) - ex.conj().T))
         w = np.linalg.eigvalsh(herm(cond_exp(psd, spec)))
         out["positivity"] = max(out["positivity"], max(0.0, -float(w[0])))
+        s_ex, s_x = np.linalg.svd(np.stack([ex, x]), compute_uv=False)
         for p in exponents:
-            excess = schatten_norm(ex, p) - schatten_norm(x, p)
+            excess = float(_p_mean(s_ex, p, top=0)) - float(_p_mean(s_x, p, top=0))
             contract[p] = max(contract[p], max(0.0, excess))
     return AxiomResiduals(contractivity=contract, **out)
 

@@ -164,8 +164,9 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     parameters and an adaptive step (halved after 20 consecutive rejections,
     restart abandoned below 1e-6). The restarts step in lockstep, each on its
     own stream; trajectory indices count evaluations in restart order. The
-    returned witness is rescaled so its rhs equals 1, and best_ratio is the
-    ratio of the checker replayed on that stored witness.
+    returned witness is rescaled by the rhs its kernel scored, so that its rhs
+    equals 1, and best_ratio is the ratio of the checker replayed once on that
+    stored witness.
     """
     ineq = get_inequality(cfg.inequality_id)
     if not ineq.searchable:
@@ -192,9 +193,6 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
             return xs, np.zeros(1), np.zeros(1)
         return tuple(map(np.concatenate, zip(*map(score, xs[:, None]))))
 
-    def replay(xs):
-        return run_inequality(cfg.inequality_id, xs, filt, p, q, lag, isometries)
-
     restarts, per_restart, d = cfg.restarts, cfg.budget // cfg.restarts, filt.dim
     # Restart r draws from its own stream [seed, r], one (n, d, d) draw per
     # evaluation, so its budget is drawn at once (in chunks when it exceeds
@@ -209,7 +207,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     rejections = [0] * restarts
     used = [0] * restarts
     accepts = [[] for _ in live]  # (evaluation in the restart, ratio) of each accept
-    last_xs = [None] * restarts  # the last accepted sequence
+    last = [None] * restarts  # the last accepted sequence and its scored rhs
     t = 0
     while live:
         if t % chunk == 0:
@@ -236,7 +234,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
             if ratio is not None and (not climbing or ratio > current_ratio[r]):
                 current[j], current_ratio[r], rejections[r] = zs[j], ratio, 0
                 accepts[r].append((t, ratio))
-                last_xs[r] = xs[j]
+                last[r] = xs[j], den
             elif climbing:
                 rejections[r] += 1
                 if rejections[r] >= 20:
@@ -255,23 +253,22 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
 
     # merge the restarts' accepts in restart order; a restart's accepted ratios
     # increase, so its last accepted sequence is its best
-    best_ratio, best_xs, trajectory = -np.inf, None, []
+    best_ratio, best, trajectory = -np.inf, None, []
     start = 0
     for r in range(restarts):
         for evaluation, ratio in accepts[r]:
             if ratio > best_ratio:
-                best_ratio, best_xs = ratio, last_xs[r]
+                best_ratio, best = ratio, last[r]
                 trajectory.append((start + evaluation, ratio))
         start += used[r]
-    if best_xs is None:
+    if best is None:
         raise RuntimeError("search produced no accepted evaluation")
 
-    # store the witness normalized to rhs = 1 and replay it
-    report = replay(best_xs)
-    scale = report.rhs.value
-    if scale > 0:
-        best_xs = (1.0 / scale) * best_xs
-        report = replay(best_xs)
+    # store the witness normalized by its scored rhs (> 0, as every accept's) and
+    # replay it once: the kernels are batch-invariant, so that rhs is the checker's
+    best_xs, scale = best
+    best_xs = (1.0 / scale) * best_xs
+    report = run_inequality(cfg.inequality_id, best_xs, filt, p, q, lag, isometries)
     if report.ratio is None:
         raise RuntimeError(f"the best {cfg.inequality_id} witness at p={p:g} replays with no "
                            f"ratio: its rhs is {scale:g}, which cannot be normalized to 1")

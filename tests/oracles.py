@@ -92,6 +92,47 @@ def loop_cond_exp(x, spec):
     return out
 
 
+def axiom_residuals_reference(spec, trials, seed):
+    """axiom_residuals with one schatten_norm call per matrix and exponent: the
+    reference for the stacked SVD in ncstein.expectation."""
+    from ncstein.expectation import AxiomResiduals, cond_exp
+    from ncstein.opcore import herm, ntrace, op_norm, schatten_norm, _complex_gaussian
+
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    d = spec.dim
+    exponents = (1.0, 2.0, 3.0, INF)
+    out = {
+        "projection": 0.0,
+        "bimodule": 0.0,
+        "trace": 0.0,
+        "positivity": 0.0,
+        "adjoint": 0.0,
+    }
+    contract = {p: 0.0 for p in exponents}
+    for _ in range(trials):
+        x = _complex_gaussian(rng, d)
+        a = cond_exp(_complex_gaussian(rng, d), spec)
+        b = cond_exp(_complex_gaussian(rng, d), spec)
+        z = _complex_gaussian(rng, d)
+        psd = herm(z.conj().T @ z)
+
+        ex = cond_exp(x, spec)
+        out["projection"] = max(out["projection"], op_norm(cond_exp(ex, spec) - ex))
+        out["bimodule"] = max(
+            out["bimodule"], op_norm(cond_exp(a @ x @ b, spec) - a @ ex @ b)
+        )
+        out["trace"] = max(out["trace"], abs(ntrace(ex) - ntrace(x)))
+        out["adjoint"] = max(out["adjoint"], op_norm(cond_exp(x.conj().T, spec) - ex.conj().T))
+        w = np.linalg.eigvalsh(herm(cond_exp(psd, spec)))
+        out["positivity"] = max(out["positivity"], max(0.0, -float(w[0])))
+        for p in exponents:
+            excess = schatten_norm(ex, p) - schatten_norm(x, p)
+            contract[p] = max(contract[p], max(0.0, excess))
+    return AxiomResiduals(contractivity=contract, **out)
+
+
 def column_norm_svd(seq, p, q):
     """||(sum_n |x_n|^q)^(1/q)||_p with |x|^q = V S^q V* from each term's SVD
     and the outer norm from the singular values of the sum."""

@@ -27,6 +27,8 @@ from ncstein import (
 )
 from ncstein.opcore import _complex_gaussian
 
+from oracles import axiom_residuals_reference
+
 INF = math.inf
 
 
@@ -105,6 +107,25 @@ def test_axiom_residuals_pinching():
     res = axiom_residuals(pinching_from_sizes([1, 1, 2]), trials=50, seed=1)
     assert res.max_residual() <= 1e-10
     assert set(res.contractivity) == {1.0, 2.0, 3.0, INF}
+
+
+CELL_CHAIN = Filtration(tuple(CellAverage(cells, 2) for cells in (
+    ((0, 1, 2),), ((0,), (1, 2)), ((0,), (1,), (2,)))))
+AXIOM_LEVELS = [(name, level, spec) for name, filt in (
+    ("dyadic8", build_filtration("dyadic", 8)),
+    ("tensor8", build_filtration("tensor", local_dims=(2, 2, 2))),
+    ("cells", CELL_CHAIN),
+) for level, spec in enumerate(filt.levels)]
+
+
+@pytest.mark.parametrize("name, level, spec", AXIOM_LEVELS,
+                         ids=[f"{name}-{level}" for name, level, _ in AXIOM_LEVELS])
+def test_axiom_residuals_equal_per_exponent_reference(name, level, spec):
+    # one stacked SVD per trial gives the floats of one Schatten norm per exponent
+    for seed in range(5):
+        for trials in (1, 7):
+            assert (axiom_residuals(spec, trials, seed)
+                    == axiom_residuals_reference(spec, trials, seed))
 
 
 def test_make_filtration_dyadic():

@@ -175,7 +175,8 @@ def test_hermitian_checks_near_tolerance():
 
 
 def count_calls(monkeypatch):
-    """Count LAPACK-backed numpy calls, as_operator validations and Schatten norms from here on."""
+    """Count LAPACK-backed numpy calls, as_operator validations, Schatten norms and
+    checker runs from here on."""
     counts = Counter()
 
     def counted(name, fn, key):
@@ -187,8 +188,9 @@ def count_calls(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), "lapack"))
-    for fn in ("as_operator", "schatten_norm"):
-        wrapped = counted(fn, getattr(opcore, fn), fn)
+    for home, fn in ((opcore, "as_operator"), (opcore, "schatten_norm"),
+                     (inequality, "run_inequality")):
+        wrapped = counted(fn, getattr(home, fn), fn)
         for module in (opcore, expectation, seqnorm, inequality, search, cli):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, wrapped)
@@ -240,3 +242,33 @@ def test_search_loop_work_per_evaluation(monkeypatch, inequality_id):
     if lapack_per_eval is not None:
         # a closed-form kernel scores every running restart in one call
         assert loop_lapack[8] == loop_lapack[2]
+
+
+@pytest.mark.parametrize("filt", (build_filtration("dyadic", 8),
+                                  build_filtration("tensor", local_dims=(2, 2, 2))),
+                         ids=("dyadic", "tensor"))
+def test_axioms_trial_work(monkeypatch, filt):
+    # the difference between two trial counts is the work of the extra trials: three
+    # operator norms, one eigvalsh and one SVD of the stack [E(x), x] per trial
+    counts = count_calls(monkeypatch)
+    for spec in filt.levels:
+        seen = []
+        for trials in (2, 5):
+            counts.clear()
+            expectation.axiom_residuals(spec, trials, 1)
+            seen.append((counts["lapack"], counts["schatten_norm"]))
+        (lapack0, norms0), (lapack1, norms1) = seen
+        assert lapack1 - lapack0 <= 5 * 3
+        assert norms0 == norms1 == 0
+
+
+@pytest.mark.parametrize("inequality_id, p, q, dim, seq_len", (
+    ("s_12_adapted", 1, 2, 8, 4), ("doob_maximal", 2, None, 4, 3)))
+def test_search_replays_its_witness_once(monkeypatch, inequality_id, p, q, dim, seq_len):
+    counts = count_calls(monkeypatch)
+    cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q,
+                       filt=build_filtration("dyadic", dim), seq_len=seq_len,
+                       budget=12, restarts=2, seed=3)
+    result = estimate_constant(cfg)
+    assert counts["run_inequality"] == 1
+    assert result.report.rhs.value == pytest.approx(1.0, rel=1e-12)

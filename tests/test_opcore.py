@@ -103,6 +103,17 @@ def test_schatten_monotone_in_p():
         assert hi >= lo - 1e-10
 
 
+@pytest.mark.parametrize("dim", (1, 4, 6, 8))
+def test_stacked_svd_gives_each_matrix_its_schatten_norms(dim):
+    # the axioms take the norms of E(x) and x from one SVD of their stack
+    rng = np.random.default_rng(dim)
+    pair = np.stack([oc._complex_gaussian(rng, dim), oc._complex_gaussian(rng, dim)])
+    spectra = np.linalg.svd(pair, compute_uv=False)
+    for p in (1.0, 1.5, 2.0, 3.0, INF):
+        assert [float(oc._p_mean(s, p, top=0)) for s in spectra] == \
+            [oc.schatten_norm(x, p) for x in pair]
+
+
 def test_schatten_rejects_small_p():
     with pytest.raises(ValueError, match=">= 1"):
         oc.schatten_norm(np.eye(2), 0.5)

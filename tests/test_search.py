@@ -357,7 +357,7 @@ def test_non_finite_proposal_never_reaches_the_kernel(monkeypatch):
     monkeypatch.setattr(search, "_complex_gaussians", poisoned)
     got = outcome(estimate_constant, cfg)
     assert any(map(any, hits))
-    # beyond the two replays, the steps with a poisoned proposal scored one at a time
+    # beyond the one replay, the steps with a poisoned proposal scored one at a time
     assert seen.count(1) > 2
     monkeypatch.setattr(opcore, "_complex_gaussians", poisoned)
     assert got == outcome(sequential_climb, cfg)
