@@ -309,6 +309,20 @@ def test_large_p_table_reports_finite_ratios(tmp_path, capsys):
     assert all(math.isfinite(float(row["ratio"])) for row in rows)
 
 
+def test_large_q_table_reports_its_point(tmp_path, capsys):
+    # |x|^400 used to overflow, which failed the point (and raised under this suite's
+    # RuntimeWarning filter); each sequence is now scaled by a power of two first
+    out = tmp_path / "t.csv"
+    cfg = parse_config(cfg_text(command="table", inequality="s_qq", p=2, q=2, dim=4,
+                                seq_len=3, budget=8, restarts=2, points=[[400, 400]],
+                                out=str(out)))
+    assert run_command(cfg) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert (row["p"], row["q"], row["evaluations"]) == ("400", "400", "8")
+    assert float(row["ratio"]) <= 1 + 1e-8
+
+
 def test_matrix_wire_format_round_trip():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

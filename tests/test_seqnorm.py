@@ -270,6 +270,19 @@ def test_large_exponents_do_not_overflow():
         assert op_norm(wit.left @ y @ wit.right - x) <= 1e-8 * op_norm(x)
 
 
+def test_large_inner_exponent_does_not_overflow():
+    # an eigenvalue above 5.9 passes 1e308 at q = 400; a sequence is divided by a power
+    # of two before the inner power, and its norm multiplied back
+    seq = [sample_psd(4, n) for n in range(3)]
+    value = column_q_norm(seq, 400, 400).value
+    # at p = q the column norm is (sum_n ||x_n||_q^q)^(1/q)
+    norms = np.array([schatten_norm(x, 400) for x in seq])
+    top = norms.max()
+    assert value == pytest.approx(top * np.sum((norms / top) ** 400) ** (1 / 400), rel=1e-12)
+    scaled = column_q_norm([2**20 * x for x in seq], 400, 400).value
+    assert scaled == pytest.approx(2**20 * value, rel=1e-12)
+
+
 def test_linf_bracket_order():
     for seed in range(10):
         rng = np.random.default_rng(seed)
