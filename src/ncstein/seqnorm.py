@@ -124,16 +124,16 @@ def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
 
 
 def _column_norms(xs: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Column norms of trusted stacks xs[..., n, d, d]. For q > 2 a sequence whose
-    spectra lie below d * max |x_ij| < 2^e, with q e beyond 960 bits, is divided by the
-    power of two that brings that bound to 2^(960 // q), and its norm multiplied back;
-    every other sequence keeps the scale 1, so |x|^q cannot overflow."""
-    if q <= 2:
-        return _root_norms(_abs_q_stack(xs, q).sum(axis=-3), p, q)
-    e = np.frexp(abs(xs).max(axis=(-3, -2, -1)))[1] + xs.shape[-1].bit_length()
-    scale = np.ldexp(1.0, np.maximum(e - int(960 // q), 0))
-    return scale * _root_norms(_abs_q_stack(xs / scale[..., None, None, None], q)
-                               .sum(axis=-3), p, q)
+    """Column norms of trusted stacks xs[..., n, d, d]. For q > 2, |x|^q cannot
+    overflow: a sequence whose spectra, bounded by d * max |x_ij|, could pass
+    2^(960 // q) is divided by the power of two that brings the bound below it, and its
+    norm multiplied back; any other sequence keeps the scale 1."""
+    if q > 2:
+        e = np.frexp(abs(xs).max(axis=(-3, -2, -1)))[1] + xs.shape[-1].bit_length()
+        scale = np.ldexp(1.0, np.maximum(e - int(960 // q), 0))
+        if (scale > 1).any():  # recurses once: the scaled bounds are below 2^(960 // q)
+            return scale * _column_norms(xs / scale[..., None, None, None], p, q)
+    return _root_norms(_abs_q_stack(xs, q).sum(axis=-3), p, q)
 
 
 def column_q_norm(seq: Sequence, p, q) -> NormValue:
