@@ -362,9 +362,8 @@ def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResidu
     for a, b in the subalgebra, the trace residual |tr E(x) - tr x| / d, the
     positivity violation max(0, -min eig E(psd)), the adjoint residual
     ||E(x*) - E(x)*||, and the contractivity excess max(0, ||E(x)||_p -
-    ||x||_p) for p in {1, 2, 3, inf}. The four Schatten norms of a trial come
-    from one SVD of the stack [E(x), x], which gives each matrix the singular
-    values schatten_norm would.
+    ||x||_p) for p in {1, 2, 3, inf}, all four from one SVD of the stack
+    [E(x), x], which gives each matrix the singular values schatten_norm would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -128,7 +128,7 @@ def _isometry_kernel(xs, filt, p, q, lag, ys):
     # ||(sum E(y_n* x_n y_n)^q)^(1/q)||_p against ||(sum y_n* x_n^q y_n)^(1/q)||_p for
     # unitaries y_n; identity isometries give s_pq's sides
     ys_adj = ys.conj().swapaxes(1, 2)
-    powers = _abs_q_stack(np.stack([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
+    powers, _ = _abs_q_stack(np.stack([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
     sums = np.stack([powers[0].sum(axis=-3), (ys_adj @ powers[1] @ ys).sum(axis=-3)])
     return tuple(_root_norms(sums, p, q))
 

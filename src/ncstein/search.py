@@ -224,7 +224,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
                     # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
                     coarse = _cond_exp_stack(herm(zs[j].conj().swapaxes(1, 2) @ zs[j]),
                                              filt.levels[0])
-                    zs[j] = _abs_q_stack(coarse, 0.5)
+                    zs[j] = _abs_q_stack(coarse, 0.5)[0]
         xs, lhs, rhs = score(herm(zs.conj().swapaxes(-1, -2) @ zs))
 
         done = []

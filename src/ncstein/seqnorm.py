@@ -31,8 +31,8 @@ from .opcore import (
     conjugate_exponent,
     herm,
     op_norm,
-    psd_power,
     schatten_norm,
+    _TINY,
     _complex_gaussians,
     _p_mean,
     _psd_flags,
@@ -102,19 +102,29 @@ def _require_positive(xs: np.ndarray) -> None:
         raise ValueError(f"sequence item {bad[0]} is not positive semidefinite")
 
 
-def _abs_q_stack(xs: np.ndarray, q: float) -> np.ndarray:
-    """|x|^q for every operator of a trusted stack xs[..., d, d]; for q != 2 the terms
-    that pass is_psd's test (from one batched eigh) skip |x|."""
+def _abs_q_stack(xs: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray | float]:
+    """(|x| / t)^q for every operator of a trusted stack xs[..., n, d, d], and the scales
+    t[...]: the top of each sequence's spectra for q > 2, so that no power overflows and
+    the top's is 1, and 1 otherwise. For q != 2 the terms that pass is_psd's test (from
+    one batched eigh) skip |x|."""
     if q == 2:
-        return xs.conj().swapaxes(-1, -2) @ xs
+        return xs.conj().swapaxes(-1, -2) @ xs, 1.0
     flat = xs.reshape(-1, *xs.shape[-2:])
     h = herm(flat)
     w, u = np.linalg.eigh(h)
-    out = h if q == 1 else herm((u * np.clip(w, 0.0, None)[:, None, :] ** q)
-                                @ u.conj().swapaxes(1, 2))
-    for k in np.flatnonzero(~_psd_flags(flat, w)):
-        out[k] = psd_power(abs_op(flat[k]), q)
-    return out.reshape(xs.shape)
+    bad = np.flatnonzero(~_psd_flags(flat, w))
+    for k in bad:  # the spectrum of |x| and its eigenbasis
+        w[k], u[k] = np.linalg.eigh(abs_op(flat[k]))
+    w, scale = np.clip(w, 0.0, None), 1.0
+    if q > 2:
+        scale = np.maximum(w.reshape(*xs.shape[:-3], -1).max(axis=-1), _TINY)
+        w /= np.repeat(scale.ravel(), xs.shape[-3])[:, None]
+    if q == 1:
+        for k in bad:  # |x| from its eigenbasis
+            h[k] = herm((u[k] * w[k]) @ u[k].conj().T)
+    else:
+        h = herm((u * w[:, None, :] ** q) @ u.conj().swapaxes(1, 2))
+    return h.reshape(xs.shape), scale
 
 
 def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -124,16 +134,9 @@ def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
 
 
 def _column_norms(xs: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Column norms of trusted stacks xs[..., n, d, d]. For q > 2, |x|^q cannot
-    overflow: a sequence whose spectra, bounded by d * max |x_ij|, could pass
-    2^(960 // q) is divided by the power of two that brings the bound below it, and its
-    norm multiplied back; any other sequence keeps the scale 1."""
-    if q > 2:
-        e = np.frexp(abs(xs).max(axis=(-3, -2, -1)))[1] + xs.shape[-1].bit_length()
-        scale = np.ldexp(1.0, np.maximum(e - int(960 // q), 0))
-        if (scale > 1).any():  # recurses once: the scaled bounds are below 2^(960 // q)
-            return scale * _column_norms(xs / scale[..., None, None, None], p, q)
-    return _root_norms(_abs_q_stack(xs, q).sum(axis=-3), p, q)
+    """Column norms of trusted stacks xs[..., n, d, d]."""
+    powers, scale = _abs_q_stack(xs, q)
+    return scale * _root_norms(powers.sum(axis=-3), p, q)
 
 
 def column_q_norm(seq: Sequence, p, q) -> NormValue:

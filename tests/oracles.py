@@ -192,7 +192,7 @@ def sequential_climb(cfg):
             zs = _complex_gaussians(rng, n_mats, filt.dim)
             if restart == 0:
                 coarse = _cond_exp_stack(herm(zs.conj().swapaxes(1, 2) @ zs), filt.levels[0])
-                zs = _abs_q_stack(coarse, 0.5)
+                zs = _abs_q_stack(coarse, 0.5)[0]
             evaluations += 1
             try:
                 ratio, xs = evaluate(zs)

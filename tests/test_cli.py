@@ -310,7 +310,7 @@ def test_large_p_table_reports_finite_ratios(tmp_path, capsys):
 
 
 def test_large_q_table_reports_its_point(tmp_path, capsys):
-    # without the power-of-two scale of each sequence, |x|^400 overflows: the point
+    # without the scale of each sequence by its top, |x|^400 overflows: the point
     # fails, and the table raises under this suite's RuntimeWarning filter
     out = tmp_path / "t.csv"
     cfg = parse_config(cfg_text(command="table", inequality="s_qq", p=2, q=2, dim=4,
