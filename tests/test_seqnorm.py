@@ -270,41 +270,34 @@ def test_large_exponents_do_not_overflow():
         assert op_norm(wit.left @ y @ wit.right - x) <= 1e-8 * op_norm(x)
 
 
-def _p_equals_q_column_norm(seq, q):
-    # at p = q the column norm is (sum_n ||x_n||_q^q)^(1/q)
-    norms = np.array([schatten_norm(x, q) for x in seq])
-    top = norms.max()
-    return top * np.sum((norms / top) ** q) ** (1 / q)
-
-
-def test_large_inner_exponent_does_not_overflow():
-    # an eigenvalue above 5.9 passes 1e308 at q = 400; each sequence is divided by the
-    # top of its spectra before the inner power, and its norm multiplied back
-    seq = [sample_psd(4, n) for n in range(3)]
-    value = column_q_norm(seq, 400, 400).value
-    assert value == pytest.approx(_p_equals_q_column_norm(seq, 400), rel=1e-12)
-    scaled = column_q_norm([2**20 * x for x in seq], 400, 400).value
-    assert scaled == pytest.approx(2**20 * value, rel=1e-12)
-
-
-@pytest.mark.parametrize("case", ["identity", "psd-d16-rhs1", "non-psd-d8", "small"])
-def test_large_inner_exponent_keeps_the_top(case):
-    # the scale is the exact top of each sequence's spectra, so the top's q-th power is
-    # 1 and neither overflows nor underflows, at any size of the entries
-    q = 600.0
-    if case == "identity":
+@pytest.mark.parametrize("case,q", [("psd-d4", 400.0), ("identity", 600.0),
+                                    ("psd-d16-rhs1", 600.0), ("non-psd-d8", 600.0),
+                                    ("small", 600.0)])
+def test_large_inner_exponent_does_not_overflow(case, q):
+    # each sequence is divided by the exact top of its spectra (of |x| for a non-PSD
+    # term) before the inner power, and its norm multiplied back: the top's power is 1,
+    # so it neither overflows (an eigenvalue above 5.9 passes 1e308 at q = 400) nor
+    # underflows
+    if case == "psd-d4":
+        seq = [sample_psd(4, n) for n in range(3)]
+    elif case == "identity":
         seq = [np.eye(4)]
     elif case == "psd-d16-rhs1":  # a witness normalized to rhs 1
         seq = [sample_psd(16, n) for n in range(3)]
         seq = [x / column_q_norm(seq, q, q).value for x in seq]
-    elif case == "non-psd-d8":  # the top comes from |x|, not from the Hermitian part
+    elif case == "non-psd-d8":
         seq = [sample_hermitian(8, n) + 1j * sample_hermitian(8, 10 + n) for n in range(3)]
     else:
         seq = [1e-3 * sample_psd(4, n) for n in range(2)]
     value = column_q_norm(seq, q, q).value
-    assert value == pytest.approx(_p_equals_q_column_norm(seq, q), rel=1e-12)
+    # at p = q the column norm is (sum_n ||x_n||_q^q)^(1/q)
+    norms = np.array([schatten_norm(x, q) for x in seq])
+    top = norms.max()
+    assert value == pytest.approx(top * np.sum((norms / top) ** q) ** (1 / q), rel=1e-12)
     if case == "psd-d16-rhs1":
         assert value == pytest.approx(1.0, rel=1e-12)
+    scaled = column_q_norm([2**20 * x for x in seq], q, q).value
+    assert scaled == pytest.approx(2**20 * value, rel=1e-12)
 
 
 def test_linf_bracket_order():
