@@ -377,10 +377,9 @@ def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtra
         if ys is None or len(ys) != len(xs):
             raise ValueError("sequence and isometries must have equal length")
         _require_positive(xs)
-        eye = np.eye(xs.shape[1])
-        for n, u in enumerate(ys):
-            if op_norm(u.conj().T @ u - eye) > UNITARY_CHECK_TOL:
-                raise ValueError(f"isometry {n} is not unitary within tolerance")
+        off = np.linalg.norm(ys.conj().swapaxes(1, 2) @ ys - np.eye(xs.shape[1]), 2, axis=(1, 2))
+        if (bad := np.flatnonzero(off > UNITARY_CHECK_TOL)).size:
+            raise ValueError(f"isometry {bad[0]} is not unitary within tolerance")
     elif kind == "projections":
         for n, r in enumerate(xs):
             if op_norm(r @ r - r) > PROJECTION_TOL or op_norm(r - r.conj().T) > PROJECTION_TOL:

@@ -133,6 +133,25 @@ def axiom_residuals_reference(spec, trials, seed):
     return AxiomResiduals(contractivity=contract, **out)
 
 
+def tower_residual_reference(filt, trials, seed):
+    """tower_residual with each level's first projection through the validating
+    cond_exp: the reference for the trusted stacked core in ncstein.expectation."""
+    from ncstein.expectation import cond_exp, _cond_exp_stack
+    from ncstein.opcore import _complex_gaussian
+
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = _complex_gaussian(rng, filt.dim)
+        projected = np.stack([cond_exp(x, spec) for spec in filt.levels])
+        for m, spec_m in enumerate(filt.levels):  # E_m of every E_n(x) against E_min(m,n)(x)
+            diff = _cond_exp_stack(projected, spec_m) - projected[np.minimum(range(len(filt)), m)]
+            worst = max(worst, float(np.linalg.norm(diff, 2, axis=(1, 2)).max()))
+    return worst
+
+
 def column_norm_svd(seq, p, q):
     """||(sum_n |x_n|^q)^(1/q)||_p with |x|^q = V S^q V* from each term's SVD
     and the outer norm from the singular values of the sum."""

@@ -27,7 +27,7 @@ from ncstein import (
 )
 from ncstein.opcore import _complex_gaussian
 
-from oracles import axiom_residuals_reference
+from oracles import axiom_residuals_reference, tower_residual_reference
 
 INF = math.inf
 
@@ -114,6 +114,7 @@ CELL_CHAIN = Filtration(tuple(CellAverage(cells, 2) for cells in (
 AXIOM_LEVELS = [(name, level, spec) for name, filt in (
     ("dyadic8", build_filtration("dyadic", 8)),
     ("tensor8", build_filtration("tensor", local_dims=(2, 2, 2))),
+    ("tensor232", build_filtration("tensor", local_dims=(2, 3, 2))),
     ("cells", CELL_CHAIN),
 ) for level, spec in enumerate(filt.levels)]
 
@@ -126,6 +127,24 @@ def test_axiom_residuals_equal_per_exponent_reference(name, level, spec):
         for trials in (1, 7):
             assert (axiom_residuals(spec, trials, seed)
                     == axiom_residuals_reference(spec, trials, seed))
+
+
+TOWER_CHAINS = {
+    "dyadic8": build_filtration("dyadic", 8),
+    "dyadic16": build_filtration("dyadic", 16),
+    "tensor8": build_filtration("tensor", local_dims=(2, 2, 2)),
+    "tensor232": build_filtration("tensor", local_dims=(2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", TOWER_CHAINS)
+def test_tower_residual_equals_reference(name):
+    # the trusted stacked core gives the floats of the validating cond_exp
+    filt = TOWER_CHAINS[name]
+    for seed in range(5):
+        for trials in (1, 5, 12):
+            expected = tower_residual_reference(filt, trials, seed)
+            assert tower_residual(filt, trials, seed) == expected
 
 
 def test_make_filtration_dyadic():

@@ -182,6 +182,15 @@ def test_isometry_rejects_non_unitary():
         run_inequality("s_isometry", seq, filt, 3, 1.5, isometries=bad)
 
 
+def test_isometry_check_names_the_first_non_unitary():
+    # one stacked norm checks every isometry; the lower failing index is reported
+    filt = dyadic(4)
+    seq = psd_seq(4, 4, 1)
+    ys = [sample_unitary(4, 7), 2 * np.eye(4), sample_unitary(4, 8), np.diag([1.0, 1.0, 1.0, 0.5])]
+    with pytest.raises(ValueError, match=r"^isometry 1 is not unitary within tolerance$"):
+        run_inequality("s_isometry", seq, filt, 3, 1.5, isometries=ys)
+
+
 # ---------------------------------------------------------------------------
 # dual Doob
 # ---------------------------------------------------------------------------

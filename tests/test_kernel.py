@@ -175,8 +175,8 @@ def test_hermitian_checks_near_tolerance():
 
 
 def count_calls(monkeypatch):
-    """Count LAPACK-backed numpy calls, as_operator validations, Schatten norms and
-    checker runs from here on."""
+    """Count LAPACK-backed numpy calls, as_operator validations, Schatten norms,
+    stacked conditional expectations and checker runs from here on."""
     counts = Counter()
 
     def counted(name, fn, key):
@@ -189,7 +189,7 @@ def count_calls(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), "lapack"))
     for home, fn in ((opcore, "as_operator"), (opcore, "schatten_norm"),
-                     (inequality, "run_inequality")):
+                     (expectation, "_cond_exp_stack"), (inequality, "run_inequality")):
         wrapped = counted(fn, getattr(home, fn), fn)
         for module in (opcore, expectation, seqnorm, inequality, search, cli):
             if hasattr(module, fn):
@@ -248,18 +248,37 @@ def test_search_loop_work_per_evaluation(monkeypatch, inequality_id):
                                   build_filtration("tensor", local_dims=(2, 2, 2))),
                          ids=("dyadic", "tensor"))
 def test_axioms_trial_work(monkeypatch, filt):
-    # the difference between two trial counts is the work of the extra trials: three
-    # operator norms, one eigvalsh and one SVD of the stack [E(x), x] per trial
+    # the difference between two trial counts is the work of the extra trials: two
+    # stacked conditional expectations, one SVD of five matrices and one eigvalsh per
+    # trial, and nothing validated inside the loop
     counts = count_calls(monkeypatch)
     for spec in filt.levels:
         seen = []
         for trials in (2, 5):
             counts.clear()
             expectation.axiom_residuals(spec, trials, 1)
-            seen.append((counts["lapack"], counts["schatten_norm"]))
-        (lapack0, norms0), (lapack1, norms1) = seen
-        assert lapack1 - lapack0 <= 5 * 3
-        assert norms0 == norms1 == 0
+            seen.append(Counter(counts))
+        assert seen[1]["lapack"] - seen[0]["lapack"] == 2 * 3
+        assert seen[1]["_cond_exp_stack"] - seen[0]["_cond_exp_stack"] == 2 * 3
+        assert seen[0]["as_operator"] == seen[1]["as_operator"] == 0
+        assert seen[0]["schatten_norm"] == seen[1]["schatten_norm"] == 0
+
+
+@pytest.mark.parametrize("filt", (build_filtration("dyadic", 8),
+                                  build_filtration("tensor", local_dims=(2, 3, 2))),
+                         ids=("dyadic", "tensor"))
+def test_tower_trial_work(monkeypatch, filt):
+    # an extra trial projects x onto every level and then every projection onto every
+    # level, one stacked call each, and takes one stacked operator norm per level
+    counts = count_calls(monkeypatch)
+    seen = []
+    for trials in (2, 5):
+        counts.clear()
+        expectation.tower_residual(filt, trials, 1)
+        seen.append(Counter(counts))
+    assert seen[1]["lapack"] - seen[0]["lapack"] == len(filt) * 3
+    assert seen[1]["_cond_exp_stack"] - seen[0]["_cond_exp_stack"] == 2 * len(filt) * 3
+    assert seen[0]["as_operator"] == seen[1]["as_operator"] == 0
 
 
 @pytest.mark.parametrize("inequality_id, p, q, dim, seq_len", (
