@@ -90,6 +90,13 @@ def _is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
+def _float(value, key: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"key {key!r} must lie within floating-point range") from None
+
+
 def _exponent(value, key: str) -> float:
     if value == "inf":
         return INF
@@ -97,7 +104,7 @@ def _exponent(value, key: str) -> float:
         raise ConfigError(f"key {key!r} must be a number or \"inf\", got {value!r}")
     if value < 1:
         raise ConfigError(f"key {key!r} must satisfy {key} >= 1, got {value}")
-    return float(value)
+    return _float(value, key)
 
 
 def _at_least(minimum: int):
@@ -116,13 +123,14 @@ def _lag(value, key: str) -> int:
     return value
 
 
-def _checked(ok, must: str, convert=lambda value: value):
-    """The parser of a key whose value passes one test, ok(value); `must`
-    completes the error message and may show the {value!r}."""
+def _checked(ok, must: str, convert=lambda value, key: value):
+    """The parser of a key whose value passes one test, ok(value), and then
+    convert(value, key); `must` completes the error message and may show the
+    {value!r}."""
     def parse(value, key: str):
         if not ok(value):
             raise ConfigError(f"key {key!r} must be " + must.format(value=value))
-        return convert(value)
+        return convert(value, key)
     return parse
 
 
@@ -131,11 +139,11 @@ def _optional(parse):
     return lambda value, key: None if value is None else parse(value, key)
 
 
-_number = _checked(_is_number, "a number", float)
+_number = _checked(_is_number, "a number", _float)
 _path = _checked(lambda v: isinstance(v, str), "a string path")
 _local_dims = _checked(lambda v: isinstance(v, list) and v != [] and all(
     not isinstance(d, bool) and isinstance(d, int) and d >= 1 for d in v),
-    "a list of positive integers", tuple)
+    "a list of positive integers", lambda value, key: tuple(value))
 # the exponents of the points are checked against the inequality in _instance
 _points = _checked(lambda v: isinstance(v, list) and all(
     isinstance(pt, list) and len(pt) == 2 for pt in v), "a list of [p, q] pairs")
@@ -183,7 +191,7 @@ _KEYS = {
     "budget": ("budget", _at_least(0)),
     "restarts": ("restarts", _at_least(0)),
     "step_scale": ("step_scale", _checked(lambda v: _is_number(v) and v > 0,
-                                          "a positive number, got {value!r}", float)),
+                                          "a positive number, got {value!r}", _float)),
     "witness_out": ("witness_out", _optional(_path)),
     "points": ("points", _points),
     "witness": ("witness", _path),
@@ -267,7 +275,9 @@ def _reject_constant(name: str):
 def _load_json(text: str, what: str):
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a syntax error, or an integer literal past int's digit limit
         raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
@@ -387,12 +397,13 @@ def decode_matrix(obj) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ConfigError(f"matrix 'entries' must hold dim^2 = {dim * dim} pairs")
-    flat = []
-    for pair in entries:
-        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-            raise ConfigError("matrix entries must be [re, im] number pairs")
-        flat.append(complex(pair[0], pair[1]))
-    return np.array(flat, dtype=complex).reshape(dim, dim)
+    if any(not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair))
+           for pair in entries):
+        raise ConfigError("matrix entries must be [re, im] number pairs")
+    try:
+        return np.array([complex(*pair) for pair in entries], dtype=complex).reshape(dim, dim)
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError("matrix entries must lie within floating-point range") from None
 
 
 def _write_witness(path: str, cfg: RunConfig, result) -> None:

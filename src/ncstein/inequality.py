@@ -42,7 +42,7 @@ from .opcore import (
     herm,
     op_norm,
     psd_power,
-    schatten_norm,
+    _p_mean,
 )
 from .seqnorm import (
     NormValue,
@@ -153,7 +153,8 @@ def _doob_kernel(xs, filt, p, q, lag, ys):
     # the ell_inf bracket of the chain (E(x))_n, one copy of x per level: E_0(x), ...,
     # E_N(x) at lag 0 and E_0(x), E_0(x), ..., E_{N-1}(x) at lag 1; against the exact ||x||_p
     bracket = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=0), filt, lag), p)
-    return bracket.lower, NormValue(schatten_norm(xs[0], p), "exact"), bracket.upper
+    norm = _p_mean(np.linalg.svd(xs[0], compute_uv=False), p, top=0)
+    return bracket.lower, NormValue(norm, "exact"), bracket.upper
 
 
 @_each

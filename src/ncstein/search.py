@@ -6,12 +6,13 @@ projecting term n onto its filtration level. Ratios found this way are
 empirical lower bounds on best constants, never upper-bound claims: the only
 asserted ceilings are the proved ones held by the inequality registry.
 
-Restarts step in lockstep: each step scores one proposal from every running
-restart with one batched kernel call. Each restart keeps its own stream
-(seed, restart index), step, rejection count and stop rule, so the result is
-bit for bit that of running the restarts one after another, and trajectory
-indices count evaluations in restart order. Restart 0 starts inside the
-coarsest subalgebra, where the equality regime of the ratio-1 instances lives.
+Each restart is one sequential climb, a generator that owns its stream
+(seed, restart index), point, step, rejection count and stop rule: it yields
+its proposals and is sent their scores. The driver scores one proposal from
+every running restart with one batched kernel call, so the result is bit for
+bit that of running the restarts one after another, and trajectory indices
+count evaluations in restart order. Restart 0 starts inside the coarsest
+subalgebra, where the equality regime of the ratio-1 instances lives.
 """
 
 from __future__ import annotations
@@ -162,11 +163,12 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
 
     Runs cfg.restarts climbs with additive Gaussian proposals on the z
     parameters and an adaptive step (halved after 20 consecutive rejections,
-    restart abandoned below 1e-6). The restarts step in lockstep, each on its
-    own stream; trajectory indices count evaluations in restart order. The
-    returned witness is rescaled by the rhs its kernel scored, so that its rhs
-    equals 1, and best_ratio is the ratio of the checker replayed once on that
-    stored witness.
+    restart abandoned below 1e-6). Each climb is a generator on its own
+    stream; every step stacks the running climbs' proposals into one kernel
+    call and sends each its score. Trajectory indices count evaluations in
+    restart order. The returned witness is rescaled by the rhs its kernel
+    scored, so that its rhs equals 1, and best_ratio is the ratio of the
+    checker replayed once on that stored witness.
     """
     ineq = get_inequality(cfg.inequality_id)
     if not ineq.searchable:
@@ -193,74 +195,68 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
             return xs, np.zeros(1), np.zeros(1)
         return tuple(map(np.concatenate, zip(*map(score, xs[:, None]))))
 
-    restarts, per_restart, d = cfg.restarts, cfg.budget // cfg.restarts, filt.dim
-    # Restart r draws from its own stream [seed, r], one (n, d, d) draw per
-    # evaluation, so its budget is drawn at once (in chunks when it exceeds
-    # NOISE_ENTRIES). Every running restart spends one evaluation per step:
-    # after t steps each has used t.
-    live = list(range(restarts))  # the running restarts; row j of the arrays is live[j]'s
-    rngs = [np.random.default_rng([cfg.seed, r]) for r in live]
+    per_restart, d = cfg.budget // cfg.restarts, filt.dim
     chunk = max(1, NOISE_ENTRIES // (n_mats * d * d))
-    current = np.zeros((restarts, n_mats, d, d), complex)
-    step = np.full(restarts, cfg.step_scale)
-    current_ratio = [None] * restarts  # None until a restart's first scored draw
-    rejections = [0] * restarts
-    used = [0] * restarts
-    accepts = [[] for _ in live]  # (evaluation in the restart, ratio) of each accept
-    last = [None] * restarts  # the last accepted sequence and its scored rhs
-    t = 0
-    while live:
-        if t % chunk == 0:
-            count = min(chunk, per_restart - t)
-            noise = np.stack([_complex_gaussians(rngs[r], count * n_mats, d)
-                              .reshape(count, n_mats, d, d) for r in live])
-        draws = noise[:, t % chunk]
-        zs = current + step[:, None, None, None] * draws
-        t += 1
-        for j, r in enumerate(live):
-            if current_ratio[r] is None:  # an initial draw
-                zs[j] = draws[j]
-                if r == 0:
-                    # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
-                    coarse = _cond_exp_stack(herm(zs[j].conj().swapaxes(1, 2) @ zs[j]),
-                                             filt.levels[0])
-                    zs[j] = _abs_q_stack(coarse, 0.5)[0]
-        xs, lhs, rhs = score(herm(zs.conj().swapaxes(-1, -2) @ zs))
 
-        done = []
-        for j, (r, num, den) in enumerate(zip(live, lhs.tolist(), rhs.tolist())):
-            ratio = num / den if den > 0 else None
-            climbing = current_ratio[r] is not None
-            if ratio is not None and (not climbing or ratio > current_ratio[r]):
-                current[j], current_ratio[r], rejections[r] = zs[j], ratio, 0
-                accepts[r].append((t, ratio))
-                last[r] = xs[j], den
-            elif climbing:
-                rejections[r] += 1
-                if rejections[r] >= 20:
-                    step[j] /= 2
-                    rejections[r] = 0
+    def climb(r):
+        """Restart r on its own stream [seed, r]: yields each proposal z, is sent the
+        scored (x, lhs, rhs) of herm(z* z), and returns its accepts (evaluation in
+        the restart, ratio), its last accepted (x, rhs) and its evaluations used."""
+        rng = np.random.default_rng([cfg.seed, r])
+        # one (n, d, d) draw per evaluation, at most NOISE_ENTRIES entries drawn at once
+        noise = (draw for first in range(0, per_restart, chunk)
+                 for draw in _complex_gaussians(rng, min(chunk, per_restart - first) * n_mats, d)
+                 .reshape(-1, n_mats, d, d))
+        current = ratio = last = None
+        step, rejections, accepts = cfg.step_scale, 0, []
+        for t, draw in enumerate(noise, 1):
+            if current is not None:
+                z = current + step * draw
+            elif r == 0:  # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
+                coarse = _cond_exp_stack(herm(draw.conj().swapaxes(1, 2) @ draw), filt.levels[0])
+                z = _abs_q_stack(coarse, 0.5)[0]
+            else:
+                z = draw
+            x, num, den = yield z
+            if den > 0 and (current is None or num / den > ratio):
+                current, ratio, rejections = z, num / den, 0
+                accepts.append((t, ratio))
+                last = x, den
+            elif current is not None:
+                rejections += 1
+                if rejections >= 20:
+                    step, rejections = step / 2, 0
             elif MAX_INITIAL_DRAWS == t < per_restart:
                 raise RuntimeError(f"checker rejected {MAX_INITIAL_DRAWS} initial draws for "
                                    f"{cfg.inequality_id} (restart {r})")
-            if t == per_restart or current_ratio[r] is not None and step[j] < MIN_STEP:
-                done.append(j)
-                used[r] = t
-        if done:
-            keep = [j for j in range(len(live)) if j not in done]
-            live = [live[j] for j in keep]
-            noise, current, step = noise[keep], current[keep], step[keep]
+            if current is not None and step < MIN_STEP:
+                return accepts, last, t
+        return accepts, last, per_restart
+
+    # every running restart spends one evaluation per step: one kernel call scores
+    # all their proposals, and a restart that returns leaves the batch
+    climbs = [climb(r) for r in range(cfg.restarts)]
+    proposals = {r: next(c) for r, c in enumerate(climbs)}
+    ends = [None] * cfg.restarts
+    while proposals:
+        zs = np.stack(list(proposals.values()))
+        xs, lhs, rhs = score(herm(zs.conj().swapaxes(-1, -2) @ zs))
+        for r, x, num, den in zip(list(proposals), xs, lhs.tolist(), rhs.tolist()):
+            try:
+                proposals[r] = climbs[r].send((x, num, den))
+            except StopIteration as stop:
+                del proposals[r]
+                ends[r] = stop.value
 
     # merge the restarts' accepts in restart order; a restart's accepted ratios
     # increase, so its last accepted sequence is its best
-    best_ratio, best, trajectory = -np.inf, None, []
-    start = 0
-    for r in range(restarts):
-        for evaluation, ratio in accepts[r]:
+    best_ratio, best, trajectory, start = -np.inf, None, [], 0
+    for accepts, last, used in ends:
+        for evaluation, ratio in accepts:
             if ratio > best_ratio:
-                best_ratio, best = ratio, last[r]
+                best_ratio, best = ratio, last
                 trajectory.append((start + evaluation, ratio))
-        start += used[r]
+        start += used
     if best is None:
         raise RuntimeError("search produced no accepted evaluation")
 
@@ -275,7 +271,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     return SearchResult(
         best_ratio=float(report.ratio),
         witness=tuple(best_xs),
-        evaluations_used=sum(used),
+        evaluations_used=start,
         trajectory=tuple(trajectory),
         report=report,
     )

@@ -11,7 +11,9 @@ sum). Two quantities are only bracketed:
     real coordinates of a Hermitian a). Its majorant a gives the upper end,
     certified by the factorization x_n = a^(1/2) y_n a^(1/2) with contractions
     y_n; its duals y_n ~ (a - x_n)^-1, scaled to ||sum y_n||_p' <= 1, give the
-    lower end sum_n ntrace(x_n y_n).
+    lower end sum_n ntrace(x_n y_n). The closed form a = max_n ||x_n||_inf 1,
+    with relative gap 1 - d^(-1/p), replaces the solve where that gap is below
+    LINF_GAP_REL (p = inf included) or the solve's bracket is wider.
 
 Repeated calls with equal arguments return identical values.
 """
@@ -350,23 +352,25 @@ def _try_factorization(items, m, p):
     root = (v * np.sqrt(np.where(keep, w, 0.0))) @ v.conj().T
     rooti = (v * np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)) @ v.conj().T
     ys = herm(rooti @ items @ rooti)
-    residual = max(op_norm(root @ y @ root - x) for y, x in zip(ys, items))
-    if residual > FACTOR_RESIDUAL_TOL * max(1.0, max(op_norm(x) for x in items)):
+    residual = float(np.linalg.norm(root @ ys @ root - items, 2, axis=(1, 2)).max())
+    if residual > FACTOR_RESIDUAL_TOL * max(1.0, np.linalg.norm(items, 2, axis=(1, 2)).max()):
         raise RuntimeError("no valid factorization found for a positive sequence")
-    contraction = max(op_norm(y) for y in ys)
+    contraction = np.linalg.norm(ys, 2, axis=(1, 2)).max()
     side = np.sqrt(contraction) * root
-    value = contraction * schatten_norm(root, INF if p == INF else 2.0 * p) ** 2
+    value = contraction * _p_mean(np.linalg.svd(root, compute_uv=False), 2.0 * p, top=0) ** 2
     return value, FactorizationWitness(side, side, tuple(ys / contraction), residual)
 
 
 def linf_norm_positive(seq: Sequence, p, *, seed: int = 0) -> LinfBracket:
     """Bracket for ||(x_n)||_{L_p(ell_inf)} = min ||a||_p over a >= x_n (x_n >= 0).
 
-    The upper end factors x_n = a^(1/2) y_n a^(1/2) through the barrier
-    solve's majorant a, with contractions y_n; the lower end pairs the x_n
-    with its duals y_n >= 0, ||sum y_n||_p' <= 1. At p = inf both ends are
-    the closed form max_n ||x_n||_inf. The solve is deterministic: `seed` is
-    accepted and ignored.
+    The upper end factors x_n = a^(1/2) y_n a^(1/2) through a majorant a, with
+    contractions y_n; the lower end pairs the x_n with duals y_n >= 0,
+    ||sum y_n||_p' <= 1. The closed form takes a = c 1, c = max_n ||x_n||_inf,
+    and the dual d^(1-1/p) v v* on that term's top eigenvector v: its relative
+    gap is 1 - d^(-1/p), 0 at p = inf. When that gap exceeds LINF_GAP_REL the
+    barrier solve's majorant and duals are tried, and the tighter bracket is
+    returned. The solve is deterministic: `seed` is accepted and ignored.
     """
     items = as_stack(seq)
     p = as_exponent(p)
@@ -382,14 +386,23 @@ def _linf_bracket(items: np.ndarray, p: float) -> LinfBracket:
     xs, d = herm(items), items.shape[1]
     w, v = np.linalg.eigh(xs)
     n = int(np.argmax(w[:, -1]))
-    if p == INF:  # a = max_n ||x_n||_inf 1; the dual sits on that term's top eigenvector
-        a, duals = w[n, -1] * np.eye(d), np.zeros_like(xs)
-        duals[n] = d * np.outer(v[n, :, -1], v[n, :, -1].conj())
-    else:
+    closed_gap = 1.0 - d ** (-1.0 / p)
+    if closed_gap > LINF_GAP_REL:
         a = _barrier_solve(xs, p, w[n, -1])
-        duals = _duals(xs, a, p)[0]
-    objective = float(np.einsum("nij,nji->", items, duals).real) / d
-    feasibility = schatten_norm(duals.sum(axis=0), conjugate_exponent(p))
+        bracket = _certified(items, a, _duals(xs, a, p)[0], p)
+        if bracket.upper.value - bracket.lower.value <= closed_gap * bracket.upper.value:
+            return bracket
+    duals = np.zeros_like(xs)
+    duals[n] = d ** (1.0 - 1.0 / p) * np.outer(v[n, :, -1], v[n, :, -1].conj())
+    return _certified(items, w[n, -1] * np.eye(d), duals, p)
+
+
+def _certified(items, a, duals, p) -> LinfBracket:
+    """The bracket of a majorant a (factored into the upper end) and duals (paired
+    into the lower end) of a trusted PSD stack."""
+    objective = float(np.einsum("nij,nji->", items, duals).real) / items.shape[1]
+    feasibility = float(_p_mean(np.linalg.svd(duals.sum(axis=0), compute_uv=False),
+                                conjugate_exponent(p), top=0))
     lower = NormValue(max(objective, 0.0), "lower",
                       DualCertificate(tuple(duals), objective, feasibility))
     value, witness = _try_factorization(items, a, p)

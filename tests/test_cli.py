@@ -485,6 +485,34 @@ def test_witness_rejects_malformed_fields(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("ncstein: error: "), key
 
 
+def test_oversized_numbers_are_config_errors(tmp_path, capsys):
+    # an integer literal past the float range used to escape as an OverflowError,
+    # and one past int's 4300-digit limit as a plain ValueError
+    big = 10 ** 400
+    table = dict(command="table", inequality="s_qq", p=2, q=2, points=[[2, 2]])
+    check = dict(command="check", inequality="s_qq", p=2, q=2)
+    for config, key in (({**table, "p": big}, "p"), ({**table, "q": big}, "q"),
+                        ({**table, "step_scale": big}, "step_scale"),
+                        ({**table, "points": [[2, 2], [big, 2]]}, "points[1].p"),
+                        ({**check, "assert_ratio_le": -big}, "assert_ratio_le")):
+        with pytest.raises(ConfigError, match=rf"key '{re.escape(key)}' must lie within"):
+            parse_config(json.dumps(config))
+    with pytest.raises(ConfigError, match="malformed JSON configuration: Exceeds the limit"):
+        parse_config(cfg_text(command="check", inequality="s_qq", p=2, q=2, seed=7)
+                     .replace("7", "7" * 4301))
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    payload = json.loads(witness_path.read_text())
+    matrix = payload["witness"][0]
+    huge = {**matrix, "entries": [[big, 0]] + matrix["entries"][1:]}
+    for key, value, message in (("witness", [huge] * 3, "matrix entries must lie within"),
+                                ("best_ratio", big, "key 'best_ratio' must lie within")):
+        witness_path.write_text(json.dumps({**payload, key: value}))
+        assert run_command(parse_config(cfg_text(command="check",
+                                                 witness=str(witness_path)))) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_reports_identical_across_blas_thread_counts(tmp_path):
     """The thread count is set for each child process only."""
     configs = {

@@ -183,7 +183,7 @@ def test_sweep_qq_grid():
         assert total <= 4 * base.budget
 
 
-def test_sweep_propagates_point_failures(capsys):
+def test_sweep_propagates_point_failures(capsys, monkeypatch):
     base = SearchConfig(inequality_id="s_qq", p=2, q=2, filt=build_filtration("dyadic", 4),
                         seq_len=3, budget=200, restarts=2, seed=8)
     assert estimate_constant(dataclasses.replace(base, p=2.0, q=2.0)).report.ratio is not None
@@ -191,7 +191,15 @@ def test_sweep_propagates_point_failures(capsys):
     with pytest.raises(ValueError, match="p = q"):
         dataclasses.replace(base, p=2.0, q=3.0)
     # a point whose search fails gets an empty row and a stderr line in a table,
-    # and the rest of the grid still runs: the barrier solve refuses p = 1e300
+    # and the rest of the grid still runs: here a kernel that refuses p = 1e300
+    record = INEQUALITIES["s_p_inf"]
+
+    def refusing(xs, filt, p, *args):
+        if p > 1e9:
+            raise np.linalg.LinAlgError("refused exponent")
+        return record.kernel(xs, filt, p, *args)
+
+    monkeypatch.setitem(INEQUALITIES, record.id, dataclasses.replace(record, kernel=refusing))
     cfg = parse_config(json.dumps(dict(command="table", inequality="s_p_inf", p=2, dim=4,
                                        seq_len=2, budget=8, restarts=2,
                                        points=[[1e300, None], [2, None]])))
@@ -334,6 +342,23 @@ def test_rejected_sequence_leaves_its_batch_alone(monkeypatch, patch):
     assert any(any(batch) and not all(batch) for batch in calls if len(batch) > 1)
     assert got == outcome(sequential_climb, REJECTION_SEARCH)
     assert isinstance(got, bytes)  # the search itself completed
+
+
+def test_rejected_initial_draws_stop_the_search(monkeypatch):
+    # every rhs vanishes, so no initial draw is accepted: once a restart has spent
+    # MAX_INITIAL_DRAWS of a larger budget, the search refuses to go on, raising from
+    # inside the lockstep step as the sequential loop does
+    record = INEQUALITIES["s_qq"]
+
+    def vanishing_rhs(xs, *args):
+        return record.kernel(xs, *args)[0], np.zeros(len(xs))
+
+    monkeypatch.setitem(INEQUALITIES, record.id, dataclasses.replace(record, kernel=vanishing_rhs))
+    cfg = SearchConfig(inequality_id="s_qq", p=1.5, q=1.5, filt=build_filtration("dyadic", 4),
+                       seq_len=2, budget=3 * (search.MAX_INITIAL_DRAWS + 5), restarts=3, seed=17)
+    got = outcome(estimate_constant, cfg)
+    assert got == (RuntimeError, "checker rejected 100 initial draws for s_qq (restart 0)")
+    assert got == outcome(sequential_climb, cfg)
 
 
 def test_non_finite_proposal_never_reaches_the_kernel(monkeypatch):
