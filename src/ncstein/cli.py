@@ -272,9 +272,16 @@ def _reject_constant(name: str):
     raise ConfigError(f"{name} is not a strict JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):  # a float literal past the float range, such as 1e400
+        raise ConfigError(f"number {literal} lies outside the floating-point range")
+    return value
+
+
 def _load_json(text: str, what: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except ConfigError:
         raise
     except ValueError as exc:  # a syntax error, or an integer literal past int's digit limit

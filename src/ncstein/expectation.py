@@ -28,10 +28,10 @@ import numpy as np
 
 from .opcore import (
     INF,
+    NOISE_ENTRIES,
     as_operator,
     as_stack,
     herm,
-    ntrace,
     _complex_gaussian,
     _complex_gaussians,
     _p_mean,
@@ -361,42 +361,39 @@ def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResidu
     for a, b in the subalgebra, the trace residual |tr E(x) - tr x| / d, the
     positivity violation max(0, -min eig E(psd)), the adjoint residual
     ||E(x*) - E(x)*||, and the contractivity excess max(0, ||E(x)||_p -
-    ||x||_p) for p in {1, 2, 3, inf}. A trial conditions its draws with two
-    stacked calls of the trusted core and takes every norm from one SVD of the
-    five matrices [E(E(x)) - E(x), E(axb) - a E(x) b, E(x*) - E(x)*, E(x), x]:
-    the three residuals are the tops of the first three spectra, and the
-    excesses compare the p-means of the last two, the values op_norm and
-    schatten_norm would give.
+    ||x||_p) for p in {1, 2, 3, inf}. The trials are drawn k at a time, at most
+    NOISE_ENTRIES entries of noise per chunk, on the stream of one draw per
+    trial. A chunk conditions its draws with two stacked calls of the trusted
+    core and takes every norm from one SVD of the (5, k, d, d) stack
+    [E(E(x)) - E(x), E(axb) - a E(x) b, E(x*) - E(x)*, E(x), x] and the
+    positivity from one eigvalsh: the three residuals are the tops of the
+    first three spectra, and the excesses compare the p-means of the last two,
+    the values op_norm and schatten_norm would give. Each residual is a max
+    over the trial axis, so every field is the float of one trial at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    d = spec.dim
+    rng, d = np.random.default_rng(seed), spec.dim
     exponents = (1.0, 2.0, 3.0, INF)
-    out = {
-        "projection": 0.0,
-        "bimodule": 0.0,
-        "trace": 0.0,
-        "positivity": 0.0,
-        "adjoint": 0.0,
-    }
-    contract = {p: 0.0 for p in exponents}
-    for _ in range(trials):
-        x, g_a, g_b, z = _complex_gaussians(rng, 4, d)
-        ex, a, b, ex_adj, e_psd = _cond_exp_stack(
-            np.stack([x, g_a, g_b, x.conj().T, herm(z.conj().T @ z)]), spec)
+    worst = np.zeros(9)  # projection, bimodule, adjoint, trace, positivity, one excess per p
+    chunk = max(1, NOISE_ENTRIES // (4 * d * d))
+    for first in range(0, trials, chunk):
+        draws = _complex_gaussians(rng, 4 * min(chunk, trials - first), d).reshape(-1, 4, d, d)
+        x, g_a, g_b, z = draws.swapaxes(0, 1)
+        ex, a, b, ex_adj, e_psd = _cond_exp_stack(np.stack(
+            [x, g_a, g_b, x.conj().swapaxes(1, 2), herm(z.conj().swapaxes(1, 2) @ z)]), spec)
         eex, eaxb = _cond_exp_stack(np.stack([ex, a @ x @ b]), spec)
-        s = np.linalg.svd(np.stack([eex - ex, eaxb - a @ ex @ b, ex_adj - ex.conj().T, ex, x]),
-                          compute_uv=False)
-        for key, top in zip(("projection", "bimodule", "adjoint"), s[:3, 0]):
-            out[key] = max(out[key], float(top))
-        out["trace"] = max(out["trace"], abs(ntrace(ex) - ntrace(x)))
-        w = np.linalg.eigvalsh(herm(e_psd))
-        out["positivity"] = max(out["positivity"], max(0.0, -float(w[0])))
-        for p in exponents:
-            excess = float(_p_mean(s[3], p, top=0)) - float(_p_mean(s[4], p, top=0))
-            contract[p] = max(contract[p], max(0.0, excess))
-    return AxiomResiduals(contractivity=contract, **out)
+        s = np.linalg.svd(np.stack([eex - ex, eaxb - a @ ex @ b, ex_adj - ex.conj().swapaxes(1, 2),
+                                    ex, x]), compute_uv=False)
+        # |ntrace(E(x)) - ntrace(x)|: each part divided by d, as complex / int does
+        tr = np.trace(np.stack([ex, x]), axis1=2, axis2=3)
+        trace = np.hypot(tr.real[0] / d - tr.real[1] / d, tr.imag[0] / d - tr.imag[1] / d)
+        excess = [_p_mean(s[3], p, top=0) - _p_mean(s[4], p, top=0) for p in exponents]
+        rows = [*s[:3, :, 0], trace, -np.linalg.eigvalsh(herm(e_psd))[:, 0], *excess]
+        worst = np.maximum(worst, [row.max() for row in rows])
+    projection, bimodule, adjoint, trace, positivity, *excess = worst.tolist()
+    return AxiomResiduals(projection, bimodule, trace, positivity, adjoint,
+                          dict(zip(exponents, excess)))
 
 
 def tower_residual(filt: Filtration, trials: int, seed: int) -> float:

@@ -167,11 +167,14 @@ def conjugate_exponent(p) -> float:
 # (kind, dim, seed, params) tuple always reproduces the same output.
 # ---------------------------------------------------------------------------
 
+NOISE_ENTRIES = 1 << 18  # complex entries (4 MB) of noise a caller draws at once
+
 
 def _complex_gaussians(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """(count, dim, dim) standard complex Gaussians. The stream does not depend on how
     it is cut: one draw of count * m reshaped to (count, m, dim, dim) equals count
-    successive draws of m, which lets the search draw a restart's budget at once."""
+    successive draws of m, which lets a search restart and the axioms trials draw in
+    chunks of at most NOISE_ENTRIES entries."""
     g = rng.standard_normal((count, 2, dim, dim))
     return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
 

@@ -25,12 +25,12 @@ import numpy as np
 from .expectation import Filtration, as_lag, _cond_exp_stack, _condition
 from .inequality import (ClassicalSpace, RatioReport, embed_process, get_inequality,
                          run_inequality)
-from .opcore import as_stack, herm, sample_projection_family, sample_unitary, _complex_gaussians
+from .opcore import (NOISE_ENTRIES, as_stack, herm, sample_projection_family, sample_unitary,
+                     _complex_gaussians)
 from .seqnorm import _abs_q_stack
 
 MIN_STEP = 1e-6
 MAX_INITIAL_DRAWS = 100
-NOISE_ENTRIES = 1 << 18  # complex entries (4 MB) of noise a restart draws at once
 
 
 @dataclass(frozen=True)

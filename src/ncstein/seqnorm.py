@@ -107,26 +107,18 @@ def _require_positive(xs: np.ndarray) -> None:
 def _abs_q_stack(xs: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray | float]:
     """(|x| / t)^q for every operator of a trusted stack xs[..., n, d, d], and the scales
     t[...]: the top of each sequence's spectra for q > 2, so that no power overflows and
-    the top's is 1, and 1 otherwise. For q != 2 the terms that pass is_psd's test (from
-    one batched eigh) skip |x|."""
+    the top's is 1, and 1 otherwise. For q != 2 the terms must pass is_psd, so that
+    |x| = x: callers validate them at their boundary or build them as z* z."""
     if q == 2:
         return xs.conj().swapaxes(-1, -2) @ xs, 1.0
-    flat = xs.reshape(-1, *xs.shape[-2:])
-    h = herm(flat)
-    w, u = np.linalg.eigh(h)
-    bad = np.flatnonzero(~_psd_flags(flat, w))
-    for k in bad:  # the spectrum of |x| and its eigenbasis
-        w[k], u[k] = np.linalg.eigh(abs_op(flat[k]))
+    if q == 1:
+        return herm(xs), 1.0
+    w, u = np.linalg.eigh(herm(xs.reshape(-1, *xs.shape[-2:])))
     w, scale = np.clip(w, 0.0, None), 1.0
     if q > 2:
         scale = np.maximum(w.reshape(*xs.shape[:-3], -1).max(axis=-1), _TINY)
         w /= np.repeat(scale.ravel(), xs.shape[-3])[:, None]
-    if q == 1:
-        for k in bad:  # |x| from its eigenbasis
-            h[k] = herm((u[k] * w[k]) @ u[k].conj().T)
-    else:
-        h = herm((u * w[:, None, :] ** q) @ u.conj().swapaxes(1, 2))
-    return h.reshape(xs.shape), scale
+    return herm((u * w[:, None, :] ** q) @ u.conj().swapaxes(1, 2)).reshape(xs.shape), scale
 
 
 def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -152,6 +144,9 @@ def column_q_norm(seq: Sequence, p, q) -> NormValue:
     if q == INF:
         raise ValueError("q = inf is handled by linf_norm_positive")
     q = as_exponent(q)
+    if q != 2:  # away from q = 2 the core reads each term as |x|: replace any non-PSD x
+        for k in np.flatnonzero(~_psd_flags(xs)):
+            xs[k] = abs_op(xs[k])
     return NormValue(float(_column_norms(xs, p, q)), "exact")
 
 

@@ -133,6 +133,43 @@ def axiom_residuals_reference(spec, trials, seed):
     return AxiomResiduals(contractivity=contract, **out)
 
 
+def verify_bracket(seq, p, bracket):
+    """Assert that an ell_inf bracket of the positive sequence seq holds, re-checked
+    from its certificates' matrices alone. Lower end: PSD duals y_n with
+    ||sum y_n||_p' <= 1 whose pairing sum_n ntrace(x_n y_n) is the reported
+    objective and value. Upper end: contractions y_n that reassemble
+    x_n = left y_n right, with the value ||left||_2p ||right||_2p. And
+    lower <= upper."""
+    seq = [np.asarray(x, dtype=complex) for x in seq]
+    lower, upper = bracket
+    cert, wit = lower.certificate, upper.certificate
+    assert cert.feasibility <= 1 + 1e-8
+    assert cert.objective <= lower.value + 1e-10
+    for y in cert.duals:
+        assert np.linalg.eigvalsh((y + y.conj().T) / 2)[0] >= -1e-10
+    total = sum(cert.duals)
+    w = np.clip(np.linalg.eigvalsh((total + total.conj().T) / 2), 0.0, None)  # a PSD sum
+    p_dual = 1.0 if p == INF else (INF if p == 1 else p / (p - 1))
+    assert (w.max() if p_dual == INF else np.mean(w**p_dual)) <= 1 + 1e-8
+    pairing = sum(np.trace(x @ y).real / len(x) for x, y in zip(seq, cert.duals))
+    assert abs(pairing - cert.objective) <= max(1e-10 * abs(cert.objective), 1e-12)
+    assert abs(pairing - lower.value) <= 1e-10 * lower.value
+    assert pairing <= upper.value + 1e-8  # duality: a feasible pairing stays below
+    norms = [np.linalg.norm(x, 2) for x in seq]
+    assert wit.residual <= 1e-8 * max(1.0, *norms)
+    for x, y, norm in zip(seq, wit.contractions, norms):
+        assert np.linalg.norm(y, 2) <= 1 + 1e-8
+        assert np.linalg.norm(wit.left @ y @ wit.right - x, 2) <= 1e-8 * norm
+
+    def schatten(m, r):  # through eig_singular_values, scaled by the top: r may be large
+        s = eig_singular_values(m)
+        return s[0] if r == INF else s[0] * np.mean((s / s[0]) ** r) ** (1.0 / r)
+
+    sides = schatten(wit.left, 2 * p) * schatten(wit.right, 2 * p)
+    assert abs(upper.value - sides) <= 1e-9 * sides
+    assert lower.value <= upper.value + 1e-8
+
+
 def tower_residual_reference(filt, trials, seed):
     """tower_residual with each level's first projection through the validating
     cond_exp: the reference for the trusted stacked core in ncstein.expectation."""

@@ -26,7 +26,7 @@ import ncstein as nc
 from ncstein.cli import CSV_COLUMNS, parse_config, run_command
 from ncstein.inequality import run_inequality
 
-from oracles import scalar_lpq
+from oracles import scalar_lpq, verify_bracket
 
 INF = math.inf
 MODULE_START = time.time()
@@ -233,18 +233,18 @@ def test_criterion_07_linf_bracket_sanity():
         dim, n_terms = next(shapes)
         p = next(exponents)
         seq = [nc.sample_psd(dim, 40_000 * seed + n) for n in range(n_terms)]
-        bracket = nc.linf_norm_positive(seq, p, seed=seed)
-        assert bracket.lower.value <= bracket.upper.value + 1e-8, (seed, p)
+        verify_bracket(seq, p, nc.linf_norm_positive(seq, p, seed=seed))
     x = nc.sample_psd(4, 777)
     for p in (1.0, 2.0, 2.5, INF):
         single = nc.linf_norm_positive([x], p)
         constant = nc.linf_norm_positive([x] * 3, p)
         target = nc.schatten_norm(x, p)
-        for br in (single, constant):
+        for seq, br in (([x], single), ([x] * 3, constant)):
+            verify_bracket(seq, p, br)
             assert br.lower.value == pytest.approx(target, abs=1e-6)
             assert br.upper.value == pytest.approx(target, abs=1e-6)
     elapsed = time.time() - t0
-    report("criterion 7", "200 brackets ordered to 1e-8; singleton and constant "
+    report("criterion 7", "200 certified brackets ordered to 1e-8; singleton and constant "
            "sequences collapse to ||x||_p within 1e-6", elapsed)
 
 

@@ -513,6 +513,23 @@ def test_oversized_numbers_are_config_errors(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_float_literals_past_the_float_range_are_config_errors(tmp_path, capsys):
+    # json.loads reads 1e400 as inf: a step_scale of inf passed the `> 0` check and the
+    # search spent its budget on non-finite proposals, and p = 1e400 was read as p = inf
+    search = cfg_text(command="search", inequality="s_qq", p=2, q=2, dim=4, seq_len=3,
+                      budget=40, restarts=2, step_scale=0.25)
+    for text in (search.replace("0.25", "1e400"), search.replace("0.25", "-1e400"),
+                 search.replace('"p": 2', '"p": 1e400')):
+        with pytest.raises(ConfigError, match="number -?1e400 lies outside the floating"):
+            parse_config(text)
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    payload = json.loads(witness_path.read_text())
+    witness_path.write_text(json.dumps({**payload, "best_ratio": "x"}).replace('"x"', "1e400"))
+    assert run_command(parse_config(cfg_text(command="check", witness=str(witness_path)))) == 1
+    assert "number 1e400 lies outside the floating-point range" in capsys.readouterr().err
+
+
 def test_reports_identical_across_blas_thread_counts(tmp_path):
     """The thread count is set for each child process only."""
     configs = {

@@ -25,6 +25,7 @@ from ncstein import (
     schatten_norm,
     tower_residual,
 )
+from ncstein import expectation
 from ncstein.opcore import _complex_gaussian
 
 from oracles import axiom_residuals_reference, tower_residual_reference
@@ -127,6 +128,26 @@ def test_axiom_residuals_equal_per_exponent_reference(name, level, spec):
         for trials in (1, 7):
             assert (axiom_residuals(spec, trials, seed)
                     == axiom_residuals_reference(spec, trials, seed))
+
+
+@pytest.mark.parametrize("spec", (
+    build_filtration("dyadic", 16).levels[2],
+    build_filtration("tensor", local_dims=(2, 3, 2)).levels[1],
+    CELL_CHAIN.levels[1],
+), ids=("dyadic16", "tensor232", "cells"))
+def test_axiom_residuals_chunks_keep_the_floats(monkeypatch, spec):
+    # chunks of one trial, and of three trials, which do not divide the seven drawn,
+    # give the floats of one chunk and of the per-trial oracle; one SVD per chunk
+    trials, d = 7, spec.dim
+    whole = axiom_residuals(spec, trials, 5)
+    assert whole == axiom_residuals_reference(spec, trials, 5)
+    svd, chunks = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: chunks.append(1) or svd(*a, **kw))
+    for per_chunk in (1, 3):
+        chunks.clear()
+        monkeypatch.setattr(expectation, "NOISE_ENTRIES", per_chunk * 4 * d * d)
+        assert axiom_residuals(spec, trials, 5) == whole
+        assert len(chunks) == -(-trials // per_chunk)
 
 
 TOWER_CHAINS = {

@@ -1,6 +1,7 @@
 """Trusted stack kernel: equivalence with the public per-term routes, and
 the work the search loop does per evaluation."""
 
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -197,12 +198,13 @@ def count_calls(monkeypatch):
     return counts
 
 
-# (p, q, dim, seq_len, budgets, LAPACK calls per evaluation) per searchable id. The
-# two ell_inf ids solve a barrier problem per bracket, so they run at d = 4 on small
-# budgets.
+# (p, q, dim, seq_len, budgets, LAPACK calls per evaluation) per searchable id, and
+# s_qq at p = q = 1, whose column norms need no eigh. The two ell_inf ids solve a
+# barrier problem per bracket, so they run at d = 4 on small budgets.
 LOOP_CASES = {
     "s_pq": (3, 1.5, 8, 4, (50, 250), 2),
     "s_qq": (1.5, 1.5, 8, 4, (50, 250), 2),
+    "s_qq-q1": (1, 1, 8, 4, (50, 250), 0.5),
     "s_12_adapted": (1, 2, 8, 4, (50, 250), 2),
     "s_isometry": (3, 1.5, 8, 4, (50, 250), 2),
     "dd_p": (2, None, 8, 4, (50, 250), 2),
@@ -212,12 +214,13 @@ LOOP_CASES = {
 }
 
 
-@pytest.mark.parametrize("inequality_id", LOOP_CASES)
-def test_search_loop_work_per_evaluation(monkeypatch, inequality_id):
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_search_loop_work_per_evaluation(monkeypatch, case):
     # Two budgets share their initial draws and the witness replay, so the
     # difference in counts is the hill-climbing loop alone. Each restart count
     # runs the same two numbers of lockstep steps.
-    p, q, dim, seq_len, budgets, lapack_per_eval = LOOP_CASES[inequality_id]
+    inequality_id = case.split("-")[0]
+    p, q, dim, seq_len, budgets, lapack_per_eval = LOOP_CASES[case]
     counts = count_calls(monkeypatch)
     loop_lapack = {}
     for restarts in (2, 8):
@@ -240,13 +243,31 @@ def test_search_loop_work_per_evaluation(monkeypatch, inequality_id):
         assert loop_lapack[8] == loop_lapack[2]
 
 
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_kernel_scores_a_sequence_alike_in_any_batch(case):
+    # the lockstep search scores its running restarts in one kernel call and replays
+    # the witness alone, so a sequence's sides must not depend on the batch around it
+    inequality_id = case.split("-")[0]
+    p, q, dim, seq_len = LOOP_CASES[case][:4]
+    cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q,
+                       filt=build_filtration("dyadic", dim), seq_len=seq_len)
+    instances = [seeded_inputs(inequality_id, dim, seq_len, cfg.filt, seed) for seed in range(3)]
+    xs = np.stack([as_stack(seq) for seq, _, _ in instances])
+    kernel, ys = INEQUALITIES[inequality_id].kernel, instances[0][2]
+    batch = kernel(xs, cfg.filt, cfg.p, cfg.q, cfg.lag, ys)
+    for k in range(len(xs)):
+        alone = kernel(xs[k:k + 1], cfg.filt, cfg.p, cfg.q, cfg.lag, ys)
+        assert (pickle.dumps([side[k] for side in batch])
+                == pickle.dumps([side[0] for side in alone]))
+
+
 @pytest.mark.parametrize("filt", (build_filtration("dyadic", 8),
                                   build_filtration("tensor", local_dims=(2, 2, 2))),
                          ids=("dyadic", "tensor"))
 def test_axioms_trial_work(monkeypatch, filt):
-    # the difference between two trial counts is the work of the extra trials: two
-    # stacked conditional expectations, one SVD of five matrices and one eigvalsh per
-    # trial, and nothing validated inside the loop
+    # the trials of a chunk share its work: two stacked conditional expectations, one
+    # SVD of the (5, trials, d, d) stack and one eigvalsh, so extra trials add no call,
+    # and nothing is validated
     counts = count_calls(monkeypatch)
     for spec in filt.levels:
         seen = []
@@ -254,8 +275,8 @@ def test_axioms_trial_work(monkeypatch, filt):
             counts.clear()
             expectation.axiom_residuals(spec, trials, 1)
             seen.append(Counter(counts))
-        assert seen[1]["lapack"] - seen[0]["lapack"] == 2 * 3
-        assert seen[1]["_cond_exp_stack"] - seen[0]["_cond_exp_stack"] == 2 * 3
+        assert seen[0]["lapack"] == seen[1]["lapack"] == 2
+        assert seen[0]["_cond_exp_stack"] == seen[1]["_cond_exp_stack"] == 2
         assert seen[0]["as_operator"] == seen[1]["as_operator"] == 0
         assert seen[0]["schatten_norm"] == seen[1]["schatten_norm"] == 0
 

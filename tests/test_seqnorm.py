@@ -28,7 +28,7 @@ from ncstein.seqnorm import (
     _root_norms,
 )
 
-from oracles import scalar_lpq, schatten_from_eig
+from oracles import column_norm_svd, scalar_lpq, schatten_from_eig, verify_bracket
 
 INF = math.inf
 
@@ -43,6 +43,15 @@ def test_column_singleton():
         assert column_q_norm([x], p, q).value == pytest.approx(
             schatten_norm(x, p), abs=1e-10
         )
+
+
+def test_column_of_non_psd_terms_matches_svd_oracle():
+    # column_q_norm reads a term that is not PSD as |x| at its boundary, for every q
+    seq = [sample_hermitian(4, 1) + 1j * sample_hermitian(4, 2), sample_hermitian(4, 3),
+           sample_psd(4, 4)]
+    for p, q in ((2.5, 1.0), (2.5, 1.5), (3.0, 2.0), (3.0, 3.0)):
+        assert column_q_norm(seq, p, q).value == pytest.approx(
+            column_norm_svd(seq, p, q), rel=1e-12)
 
 
 def test_column_copies_scale():
@@ -202,28 +211,7 @@ def linf_brackets():
 def test_linf_certificates(case, linf_brackets):
     seq, p = LINF_CASES[case]
     br = linf_brackets[case]
-    d = seq[0].shape[0]
-    cert = br.lower.certificate
-    assert cert.feasibility <= 1 + 1e-8
-    assert cert.objective <= br.lower.value + 1e-10
-    for y in cert.duals:
-        assert np.linalg.eigvalsh(herm(y))[0] >= -1e-10
-    # both certificates re-checked from their matrices alone
-    w = np.clip(np.linalg.eigvalsh(herm(sum(cert.duals))), 0.0, None)  # a PSD sum
-    p_dual = 1.0 if p == INF else (INF if p == 1 else p / (p - 1))
-    assert (w.max() if p_dual == INF else np.mean(w**p_dual) ** (1 / p_dual)) <= 1 + 1e-8
-    pairing = sum(np.trace(x @ y).real / d for x, y in zip(seq, cert.duals))
-    assert pairing == pytest.approx(cert.objective, rel=1e-10, abs=1e-12)
-    # duality: any feasible pairing stays below the factorization value
-    assert pairing <= br.upper.value + 1e-8
-    wit = br.upper.certificate
-    assert wit.residual <= 1e-8 * max(1, max(op_norm(x) for x in seq))
-    for y in wit.contractions:
-        assert op_norm(y) <= 1 + 1e-8
-    for x, y in zip(seq, wit.contractions):
-        assert op_norm(wit.left @ y @ wit.right - x) <= 1e-8 * max(1, op_norm(x))
-    sides = schatten_from_eig(wit.left, 2 * p) * schatten_from_eig(wit.right, 2 * p)
-    assert br.upper.value == pytest.approx(sides, rel=1e-9)
+    verify_bracket(seq, p, br)
     # the bracket is closed: each gap at most 1e-5, the family's median at most 1e-6
     gaps = [(b.upper.value - b.lower.value) / b.upper.value for b in linf_brackets.values()]
     assert (br.upper.value - br.lower.value) / br.upper.value <= 1e-5
@@ -258,16 +246,7 @@ def test_large_exponents_do_not_overflow():
     br = linf_norm_positive(seq, 200)
     assert br.upper.value == pytest.approx(1000.0, rel=1e-12)
     assert (br.upper.value - br.lower.value) / br.upper.value <= 1e-5
-    # both certificates re-checked from their matrices alone
-    cert, wit = br.lower.certificate, br.upper.certificate
-    w = np.clip(np.linalg.eigvalsh(herm(sum(cert.duals))), 0.0, None)
-    assert cert.feasibility <= 1 + 1e-8 and np.mean(w ** (200 / 199)) <= 1 + 1e-8
-    pairing = sum(np.trace(x @ y).real / 2 for x, y in zip(seq, cert.duals))
-    assert pairing == pytest.approx(br.lower.value, rel=1e-10)
-    assert wit.residual <= 1e-8 * 1000
-    for x, y in zip(seq, wit.contractions):
-        assert op_norm(y) <= 1 + 1e-8
-        assert op_norm(wit.left @ y @ wit.right - x) <= 1e-8 * op_norm(x)
+    verify_bracket(seq, 200, br)
 
 
 @pytest.mark.parametrize("case,q", [("psd-d4", 400.0), ("identity", 600.0),
