@@ -279,9 +279,20 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of `pairs`; json.loads would keep a repeated key's last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_json(text: str, what: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float,
+                          object_pairs_hook=_unique_keys)
     except ConfigError:
         raise
     except ValueError as exc:  # a syntax error, or an integer literal past int's digit limit

@@ -35,6 +35,7 @@ from .opcore import (
     _complex_gaussian,
     _complex_gaussians,
     _p_mean,
+    _psd_draws,
 )
 
 ADAPTED_TOL = 1e-10
@@ -327,8 +328,7 @@ def is_adapted(seq: Sequence[np.ndarray], filt: Filtration, lag: int = 0) -> Ada
 def sample_adapted_positive(filt: Filtration, length: int, seed: int,
                             lag: int = 0) -> list[np.ndarray]:
     """Seeded positive sequence adapted to the filtration: x_n = E_n(z* z)."""
-    z = _complex_gaussians(np.random.default_rng(seed), length, filt.dim)
-    return list(_condition(herm(z.conj().swapaxes(1, 2) @ z), filt, lag))
+    return list(_condition(_psd_draws(np.random.default_rng(seed), length, filt.dim), filt, lag))
 
 
 @dataclass(frozen=True)

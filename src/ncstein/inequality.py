@@ -42,11 +42,11 @@ from .opcore import (
     herm,
     op_norm,
     psd_power,
+    _abs_q_stack,
     _p_mean,
 )
 from .seqnorm import (
     NormValue,
-    _abs_q_stack,
     _column_norms,
     _crp,
     _crp_columns,
@@ -114,14 +114,9 @@ def _make_report(inequality_id, lhs, rhs, p, q, lag, lhs_upper=None, rhs_lower=N
 # pairs with term n, so each id conditions at the lag its report prints.
 
 
-def _stein_sides(xs: np.ndarray, filt: Filtration, p: float, q: float, lag: int) -> np.ndarray:
-    """The column norms [lhs, rhs] of E(xs) and xs."""
-    return _column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q)
-
-
 def _stein_kernel(xs, filt, p, q, lag, ys):
     # ||(sum |E(x_n)|^q)^(1/q)||_p against ||(sum |x_n|^q)^(1/q)||_p
-    return tuple(_stein_sides(xs, filt, p, q, lag))
+    return tuple(_column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q))
 
 
 def _isometry_kernel(xs, filt, p, q, lag, ys):

@@ -93,9 +93,24 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 def abs_op(x) -> np.ndarray:
     """Absolute value |x| = (x* x)^(1/2); always PSD."""
     a = as_operator(x)
-    w, u = np.linalg.eigh(herm(a.conj().T @ a))
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return herm((u * s) @ u.conj().T)
+    return _abs_q_stack(a.conj().T @ a, 0.5)[0]
+
+
+def _abs_q_stack(xs: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray | float]:
+    """(|x| / t)^q for every operator of a trusted stack xs[..., d, d], and the scales t:
+    for q > 2 one per sequence xs[..., n, d, d], the top of its spectra, so that no power
+    overflows and the top's is 1; 1 otherwise. For q != 2 the terms must pass is_psd, so
+    that |x| = x: callers validate them at their boundary or build them as z* z."""
+    if q == 2:
+        return xs.conj().swapaxes(-1, -2) @ xs, 1.0
+    if q == 1:
+        return herm(xs), 1.0
+    w, u = np.linalg.eigh(herm(xs))
+    w, scale = np.clip(w, 0.0, None), 1.0
+    if q > 2:
+        scale = np.maximum(w.max(axis=(-2, -1)), _TINY)
+        w /= scale[..., None, None]
+    return herm((u * w[..., None, :] ** q) @ u.conj().swapaxes(-1, -2)), scale
 
 
 def psd_power(a, r) -> np.ndarray:
@@ -196,11 +211,15 @@ def sample_hermitian(dim: int, seed: int) -> np.ndarray:
     return herm(_complex_gaussian(rng, dim))
 
 
+def _psd_draws(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """count PSD operators g* g, g standard complex Gaussian, from one draw."""
+    g = _complex_gaussians(rng, count, dim)
+    return herm(g.conj().swapaxes(-1, -2) @ g)
+
+
 def sample_psd(dim: int, seed: int) -> np.ndarray:
     """Random PSD operator z* z with z a complex Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    z = _complex_gaussian(rng, dim)
-    return herm(z.conj().T @ z)
+    return _psd_draws(np.random.default_rng(seed), 1, dim)[0]
 
 
 def sample_unitary(dim: int, seed: int) -> np.ndarray:

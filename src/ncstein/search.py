@@ -26,8 +26,7 @@ from .expectation import Filtration, as_lag, _cond_exp_stack, _condition
 from .inequality import (ClassicalSpace, RatioReport, embed_process, get_inequality,
                          run_inequality)
 from .opcore import (NOISE_ENTRIES, as_stack, herm, sample_projection_family, sample_unitary,
-                     _complex_gaussians)
-from .seqnorm import _abs_q_stack
+                     _abs_q_stack, _complex_gaussians, _psd_draws)
 
 MIN_STEP = 1e-6
 MAX_INITIAL_DRAWS = 100
@@ -119,12 +118,6 @@ def isometry_family(inequality_id: str, dim: int, seq_len: int, seed: int) -> np
     if get_inequality(inequality_id).input_kind != "isometry-seq":
         return None
     return np.stack([sample_unitary(dim, seed + 7_000_000 + n) for n in range(seq_len)])
-
-
-def _psd_draws(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """count PSD operators g* g, g standard complex Gaussian, from one draw."""
-    g = _complex_gaussians(rng, count, dim)
-    return herm(g.conj().swapaxes(-1, -2) @ g)
 
 
 def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration | None,

@@ -34,7 +34,7 @@ from .opcore import (
     herm,
     op_norm,
     schatten_norm,
-    _TINY,
+    _abs_q_stack,
     _complex_gaussians,
     _p_mean,
     _psd_flags,
@@ -104,23 +104,6 @@ def _require_positive(xs: np.ndarray) -> None:
         raise ValueError(f"sequence item {bad[0]} is not positive semidefinite")
 
 
-def _abs_q_stack(xs: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray | float]:
-    """(|x| / t)^q for every operator of a trusted stack xs[..., n, d, d], and the scales
-    t[...]: the top of each sequence's spectra for q > 2, so that no power overflows and
-    the top's is 1, and 1 otherwise. For q != 2 the terms must pass is_psd, so that
-    |x| = x: callers validate them at their boundary or build them as z* z."""
-    if q == 2:
-        return xs.conj().swapaxes(-1, -2) @ xs, 1.0
-    if q == 1:
-        return herm(xs), 1.0
-    w, u = np.linalg.eigh(herm(xs.reshape(-1, *xs.shape[-2:])))
-    w, scale = np.clip(w, 0.0, None), 1.0
-    if q > 2:
-        scale = np.maximum(w.reshape(*xs.shape[:-3], -1).max(axis=-1), _TINY)
-        w /= np.repeat(scale.ravel(), xs.shape[-3])[:, None]
-    return herm((u * w[:, None, :] ** q) @ u.conj().swapaxes(1, 2)).reshape(xs.shape), scale
-
-
 def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
     """||s^(1/q)||_p for every PSD operator of s[..., d, d] from one batched
     eigvalsh: the (p/q)-mean of its spectrum w, to the power 1/q."""
@@ -161,8 +144,6 @@ def l1_norm_positive(seq: Sequence, p) -> NormValue:
     items = as_stack(seq)
     p = as_exponent(p)
     _require_positive(items)
-    if _all_zero(items):
-        return NormValue(0.0, "exact")
     return NormValue(schatten_norm(sum(items), p), "exact")
 
 
@@ -203,15 +184,13 @@ def _crp_split(items: np.ndarray, p: float) -> NormValue:
 
     best_val, best_b = objective(items)  # a = x, b = 0
     best_a = items.copy()
-    for cand in (np.zeros_like(items), items / 2):
-        val, b_seq = objective(cand)
-        if val < best_val:
-            best_val, best_a, best_b = val, cand, b_seq
+    for a_cur in (np.zeros_like(items), items / 2):
+        cur_val, b_seq = objective(a_cur)
+        if cur_val < best_val:
+            best_val, best_a, best_b = cur_val, a_cur, b_seq
 
-    # local refinement from the symmetric splitting: 2,000 proposals on one fixed stream
+    # refine the symmetric splitting, scored last: 2,000 proposals on one fixed stream
     rng = np.random.default_rng(0)
-    a_cur = items / 2
-    cur_val, _ = objective(a_cur)
     scale = max(1e-30, max(op_norm(x) for x in items))
     step = 0.25 * scale
     rejected = 0

@@ -530,6 +530,24 @@ def test_float_literals_past_the_float_range_are_config_errors(tmp_path, capsys)
     assert "number 1e400 lies outside the floating-point range" in capsys.readouterr().err
 
 
+def test_duplicate_keys_are_config_errors(tmp_path, capsys):
+    # json.loads keeps a repeated key's last value: a second "p" silently replaced the
+    # first, and a second "inequality" switched the instance to another id
+    text = cfg_text(command="check", inequality="s_pq", p=3, q=1.5, dim=8, seq_len=3)
+    for extra, key in ((', "p": 2}', "p"), (', "inequality": "dd_p", "q": null}', "inequality")):
+        with pytest.raises(ConfigError, match=f"^duplicate key '{key}'$"):
+            parse_config(text[:-1] + extra)
+    witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
+                                        seq_len=3, budget=20, restarts=2)
+    text = witness_path.read_text()
+    for key, before in (("p", "seed"), ("dim", "entries")):  # the document, a matrix object
+        assert f'"{before}": ' in text
+        witness_path.write_text(text.replace(f'"{before}": ', f'"{key}": 3, "{before}": ', 1))
+        assert run_command(parse_config(cfg_text(command="check",
+                                                 witness=str(witness_path)))) == 1
+        assert f"duplicate key '{key}'" in capsys.readouterr().err
+
+
 def test_reports_identical_across_blas_thread_counts(tmp_path):
     """The thread count is set for each child process only."""
     configs = {

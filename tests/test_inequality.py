@@ -363,6 +363,23 @@ def test_projections_reject_overlapping():
         run_inequality("projections", [p1, p1], filt, 3, 1)
 
 
+def _refusal(family) -> str:
+    with pytest.raises(ValueError) as refused:
+        run_inequality("projections", family, dyadic(4), 3, 1)
+    return str(refused.value)
+
+
+def test_projections_report_the_first_refusal():
+    # the scan stops at the first item n that is not a projection or overlaps an
+    # earlier one; each family below also has a later fault that goes unreported
+    r0, r1, r2 = sample_projection_family(4, 3, 1)
+    assert _refusal([r0, 2 * r1, r1]) == "item 1 is not a projection within tolerance"
+    assert _refusal([r0, r1, r1, 2 * r2]) == "projections 1 and 2 are not orthogonal"
+    skew = r1 + r1 @ np.ones((4, 4)) @ (np.eye(4) - r1)  # idempotent, not Hermitian
+    assert np.abs(skew @ skew - skew).max() < 1e-12 < np.abs(skew - skew.conj().T).max()
+    assert _refusal([r0, skew, r1]) == "item 1 is not a projection within tolerance"
+
+
 # ---------------------------------------------------------------------------
 # Jensen gap
 # ---------------------------------------------------------------------------

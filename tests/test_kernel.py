@@ -25,7 +25,7 @@ from ncstein import (
 )
 from ncstein import cli, expectation, inequality, opcore, search, seqnorm
 from ncstein.expectation import _cond_exp_stack, _condition
-from ncstein.inequality import INEQUALITIES, _first, _stein_sides
+from ncstein.inequality import INEQUALITIES, _first, _stein_kernel
 from ncstein.search import seeded_inputs
 from ncstein.opcore import HERMITIAN_TOL, as_stack, _complex_gaussian, _complex_gaussians
 
@@ -80,7 +80,7 @@ def oracle_ratio(seq, filt, p, q, lag):
 def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
     filt = build_filtration("dyadic", 8)
     seq = [sample_psd(8, 300 + n) for n in range(4)]
-    lhs, rhs = _stein_sides(as_stack(seq), filt, p, q, lag)
+    lhs, rhs = _stein_kernel(as_stack(seq), filt, p, q, lag, None)
     report = run_inequality("s_pq", seq, filt, p, q, lag)
     assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
     assert abs(lhs / rhs - oracle_ratio(seq, filt, p, q, lag)) <= 1e-12
@@ -120,7 +120,7 @@ def test_kernel_sides_equal_checker_sides(inequality_id):
 def test_kernel_ratio_adapted_s12():
     filt = build_filtration("tensor", local_dims=(2, 2, 2))
     seq = project_adapted([sample_psd(8, 400 + n) for n in range(4)], filt, 0)
-    lhs, rhs = _stein_sides(as_stack(seq), filt, 1.0, 2.0, 1)
+    lhs, rhs = _stein_kernel(as_stack(seq), filt, 1.0, 2.0, 1, None)
     report = run_inequality("s_12_adapted", seq, filt, 1, 2)
     assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
     assert abs(lhs / rhs - oracle_ratio(seq, filt, 1.0, 2.0, 1)) <= 1e-12

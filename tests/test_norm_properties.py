@@ -1,5 +1,6 @@
 """Property tests of the Schatten and column norms: positive homogeneity over
-two hundred orders of magnitude at every exponent, with no overflow."""
+two hundred orders of magnitude at every exponent, with no overflow, and the
+PSD power core's batch invariance across leading axes."""
 
 import math
 
@@ -10,7 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ncstein import column_q_norm, schatten_norm
-from ncstein.opcore import herm, _complex_gaussians
+from ncstein.opcore import herm, _abs_q_stack, _complex_gaussians, _psd_draws
+from ncstein.seqnorm import _column_norms
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -23,3 +25,22 @@ def test_norms_are_homogeneous(log_c, p, q, seed):
     assert schatten_norm(c * z[0], p) == pytest.approx(c * schatten_norm(z[0], p), rel=1e-12)
     assert column_q_norm(c * xs, p, q).value == pytest.approx(
         c * column_q_norm(xs, p, q).value, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lead=st.sampled_from(((1, 1), (3, 1), (2, 3), (4, 2), (2, 1, 1), (2, 2, 3), (2, 3, 2))),
+       dim=st.integers(1, 6), q=st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0, 7.0)),
+       p=st.sampled_from((1.0, 2.5, math.inf)), seed=st.integers(0, 2**32 - 1))
+def test_power_core_scores_a_sequence_alike_in_any_stack(lead, dim, q, p, seed):
+    # leading shapes (k, n) and (2, k, n): the powers, the per-sequence scales (q > 2)
+    # and the column norms of the whole stack are those of each sequence on its own, its
+    # norm taken as a batch of one as the kernels take it (a 0-d norm would go through
+    # numpy's scalar pow, which can differ from the array pow in the last bit)
+    xs = _psd_draws(np.random.default_rng(seed), math.prod(lead), dim).reshape(*lead, dim, dim)
+    powers, scales = _abs_q_stack(xs, q)
+    norms = _column_norms(xs, p, q)
+    for idx in np.ndindex(lead[:-1]):
+        own_powers, own_scale = _abs_q_stack(xs[idx], q)
+        assert powers[idx].tobytes() == own_powers.tobytes()
+        assert np.float64(scales if q <= 2 else scales[idx]) == own_scale
+        assert norms[idx].tobytes() == _column_norms(xs[idx][None], p, q)[0].tobytes()
