@@ -34,6 +34,7 @@ from .opcore import (
     herm,
     _complex_gaussian,
     _complex_gaussians,
+    _gram,
     _p_mean,
     _psd_draws,
 )
@@ -381,7 +382,7 @@ def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResidu
         draws = _complex_gaussians(rng, 4 * min(chunk, trials - first), d).reshape(-1, 4, d, d)
         x, g_a, g_b, z = draws.swapaxes(0, 1)
         ex, a, b, ex_adj, e_psd = _cond_exp_stack(np.stack(
-            [x, g_a, g_b, x.conj().swapaxes(1, 2), herm(z.conj().swapaxes(1, 2) @ z)]), spec)
+            [x, g_a, g_b, x.conj().swapaxes(1, 2), _gram(z)]), spec)
         eex, eaxb = _cond_exp_stack(np.stack([ex, a @ x @ b]), spec)
         s = np.linalg.svd(np.stack([eex - ex, eaxb - a @ ex @ b, ex_adj - ex.conj().swapaxes(1, 2),
                                     ex, x]), compute_uv=False)

@@ -48,8 +48,8 @@ from .opcore import (
 from .seqnorm import (
     NormValue,
     _column_norms,
-    _crp,
     _crp_columns,
+    _crp_split,
     _linf_bracket,
     _require_positive,
     _root_norms,
@@ -164,9 +164,7 @@ def _crp_kernel(xs, filt, p, q, lag, ys):
     # CR_p norms of (E(x_n)) and (x_n); below p = 2 both are splitting upper bounds,
     # so the report is non-certifying
     sides = np.stack([_condition(xs, filt, lag), xs])
-    if p >= 2:
-        return tuple(_crp_columns(sides, p))
-    return tuple(tuple(_crp(x, p) for x in side) for side in sides)
+    return tuple(_crp_columns(sides, p) if p >= 2 else map(tuple, _crp_split(sides, p)))
 
 
 def _projections_kernel(xs, filt, p, q, lag, ys):

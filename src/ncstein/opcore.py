@@ -211,10 +211,14 @@ def sample_hermitian(dim: int, seed: int) -> np.ndarray:
     return herm(_complex_gaussian(rng, dim))
 
 
+def _gram(z: np.ndarray) -> np.ndarray:
+    """The PSD operators herm(z* z) of a stack z[..., d, d]."""
+    return herm(z.conj().swapaxes(-1, -2) @ z)
+
+
 def _psd_draws(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count PSD operators g* g, g standard complex Gaussian, from one draw."""
-    g = _complex_gaussians(rng, count, dim)
-    return herm(g.conj().swapaxes(-1, -2) @ g)
+    return _gram(_complex_gaussians(rng, count, dim))
 
 
 def sample_psd(dim: int, seed: int) -> np.ndarray:

@@ -25,8 +25,8 @@ import numpy as np
 from .expectation import Filtration, as_lag, _cond_exp_stack, _condition
 from .inequality import (ClassicalSpace, RatioReport, embed_process, get_inequality,
                          run_inequality)
-from .opcore import (NOISE_ENTRIES, as_stack, herm, sample_projection_family, sample_unitary,
-                     _abs_q_stack, _complex_gaussians, _psd_draws)
+from .opcore import (NOISE_ENTRIES, as_stack, sample_projection_family, sample_unitary,
+                     _abs_q_stack, _complex_gaussians, _gram, _psd_draws)
 
 MIN_STEP = 1e-6
 MAX_INITIAL_DRAWS = 100
@@ -206,7 +206,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
             if current is not None:
                 z = current + step * draw
             elif r == 0:  # equality-regime start inside the coarsest subalgebra: (E_0(z* z))^(1/2)
-                coarse = _cond_exp_stack(herm(draw.conj().swapaxes(1, 2) @ draw), filt.levels[0])
+                coarse = _cond_exp_stack(_gram(draw), filt.levels[0])
                 z = _abs_q_stack(coarse, 0.5)[0]
             else:
                 z = draw
@@ -233,7 +233,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     ends = [None] * cfg.restarts
     while proposals:
         zs = np.stack(list(proposals.values()))
-        xs, lhs, rhs = score(herm(zs.conj().swapaxes(-1, -2) @ zs))
+        xs, lhs, rhs = score(_gram(zs))
         for r, x, num, den in zip(list(proposals), xs, lhs.tolist(), rhs.tolist()):
             try:
                 proposals[r] = climbs[r].send((x, num, den))

@@ -4,8 +4,9 @@ Closed forms: the column/row ell_2 norms, general ell_q column norms, the
 CR_p norm for p >= 2, and the ell_1 norm of positive sequences (norm of the
 sum). Two quantities are only bracketed:
 
-  * CR_p for p < 2 is an infimum over splittings x_n = a_n + b_n; a local
-    search on one fixed stream returns an upper bound and its splitting.
+  * CR_p for p < 2 is an infimum over splittings x_n = a_n + b_n; a fixed
+    number of closed-form alternating steps returns an upper bound and its
+    splitting.
   * The ell_inf norm of a positive sequence, min ||a||_p over a >= x_n, comes
     from one deterministic log-det barrier solve (damped Newton on the d^2
     real coordinates of a Hermitian a). Its majorant a gives the upper end,
@@ -32,10 +33,8 @@ from .opcore import (
     as_stack,
     conjugate_exponent,
     herm,
-    op_norm,
-    schatten_norm,
     _abs_q_stack,
-    _complex_gaussians,
+    _gram,
     _p_mean,
     _psd_flags,
 )
@@ -93,10 +92,6 @@ class LinfBracket(NamedTuple):
     upper: NormValue
 
 
-def _all_zero(seq) -> bool:
-    return all(not np.any(x) for x in seq)
-
-
 def _require_positive(xs: np.ndarray) -> None:
     """ValueError naming the first term of a trusted stack that fails is_psd."""
     bad = np.flatnonzero(~_psd_flags(xs))
@@ -122,21 +117,19 @@ def column_q_norm(seq: Sequence, p, q) -> NormValue:
     q must be finite (the positive ell_inf norm has its own entry point);
     the outer norm is mean(w^(p/q))^(1/p) over the eigenvalues w of the sum.
     """
-    xs = as_stack(seq)
-    p = as_exponent(p)
+    xs, p, q = as_stack(seq), as_exponent(p), as_exponent(q)
     if q == INF:
         raise ValueError("q = inf is handled by linf_norm_positive")
-    q = as_exponent(q)
     if q != 2:  # away from q = 2 the core reads each term as |x|: replace any non-PSD x
         for k in np.flatnonzero(~_psd_flags(xs)):
             xs[k] = abs_op(xs[k])
-    return NormValue(float(_column_norms(xs, p, q)), "exact")
+    return NormValue(float(_column_norms(xs[None], p, q)[0]), "exact")
 
 
 def row_2_norm(seq: Sequence, p) -> NormValue:
     """Row norm ||(sum_n |x_n*|^2)^(1/2)||_p; the column norm of the adjoints."""
     xs = as_stack(seq).conj().swapaxes(1, 2)
-    return NormValue(float(_column_norms(xs, as_exponent(p), 2.0)), "exact")
+    return NormValue(float(_column_norms(xs[None], as_exponent(p), 2.0)[0]), "exact")
 
 
 def l1_norm_positive(seq: Sequence, p) -> NormValue:
@@ -144,7 +137,7 @@ def l1_norm_positive(seq: Sequence, p) -> NormValue:
     items = as_stack(seq)
     p = as_exponent(p)
     _require_positive(items)
-    return NormValue(schatten_norm(sum(items), p), "exact")
+    return NormValue(float(_root_norms(items.sum(axis=0)[None], p, 1.0)[0]), "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +155,9 @@ def crp_norm(seq: Sequence, p) -> NormValue:
 
 def _crp(items: np.ndarray, p: float) -> NormValue:
     """crp_norm of a trusted stack."""
-    if _all_zero(items):
-        return NormValue(0.0, "exact")
     if p >= 2:
-        return NormValue(float(_crp_columns(items, p)), "exact")
-    return _crp_split(items, p)
+        return NormValue(float(_crp_columns(items[None], p)[0]), "exact")
+    return _crp_split(items[None], p)[0]
 
 
 def _crp_columns(items: np.ndarray, p: float) -> np.ndarray:
@@ -176,41 +167,43 @@ def _crp_columns(items: np.ndarray, p: float) -> np.ndarray:
     return _column_norms(sides, p, 2.0).max(axis=0)
 
 
-def _crp_split(items: np.ndarray, p: float) -> NormValue:
-    def objective(a_seq):  # column(a) + row(b), both from one batched eigvalsh
-        b_seq = items - a_seq
-        sides = np.stack([a_seq, b_seq.conj().swapaxes(1, 2)])
-        return float(_column_norms(sides, p, 2.0).sum()), b_seq
+_CRP_STEPS = 100  # alternating steps of the splitting solve below p = 2
 
-    best_val, best_b = objective(items)  # a = x, b = 0
-    best_a = items.copy()
-    for a_cur in (np.zeros_like(items), items / 2):
-        cur_val, b_seq = objective(a_cur)
-        if cur_val < best_val:
-            best_val, best_a, best_b = cur_val, a_cur, b_seq
 
-    # refine the symmetric splitting, scored last: 2,000 proposals on one fixed stream
-    rng = np.random.default_rng(0)
-    scale = max(1e-30, max(op_norm(x) for x in items))
-    step = 0.25 * scale
-    rejected = 0
-    for _ in range(2000):
-        if step < 1e-8 * scale:
-            break
-        proposal = a_cur + step * _complex_gaussians(rng, *items.shape[:2])
-        val, b_seq = objective(proposal)
-        if val < cur_val:
-            a_cur, cur_val = proposal, val
-            rejected = 0
-            if val < best_val:
-                best_val, best_a, best_b = val, proposal, b_seq
-        else:
-            rejected += 1
-            if rejected >= 20:
-                step /= 2
-                rejected = 0
-    witness = SplitWitness(tuple(best_a), tuple(best_b))
-    return NormValue(best_val, "upper", witness)
+def _crp_split(items: np.ndarray, p: float) -> np.ndarray:
+    """CR_p (p < 2) of trusted stacks items[..., n, d, d], as NormValues over the
+    leading axes: exact 0 for a zero sequence, else an upper end with its splitting.
+
+    CR_p^2 is the minimum of sum_n ntrace(a_n W^-1 a_n* + b_n* V^-1 b_n), jointly
+    convex, over splittings x = a + b and W, V > 0 with ||W||_r + ||V||_r <= 1,
+    r = p / (2 - p). From a = x / 2 each step takes the best W, V of a, proportional
+    to A^(p-1) S^(1-p/2) and B^(p-1) T^(1-p/2) with S = sum a* a, T = sum b b*,
+    A = ||S^(1/2)||_p and B = ||T^(1/2)||_p, from one stacked eigh, then the a that
+    solves V a + a W = x W: in the eigenbases of V and W, a_ij = x_ij nu_j / (mu_i
+    + nu_j), 1/2 where both vanish. The value is the best of a = x, a = 0 and the
+    last a; the step count is fixed, so a sequence's value does not depend on its
+    batch.
+    """
+    a = items / 2
+    for _ in range(_CRP_STEPS):
+        w, u = np.linalg.eigh(_gram(np.stack([a, (items - a).conj().swapaxes(-1, -2)])).sum(-3))
+        w = np.clip(w, 0.0, None)  # the spectra of S and T
+        nu, mu = _p_mean(w, p / 2)[..., None] ** ((p - 1) / 2) * w ** (1 - p / 2)
+        total = mu[..., :, None] + nu[..., None, :]
+        share = np.divide(nu[..., None, :], total, out=np.full(total.shape, 0.5), where=total > 0)
+        col, row = u[..., None, :, :]
+        a = row @ (share[..., None, :, :] * (row.conj().swapaxes(-1, -2) @ items @ col)) \
+            @ col.conj().swapaxes(-1, -2)
+    tried = np.stack([items, np.zeros_like(items), a])
+    values = _column_norms(np.stack([tried, (items - tried).conj().swapaxes(-1, -2)]), p, 2.0)
+    values = values.sum(axis=0)
+    split = np.empty(items.shape[:-3], dtype=object)
+    for idx in np.ndindex(split.shape):
+        k = int(values[(slice(None), *idx)].argmin())  # the first on ties: x, then 0
+        x, column_part = items[idx], tried[(k, *idx)]
+        witness = SplitWitness(tuple(column_part), tuple(x - column_part))
+        split[idx] = NormValue(values[(k, *idx)], "upper", witness) if x.any() else NormValue(0.0)
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +347,7 @@ def linf_norm_positive(seq: Sequence, p, *, seed: int = 0) -> LinfBracket:
 
 def _linf_bracket(items: np.ndarray, p: float) -> LinfBracket:
     """linf_norm_positive of a trusted PSD stack."""
-    if _all_zero(items):
+    if not items.any():
         zero = NormValue(0.0, "exact")
         return LinfBracket(zero, zero)
     xs, d = herm(items), items.shape[1]

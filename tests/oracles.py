@@ -170,6 +170,45 @@ def verify_bracket(seq, p, bracket):
     assert lower.value <= upper.value + 1e-8
 
 
+def crp_dual_lower(seq, p, witness):
+    """A lower end of CR_p(x), 1 <= p < 2, from a splitting x_n = a_n + b_n by
+    duality: the dual of CR_p is C_p' cap R_p' (Pisier-Xu 1997, Junge-Xu 2003), so
+    every y with max(||y||_C_p', ||y||_R_p') = 1 gives Re sum_n ntrace(y_n* x_n) <=
+    CR_p(x). Tries the column side y_n = a_n S^((p-2)/2), S = sum a_n* a_n, and the
+    row side y_n = T^((p-2)/2) b_n, T = sum b_n b_n*, each with its power taken on
+    the support from eigh, and returns the larger lower end."""
+    xs = np.asarray(seq, dtype=complex)
+    p_dual = INF if p == 1 else p / (p - 1)
+
+    def spectrum(m):
+        return np.linalg.eigh((m + m.conj().T) / 2)
+
+    def power(m, r):  # m^r on the support of the PSD m
+        w, v = spectrum(m)
+        keep = w > 1e-12 * max(w[-1], 0.0)
+        return (v * np.where(keep, np.where(keep, w, 1.0) ** r, 0.0)) @ v.conj().T
+
+    def root_norm(m):  # ||m^(1/2)||_p' of the PSD m
+        w = np.clip(spectrum(m)[0], 0.0, None)
+        return np.sqrt(w[-1]) if p_dual == INF else np.mean(w ** (p_dual / 2)) ** (1 / p_dual)
+
+    def adj(m):
+        return m.conj().swapaxes(-1, -2)
+
+    a, b = np.asarray(witness.column_part), np.asarray(witness.row_part)
+    duals = []
+    if a.any():
+        duals.append(a @ power((adj(a) @ a).sum(axis=0), (p - 2) / 2))
+    if b.any():
+        duals.append(power((b @ adj(b)).sum(axis=0), (p - 2) / 2) @ b)
+    lower = 0.0
+    for y in duals:
+        scale = max(root_norm((adj(y) @ y).sum(axis=0)), root_norm((y @ adj(y)).sum(axis=0)))
+        pairing = np.trace(adj(y) @ xs, axis1=1, axis2=2).sum().real / xs.shape[-1]
+        lower = max(lower, pairing / scale)
+    return lower
+
+
 def tower_residual_reference(filt, trials, seed):
     """tower_residual with each level's first projection through the validating
     cond_exp: the reference for the trusted stacked core in ncstein.expectation."""

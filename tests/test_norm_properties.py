@@ -1,6 +1,6 @@
-"""Property tests of the Schatten and column norms: positive homogeneity over
-two hundred orders of magnitude at every exponent, with no overflow, and the
-PSD power core's batch invariance across leading axes."""
+"""Property tests of the Schatten, column and CR_p norms: positive homogeneity
+over two hundred orders of magnitude at every exponent, with no overflow, and
+the PSD power core's batch invariance across leading axes."""
 
 import math
 
@@ -8,23 +8,31 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ncstein import column_q_norm, schatten_norm
-from ncstein.opcore import herm, _abs_q_stack, _complex_gaussians, _psd_draws
+from ncstein import column_q_norm, crp_norm, schatten_norm
+from ncstein.opcore import _abs_q_stack, _complex_gaussians, _gram, _psd_draws
 from ncstein.seqnorm import _column_norms
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(log_c=st.floats(-100, 100), p=st.one_of(st.floats(1, 1e3), st.just(math.inf)),
+@example(log_c=-60.0, p=1.0, q=1.5, seed=0)  # an absolute floor in a CR_p solve shows here
+@given(log_c=st.floats(-100, 100),
+       p=st.one_of(st.floats(1, 2, exclude_max=True), st.floats(1, 1e3), st.just(math.inf)),
        q=st.floats(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_norms_are_homogeneous(log_c, p, q, seed):
     c = 10.0**log_c
     z = _complex_gaussians(np.random.default_rng(seed), 3, 4)
-    xs = herm(z.conj().swapaxes(1, 2) @ z)  # column norms at q != 2 take PSD terms
-    assert schatten_norm(c * z[0], p) == pytest.approx(c * schatten_norm(z[0], p), rel=1e-12)
+    xs = _gram(z)  # column norms at q != 2 take PSD terms
+    assert schatten_norm(c * z[0], p) == pytest.approx(c * schatten_norm(z[0], p), rel=1e-12, abs=0)
     assert column_q_norm(c * xs, p, q).value == pytest.approx(
-        c * column_q_norm(xs, p, q).value, rel=1e-12)
+        c * column_q_norm(xs, p, q).value, rel=1e-12, abs=0)
+    crp, scaled = crp_norm(z, p), crp_norm(c * z, p)
+    assert scaled.value == pytest.approx(c * crp.value, rel=1e-12, abs=0)
+    if p < 2:  # an upper end with the splitting c z = a + b behind it
+        a, b = (np.stack(part) for part in (scaled.certificate.column_part,
+                                            scaled.certificate.row_part))
+        assert np.abs(a + b - c * z).max() <= 1e-12 * c * np.abs(z).max()
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -1,11 +1,13 @@
 """Sequence norms: column/row, CR_p, ell_1, and the ell_inf bracket."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from ncstein import (
+    build_filtration,
     column_q_norm,
     crp_norm,
     herm,
@@ -14,11 +16,14 @@ from ncstein import (
     op_norm,
     psd_power,
     row_2_norm,
+    run_inequality,
+    sample_adapted_positive,
     sample_hermitian,
     sample_projection_family,
     sample_psd,
     schatten_norm,
 )
+from ncstein.opcore import _complex_gaussians, _psd_draws
 from ncstein.seqnorm import (
     _abs_q_stack,
     _barrier,
@@ -28,7 +33,8 @@ from ncstein.seqnorm import (
     _root_norms,
 )
 
-from oracles import column_norm_svd, scalar_lpq, schatten_from_eig, verify_bracket
+from oracles import (column_norm_svd, crp_dual_lower, scalar_lpq, schatten_from_eig,
+                     verify_bracket)
 
 INF = math.inf
 
@@ -83,8 +89,9 @@ def test_column_routes_agree():
 def test_column_rejections():
     with pytest.raises(ValueError, match="nonempty"):
         column_q_norm([], 2, 2)
-    with pytest.raises(ValueError, match="linf_norm_positive"):
-        column_q_norm([np.eye(2)], 2, INF)
+    for q in (INF, "inf"):
+        with pytest.raises(ValueError, match="linf_norm_positive"):
+            column_q_norm([np.eye(2)], 2, q)
 
 
 def test_row_equals_column_for_hermitian():
@@ -142,8 +149,81 @@ def test_crp_split_branch_feasibility():
 def test_crp_split_agrees_with_max_at_p2():
     # the infimal-splitting value at p = 2 must match the max branch
     seq = [sample_hermitian(2, s) for s in range(2)]
-    split = _crp_split(np.stack(seq).astype(complex), 2.0)
+    split = _crp_split(np.stack(seq).astype(complex)[None], 2.0)[0]
     assert split.value == pytest.approx(crp_norm(seq, 2).value, abs=1e-6)
+
+
+def crp_family():
+    """(p, sequence) for p in {1, 1.25, 1.5, 1.75} and seeds 0-9: d = 4 with 3 terms
+    at even seeds, d = 8 with 4 terms at odd ones; the terms by seed mod 3 are
+    complex Gaussians, sample_psd draws, or an adapted positive sequence on dyadic d."""
+    for p in (1.0, 1.25, 1.5, 1.75):
+        for seed in range(10):
+            d, n = (4, 3) if seed % 2 == 0 else (8, 4)
+            if seed % 3 == 0:
+                yield p, _complex_gaussians(np.random.default_rng(seed), n, d)
+            elif seed % 3 == 1:
+                yield p, np.stack([sample_psd(d, 100 * seed + m) for m in range(n)])
+            else:
+                yield p, np.stack(sample_adapted_positive(build_filtration("dyadic", d), n, seed))
+
+
+def test_crp_split_against_its_dual_lower_end():
+    # every splitting reassembles x, and the dual lower end of its own splitting
+    # brackets it: at or below it, by a median relative gap of round-off at each p
+    gaps = {}
+    for p, seq in crp_family():
+        upper = crp_norm(seq, p)
+        a, b = (np.stack(part) for part in (upper.certificate.column_part,
+                                            upper.certificate.row_part))
+        assert np.abs(a + b - seq).max() <= 1e-12 * np.abs(seq).max()
+        lower = crp_dual_lower(seq, p, upper.certificate)
+        assert 0 < lower <= upper.value * (1 + 1e-12)
+        gaps.setdefault(p, []).append(1 - lower / upper.value)
+    for p, gap in gaps.items():
+        assert np.median(gap) <= 1e-8, p
+        assert max(gap) <= 1e-2, p
+
+
+def test_crp_split_scores_a_sequence_alike_in_any_batch():
+    # a fixed step count: each sequence's value and splitting are those it gets alone
+    for p in (1.0, 1.5):
+        xs = np.stack([seq for q, seq in crp_family() if q == p and seq.shape[-1] == 4])
+        batch = _crp_split(xs, p)
+        for k, x in enumerate(xs):
+            assert pickle.dumps(batch[k]) == pickle.dumps(_crp_split(x[None], p)[0])
+
+
+def test_crp_split_of_degenerate_terms():
+    # a zero term, rank-one terms, a single term and a zero sequence: no RuntimeWarning
+    # (the suite makes one a failure), a reassembling splitting, and exact 0 for zero
+    psd = sample_psd(4, 3)
+    v = np.linalg.eigh(psd)[1][:, -1:]
+    cases = (np.stack([psd, np.zeros((4, 4)), 2 * psd]), np.stack([v @ v.T.conj(), 3j * v @ v.T]),
+             psd[None])
+    for p in (1.0, 1.5):
+        zero = crp_norm(np.zeros((2, 4, 4)), p)
+        assert (zero.value, zero.bound) == (0.0, "exact")
+        for seq in cases:
+            value = crp_norm(seq, p)
+            assert value.bound == "upper" and value.value > 0
+            a, b = value.certificate.column_part, value.certificate.row_part
+            assert np.abs(np.stack(a) + np.stack(b) - seq).max() <= 1e-12 * np.abs(seq).max()
+
+
+def test_public_norms_return_the_checkers_bits():
+    # column_q_norm, l1_norm_positive and crp_norm at p >= 2 take the checker's route
+    filts = {d: build_filtration("dyadic", d) for d in (4, 8)}
+    for seed in range(60):
+        filt = filts[(4, 8)[seed % 2]]
+        seq = _psd_draws(np.random.default_rng(seed), 3, filt.dim)
+        for p, q in ((3.0, 1.5), (2.0, 1.5), (4.0, 2.0)):
+            rhs = run_inequality("s_pq", seq, filt, p, q).rhs
+            assert column_q_norm(seq, p, q).value == rhs.value
+        for p in (1.5, 3.0):
+            assert l1_norm_positive(seq, p).value == run_inequality("dd_p", seq, filt, p).rhs.value
+        adapted = sample_adapted_positive(filt, 3, seed)
+        assert crp_norm(adapted, 3).value == run_inequality("crp_stein", adapted, filt, 3).rhs.value
 
 
 def test_l1_norm():
