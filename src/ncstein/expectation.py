@@ -32,7 +32,6 @@ from .opcore import (
     as_operator,
     as_stack,
     herm,
-    _complex_gaussian,
     _complex_gaussians,
     _gram,
     _p_mean,
@@ -398,15 +397,16 @@ def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResidu
 
 
 def tower_residual(filt: Filtration, trials: int, seed: int) -> float:
-    """Max deviation of E_m E_n from E_min(m,n) over sampled inputs and all pairs."""
+    """Max deviation of E_m E_n from E_min(m,n) over sampled inputs and all pairs; the
+    trials are drawn in chunks whose (L, L, k, d, d) differences fit NOISE_ENTRIES."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = _complex_gaussian(rng, filt.dim)
+    rng, n, worst = np.random.default_rng(seed), np.arange(len(filt)), 0.0
+    chunk = max(1, NOISE_ENTRIES // (n.size * filt.dim) ** 2)
+    for first in range(0, trials, chunk):
+        x = _complex_gaussians(rng, min(chunk, trials - first), filt.dim)
         projected = np.stack([_cond_exp_stack(x, spec) for spec in filt.levels])
-        for m, spec_m in enumerate(filt.levels):  # E_m of every E_n(x) against E_min(m,n)(x)
-            diff = _cond_exp_stack(projected, spec_m) - projected[np.minimum(range(len(filt)), m)]
-            worst = max(worst, float(np.linalg.norm(diff, 2, axis=(1, 2)).max()))
+        diff = np.stack([_cond_exp_stack(projected, spec) - projected[np.minimum(n, m)]
+                         for m, spec in enumerate(filt.levels)])  # E_m E_n(x) - E_min(m,n)(x)
+        worst = max(worst, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
     return worst

@@ -182,7 +182,7 @@ def conjugate_exponent(p) -> float:
 # (kind, dim, seed, params) tuple always reproduces the same output.
 # ---------------------------------------------------------------------------
 
-NOISE_ENTRIES = 1 << 18  # complex entries (4 MB) of noise a caller draws at once
+NOISE_ENTRIES = 1 << 18  # complex entries (4 MB) a caller draws, or stacks, at once
 
 
 def _complex_gaussians(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

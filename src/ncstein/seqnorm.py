@@ -366,11 +366,11 @@ def _linf_bracket(items: np.ndarray, p: float) -> LinfBracket:
 
 def _certified(items, a, duals, p) -> LinfBracket:
     """The bracket of a majorant a (factored into the upper end) and duals (paired
-    into the lower end) of a trusted PSD stack."""
+    into the lower end, divided by max(1, ||sum duals||_p')) of a trusted PSD stack."""
     objective = float(np.einsum("nij,nji->", items, duals).real) / items.shape[1]
     feasibility = float(_p_mean(np.linalg.svd(duals.sum(axis=0), compute_uv=False),
                                 conjugate_exponent(p), top=0))
-    lower = NormValue(max(objective, 0.0), "lower",
+    lower = NormValue(max(objective / max(1.0, feasibility), 0.0), "lower",
                       DualCertificate(tuple(duals), objective, feasibility))
     value, witness = _try_factorization(items, a, p)
     return LinfBracket(lower, NormValue(value, "upper", witness))

@@ -1,6 +1,7 @@
 """Conditional expectations, filtrations, adaptedness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,7 @@ TOWER_CHAINS = {
     "dyadic16": build_filtration("dyadic", 16),
     "tensor8": build_filtration("tensor", local_dims=(2, 2, 2)),
     "tensor232": build_filtration("tensor", local_dims=(2, 3, 2)),
+    "cells": CELL_CHAIN,
 }
 
 
@@ -166,6 +168,35 @@ def test_tower_residual_equals_reference(name):
         for trials in (1, 5, 12):
             expected = tower_residual_reference(filt, trials, seed)
             assert tower_residual(filt, trials, seed) == expected
+
+
+@pytest.mark.parametrize("name", ("dyadic16", "tensor232", "cells"))
+def test_tower_residual_chunks_keep_the_floats(monkeypatch, name):
+    # chunks of one trial, and of three trials, which do not divide the seven drawn,
+    # give the floats of one chunk and of the per-trial oracle; one SVD per chunk
+    filt, trials = TOWER_CHAINS[name], 7
+    whole = tower_residual(filt, trials, 5)
+    assert whole == tower_residual_reference(filt, trials, 5)
+    norm, chunks = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: chunks.append(1) or norm(*a, **kw))
+    for per_chunk in (1, 3):
+        chunks.clear()
+        monkeypatch.setattr(expectation, "NOISE_ENTRIES", per_chunk * (len(filt) * filt.dim) ** 2)
+        assert tower_residual(filt, trials, 5) == whole
+        assert len(chunks) == -(-trials // per_chunk)
+
+
+def test_tower_residual_memory_is_bounded():
+    # a chunk holds the L^2 differences of its trials, so the chunk bound counts them,
+    # not only the noise: at d = 32 (six levels) the traced peak stays within four
+    # NOISE_ENTRIES complex entries
+    tracemalloc.start()
+    try:
+        tower_residual(build_filtration("dyadic", 32), 64, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * expectation.NOISE_ENTRIES * 16
 
 
 def test_make_filtration_dyadic():

@@ -1,6 +1,7 @@
 """Property tests of the Schatten, column and CR_p norms: positive homogeneity
-over two hundred orders of magnitude at every exponent, with no overflow, and
-the PSD power core's batch invariance across leading axes."""
+over two hundred orders of magnitude at every exponent, with no overflow, the
+PSD power core's batch invariance across leading axes, and the ell_inf
+bracket's sandwich between max_n ||x_n||_p and ||sum_n x_n||_p."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from ncstein import column_q_norm, crp_norm, schatten_norm
+from ncstein import column_q_norm, crp_norm, linf_norm_positive, schatten_norm
 from ncstein.opcore import _abs_q_stack, _complex_gaussians, _gram, _psd_draws
 from ncstein.seqnorm import _column_norms
 
@@ -52,3 +53,17 @@ def test_power_core_scores_a_sequence_alike_in_any_stack(lead, dim, q, p, seed):
         assert powers[idx].tobytes() == own_powers.tobytes()
         assert np.float64(scales if q <= 2 else scales[idx]) == own_scale
         assert norms[idx].tobytes() == _column_norms(xs[idx][None], p, q)[0].tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(dim=st.integers(1, 4), n=st.integers(1, 3),
+       p=st.sampled_from((1.0, 1.5, 2.0, 3.0, math.inf)), seed=st.integers(0, 2**32 - 1))
+def test_linf_bracket_sits_in_its_sandwich(dim, n, p, seed):
+    # a >= x_n gives ||a||_p >= max_n ||x_n||_p, so the upper end lies above that, and
+    # a = sum_n x_n is a majorant of positive terms, so the lower end lies below its norm
+    xs = _psd_draws(np.random.default_rng(seed), n, dim)
+    lower, upper = linf_norm_positive(xs, p)
+    floor, ceiling = max(schatten_norm(x, p) for x in xs), schatten_norm(xs.sum(axis=0), p)
+    assert floor <= upper.value * (1 + 1e-14)
+    assert lower.value <= ceiling * (1 + 1e-14)
+    assert lower.value <= upper.value * (1 + 1e-14)
