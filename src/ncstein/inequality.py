@@ -40,7 +40,6 @@ from .opcore import (
     as_operator,
     as_stack,
     herm,
-    op_norm,
     psd_power,
     _abs_q_stack,
     _p_mean,
@@ -61,7 +60,7 @@ UNITARY_CHECK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Both sides of one inequality instance and their ratio.
+    """Both sides of one inequality instance; the ratio and its enclosure derive from them.
 
     ratio is lhs.value / rhs.value, or None when rhs vanishes (faithfulness
     then forces lhs to vanish too, so the quotient carries no information).
@@ -76,42 +75,31 @@ class RatioReport:
     p: float
     q: float | None
     lag: int
-    ratio: float | None
-    certifying: bool
-    ratio_interval: tuple[float, float] | None = None
     lhs_upper: NormValue | None = None
     rhs_lower: NormValue | None = None
 
+    @property
+    def ratio(self) -> float | None:
+        return self.lhs.value / self.rhs.value if self.rhs.value > 0 else None
 
-def _make_report(inequality_id, lhs, rhs, p, q, lag, lhs_upper=None, rhs_lower=None):
-    ratio = lhs.value / rhs.value if rhs.value > 0 else None
-    has_upper_lhs = lhs.bound in ("exact", "upper") or lhs_upper is not None
-    has_lower_rhs = rhs.bound in ("exact", "lower") or rhs_lower is not None
-    interval = None
-    if ratio is not None and (lhs_upper is not None or rhs_lower is not None):
-        hi_lhs = lhs_upper.value if lhs_upper is not None else lhs.value
-        lo_rhs = rhs_lower.value if rhs_lower is not None else rhs.value
-        high = hi_lhs / lo_rhs if lo_rhs > 0 else INF
-        interval = (ratio, high)
-    return RatioReport(
-        inequality_id=inequality_id,
-        lhs=lhs,
-        rhs=rhs,
-        p=float(p),
-        q=None if q is None else float(q),
-        lag=lag,
-        ratio=ratio,
-        certifying=has_upper_lhs and has_lower_rhs,
-        ratio_interval=interval,
-        lhs_upper=lhs_upper,
-        rhs_lower=rhs_lower,
-    )
+    @property
+    def certifying(self) -> bool:
+        return ((self.lhs.bound != "lower" or self.lhs_upper is not None)
+                and (self.rhs.bound != "upper" or self.rhs_lower is not None))
+
+    @property
+    def ratio_interval(self) -> tuple[float, float] | None:
+        if self.ratio is None or (self.lhs_upper is None and self.rhs_lower is None):
+            return None
+        low = (self.rhs_lower or self.rhs).value
+        return self.ratio, (self.lhs_upper or self.lhs).value / low if low > 0 else INF
 
 
 # Every kernel scores a batch: xs[k, n, d, d] holds k sequences, and each side it
-# returns has one entry per sequence, a float array for a closed form and k NormValues
-# for a bracket. In every kernel E(x_n) is E_{max(n - lag, 0)}(x_n), the level the lag
-# pairs with term n, so each id conditions at the lag its report prints.
+# returns has one entry per sequence, a float array for a closed form and a NormValue
+# array for a bracket, from one call of its norm core on the stacked sides. In every
+# kernel E(x_n) is E_{max(n - lag, 0)}(x_n), the level the lag pairs with term n, so
+# each id conditions at the lag its report prints.
 
 
 def _stein_kernel(xs, filt, p, q, lag, ys):
@@ -135,36 +123,25 @@ def _dual_doob_kernel(xs, filt, p, q, lag, ys):
     return tuple(_root_norms(sums, p, 1.0))
 
 
-def _each(kernel):
-    """The batch kernel that runs `kernel`, whose sides are the NormValues of one
-    (n, d, d) stack, on each sequence in turn."""
-    def batched(xs, filt, p, q, lag, ys):
-        return tuple(zip(*(kernel(x, filt, p, q, lag, ys) for x in xs)))
-    return batched
-
-
-@_each
 def _doob_kernel(xs, filt, p, q, lag, ys):
     # the ell_inf bracket of the chain (E(x))_n, one copy of x per level: E_0(x), ...,
     # E_N(x) at lag 0 and E_0(x), E_0(x), ..., E_{N-1}(x) at lag 1; against the exact ||x||_p
-    bracket = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=0), filt, lag), p)
-    norm = _p_mean(np.linalg.svd(xs[0], compute_uv=False), p, top=0)
-    return bracket.lower, NormValue(norm, "exact"), bracket.upper
+    lower, upper = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=1), filt, lag), p)
+    return lower, _p_mean(np.linalg.svd(xs[:, 0], compute_uv=False), p, top=0), upper
 
 
-@_each
 def _sp_inf_kernel(xs, filt, p, q, lag, ys):
     # the ell_inf brackets of (E(x_n)) and (x_n); the ratio pairs the certified ends
     # (lhs lower over rhs upper) and ratio_interval holds the full enclosure
-    left, right = _linf_bracket(_condition(xs, filt, lag), p), _linf_bracket(xs, p)
-    return left.lower, right.upper, left.upper, right.lower
+    lower, upper = _linf_bracket(np.stack([_condition(xs, filt, lag), xs]), p)
+    return lower[0], upper[1], upper[0], lower[1]
 
 
 def _crp_kernel(xs, filt, p, q, lag, ys):
     # CR_p norms of (E(x_n)) and (x_n); below p = 2 both are splitting upper bounds,
     # so the report is non-certifying
     sides = np.stack([_condition(xs, filt, lag), xs])
-    return tuple(_crp_columns(sides, p) if p >= 2 else map(tuple, _crp_split(sides, p)))
+    return tuple(_crp_columns(sides, p) if p >= 2 else _crp_split(sides, p))
 
 
 def _projections_kernel(xs, filt, p, q, lag, ys):
@@ -374,13 +351,14 @@ def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtra
         off = np.linalg.norm(ys.conj().swapaxes(1, 2) @ ys - np.eye(xs.shape[1]), 2, axis=(1, 2))
         if (bad := np.flatnonzero(off > UNITARY_CHECK_TOL)).size:
             raise ValueError(f"isometry {bad[0]} is not unitary within tolerance")
-    elif kind == "projections":
-        for n, r in enumerate(xs):
-            if op_norm(r @ r - r) > PROJECTION_TOL or op_norm(r - r.conj().T) > PROJECTION_TOL:
-                raise ValueError(f"item {n} is not a projection within tolerance")
-            for m in range(n):
-                if op_norm(xs[m] @ r) > PROJECTION_TOL:
-                    raise ValueError(f"projections {m} and {n} are not orthogonal")
+    elif kind == "projections":  # per term n: r_n^2 - r_n, r_n - r_n*, r_m r_n for m < n
+        pairs = [(m, n) for n in range(len(xs)) for m in (n, n, *range(n))]
+        residuals = np.stack([t for n, r in enumerate(xs)
+                              for t in (r @ r - r, r - r.conj().T, *(xs[:n] @ r))])
+        if (bad := np.flatnonzero(np.linalg.norm(residuals, 2, axis=(1, 2)) > PROJECTION_TOL)).size:
+            m, n = pairs[bad[0]]
+            raise ValueError(f"item {n} is not a projection within tolerance" if m == n
+                             else f"projections {m} and {n} are not orthogonal")
     elif kind == "operator":
         if len(xs) != 1:
             raise ValueError(f"the sequence must hold one operator, got {len(xs)}")
@@ -406,7 +384,7 @@ def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q=Non
     ys = None if isometries is None else as_stack(isometries)
     _check_inputs(ineq.input_kind, xs, ys, filt, q)
     lhs, rhs, *ends = _first(ineq.kernel(xs[None], filt, p, q, lag, ys))
-    return _make_report(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
+    return RatioReport(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 
 
 def ceiling_violated(report: RatioReport) -> bool:

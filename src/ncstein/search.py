@@ -147,7 +147,7 @@ def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration |
     else:
         seq = _psd_draws(rng, seq_len, dim)
         if kind == "adapted-seq":
-            seq = project_adapted(seq, filt, 0)
+            seq = _condition(seq, filt, 0)
     return seq, filt, isometry_family(inequality_id, dim, seq_len, seed)
 
 

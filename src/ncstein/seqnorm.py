@@ -12,11 +12,13 @@ sum). Two quantities are only bracketed:
     real coordinates of a Hermitian a). Its majorant a gives the upper end,
     certified by the factorization x_n = a^(1/2) y_n a^(1/2) with contractions
     y_n; its duals y_n ~ (a - x_n)^-1, scaled to ||sum y_n||_p' <= 1, give the
-    lower end sum_n ntrace(x_n y_n). The closed form a = max_n ||x_n||_inf 1,
-    with relative gap 1 - d^(-1/p), replaces the solve where that gap is below
-    LINF_GAP_REL (p = inf included) or the solve's bracket is wider.
+    lower end sum_n ntrace(x_n y_n), less a bound on its rounding error. The
+    closed form a = max_n ||x_n||_inf 1, with relative gap 1 - d^(-1/p), replaces
+    the solve where that gap is below LINF_GAP_REL (p = inf included) or the
+    solve's bracket is wider.
 
-Repeated calls with equal arguments return identical values.
+Each public norm validates once and calls a trusted core on stacks items[..., n, d, d],
+which scores every sequence alike in any batch; equal calls return identical values.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class DualCertificate:
     duals: tuple[np.ndarray, ...]
     objective: float
     feasibility: float  # ||sum duals||_{p'}, must be <= 1 up to round-off
+    margin: float  # bound on the rounding error of objective, taken off the lower end
 
 
 @dataclass(frozen=True)
@@ -150,14 +153,8 @@ def crp_norm(seq: Sequence, p) -> NormValue:
     the infimum over splittings x_n = a_n + b_n of column(a) + row(b),
     reported as the best value found (an upper bound) with its splitting.
     """
-    return _crp(as_stack(seq), as_exponent(p))
-
-
-def _crp(items: np.ndarray, p: float) -> NormValue:
-    """crp_norm of a trusted stack."""
-    if p >= 2:
-        return NormValue(float(_crp_columns(items[None], p)[0]), "exact")
-    return _crp_split(items[None], p)[0]
+    items, p = as_stack(seq)[None], as_exponent(p)
+    return NormValue(float(_crp_columns(items, p)[0])) if p >= 2 else _crp_split(items, p)[0]
 
 
 def _crp_columns(items: np.ndarray, p: float) -> np.ndarray:
@@ -339,14 +336,22 @@ def linf_norm_positive(seq: Sequence, p, *, seed: int = 0) -> LinfBracket:
     barrier solve's majorant and duals are tried, and the tighter bracket is
     returned. The solve is deterministic: `seed` is accepted and ignored.
     """
-    items = as_stack(seq)
-    p = as_exponent(p)
+    items, p = as_stack(seq), as_exponent(p)
     _require_positive(items)
-    return _linf_bracket(items, p)
+    return LinfBracket(*(end[0] for end in _linf_bracket(items[None], p)))
 
 
-def _linf_bracket(items: np.ndarray, p: float) -> LinfBracket:
-    """linf_norm_positive of a trusted PSD stack."""
+def _linf_bracket(items: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """linf_norm_positive of trusted PSD stacks items[..., n, d, d]: the lower and
+    the upper ends as NormValue arrays over the leading axes, one sequence at a time."""
+    ends = np.empty((*items.shape[:-3], 2), dtype=object)
+    for idx in np.ndindex(ends.shape[:-1]):
+        ends[idx] = _linf_sequence(items[idx], p)
+    return ends[..., 0], ends[..., 1]
+
+
+def _linf_sequence(items: np.ndarray, p: float) -> LinfBracket:
+    """The bracket of one trusted PSD stack items[n, d, d]."""
     if not items.any():
         zero = NormValue(0.0, "exact")
         return LinfBracket(zero, zero)
@@ -365,12 +370,19 @@ def _linf_bracket(items: np.ndarray, p: float) -> LinfBracket:
 
 
 def _certified(items, a, duals, p) -> LinfBracket:
-    """The bracket of a majorant a (factored into the upper end) and duals (paired
-    into the lower end, divided by max(1, ||sum duals||_p')) of a trusted PSD stack."""
-    objective = float(np.einsum("nij,nji->", items, duals).real) / items.shape[1]
+    """The bracket of a majorant a (factored into the upper end) and duals (paired into
+    the lower end) of a trusted PSD stack: (objective - margin) / max(1, ||sum duals||_p').
+    objective = sum_n ntrace(x_n y_n) sums N = n d^2 complex products in some order, so its
+    rounding error is at most margin = sqrt(2) gamma_(N+3) sum |x_n,ij| |y_n,ji| / d, with
+    gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and Stability, secs. 3.1, 3.6)."""
+    d = items.shape[1]
+    objective = float(np.einsum("nij,nji->", items, duals).real) / d
+    rounding = (items.size + 3) * 2.0**-53
+    margin = (2**0.5 * rounding / (1 - rounding)
+              * float(np.einsum("nij,nji->", np.abs(items), np.abs(duals))) / d)
     feasibility = float(_p_mean(np.linalg.svd(duals.sum(axis=0), compute_uv=False),
                                 conjugate_exponent(p), top=0))
-    lower = NormValue(max(objective / max(1.0, feasibility), 0.0), "lower",
-                      DualCertificate(tuple(duals), objective, feasibility))
+    lower = NormValue(max((objective - margin) / max(1.0, feasibility), 0.0), "lower",
+                      DualCertificate(tuple(duals), objective, feasibility, margin))
     value, witness = _try_factorization(items, a, p)
     return LinfBracket(lower, NormValue(value, "upper", witness))

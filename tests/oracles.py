@@ -137,15 +137,16 @@ def verify_bracket(seq, p, bracket):
     """Assert that an ell_inf bracket of the positive sequence seq holds, re-checked
     from its certificates' matrices alone. Lower end: PSD duals y_n with
     ||sum y_n||_p' <= 1 whose pairing sum_n ntrace(x_n y_n) is the reported
-    objective, and the value is objective / max(1, ||sum y_n||_p'), so that
-    round-off in the duals' norm cannot lift it. Upper end: contractions y_n
-    that reassemble x_n = left y_n right, with the value
+    objective, and the value is (objective - margin) / max(1, ||sum y_n||_p'), so
+    that round-off in the pairing and in the duals' norm cannot lift it. Upper end:
+    contractions y_n that reassemble x_n = left y_n right, with the value
     ||left||_2p ||right||_2p. And lower <= upper."""
     seq = [np.asarray(x, dtype=complex) for x in seq]
     lower, upper = bracket
     cert, wit = lower.certificate, upper.certificate
     assert cert.feasibility <= 1 + 1e-8
-    assert lower.value == max(cert.objective / max(1.0, cert.feasibility), 0.0)
+    assert cert.margin >= 0
+    assert lower.value == max((cert.objective - cert.margin) / max(1.0, cert.feasibility), 0.0)
     for y in cert.duals:
         assert np.linalg.eigvalsh((y + y.conj().T) / 2)[0] >= -1e-10
     total = sum(cert.duals)

@@ -27,7 +27,7 @@ from ncstein import (
     schatten_norm,
 )
 from ncstein.cli import ConfigError, parse_config
-from ncstein.inequality import INEQUALITIES, ceiling_violated, run_inequality, _make_report
+from ncstein.inequality import INEQUALITIES, RatioReport, ceiling_violated, run_inequality
 from ncstein.search import seeded_inputs
 from ncstein.seqnorm import NormValue
 
@@ -111,9 +111,27 @@ def test_report_determinism():
 
 
 def test_zero_rhs_gives_undefined_ratio():
-    rep = _make_report("s_pq", NormValue(0.0), NormValue(0.0), 2, 2, 0)
+    rep = RatioReport("s_pq", NormValue(0.0), NormValue(0.0), 2.0, 2.0, 0)
     assert rep.ratio is None
     assert not ceiling_violated(rep)
+
+
+@pytest.mark.parametrize("sides, ratio, certifying, interval", (
+    ((NormValue(2.0), NormValue(4.0)), 0.5, True, None),  # closed forms
+    ((NormValue(2.0, "lower"), NormValue(4.0)), 0.5, False, None),
+    ((NormValue(2.0), NormValue(4.0, "upper")), 0.5, False, None),
+    ((NormValue(2.0, "lower"), NormValue(4.0, "upper"), NormValue(3.0, "upper"),
+      NormValue(1.0, "lower")), 0.5, True, (0.5, 3.0)),
+    ((NormValue(2.0, "lower"), NormValue(4.0, "upper"), NormValue(3.0, "upper"),
+      NormValue(0.0, "lower")), 0.5, True, (0.5, math.inf)),  # the rhs may vanish
+    ((NormValue(2.0), NormValue(4.0, "upper"), None, NormValue(1.0, "lower")),
+     0.5, True, (0.5, 2.0)),  # only the rhs is a bracket
+    ((NormValue(0.0, "lower"), NormValue(0.0, "upper"), NormValue(0.0, "upper"),
+      NormValue(0.0, "lower")), None, True, None),
+))
+def test_report_derives_ratio_certifying_and_interval(sides, ratio, certifying, interval):
+    rep = RatioReport("s_p_inf", *sides[:2], 2.0, math.inf, 0, *sides[2:])
+    assert (rep.ratio, rep.certifying, rep.ratio_interval) == (ratio, certifying, interval)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +270,17 @@ def test_doob_maximal_diagonal_oracle():
     assert rep.lhs.value == pytest.approx(want, abs=1e-6)
     assert rep.lhs_upper.value == pytest.approx(want, abs=1e-6)
     assert rep.certifying
+
+
+@pytest.mark.parametrize("dim", (4, 8))
+def test_doob_maximal_at_p_inf_stays_at_most_one(dim):
+    # every E_n contracts L_inf, so the true ratio is at most 1; the lower end takes
+    # the pairing's rounding bound off, so round-off cannot lift the ratio above 1
+    filt = dyadic(dim)
+    for seed in range(30):
+        seq, _, _ = seeded_inputs("doob_maximal", dim, 1, filt, seed)
+        for lag in (0, 1):
+            assert run_inequality("doob_maximal", seq, filt, INF, lag=lag).ratio <= 1
 
 
 def test_doob_maximal_rejects_p1():

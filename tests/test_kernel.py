@@ -22,6 +22,7 @@ from ncstein import (
     project_adapted,
     run_inequality,
     sample_hermitian,
+    sample_projection_family,
     sample_psd,
 )
 from ncstein import cli, expectation, inequality, opcore, search, seqnorm
@@ -320,3 +321,24 @@ def test_search_replays_its_witness_once(monkeypatch, inequality_id, p, q, dim, 
     result = estimate_constant(cfg)
     assert counts["run_inequality"] == 1
     assert result.report.rhs.value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_adapted_check_validates_each_term_once(monkeypatch, tmp_path):
+    # the seeded draws are projected on the trusted core, so the only as_operator
+    # calls of an adapted check are run_inequality's boundary, one per term
+    cfg = cli.parse_config(json.dumps({"command": "check", "inequality": "s_12_adapted",
+                                       "p": 1, "q": 2, "dim": 8, "seq_len": 4,
+                                       "out": str(tmp_path / "check.csv")}))
+    counts = count_calls(monkeypatch)
+    assert cli.run_command(cfg) == 0
+    assert counts["run_inequality"] == 1
+    assert counts["as_operator"] == cfg.seq_len == 4
+
+
+def test_projection_family_check_work(monkeypatch):
+    # a 4-term family: every r_n^2 - r_n, r_n - r_n* and r_m r_n (m < n), 14 matrices,
+    # takes its operator norms from one stacked SVD
+    xs = np.stack(sample_projection_family(8, 4, 1))
+    counts = count_calls(monkeypatch)
+    inequality._check_inputs("projections", xs, None, build_filtration("dyadic", 8), 1.5)
+    assert counts["lapack"] == 1

@@ -1,9 +1,10 @@
 """Property tests of the Schatten, column and CR_p norms: positive homogeneity
 over two hundred orders of magnitude at every exponent, with no overflow, the
-PSD power core's batch invariance across leading axes, and the ell_inf
-bracket's sandwich between max_n ||x_n||_p and ||sum_n x_n||_p."""
+PSD power core's and the ell_inf core's batch invariance across leading axes,
+and the ell_inf bracket's sandwich between max_n ||x_n||_p and ||sum_n x_n||_p."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ncstein import column_q_norm, crp_norm, linf_norm_positive, schatten_norm
 from ncstein.opcore import _abs_q_stack, _complex_gaussians, _gram, _psd_draws
-from ncstein.seqnorm import _column_norms
+from ncstein.seqnorm import _column_norms, _linf_bracket
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -53,6 +54,22 @@ def test_power_core_scores_a_sequence_alike_in_any_stack(lead, dim, q, p, seed):
         assert powers[idx].tobytes() == own_powers.tobytes()
         assert np.float64(scales if q <= 2 else scales[idx]) == own_scale
         assert norms[idx].tobytes() == _column_norms(xs[idx][None], p, q)[0].tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(lead=st.sampled_from(((1,), (3,), (2, 2), (2, 3))), dim=st.integers(1, 3),
+       n=st.integers(1, 3), p=st.sampled_from((1.5, 2.0, math.inf)),
+       seed=st.integers(0, 2**32 - 1))
+def test_linf_core_brackets_a_sequence_alike_in_any_stack(lead, dim, n, p, seed):
+    # leading shapes (k,) and (2, k): both ends of every sequence, certificates included,
+    # are those of the sequence bracketed alone as a batch of one
+    xs = _psd_draws(np.random.default_rng(seed), math.prod(lead) * n, dim)
+    xs = xs.reshape(*lead, n, dim, dim)
+    lower, upper = _linf_bracket(xs, p)
+    assert lower.shape == upper.shape == lead
+    for idx in np.ndindex(lead):
+        alone = _linf_bracket(xs[idx][None], p)
+        assert pickle.dumps((lower[idx], upper[idx])) == pickle.dumps((alone[0][0], alone[1][0]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
