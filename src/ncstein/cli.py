@@ -80,7 +80,6 @@ class RunConfig(SearchConfig):
     trials: int = 50
     assert_ratio_le: float | None = None
     points: tuple[tuple[float, float | None], ...] | None = None
-    atoms: int = 2
     probabilities: tuple[Fraction, ...] | None = None
     witness: str | None = None
     witness_out: str | None = None
@@ -166,7 +165,7 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
 
 # every key of a config document or a witness instance: the RunConfig field it
 # sets and its parser, in the order the keys are checked; _build checks the
-# filtration kind
+# filtration kind, and _instance turns atoms into the probabilities
 _KEYS = {
     "command": ("command", _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
                                     f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}")),
@@ -247,7 +246,7 @@ def _instance(fields: dict) -> RunConfig:
     if not ineq.uses_q and fields.get("q") is not None:
         raise ConfigError(f"key 'q' does not apply to {inequality!r}")
     if ineq.input_kind == "process":
-        atoms = fields.get("atoms", 2)
+        atoms = fields.pop("atoms", 2)
         if fields.get("probabilities") is None:
             fields["probabilities"] = tuple(Fraction(1, atoms) for _ in range(atoms))
         if len(fields["probabilities"]) != atoms:
@@ -375,8 +374,7 @@ def _sort_key(row):
     return (row["inequality_id"], row["p"], -1.0 if q is None else q, row["seed"])
 
 
-def _report_row(cfg: RunConfig, report, evaluations=0, seq_len=None, filtration=None,
-                point=None) -> dict:
+def _report_row(cfg: RunConfig, report, evaluations=0, seq_len=None, point=None) -> dict:
     """The row of cfg's instance: the exponents and sides of report and the
     number of operators checked (seq_len, default the config's), or the
     exponents `point` and empty sides when the instance failed."""
@@ -388,8 +386,8 @@ def _report_row(cfg: RunConfig, report, evaluations=0, seq_len=None, filtration=
         row.update(p=report.p, q=report.q, lhs=report.lhs.value, lhs_bound=report.lhs.bound,
                    rhs=report.rhs.value, rhs_bound=report.rhs.bound, ratio=report.ratio,
                    certifying=report.certifying)
-    row.update(seq_len=seq_len or cfg.seq_len, filtration=filtration or cfg.filtration,
-               evaluations=evaluations)
+    row.update(seq_len=seq_len or cfg.seq_len, evaluations=evaluations,
+               filtration="classical" if cfg.filt is None else cfg.filtration)
     return row
 
 
@@ -490,7 +488,7 @@ def _run_check(cfg: RunConfig):
         seq, filt, isometries = seeded_inputs(cfg.inequality_id, cfg.dim, cfg.seq_len,
                                               cfg.filt, cfg.seed, cfg.probabilities)
     report = run_inequality(cfg.inequality_id, seq, filt, cfg.p, cfg.q, cfg.lag, isometries)
-    rows = [_report_row(cfg, report, 1, len(seq), "classical" if cfg.filt is None else None)]
+    rows = [_report_row(cfg, report, 1, len(seq))]
     violated = ceiling_violated(report)
     if (cfg.assert_ratio_le is not None and report.ratio is not None
             and report.ratio > cfg.assert_ratio_le):

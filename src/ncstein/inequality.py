@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .expectation import (
 )
 from .opcore import (
     INF,
+    NOISE_ENTRIES,
     as_exponent,
     as_operator,
     as_stack,
@@ -114,13 +116,6 @@ def _isometry_kernel(xs, filt, p, q, lag, ys):
     powers, _ = _abs_q_stack(np.stack([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
     sums = np.stack([powers[0].sum(axis=-3), (ys_adj @ powers[1] @ ys).sum(axis=-3)])
     return tuple(_root_norms(sums, p, q))
-
-
-def _dual_doob_kernel(xs, filt, p, q, lag, ys):
-    # ||sum E(x_n)||_p against ||sum x_n||_p; at p = 1 both sides are tau(sum x_n),
-    # since every E is trace preserving, so the ratio is 1 at either lag
-    sums = np.stack([_condition(xs, filt, lag).sum(axis=-3), xs.sum(axis=-3)])
-    return tuple(_root_norms(sums, p, 1.0))
 
 
 def _doob_kernel(xs, filt, p, q, lag, ys):
@@ -314,7 +309,10 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
                ceiling=lambda p, q: ("le", 2.0, 1e-6)),
     Inequality("s_isometry", "isometry-seq", lambda p, q: q <= 2 and q <= p < INF,
                "1 <= q <= 2 and q <= p < inf", _isometry_kernel, uses_q=True),
-    Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p", _dual_doob_kernel,
+    # s_pq at q = 1: ||sum E(x_n)||_p against ||sum x_n||_p; at p = 1 both sides are
+    # tau(sum x_n), since every E is trace preserving, so the ratio is 1 at either lag
+    Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p",
+               lambda xs, filt, p, q, lag, ys: _stein_kernel(xs, filt, p, 1.0, lag, ys),
                ceiling=lambda p, q: ("eq", 1.0, 1e-10) if p == 1 else None),
     Inequality("doob_maximal", "operator", lambda p, q: p > 1, _P_ABOVE_ONE, _doob_kernel),
     Inequality("s_p_inf", "positive-seq", lambda p, q: p > 1, _P_ABOVE_ONE, _sp_inf_kernel,
@@ -353,12 +351,15 @@ def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtra
             raise ValueError(f"isometry {bad[0]} is not unitary within tolerance")
     elif kind == "projections":  # per term n: r_n^2 - r_n, r_n - r_n*, r_m r_n for m < n
         pairs = [(m, n) for n in range(len(xs)) for m in (n, n, *range(n))]
-        residuals = np.stack([t for n, r in enumerate(xs)
-                              for t in (r @ r - r, r - r.conj().T, *(xs[:n] @ r))])
-        if (bad := np.flatnonzero(np.linalg.norm(residuals, 2, axis=(1, 2)) > PROJECTION_TOL)).size:
-            m, n = pairs[bad[0]]
-            raise ValueError(f"item {n} is not a projection within tolerance" if m == n
-                             else f"projections {m} and {n} are not orthogonal")
+        residuals = (t for n, r in enumerate(xs)
+                     for t in (r @ r - r, r - r.conj().T, *(xs[:n] @ r)))
+        chunk = max(1, NOISE_ENTRIES // xs[0].size)  # stacked at most NOISE_ENTRIES at a time
+        for start in range(0, len(pairs), chunk):
+            norms = np.linalg.norm(np.stack(list(islice(residuals, chunk))), 2, axis=(1, 2))
+            if (bad := np.flatnonzero(norms > PROJECTION_TOL)).size:
+                m, n = pairs[start + bad[0]]
+                raise ValueError(f"item {n} is not a projection within tolerance" if m == n
+                                 else f"projections {m} and {n} are not orthogonal")
     elif kind == "operator":
         if len(xs) != 1:
             raise ValueError(f"the sequence must hold one operator, got {len(xs)}")

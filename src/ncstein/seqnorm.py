@@ -136,11 +136,11 @@ def row_2_norm(seq: Sequence, p) -> NormValue:
 
 
 def l1_norm_positive(seq: Sequence, p) -> NormValue:
-    """ell_1 norm of a positive sequence: ||sum_n x_n||_p, exact."""
+    """ell_1 norm of a positive sequence: ||sum_n x_n||_p, exact; the column norm at q = 1."""
     items = as_stack(seq)
     p = as_exponent(p)
     _require_positive(items)
-    return NormValue(float(_root_norms(items.sum(axis=0)[None], p, 1.0)[0]), "exact")
+    return NormValue(float(_column_norms(items[None], p, 1.0)[0]), "exact")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff.
+and review the diff; it prints the name of every expected file it changed.
 """
 
 import contextlib
@@ -104,16 +104,21 @@ def test_golden_reports_are_unchanged(tmp_path):
 
 
 def regenerate() -> None:
-    """Rewrite every expected file from the current code and drop stale ones."""
+    """Rewrite every expected file from the current code, drop stale ones, and
+    print the name of each file whose contents changed (the drift list)."""
     cases = _load_cases()
     expected = GOLDEN / "expected"
     expected.mkdir(exist_ok=True)
-    for stale in set(expected.glob("*.txt")) - {_expected_path(case) for case in cases}:
+    for stale in sorted(set(expected.glob("*.txt")) - {_expected_path(case) for case in cases}):
         stale.unlink()
+        print(f"removed {stale.name}")
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
-            _expected_path(case).write_text(run_case(case, Path(tmp)), encoding="utf-8")
-    print(f"wrote {len(cases)} expected files to {expected}", file=sys.stderr)
+            path, text = _expected_path(case), run_case(case, Path(tmp))
+            if not path.exists() or path.read_text(encoding="utf-8") != text:
+                path.write_text(text, encoding="utf-8")
+                print(f"changed {path.name}")
+    print(f"checked {len(cases)} expected files in {expected}", file=sys.stderr)
 
 
 if __name__ == "__main__":

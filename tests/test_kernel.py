@@ -3,6 +3,7 @@ the work the search loop does per evaluation."""
 
 import json
 import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -342,3 +343,29 @@ def test_projection_family_check_work(monkeypatch):
     counts = count_calls(monkeypatch)
     inequality._check_inputs("projections", xs, None, build_filtration("dyadic", 8), 1.5)
     assert counts["lapack"] == 1
+
+
+def test_projection_family_check_memory_is_bounded(monkeypatch):
+    # the residuals are stacked at most NOISE_ENTRIES entries at a time: at d = 32 a
+    # 32-term family (528 residuals) and the same family padded with 32 zero projections
+    # (2144 residuals), both refused as longer than the filtration, stay within 12 MiB
+    family = np.stack(sample_projection_family(32, 32, 0))
+    filt = build_filtration("dyadic", 32)
+    for xs in (family, np.concatenate([family, np.zeros_like(family)])):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="only 6 levels exist"):
+                run_inequality("projections", xs, filt, 3, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+    # one residual per chunk still names the first failure, in the same words
+    monkeypatch.setattr(inequality, "NOISE_ENTRIES", 1)
+    xs = family[:4].copy()
+    xs[3] = xs[2]
+    with pytest.raises(ValueError, match="^projections 2 and 3 are not orthogonal$"):
+        inequality._check_inputs("projections", xs, None, filt, 1.5)
+    xs[1] *= 2
+    with pytest.raises(ValueError, match="^item 1 is not a projection within tolerance$"):
+        inequality._check_inputs("projections", xs, None, filt, 1.5)

@@ -1,0 +1,81 @@
+"""Property tests of every inequality id's ratio: it does not change when the
+inputs are scaled by c in [1e-40, 1e40], nor when every term (and every
+isometry) is conjugated by a diagonal unitary, which lies in level 0 of the
+filtration and so commutes with each conditional expectation."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st
+
+from ncstein import build_filtration, run_inequality
+from ncstein.inequality import INEQUALITIES
+from ncstein.search import seeded_inputs
+
+DIM, SEQ_LEN = 4, 3
+# exponents inside each id's domain
+POINTS = {
+    "s_pq": ((1.0, 1.0), (2.5, 1.5), (3.0, 2.0), (4.0, 4.0)),
+    "s_qq": ((1.5, 1.5), (3.0, 3.0)),
+    "s_12_adapted": ((1.0, 2.0),),
+    "s_isometry": ((1.5, 1.0), (3.0, 2.0)),
+    "dd_p": ((1.0, None), (2.5, None)),
+    "doob_maximal": ((2.0, None), (math.inf, None)),
+    "s_p_inf": ((1.5, None), (math.inf, None)),
+    "crp_stein": ((1.5, None), (3.0, None)),
+    "projections": ((3.0, 1.5),),
+    "semicommutative": ((2.0, 1.5), (3.0, 2.0)),
+}
+CASES = [pytest.param(inequality_id, point, id=f"{inequality_id}-{point[0]:g}-{point[1]}")
+         for inequality_id, points in POINTS.items() for point in points]
+BRACKETED = ("doob_maximal", "s_p_inf")  # ell_inf barrier solves: their ratio moves more
+
+
+def _tolerance(inequality_id):
+    return 1e-9 if inequality_id in BRACKETED else 1e-12
+
+
+def _instance(inequality_id, seed):
+    filt = build_filtration("dyadic", DIM)
+    return seeded_inputs(inequality_id, DIM, SEQ_LEN, filt, seed, (Fraction(1, 2),) * 2)
+
+
+def _ratio(inequality_id, point, seq, filt, lag, isometries):
+    return run_inequality(inequality_id, seq, filt, *point, lag, isometries).ratio
+
+
+def test_every_id_has_points():
+    assert set(POINTS) == set(INEQUALITIES)
+
+
+@pytest.mark.parametrize("inequality_id, point", [case for case in CASES
+                                                   if case.values[0] != "projections"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@example(log_c=-40.0, lag=1, seed=0)
+@example(log_c=40.0, lag=0, seed=0)
+@given(log_c=st.floats(-40, 40), lag=st.sampled_from((0, 1)), seed=st.integers(0, 2**16))
+def test_ratio_is_scale_invariant(inequality_id, point, log_c, lag, seed):
+    # a multiple of a projection is no projection, so projections has no scaled input
+    seq, filt, isometries = _instance(inequality_id, seed)
+    ratio = _ratio(inequality_id, point, seq, filt, lag, isometries)
+    scaled = _ratio(inequality_id, point, 10.0**log_c * np.asarray(seq), filt, lag, isometries)
+    assert scaled == pytest.approx(ratio, rel=_tolerance(inequality_id), abs=0)
+
+
+@pytest.mark.parametrize("inequality_id, point", CASES)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(lag=st.sampled_from((0, 1)), seed=st.integers(0, 2**16))
+def test_ratio_is_invariant_under_diagonal_unitaries(inequality_id, point, lag, seed):
+    seq, filt, isometries = _instance(inequality_id, seed)
+    ratio = _ratio(inequality_id, point, seq, filt, lag, isometries)
+    # a process's chain takes the same d x d block on every slot: one phase per block row
+    phases = np.exp(2j * math.pi * np.random.default_rng(seed).random(DIM))
+    u = np.tile(phases, filt.dim // DIM)
+    conjugate = lambda xs: u[:, None] * np.asarray(xs) * u.conj()  # noqa: E731
+    moved = _ratio(inequality_id, point, conjugate(seq), filt, lag,
+                   None if isometries is None else conjugate(isometries))
+    assert moved == pytest.approx(ratio, rel=_tolerance(inequality_id), abs=0)
