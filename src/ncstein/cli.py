@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expectation import FILTRATION_KINDS, axiom_residuals, build_filtration, tower_residual
+from .expectation import FILTRATION_KINDS, build_filtration, tower_residual, _axiom_levels
 from .inequality import INEQUALITIES, ceiling_violated, get_inequality, run_inequality
 from .opcore import INF
 from .search import SearchConfig, estimate_constant, isometry_family, seeded_inputs
@@ -466,8 +466,7 @@ def _load_witness(path: str) -> tuple[RunConfig, tuple]:
 def _run_axioms(cfg: RunConfig):
     instance = {column: getattr(cfg, column) for column in AXIOM_COLUMNS[:4]}
     rows = []
-    for level, spec in enumerate(cfg.filt.levels):
-        res = axiom_residuals(spec, cfg.trials, cfg.seed + level)
+    for level, res in enumerate(_axiom_levels(cfg.filt.levels, cfg.trials, cfg.seed)):
         checks = {name: getattr(res, name)
                   for name in ("projection", "bimodule", "trace", "positivity", "adjoint")}
         for p, excess in sorted(res.contractivity.items()):

@@ -354,46 +354,57 @@ class AxiomResiduals:
 
 
 def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResiduals:
-    """Sample-based verification of the conditional-expectation axioms.
+    """The axiom residuals of one subalgebra over `trials` draws; see _axiom_levels."""
+    return _axiom_levels((spec,), trials, seed)[0]
 
-    Over `trials` seeded draws this reports the maxima of: the projection
-    residual ||E(E(x)) - E(x)||, the bimodule residual ||E(axb) - a E(x) b||
-    for a, b in the subalgebra, the trace residual |tr E(x) - tr x| / d, the
-    positivity violation max(0, -min eig E(psd)), the adjoint residual
-    ||E(x*) - E(x)*||, and the contractivity excess max(0, ||E(x)||_p -
-    ||x||_p) for p in {1, 2, 3, inf}. The trials are drawn k at a time, at most
-    NOISE_ENTRIES entries of noise per chunk, on the stream of one draw per
-    trial. A chunk conditions its draws with two stacked calls of the trusted
-    core and takes every norm from one SVD of the (5, k, d, d) stack
-    [E(E(x)) - E(x), E(axb) - a E(x) b, E(x*) - E(x)*, E(x), x] and the
-    positivity from one eigvalsh: the three residuals are the tops of the
-    first three spectra, and the excesses compare the p-means of the last two,
-    the values op_norm and schatten_norm would give. Each residual is a max
-    over the trial axis, so every field is the float of one trial at a time.
+
+def _axiom_levels(specs: Sequence[SubalgebraSpec], trials: int, seed: int) -> list:
+    """Sample-based verification of the conditional-expectation axioms on each
+    subalgebra of `specs` (one dimension d), specs[i] on its own stream seed + i.
+
+    Over `trials` seeded draws this reports the maxima of the residuals
+    ||E(E(x)) - E(x)|| (projection), ||E(axb) - a E(x) b|| for a, b in the subalgebra
+    (bimodule), |tr E(x) - tr x| / d (trace), max(0, -min eig E(psd)) (positivity),
+    ||E(x*) - E(x)*|| (adjoint) and the contractivity excess max(0, ||E(x)||_p - ||x||_p)
+    for p in {1, 2, 3, inf}. A chunk of k trials, at most NOISE_ENTRIES entries of
+    noise over all L subalgebras, conditions each one's draws with two stacked calls of
+    the trusted core into one (L, 5, k, d, d) array [E(E(x)) - E(x), E(axb) - a E(x) b,
+    E(x*) - E(x)*, E(x), x]. One SVD gives every spectrum and one eigvalsh every
+    positivity: the residuals are the tops of the first three spectra, and the excesses
+    compare the p-means of the last two, as op_norm and schatten_norm would. The SVD
+    skips, exactly, every zero matrix (its singular values are 0) and every E(x) whose
+    bytes are x's (LAPACK gives equal bytes equal spectra). Each field is a max over
+    the trials, so it is the float of one trial alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng, d = np.random.default_rng(seed), spec.dim
-    exponents = (1.0, 2.0, 3.0, INF)
-    worst = np.zeros(9)  # projection, bimodule, adjoint, trace, positivity, one excess per p
-    chunk = max(1, NOISE_ENTRIES // (4 * d * d))
+    rngs = [np.random.default_rng(seed + i) for i in range(len(specs))]
+    exponents, d, n = (1.0, 2.0, 3.0, INF), specs[0].dim, len(specs)
+    worst = np.zeros((n, 9))  # the fields of AxiomResiduals in order, one excess per p
+    chunk = max(1, NOISE_ENTRIES // (4 * d * d * n))
     for first in range(0, trials, chunk):
-        draws = _complex_gaussians(rng, 4 * min(chunk, trials - first), d).reshape(-1, 4, d, d)
-        x, g_a, g_b, z = draws.swapaxes(0, 1)
-        ex, a, b, ex_adj, e_psd = _cond_exp_stack(np.stack(
-            [x, g_a, g_b, x.conj().swapaxes(1, 2), _gram(z)]), spec)
-        eex, eaxb = _cond_exp_stack(np.stack([ex, a @ x @ b]), spec)
-        s = np.linalg.svd(np.stack([eex - ex, eaxb - a @ ex @ b, ex_adj - ex.conj().swapaxes(1, 2),
-                                    ex, x]), compute_uv=False)
-        # |ntrace(E(x)) - ntrace(x)|: each part divided by d, as complex / int does
-        tr = np.trace(np.stack([ex, x]), axis1=2, axis2=3)
-        trace = np.hypot(tr.real[0] / d - tr.real[1] / d, tr.imag[0] / d - tr.imag[1] / d)
-        excess = [_p_mean(s[3], p, top=0) - _p_mean(s[4], p, top=0) for p in exponents]
-        rows = [*s[:3, :, 0], trace, -np.linalg.eigvalsh(herm(e_psd))[:, 0], *excess]
-        worst = np.maximum(worst, [row.max() for row in rows])
-    projection, bimodule, adjoint, trace, positivity, *excess = worst.tolist()
-    return AxiomResiduals(projection, bimodule, trace, positivity, adjoint,
-                          dict(zip(exponents, excess)))
+        k = min(chunk, trials - first)
+        m, psd = np.empty((n, 5, k, d, d), complex), np.empty((n, k, d, d), complex)
+        for i, (spec, rng) in enumerate(zip(specs, rngs)):
+            x, g_a, g_b, z = _complex_gaussians(rng, 4 * k, d).reshape(k, 4, d, d).swapaxes(0, 1)
+            ex, a, b, eadj, psd[i] = _cond_exp_stack(np.stack(
+                [x, g_a, g_b, x.conj().swapaxes(1, 2), _gram(z)]), spec)
+            eex, eaxb = _cond_exp_stack(np.stack([ex, a @ x @ b]), spec)
+            np.stack([eex - ex, eaxb - a @ ex @ b, eadj - ex.conj().swapaxes(1, 2), ex, x],
+                     out=m[i])
+        same = (m[:, 3].view(np.uint64) == m[:, 4].view(np.uint64)).all(axis=(-2, -1))
+        factor = m.any(axis=(-2, -1))
+        factor[:, 3] &= ~same
+        s = np.zeros((n, 5, k, d))
+        s[factor] = np.linalg.svd(m[factor], compute_uv=False)
+        s[:, 3][same] = s[:, 4][same]
+        tr = np.trace(m[:, 3:], axis1=-2, axis2=-1)  # of E(x) and x
+        re, im = tr.real / d, tr.imag / d  # ntrace's parts, each divided as complex / int does
+        excess = [_p_mean(s[:, 3], p, top=0) - _p_mean(s[:, 4], p, top=0) for p in exponents]
+        rows = [s[:, 0, :, 0], s[:, 1, :, 0], np.hypot(re[:, 0] - re[:, 1], im[:, 0] - im[:, 1]),
+                -np.linalg.eigvalsh(herm(psd))[..., 0], s[:, 2, :, 0], *excess]
+        worst = np.maximum(worst, np.stack(rows, axis=1).max(axis=2))
+    return [AxiomResiduals(*w[:5], dict(zip(exponents, w[5:]))) for w in worst.tolist()]
 
 
 def tower_residual(filt: Filtration, trials: int, seed: int) -> float:
@@ -406,7 +417,9 @@ def tower_residual(filt: Filtration, trials: int, seed: int) -> float:
     for first in range(0, trials, chunk):
         x = _complex_gaussians(rng, min(chunk, trials - first), filt.dim)
         projected = np.stack([_cond_exp_stack(x, spec) for spec in filt.levels])
-        diff = np.stack([_cond_exp_stack(projected, spec) - projected[np.minimum(n, m)]
-                         for m, spec in enumerate(filt.levels)])  # E_m E_n(x) - E_min(m,n)(x)
-        worst = max(worst, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
+        diff = np.empty((n.size, *projected.shape), complex)  # E_m E_n(x) - E_min(m,n)(x)
+        for m, spec in enumerate(filt.levels):
+            diff[m] = _cond_exp_stack(projected, spec) - projected[np.minimum(n, m)]
+        nonzero = diff[diff.any(axis=(-2, -1))]  # an exact zero has norm exactly 0
+        worst = max(worst, float(np.linalg.norm(nonzero, 2, axis=(-2, -1)).max(initial=0.0)))
     return worst

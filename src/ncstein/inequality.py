@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -354,8 +353,12 @@ def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtra
         residuals = (t for n, r in enumerate(xs)
                      for t in (r @ r - r, r - r.conj().T, *(xs[:n] @ r)))
         chunk = max(1, NOISE_ENTRIES // xs[0].size)  # stacked at most NOISE_ENTRIES at a time
+        block = np.empty((min(chunk, len(pairs)), *xs.shape[1:]), xs.dtype)
         for start in range(0, len(pairs), chunk):
-            norms = np.linalg.norm(np.stack(list(islice(residuals, chunk))), 2, axis=(1, 2))
+            size = min(chunk, len(pairs) - start)
+            for i in range(size):  # filled in place: the chunk is held once
+                block[i] = next(residuals)
+            norms = np.linalg.norm(block[:size], 2, axis=(1, 2))
             if (bad := np.flatnonzero(norms > PROJECTION_TOL)).size:
                 m, n = pairs[start + bad[0]]
                 raise ValueError(f"item {n} is not a projection within tolerance" if m == n

@@ -22,7 +22,9 @@ def scalar_lp(values, p, weights):
 
 
 def scalar_lpq(fs, p, q, weights):
-    """Classical L_p(ell_q) norm; fs has shape (sequence, atoms)."""
+    """Classical L_p(ell_q) norm; fs has shape (sequence, atoms). For commuting
+    positive terms diag(fs[n]) it is their column norm, and at q = inf their
+    L_p(ell_inf) norm ||max_n x_n||_p: the pointwise max is the least majorant."""
     fs = np.abs(np.asarray(fs, dtype=float))
     if q == INF:
         inner = fs.max(axis=0)
@@ -40,6 +42,14 @@ def scalar_cond_exp(values, cells, weights):
         idx = list(cell)
         out[idx] = (weights[idx] * values[idx]).sum() / weights[idx].sum()
     return out
+
+
+def dyadic_average(values, level):
+    """E_level of diag(values) on the tensor chain of local_dims (2,) * N, read on the
+    diagonal: the values averaged over their N - level trailing bits. So diagonal
+    inputs are a classical dyadic martingale."""
+    values = np.asarray(values, dtype=float)
+    return values.reshape(2**level, -1).mean(axis=1).repeat(len(values) // 2**level)
 
 
 def svd_abs(x):

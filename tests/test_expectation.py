@@ -1,5 +1,6 @@
 """Conditional expectations, filtrations, adaptedness."""
 
+import json
 import math
 import tracemalloc
 
@@ -26,7 +27,7 @@ from ncstein import (
     schatten_norm,
     tower_residual,
 )
-from ncstein import expectation
+from ncstein import cli, expectation
 from ncstein.opcore import _complex_gaussian
 
 from oracles import axiom_residuals_reference, tower_residual_reference
@@ -149,6 +150,33 @@ def test_axiom_residuals_chunks_keep_the_floats(monkeypatch, spec):
         monkeypatch.setattr(expectation, "NOISE_ENTRIES", per_chunk * 4 * d * d)
         assert axiom_residuals(spec, trials, 5) == whole
         assert len(chunks) == -(-trials // per_chunk)
+
+
+def test_axiom_levels_equal_per_level_reference():
+    # one core scores every level of a chain, level i on the stream seed + i, with the
+    # floats of the per-trial oracle: here on the cell chain, which the CLI never builds
+    for seed in range(3):
+        for trials in (1, 7):
+            assert expectation._axiom_levels(CELL_CHAIN.levels, trials, seed) == [
+                axiom_residuals_reference(spec, trials, seed + i)
+                for i, spec in enumerate(CELL_CHAIN.levels)]
+
+
+@pytest.mark.parametrize("kind", ("tensor", "dyadic"))
+def test_axioms_command_chunks_keep_the_rows(monkeypatch, kind):
+    # chunks of one trial, and of three, which do not divide the seven drawn, across
+    # every level at once, give the rows of one chunk byte for byte
+    cfg = cli.parse_config(json.dumps({"command": "axioms", "filtration": kind, "dim": 8,
+                                       "trials": 7}))
+
+    def rows():
+        return [(row["level"], row["check"], row["value"].hex())
+                for row in cli._run_axioms(cfg)[0]]
+
+    whole, entries = rows(), 4 * cfg.filt.dim ** 2 * len(cfg.filt)
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(expectation, "NOISE_ENTRIES", per_chunk * entries)
+        assert rows() == whole
 
 
 TOWER_CHAINS = {

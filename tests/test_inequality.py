@@ -26,12 +26,13 @@ from ncstein import (
     sample_unitary,
     schatten_norm,
 )
+from ncstein.seqnorm import linf_norm_positive
 from ncstein.cli import ConfigError, parse_config
 from ncstein.inequality import INEQUALITIES, RatioReport, ceiling_violated, run_inequality
 from ncstein.search import seeded_inputs
 from ncstein.seqnorm import NormValue
 
-from oracles import scalar_cond_exp, scalar_lpq
+from oracles import dyadic_average, scalar_cond_exp, scalar_lpq
 
 INF = math.inf
 
@@ -553,6 +554,50 @@ def test_classical_dyadic_chain_with_real_averaging():
         doob_want = scalar_lpq(chain_values, 2, INF, w)
         assert doob.lhs.value == pytest.approx(doob_want, abs=1e-6), lag
         assert doob.lhs_upper.value == pytest.approx(doob_want, abs=1e-6), lag
+
+
+# (id, whether the inputs are adapted, p, q, the classical q) of each closed form
+CLASSICAL_CLOSED_FORMS = (("s_pq", False, 3, 1.5, 1.5), ("s_pq", False, 2.5, 2, 2),
+                          ("s_qq", False, 1.5, 1.5, 1.5), ("dd_p", False, 2, None, 1),
+                          ("dd_p", False, 3, None, 1), ("s_12_adapted", True, 1, 2, 2),
+                          ("crp_stein", True, 2, None, 2), ("crp_stein", True, 3, None, 2))
+
+
+def test_diagonal_inputs_give_the_classical_values():
+    """On the tensor chain of (2, 2, 2) diagonal inputs are a classical dyadic
+    martingale: every closed form is its classical square-function norm to 1e-12
+    relative (CR_p's column and row sides agree for commuting self-adjoint terms),
+    and every ell_inf bracket holds the classical ||max_n x_n||_p."""
+    filt = build_filtration("tensor", local_dims=(2, 2, 2))
+    rng, w = np.random.default_rng(5), np.full(filt.dim, 1 / filt.dim)
+
+    def conditioned(fs, lag):  # term n on level max(n - lag, 0)
+        return np.stack([dyadic_average(f, max(n - lag, 0)) for n, f in enumerate(fs)])
+
+    def holds(lower, upper, value):
+        assert lower.value <= value * (1 + 1e-12) and upper.value >= value * (1 - 1e-12)
+
+    for _ in range(4):
+        fs = rng.exponential(size=(len(filt), filt.dim))
+        seqs = {False: fs, True: conditioned(fs, 0)}  # True: term n inside level n
+        for lag in (0, 1):
+            for inequality_id, adapted, p, q, classical_q in CLASSICAL_CLOSED_FORMS:
+                seq = seqs[adapted]
+                rep = run_inequality(inequality_id, diag_seq(seq), filt, p, q, lag)
+                assert rep.lhs.value == pytest.approx(
+                    scalar_lpq(conditioned(seq, lag), p, classical_q, w), rel=1e-12)
+                assert rep.rhs.value == pytest.approx(
+                    scalar_lpq(seq, p, classical_q, w), rel=1e-12)
+        for p in (1.5, 2, 3, INF):
+            holds(*linf_norm_positive(diag_seq(fs), p), scalar_lpq(fs, p, INF, w))
+            for lag in (0, 1):
+                doob = run_inequality("doob_maximal", diag_seq(fs[:1]), filt, p, lag=lag)
+                assert doob.rhs.value == pytest.approx(scalar_lpq(fs[:1], p, 1, w), rel=1e-12)
+                holds(doob.lhs, doob.lhs_upper,
+                      scalar_lpq(conditioned(fs[[0] * len(filt)], lag), p, INF, w))
+                sp = run_inequality("s_p_inf", diag_seq(fs), filt, p, lag=lag)
+                holds(sp.lhs, sp.lhs_upper, scalar_lpq(conditioned(fs, lag), p, INF, w))
+                holds(sp.rhs_lower, sp.rhs, scalar_lpq(fs, p, INF, w))
 
 
 def test_run_inequality_dispatch_and_validation():

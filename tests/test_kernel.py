@@ -303,13 +303,13 @@ def test_tower_trial_work(monkeypatch, filt):
 
 
 def test_axioms_command_work(monkeypatch, tmp_path):
-    # a tensor d=8 axioms command: two LAPACK calls per level for axiom_residuals and
-    # one for the tower
+    # a tensor d=8 axioms command: one SVD and one eigvalsh for every level's
+    # residuals, and one 2-norm for the tower
     cfg = cli.parse_config(json.dumps({"command": "axioms", "filtration": "tensor", "dim": 8,
                                        "trials": 12, "out": str(tmp_path / "ax.csv")}))
     counts = count_calls(monkeypatch)
     assert cli.run_command(cfg) == 0
-    assert counts["lapack"] == 2 * len(cfg.filt) + 1 == 9
+    assert counts["lapack"] == 3
 
 
 @pytest.mark.parametrize("inequality_id, p, q, dim, seq_len", (
@@ -346,9 +346,10 @@ def test_projection_family_check_work(monkeypatch):
 
 
 def test_projection_family_check_memory_is_bounded(monkeypatch):
-    # the residuals are stacked at most NOISE_ENTRIES entries at a time: at d = 32 a
-    # 32-term family (528 residuals) and the same family padded with 32 zero projections
-    # (2144 residuals), both refused as longer than the filtration, stay within 12 MiB
+    # the residuals are filled at most NOISE_ENTRIES entries at a time into one chunk
+    # array: at d = 32 a 32-term family (528 residuals) and the same family padded with
+    # 32 zero projections (2144 residuals), both refused as longer than the filtration,
+    # stay within 8 MiB
     family = np.stack(sample_projection_family(32, 32, 0))
     filt = build_filtration("dyadic", 32)
     for xs in (family, np.concatenate([family, np.zeros_like(family)])):
@@ -359,7 +360,7 @@ def test_projection_family_check_memory_is_bounded(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        assert peak <= 8 * 2**20
     # one residual per chunk still names the first failure, in the same words
     monkeypatch.setattr(inequality, "NOISE_ENTRIES", 1)
     xs = family[:4].copy()
