@@ -39,6 +39,7 @@ from .opcore import (
 )
 
 ADAPTED_TOL = 1e-10
+_AXIOM_EXPONENTS = (1.0, 2.0, 3.0, INF)  # the contractivity exponents of AxiomResiduals
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,8 @@ def _cond_exp_stack(xs: np.ndarray, spec: SubalgebraSpec) -> np.ndarray:
     if isinstance(spec, TensorFactor):
         keep = math.prod(spec.local_dims[: spec.retained])
         drop = d // keep
+        if drop == 1:  # the full algebra, where E is the identity: the einsum's bytes
+            return xs + 0.0  # (-0.0 becomes +0.0 in both), in a new array
         partial = np.einsum("nibjb->nij", xs.reshape(n, keep, drop, keep, drop)) / drop
         out = partial[:, :, None, :, None] * np.eye(drop)[:, None, :]
     elif isinstance(spec, CellAverage):
@@ -222,14 +225,16 @@ class Filtration:
     def __len__(self) -> int:
         return len(self.levels)
 
-    def _term_plan(self, length: int, lag: int) -> tuple[list[int], np.ndarray | None]:
-        """Level of each of `length` terms under `lag` and, on a pinching chain,
-        their gathered (length, d, d) masks; built once per (length, lag)."""
+    def _term_plan(self, length: int, lag: int) -> tuple[list, np.ndarray | None]:
+        """The runs (level, lo, hi) of the `length` terms under `lag`, terms lo..hi-1 on one
+        level (contiguous, as level_index is monotone in n), and on a pinching chain the
+        terms' gathered (length, d, d) masks; built once per (length, lag)."""
         if (length, lag) not in self._plans:
             levels = [level_index(n, lag, len(self)) for n in range(length)]
+            runs = [(k, levels.index(k), levels.index(k) + levels.count(k)) for k in set(levels)]
             pinching = levels and all(isinstance(s, Pinching) for s in self.levels)
             masks = np.stack([self.levels[k]._mask for k in levels]) if pinching else None
-            self._plans[length, lag] = (levels, masks)
+            self._plans[length, lag] = (runs, masks)
         return self._plans[length, lag]
 
 
@@ -296,16 +301,15 @@ class AdaptedCheck(NamedTuple):
 
 def _condition(xs: np.ndarray, filt: Filtration, lag: int) -> np.ndarray:
     """E_{level(n)}(x_n) for every term of trusted stacks xs[..., n, d, d]: one masking
-    call on a pinching chain, else one stacked cond_exp per distinct level."""
+    call on a pinching chain, else one stacked cond_exp per level run, on a slice of xs."""
     if xs.shape[-1] != filt.dim:
         raise ValueError(f"operator dimension {xs.shape[-1]} does not match {filt.dim}")
-    levels, masks = filt._term_plan(xs.shape[-3], lag)
+    runs, masks = filt._term_plan(xs.shape[-3], lag)
     if masks is not None:
         return np.where(masks, xs, 0)
     out = np.empty_like(xs)
-    for lvl in set(levels):
-        at = [n for n, k in enumerate(levels) if k == lvl]
-        out[..., at, :, :] = _cond_exp_stack(xs[..., at, :, :], filt.levels[lvl])
+    for lvl, lo, hi in runs:
+        out[..., lo:hi, :, :] = _cond_exp_stack(xs[..., lo:hi, :, :], filt.levels[lvl])
     return out
 
 
@@ -366,45 +370,50 @@ def _axiom_levels(specs: Sequence[SubalgebraSpec], trials: int, seed: int) -> li
     ||E(E(x)) - E(x)|| (projection), ||E(axb) - a E(x) b|| for a, b in the subalgebra
     (bimodule), |tr E(x) - tr x| / d (trace), max(0, -min eig E(psd)) (positivity),
     ||E(x*) - E(x)*|| (adjoint) and the contractivity excess max(0, ||E(x)||_p - ||x||_p)
-    for p in {1, 2, 3, inf}. A chunk of k trials, at most NOISE_ENTRIES entries of
-    noise over all L subalgebras, conditions each one's draws with two stacked calls of
-    the trusted core into one (L, 5, k, d, d) array [E(E(x)) - E(x), E(axb) - a E(x) b,
-    E(x*) - E(x)*, E(x), x]. One SVD gives every spectrum and one eigvalsh every
-    positivity: the residuals are the tops of the first three spectra, and the excesses
-    compare the p-means of the last two, as op_norm and schatten_norm would. The SVD
-    skips, exactly, every zero matrix (its singular values are 0) and every E(x) whose
-    bytes are x's (LAPACK gives equal bytes equal spectra). Each field is a max over
-    the trials, so it is the float of one trial alone.
+    for p in {1, 2, 3, inf}. The trials are drawn in chunks; see _axiom_chunk. Each field
+    is a max over the trials, so it is the float of one trial alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rngs = [np.random.default_rng(seed + i) for i in range(len(specs))]
-    exponents, d, n = (1.0, 2.0, 3.0, INF), specs[0].dim, len(specs)
-    worst = np.zeros((n, 9))  # the fields of AxiomResiduals in order, one excess per p
-    chunk = max(1, NOISE_ENTRIES // (4 * d * d * n))
+    worst = np.zeros((len(specs), 9))  # the fields of AxiomResiduals in order, one excess per p
+    # a chunk of k trials holds, per subalgebra, 15 k d^2 entries: draws 4, its share of m
+    # and of the gathered m[factor] 5 each, psd 1; in all, at most four NOISE_ENTRIES
+    chunk = max(1, 4 * NOISE_ENTRIES // (15 * len(specs) * specs[0].dim ** 2))
     for first in range(0, trials, chunk):
-        k = min(chunk, trials - first)
-        m, psd = np.empty((n, 5, k, d, d), complex), np.empty((n, k, d, d), complex)
-        for i, (spec, rng) in enumerate(zip(specs, rngs)):
-            x, g_a, g_b, z = _complex_gaussians(rng, 4 * k, d).reshape(k, 4, d, d).swapaxes(0, 1)
-            ex, a, b, eadj, psd[i] = _cond_exp_stack(np.stack(
-                [x, g_a, g_b, x.conj().swapaxes(1, 2), _gram(z)]), spec)
-            eex, eaxb = _cond_exp_stack(np.stack([ex, a @ x @ b]), spec)
-            np.stack([eex - ex, eaxb - a @ ex @ b, eadj - ex.conj().swapaxes(1, 2), ex, x],
-                     out=m[i])
-        same = (m[:, 3].view(np.uint64) == m[:, 4].view(np.uint64)).all(axis=(-2, -1))
-        factor = m.any(axis=(-2, -1))
-        factor[:, 3] &= ~same
-        s = np.zeros((n, 5, k, d))
-        s[factor] = np.linalg.svd(m[factor], compute_uv=False)
-        s[:, 3][same] = s[:, 4][same]
-        tr = np.trace(m[:, 3:], axis1=-2, axis2=-1)  # of E(x) and x
-        re, im = tr.real / d, tr.imag / d  # ntrace's parts, each divided as complex / int does
-        excess = [_p_mean(s[:, 3], p, top=0) - _p_mean(s[:, 4], p, top=0) for p in exponents]
-        rows = [s[:, 0, :, 0], s[:, 1, :, 0], np.hypot(re[:, 0] - re[:, 1], im[:, 0] - im[:, 1]),
-                -np.linalg.eigvalsh(herm(psd))[..., 0], s[:, 2, :, 0], *excess]
-        worst = np.maximum(worst, np.stack(rows, axis=1).max(axis=2))
-    return [AxiomResiduals(*w[:5], dict(zip(exponents, w[5:]))) for w in worst.tolist()]
+        worst = np.maximum(worst, _axiom_chunk(specs, rngs, min(chunk, trials - first)))
+    return [AxiomResiduals(*w[:5], dict(zip(_AXIOM_EXPONENTS, w[5:]))) for w in worst.tolist()]
+
+
+def _axiom_chunk(specs: Sequence[SubalgebraSpec], rngs: list, k: int) -> np.ndarray:
+    """The (L, 9) maxima over k trials of the L subalgebras' residual fields. Two stacked
+    calls of the trusted core condition each one's draws into one (L, 5, k, d, d) array
+    m = [E(E(x)) - E(x), E(axb) - a E(x) b, E(x*) - E(x)*, E(x), x]. One SVD gives every
+    spectrum and one eigvalsh every positivity: the residuals are the tops of the first
+    three spectra, and the excesses compare the p-means of the last two, as op_norm and
+    schatten_norm would. The SVD skips, exactly, every zero matrix (its singular values
+    are 0) and every E(x) whose bytes are x's (LAPACK gives equal bytes equal spectra)."""
+    d, n = specs[0].dim, len(specs)
+    m, psd = np.empty((n, 5, k, d, d), complex), np.empty((n, k, d, d), complex)
+    for i, (spec, rng) in enumerate(zip(specs, rngs)):
+        x, g_a, g_b, z = _complex_gaussians(rng, 4 * k, d).reshape(k, 4, d, d).swapaxes(0, 1)
+        ex, a, b, eadj, psd[i] = _cond_exp_stack(np.stack(
+            [x, g_a, g_b, x.conj().swapaxes(1, 2), _gram(z)]), spec)
+        eex, eaxb = _cond_exp_stack(np.stack([ex, a @ x @ b]), spec)
+        np.stack([eex - ex, eaxb - a @ ex @ b, eadj - ex.conj().swapaxes(1, 2), ex, x],
+                 out=m[i])
+    same = (m[:, 3].view(np.uint64) == m[:, 4].view(np.uint64)).all(axis=(-2, -1))
+    factor = m.any(axis=(-2, -1))
+    factor[:, 3] &= ~same
+    s = np.zeros((n, 5, k, d))
+    s[factor] = np.linalg.svd(m[factor], compute_uv=False)
+    s[:, 3][same] = s[:, 4][same]
+    tr = np.trace(m[:, 3:], axis1=-2, axis2=-1)  # of E(x) and x
+    re, im = tr.real / d, tr.imag / d  # ntrace's parts, each divided as complex / int does
+    excess = [_p_mean(s[:, 3], p, top=0) - _p_mean(s[:, 4], p, top=0) for p in _AXIOM_EXPONENTS]
+    rows = [s[:, 0, :, 0], s[:, 1, :, 0], np.hypot(re[:, 0] - re[:, 1], im[:, 0] - im[:, 1]),
+            -np.linalg.eigvalsh(herm(psd))[..., 0], s[:, 2, :, 0], *excess]
+    return np.stack(rows, axis=1).max(axis=2)
 
 
 def tower_residual(filt: Filtration, trials: int, seed: int) -> float:

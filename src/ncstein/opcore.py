@@ -11,6 +11,7 @@ is treated as a first-class value, never as a large float.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 
 import numpy as np
 
@@ -35,7 +36,12 @@ def as_operator(x) -> np.ndarray:
 
 
 def as_stack(seq) -> np.ndarray:
-    """Validate a nonempty sequence of equal-size operators as one trusted (n, d, d) stack."""
+    """Validate a nonempty sequence of equal-size operators as one new trusted (n, d, d) stack
+    in one pass; input that fails it goes term by term through as_operator for its error."""
+    with suppress(TypeError, ValueError, OverflowError):  # ragged, mixed sizes, not numbers
+        xs = np.array(seq, dtype=np.complex128)
+        if xs.ndim == 3 and xs.size and xs.shape[1] == xs.shape[2] and np.isfinite(xs).all():
+            return xs
     items = [as_operator(x) for x in seq]
     if not items:
         raise ValueError("operator sequence must be nonempty")

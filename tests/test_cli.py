@@ -203,6 +203,9 @@ def run_cli(args, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    # the child imports ncstein from this checkout's src, as pytest's pythonpath does
+    inherited = full_env.get("PYTHONPATH")
+    full_env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([inherited] if inherited else []))
     return subprocess.run([sys.executable, "-m", "ncstein.cli", *args],
                           capture_output=True, text=True, env=full_env)
 

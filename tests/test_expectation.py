@@ -152,6 +152,27 @@ def test_axiom_residuals_chunks_keep_the_floats(monkeypatch, spec):
         assert len(chunks) == -(-trials // per_chunk)
 
 
+def test_axiom_levels_memory_is_bounded(monkeypatch):
+    # a chunk's trial count counts every array the chunk holds (each subalgebra's draws,
+    # its share of the (L, 5, k, d, d) spectrum stack and of its gathered nonzero
+    # matrices, and psd), and a chunk's arrays are freed before the next is drawn: at
+    # d = 32 (six levels) the traced peak of two full chunks stays within four
+    # NOISE_ENTRIES complex entries (16 MiB), the bound the chunk size keeps
+    filt = build_filtration("dyadic", 32)
+    per_chunk = 4 * expectation.NOISE_ENTRIES // (15 * len(filt) * filt.dim ** 2)
+    assert per_chunk >= 2
+    svd, chunks = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: chunks.append(1) or svd(*a, **kw))
+    tracemalloc.start()
+    try:
+        expectation._axiom_levels(filt.levels, 2 * per_chunk, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) == 2
+    assert peak <= 4 * expectation.NOISE_ENTRIES * 16
+
+
 def test_axiom_levels_equal_per_level_reference():
     # one core scores every level of a chain, level i on the stream seed + i, with the
     # floats of the per-trial oracle: here on the cell chain, which the CLI never builds

@@ -2,6 +2,7 @@
 the work the search loop does per evaluation."""
 
 import json
+import math
 import pickle
 import tracemalloc
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from ncstein import (
     CellAverage,
+    Filtration,
     SearchConfig,
     TensorFactor,
     build_filtration,
@@ -70,6 +72,64 @@ def test_condition_matches_per_level(filt, lag):
         spec = filt.levels[level_index(n, lag, len(filt))]
         np.testing.assert_array_equal(got[n], cond_exp(x, spec))
     np.testing.assert_array_equal(np.stack(project_adapted(list(xs), filt, lag)), got)
+
+
+def einsum_partial_trace(xs, spec):
+    """A TensorFactor's normalized partial trace written out in full, with no shortcut
+    at the full algebra: the bytes that _cond_exp_stack must give there too."""
+    d = xs.shape[-1]
+    keep = math.prod(spec.local_dims[: spec.retained])
+    drop, n = d // keep, xs.size // (d * d)
+    partial = np.einsum("nibjb->nij", xs.reshape(n, keep, drop, keep, drop)) / drop
+    return (partial[:, :, None, :, None] * np.eye(drop)[:, None, :]).reshape(xs.shape)
+
+
+def signed_zero_stack(dim, count, seed):
+    """General operators with -0.0 and +0.0 in the real and the imaginary parts."""
+    xs = general_stack(dim, count, seed)
+    xs.real[:, ::3] = -0.0
+    xs.imag[:, :, 1::2] = -0.0
+    xs.real[:, 1::3, ::2] = 0.0
+    xs[-1] = complex(-0.0, -0.0)  # a whole term of negative zeros
+    return xs
+
+
+CONDITION_CHAINS = {
+    "tensor222": build_filtration("tensor", local_dims=(2, 2, 2)),
+    "tensor232": build_filtration("tensor", local_dims=(2, 3, 2)),
+    # its top level traces out the last factor, so no level is the full algebra
+    "tensor-partial-top": Filtration(tuple(TensorFactor((2, 2, 3), r) for r in range(3))),
+    "cells": Filtration(tuple(CellAverage(cells, 2) for cells in (
+        ((0, 1, 2),), ((0,), (1, 2)), ((0,), (1,), (2,))))),
+}
+
+
+@pytest.mark.parametrize("lag", (0, 1))
+@pytest.mark.parametrize("name", CONDITION_CHAINS)
+def test_condition_is_bitwise_per_term(name, lag):
+    # every level run, sliced out of a batch of two sequences, gives each term the bytes
+    # of its own cond_exp, signed zeros included; on a tensor level these are the bytes
+    # of the written-out partial trace, at the full algebra as below it
+    filt = CONDITION_CHAINS[name]
+    length = len(filt) + lag  # at lag 1 the first two terms share level 0
+    xs = signed_zero_stack(filt.dim, 2 * length, 3).reshape(2, length, filt.dim, filt.dim)
+    got = _condition(xs, filt, lag)
+    assert got.tobytes() == np.stack([_condition(seq, filt, lag) for seq in xs]).tobytes()
+    for n in range(length):
+        spec = filt.levels[level_index(n, lag, len(filt))]
+        for b in range(2):
+            assert got[b, n].tobytes() == cond_exp(xs[b, n], spec).tobytes()
+        if isinstance(spec, TensorFactor):
+            assert got[:, n].tobytes() == einsum_partial_trace(xs[:, n], spec).tobytes()
+    top = filt.levels[-1]
+    if isinstance(top, TensorFactor) and top.retained == len(top.local_dims):
+        # the full algebra: E is the identity, with -0.0 made +0.0 in both parts
+        last = got[:, -1]
+        assert last.tobytes() == (xs[:, -1] + 0.0).tobytes()
+        assert not np.signbit(last.real[last.real == 0]).any()
+        assert not np.signbit(last.imag[last.imag == 0]).any()
+    elif name == "tensor-partial-top":
+        assert not np.array_equal(got[:, -1], xs[:, -1])
 
 
 def oracle_ratio(seq, filt, p, q, lag):
@@ -179,8 +239,8 @@ def test_hermitian_checks_near_tolerance():
 
 
 def count_calls(monkeypatch):
-    """Count LAPACK-backed numpy calls, as_operator validations, Schatten norms,
-    stacked conditional expectations and checker runs from here on."""
+    """Count LAPACK-backed numpy calls, as_operator and as_stack validations, Schatten
+    norms, stacked conditional expectations and checker runs from here on."""
     counts = Counter()
 
     def counted(name, fn, key):
@@ -192,7 +252,7 @@ def count_calls(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), "lapack"))
-    for home, fn in ((opcore, "as_operator"), (opcore, "schatten_norm"),
+    for home, fn in ((opcore, "as_operator"), (opcore, "as_stack"), (opcore, "schatten_norm"),
                      (expectation, "_cond_exp_stack"), (inequality, "run_inequality")):
         wrapped = counted(fn, getattr(home, fn), fn)
         for module in (opcore, expectation, seqnorm, inequality, search, cli):
@@ -325,15 +385,17 @@ def test_search_replays_its_witness_once(monkeypatch, inequality_id, p, q, dim, 
 
 
 def test_adapted_check_validates_each_term_once(monkeypatch, tmp_path):
-    # the seeded draws are projected on the trusted core, so the only as_operator
-    # calls of an adapted check are run_inequality's boundary, one per term
+    # the seeded draws are projected on the trusted core, so the only validation of an
+    # adapted check is run_inequality's boundary: one as_stack of the whole stack, which
+    # checks it in one pass and calls as_operator on no term
     cfg = cli.parse_config(json.dumps({"command": "check", "inequality": "s_12_adapted",
                                        "p": 1, "q": 2, "dim": 8, "seq_len": 4,
                                        "out": str(tmp_path / "check.csv")}))
     counts = count_calls(monkeypatch)
     assert cli.run_command(cfg) == 0
     assert counts["run_inequality"] == 1
-    assert counts["as_operator"] == cfg.seq_len == 4
+    assert counts["as_stack"] == 1
+    assert counts["as_operator"] == 0
 
 
 def test_projection_family_check_work(monkeypatch):

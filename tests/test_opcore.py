@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ncstein import opcore as oc
+from ncstein.seqnorm import column_q_norm
 
 from oracles import schatten_from_eig, svd_abs
 
@@ -205,3 +206,89 @@ def test_power_not_monotone_at_two():
         if np.linalg.eigvalsh(gap)[0] < -1e-6:
             return
     pytest.fail("no monotonicity violation found for r = 2 in 1000 trials")
+
+
+def per_item_stack(seq):
+    """The term-by-term validation that as_stack's one pass must agree with."""
+    items = [oc.as_operator(x) for x in seq]
+    if not items:
+        raise ValueError("operator sequence must be nonempty")
+    dims = {x.shape[0] for x in items}
+    if len(dims) != 1:
+        raise ValueError(f"operator sequence mixes dimensions {sorted(dims)}")
+    return np.stack(items)
+
+
+def _with(value, at):
+    xs = np.zeros((3, 2, 2), complex)
+    xs[at] = value
+    return xs
+
+
+# each case builds a fresh input, since a generator is consumed by one pass
+INVALID_STACKS = {
+    "empty": lambda: [],
+    "empty-array": lambda: np.zeros((0, 2, 2)),
+    "2-D": lambda: np.eye(3),
+    "non-square": lambda: np.ones((2, 2, 3)),
+    "non-square-term": lambda: [np.eye(2), [[1.0, 2.0]]],
+    "mixed-dims": lambda: [np.eye(2), np.eye(3)],
+    "ragged": lambda: [[[1, 2], [3, 4]], [[1, 2], [3]]],
+    "4-D": lambda: np.zeros((1, 2, 2, 2)),
+    "nan-real": lambda: _with(np.nan, (2, 1, 0)),
+    "inf-real": lambda: _with(-np.inf, (0, 0, 0)),
+    "nan-imag": lambda: _with(complex(0.0, np.nan), (1, 0, 1)),
+    "inf-imag": lambda: _with(complex(1.0, np.inf), (2, 1, 1)),
+    "0x0-terms": lambda: np.zeros((2, 0, 0)),
+    "generator": lambda: (x for x in (np.eye(2), np.full((2, 2), np.nan))),
+    "generator-mixed": lambda: (x for x in (np.eye(2), np.eye(3))),
+    "not-numbers": lambda: [[["a", "b"], ["c", "d"]]],
+}
+
+
+@pytest.mark.parametrize("case", INVALID_STACKS)
+def test_as_stack_raises_the_per_item_error(case):
+    with pytest.raises(Exception) as expected:
+        per_item_stack(INVALID_STACKS[case]())
+    with pytest.raises(expected.type) as got:
+        oc.as_stack(INVALID_STACKS[case]())
+    assert str(got.value) == str(expected.value)
+
+
+def _signed_zeros():
+    xs = oc._complex_gaussians(np.random.default_rng(4), 3, 4)
+    xs.real[0, ::2] = -0.0
+    xs.imag[1, :, 1::2] = -0.0
+    xs[2, 3] = complex(-0.0, 0.0)
+    return xs
+
+
+VALID_STACKS = {
+    "complex-array": _signed_zeros,
+    "list-of-arrays": lambda: list(_signed_zeros()),
+    "real-array": lambda: np.arange(18.0).reshape(2, 3, 3) - 9,
+    "int-lists": lambda: [[[1, 2], [3, 4]], [[0, -1], [5, 6]]],
+    "tuple": lambda: (np.eye(2), np.ones((2, 2), complex)),
+    "generator": lambda: (x for x in _signed_zeros()),
+    "1x1": lambda: [[[complex(-0.0, -0.0)]]],
+}
+
+
+@pytest.mark.parametrize("case", VALID_STACKS)
+def test_as_stack_gives_the_per_item_bytes(case):
+    expected = np.stack([oc.as_operator(x) for x in VALID_STACKS[case]()])
+    got = oc.as_stack(VALID_STACKS[case]())
+    assert got.dtype == expected.dtype == np.complex128 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_as_stack_never_aliases_its_input():
+    # column_q_norm writes |x| over each non-PSD term of the stack it validated
+    xs = _signed_zeros()
+    before = xs.copy()
+    got = oc.as_stack(xs)
+    assert got is not xs and not np.shares_memory(got, xs)
+    got[...] = 7.0
+    assert xs.tobytes() == before.tobytes()
+    column_q_norm(xs, 2, 1.5)
+    assert xs.tobytes() == before.tobytes()
