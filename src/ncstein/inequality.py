@@ -31,7 +31,6 @@ from .expectation import (
     Filtration,
     as_lag,
     cond_exp,
-    _adapted_residual,
     _condition,
 )
 from .opcore import (
@@ -105,15 +104,15 @@ class RatioReport:
 
 def _stein_kernel(xs, filt, p, q, lag, ys):
     # ||(sum |E(x_n)|^q)^(1/q)||_p against ||(sum |x_n|^q)^(1/q)||_p
-    return tuple(_column_norms(np.stack([_condition(xs, filt, lag), xs]), p, q))
+    return tuple(_column_norms(np.array([_condition(xs, filt, lag), xs]), p, q))
 
 
 def _isometry_kernel(xs, filt, p, q, lag, ys):
     # ||(sum E(y_n* x_n y_n)^q)^(1/q)||_p against ||(sum y_n* x_n^q y_n)^(1/q)||_p for
     # unitaries y_n; identity isometries give s_pq's sides
     ys_adj = ys.conj().swapaxes(1, 2)
-    powers, _ = _abs_q_stack(np.stack([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
-    sums = np.stack([powers[0].sum(axis=-3), (ys_adj @ powers[1] @ ys).sum(axis=-3)])
+    powers, _ = _abs_q_stack(np.array([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
+    sums = np.array([powers[0].sum(axis=-3), (ys_adj @ powers[1] @ ys).sum(axis=-3)])
     return tuple(_root_norms(sums, p, q))
 
 
@@ -127,14 +126,14 @@ def _doob_kernel(xs, filt, p, q, lag, ys):
 def _sp_inf_kernel(xs, filt, p, q, lag, ys):
     # the ell_inf brackets of (E(x_n)) and (x_n); the ratio pairs the certified ends
     # (lhs lower over rhs upper) and ratio_interval holds the full enclosure
-    lower, upper = _linf_bracket(np.stack([_condition(xs, filt, lag), xs]), p)
+    lower, upper = _linf_bracket(np.array([_condition(xs, filt, lag), xs]), p)
     return lower[0], upper[1], upper[0], lower[1]
 
 
 def _crp_kernel(xs, filt, p, q, lag, ys):
     # CR_p norms of (E(x_n)) and (x_n); below p = 2 both are splitting upper bounds,
     # so the report is non-certifying
-    sides = np.stack([_condition(xs, filt, lag), xs])
+    sides = np.array([_condition(xs, filt, lag), xs])
     return tuple(_crp_columns(sides, p) if p >= 2 else _crp_split(sides, p))
 
 
@@ -335,17 +334,29 @@ def get_inequality(inequality_id: str) -> Inequality:
         raise ValueError(f"unknown inequality {inequality_id!r}") from None
 
 
+def _norms_above(diffs: np.ndarray, tol: float) -> np.ndarray:
+    """The operator norm of each term of a new stack diffs[n, d, d] that may exceed tol,
+    else 0: ||a|| <= sqrt(2) d max(|Re a_ij|, |Im a_ij|), which cannot overflow, and the
+    margin 1e-9 covers the rounding of both norms for d <= 1,000: no norm above tol is lost."""
+    norms = np.zeros(len(diffs))
+    big = abs(diffs.view(float)).max(axis=(1, 2)) > tol * (1 - 1e-9) / (2**0.5 * diffs.shape[-1])
+    if big.any():
+        norms[big] = np.linalg.norm(diffs[big], 2, axis=(1, 2))
+    return norms
+
+
 def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtration,
                   q: float | None) -> None:
     """The one check of an input kind on the stacks of a checker's sequence (xs)
     and isometries (ys); ValueError when it fails."""
-    if kind == "adapted-seq" and (residual := _adapted_residual(xs, filt, 0)) > ADAPTED_TOL:
+    if kind == "adapted-seq" and (residual := _norms_above(
+            _condition(xs, filt, 0) - xs, ADAPTED_TOL).max()) > ADAPTED_TOL:
         raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
     elif kind == "isometry-seq":
         if ys is None or len(ys) != len(xs):
             raise ValueError("sequence and isometries must have equal length")
         _require_positive(xs)
-        off = np.linalg.norm(ys.conj().swapaxes(1, 2) @ ys - np.eye(xs.shape[1]), 2, axis=(1, 2))
+        off = _norms_above(ys.conj().swapaxes(1, 2) @ ys - np.eye(xs.shape[1]), UNITARY_CHECK_TOL)
         if (bad := np.flatnonzero(off > UNITARY_CHECK_TOL)).size:
             raise ValueError(f"isometry {bad[0]} is not unitary within tolerance")
     elif kind == "projections":  # per term n: r_n^2 - r_n, r_n - r_n*, r_m r_n for m < n

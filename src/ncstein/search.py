@@ -232,7 +232,7 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
     proposals = {r: next(c) for r, c in enumerate(climbs)}
     ends = [None] * cfg.restarts
     while proposals:
-        zs = np.stack(list(proposals.values()))
+        zs = np.array(list(proposals.values()))
         xs, lhs, rhs = score(_gram(zs))
         for r, x, num, den in zip(list(proposals), xs, lhs.tolist(), rhs.tolist()):
             try:

@@ -105,13 +105,14 @@ def _require_positive(xs: np.ndarray) -> None:
 def _root_norms(s: np.ndarray, p: float, q: float) -> np.ndarray:
     """||s^(1/q)||_p for every PSD operator of s[..., d, d] from one batched
     eigvalsh: the (p/q)-mean of its spectrum w, to the power 1/q."""
-    return _p_mean(np.clip(np.linalg.eigvalsh(herm(s)), 0.0, None), p / q) ** (1.0 / q)
+    return _p_mean(np.maximum(np.linalg.eigvalsh(herm(s)), 0.0), p / q) ** (1.0 / q)
 
 
 def _column_norms(xs: np.ndarray, p: float, q: float) -> np.ndarray:
     """Column norms of trusted stacks xs[..., n, d, d]."""
     powers, scale = _abs_q_stack(xs, q)
-    return scale * _root_norms(powers.sum(axis=-3), p, q)
+    norms = _root_norms(powers.sum(axis=-3), p, q)
+    return scale * norms if q > 2 else norms  # below q = 2 the scale is 1.0
 
 
 def column_q_norm(seq: Sequence, p, q) -> NormValue:
@@ -160,7 +161,7 @@ def crp_norm(seq: Sequence, p) -> NormValue:
 def _crp_columns(items: np.ndarray, p: float) -> np.ndarray:
     """CR_p (p >= 2) of trusted stacks items[..., n, d, d]: the larger of the column
     and row norms, both from one batched eigvalsh."""
-    sides = np.stack([items, items.conj().swapaxes(-1, -2)])
+    sides = np.array([items, items.conj().swapaxes(-1, -2)])
     return _column_norms(sides, p, 2.0).max(axis=0)
 
 
@@ -183,16 +184,16 @@ def _crp_split(items: np.ndarray, p: float) -> np.ndarray:
     """
     a = items / 2
     for _ in range(_CRP_STEPS):
-        w, u = np.linalg.eigh(_gram(np.stack([a, (items - a).conj().swapaxes(-1, -2)])).sum(-3))
-        w = np.clip(w, 0.0, None)  # the spectra of S and T
+        w, u = np.linalg.eigh(_gram(np.array([a, (items - a).conj().swapaxes(-1, -2)])).sum(-3))
+        w = np.maximum(w, 0.0)  # the spectra of S and T
         nu, mu = _p_mean(w, p / 2)[..., None] ** ((p - 1) / 2) * w ** (1 - p / 2)
         total = mu[..., :, None] + nu[..., None, :]
         share = np.divide(nu[..., None, :], total, out=np.full(total.shape, 0.5), where=total > 0)
         col, row = u[..., None, :, :]
         a = row @ (share[..., None, :, :] * (row.conj().swapaxes(-1, -2) @ items @ col)) \
             @ col.conj().swapaxes(-1, -2)
-    tried = np.stack([items, np.zeros_like(items), a])
-    values = _column_norms(np.stack([tried, (items - tried).conj().swapaxes(-1, -2)]), p, 2.0)
+    tried = np.array([items, np.zeros_like(items), a])
+    values = _column_norms(np.array([tried, (items - tried).conj().swapaxes(-1, -2)]), p, 2.0)
     values = values.sum(axis=0)
     split = np.empty(items.shape[:-3], dtype=object)
     for idx in np.ndindex(split.shape):

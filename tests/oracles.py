@@ -353,3 +353,60 @@ def sequential_climb(cfg):
     return SearchResult(best_ratio=float(report.ratio), witness=tuple(best_xs),
                         evaluations_used=evaluations, trajectory=tuple(trajectory),
                         report=report)
+
+
+# ---------------------------------------------------------------------------
+# Byte oracles: the plain formulas the per-evaluation cores compute with other
+# calls, which must give the same bytes.
+# ---------------------------------------------------------------------------
+
+_TINY = np.finfo(float).tiny
+
+
+def complex_gaussians_formula(rng, count, dim):
+    """(count, dim, dim) standard complex Gaussians as one complex expression."""
+    g = rng.standard_normal((count, 2, dim, dim))
+    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
+
+
+def _herm(a):
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def clip_abs_q_stack(xs, q):
+    """(x / t)^q of PSD stacks xs[..., n, d, d] and the scales t (q not 1 or 2), with
+    the spectra clamped by np.clip."""
+    w, u = np.linalg.eigh(_herm(xs))
+    w, scale = np.clip(w, 0.0, None), 1.0
+    if q > 2:
+        scale = np.maximum(w.max(axis=(-2, -1)), _TINY)
+        w /= scale[..., None, None]
+    return _herm((u * w[..., None, :] ** q) @ u.conj().swapaxes(-1, -2)), scale
+
+
+def clip_root_norms(s, p, q):
+    """||s^(1/q)||_p of PSD stacks s[..., d, d], finite p, with the spectra clamped by
+    np.clip and scaled by their top before the (p/q)-th power."""
+    w = np.clip(np.linalg.eigvalsh(_herm(s)), 0.0, None)
+    r = p / q
+    scale = np.maximum(w[..., -1], _TINY)
+    mean = ((w / scale[..., None]) ** r).sum(axis=-1) / w.shape[-1]
+    return (scale * mean ** (1 / r)) ** (1.0 / q)
+
+
+def clip_column_norms(xs, p, q):
+    """||(sum_n |x_n|^q)^(1/q)||_p of stacks xs[..., n, d, d] (PSD terms unless q = 2),
+    always multiplied by the scale."""
+    if q == 2:
+        powers, scale = xs.conj().swapaxes(-1, -2) @ xs, 1.0
+    elif q == 1:
+        powers, scale = _herm(xs), 1.0
+    else:
+        powers, scale = clip_abs_q_stack(xs, q)
+    return scale * clip_root_norms(powers.sum(axis=-3), p, q)
+
+
+def clip_psd_power(a, r):
+    """a^r of a PSD operator with its spectrum clamped by np.clip."""
+    w, u = np.linalg.eigh(_herm(a))
+    return _herm((u * np.clip(w, 0.0, None) ** r) @ u.conj().T)

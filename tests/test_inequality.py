@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,10 @@ from ncstein import (
 )
 from ncstein.seqnorm import linf_norm_positive
 from ncstein.cli import ConfigError, parse_config
-from ncstein.inequality import INEQUALITIES, RatioReport, ceiling_violated, run_inequality
+from ncstein.expectation import ADAPTED_TOL, _condition
+from ncstein.inequality import (INEQUALITIES, UNITARY_CHECK_TOL, RatioReport, ceiling_violated,
+                               run_inequality, _check_inputs, _norms_above)
+from ncstein.opcore import as_stack
 from ncstein.search import seeded_inputs
 from ncstein.seqnorm import NormValue
 
@@ -208,6 +212,106 @@ def test_isometry_check_names_the_first_non_unitary():
     ys = [sample_unitary(4, 7), 2 * np.eye(4), sample_unitary(4, 8), np.diag([1.0, 1.0, 1.0, 0.5])]
     with pytest.raises(ValueError, match=r"^isometry 1 is not unitary within tolerance$"):
         run_inequality("s_isometry", seq, filt, 3, 1.5, isometries=ys)
+
+
+# ---------------------------------------------------------------------------
+# norm-bound gates: only the terms a cheap bound cannot clear take an SVD
+# ---------------------------------------------------------------------------
+
+
+def svd_only_gate(kind, xs, ys, filt):
+    """The error text of the adapted or the unitary gate, every operator norm taken by
+    SVD; None when the inputs pass."""
+    if kind == "adapted-seq":
+        residual = float(np.linalg.norm(_condition(xs, filt, 0) - xs, 2, axis=(1, 2)).max())
+        if residual > ADAPTED_TOL:
+            return f"sequence is not adapted: residual {residual:.3e}"
+        return None
+    off = np.linalg.norm(ys.conj().swapaxes(1, 2) @ ys - np.eye(xs.shape[1]), 2, axis=(1, 2))
+    bad = np.flatnonzero(off > UNITARY_CHECK_TOL)
+    return f"isometry {bad[0]} is not unitary within tolerance" if bad.size else None
+
+
+def gate_error(kind, xs, ys, filt):
+    try:
+        _check_inputs(kind, xs, ys, filt, 2.0)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _rank_one_terms(scales, seed):
+    """c u v* for each c and unit u, v: operator norm c, equal to the Frobenius norm. Per
+    scale a dense u v*, a single entry, and the constant (1 + i) / (8 sqrt 2), whose
+    norm meets the bound sqrt(2) d max(|Re a_ij|, |Im a_ij|)."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    single = np.zeros((8, 8), complex)
+    single[0, 5] = 1.0
+    units = (np.outer(u, v.conj()) / np.linalg.norm(u) / np.linalg.norm(v), single,
+             np.full((8, 8), (1 + 1j) / (8 * 2**0.5)))
+    return np.array([c * m for c in scales for m in units])
+
+
+@pytest.mark.parametrize("tol", [ADAPTED_TOL, UNITARY_CHECK_TOL])
+def test_norm_bound_sends_rank_one_terms_at_the_tolerance_to_the_svd(tol):
+    diffs = _rank_one_terms(tol * np.array([1 - 1e-12, 1 + 1e-12]), 4)
+    norms = _norms_above(diffs, tol)
+    assert np.array_equal(norms, np.linalg.norm(diffs, 2, axis=(1, 2)))
+    assert (norms > tol).tolist() == [False] * 3 + [True] * 3
+    # far below tol no term takes the SVD
+    assert not _norms_above(diffs * 1e-3, tol).any()
+
+
+def test_gates_decide_rank_one_terms_at_the_tolerance_as_the_svd():
+    filt = dyadic(8)
+    xs = as_stack(sample_adapted_positive(filt, 4, 2))
+    for c in ADAPTED_TOL * np.array([1 - 1e-12, 1 + 1e-12]):
+        bumped = xs.copy()
+        bumped[1, 0, 5] = c  # off the 2 x 2 blocks of level 1, whose E_1 takes it off again
+        expected = svd_only_gate("adapted-seq", bumped, None, filt)
+        assert gate_error("adapted-seq", bumped, None, filt) == expected
+        assert (expected is None) == (c < ADAPTED_TOL)
+    ys = as_stack([sample_unitary(8, s) for s in range(4)])
+    for t in UNITARY_CHECK_TOL * np.array([1 - 1e-12, 1 + 1e-12, 2.0]):
+        for k in range(4):
+            bent = ys.copy()
+            bent[k, :, 0] *= np.sqrt(1 + t)
+            assert gate_error("isometry-seq", xs, bent, filt) == svd_only_gate(
+                "isometry-seq", xs, bent, filt)
+    assert gate_error("isometry-seq", xs, bent, filt) == (
+        "isometry 3 is not unitary within tolerance")
+
+
+def test_gates_take_huge_entries_without_warning():
+    # entries of 1e300 would overflow a Frobenius norm; the bound squares nothing
+    filt = dyadic(8)
+    xs = as_stack(psd_seq(8, 4, 5))
+    huge = 1e300 * xs
+    ys = 1e150 * as_stack([sample_unitary(8, s) for s in range(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, seq, isometries in (("adapted-seq", huge, None), ("isometry-seq", xs, ys),
+                                      ("adapted-seq", _condition(huge, filt, 0), None)):
+            expected = svd_only_gate(kind, seq, isometries, filt)
+            assert gate_error(kind, seq, isometries, filt) == expected
+        assert gate_error("adapted-seq", huge, None, filt).startswith("sequence is not adapted")
+        assert gate_error("adapted-seq", _condition(huge, filt, 0), None, filt) is None
+        assert gate_error("isometry-seq", xs, ys, filt) == (
+            "isometry 0 is not unitary within tolerance")
+        diffs = np.full((2, 8, 8), 1e300 - 1e300j)
+        assert np.array_equal(_norms_above(diffs, 1e-10), np.linalg.norm(diffs, 2, axis=(1, 2)))
+
+
+def test_tensor_adapted_check_takes_no_svd_of_round_off(monkeypatch):
+    filt = build_filtration("tensor", 8, [2, 2, 2])
+    seq, _, _ = seeded_inputs("crp_stein", 8, 4, filt, 3)
+    xs = as_stack(seq)
+    assert (_condition(xs, filt, 0) - xs).any()  # E_n(x_n) - x_n is round-off, not 0
+    norm = np.linalg.norm
+    calls = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    assert gate_error("adapted-seq", xs, None, filt) is None and not calls
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,9 @@ def test_hermitian_checks_near_tolerance():
 
 
 def count_calls(monkeypatch):
-    """Count LAPACK-backed numpy calls, as_operator and as_stack validations, Schatten
-    norms, stacked conditional expectations and checker runs from here on."""
+    """Count LAPACK-backed numpy calls, np.stack and np.clip calls, as_operator and
+    as_stack validations, Schatten norms, stacked conditional expectations and checker
+    runs from here on."""
     counts = Counter()
 
     def counted(name, fn, key):
@@ -252,6 +253,8 @@ def count_calls(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), "lapack"))
+    for name in ("stack", "clip"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name), name))
     for home, fn in ((opcore, "as_operator"), (opcore, "as_stack"), (opcore, "schatten_norm"),
                      (expectation, "_cond_exp_stack"), (inequality, "run_inequality")):
         wrapped = counted(fn, getattr(home, fn), fn)
@@ -304,6 +307,27 @@ def test_search_loop_work_per_evaluation(monkeypatch, case):
     if lapack_per_eval is not None:
         # a closed-form kernel scores every running restart in one call
         assert loop_lapack[8] == loop_lapack[2]
+
+
+@pytest.mark.parametrize("case", [*LOOP_CASES, "crp_stein-split"])
+def test_search_round_calls_no_numpy_wrapper(monkeypatch, case):
+    # a lockstep round stacks with np.array and clamps with np.maximum, which give the
+    # bytes of np.stack and np.clip without their Python-level wrappers: two budgets
+    # differ in rounds only, and make the same np.stack and np.clip calls
+    inequality_id = case.split("-")[0]
+    # below p = 2 a CR_p side takes 100 splitting steps per evaluation
+    p, q, dim, seq_len, budgets, _ = LOOP_CASES.get(case, (1.5, None, 4, 3, (6, 16), None))
+    counts = count_calls(monkeypatch)
+    seen = []
+    for budget in budgets:
+        counts.clear()
+        cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q, seq_len=seq_len,
+                           filt=build_filtration("dyadic", dim), budget=budget, restarts=2,
+                           seed=3)
+        seen.append((estimate_constant(cfg).evaluations_used, counts["stack"], counts["clip"]))
+    (e0, *calls0), (e1, *calls1) = seen
+    assert e1 - e0 == budgets[1] - budgets[0]
+    assert calls1 == calls0
 
 
 @pytest.mark.parametrize("case", LOOP_CASES)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ncstein import opcore as oc
-from ncstein.seqnorm import column_q_norm
+from ncstein.seqnorm import column_q_norm, _column_norms, _root_norms
 
-from oracles import schatten_from_eig, svd_abs
+from oracles import (clip_abs_q_stack, clip_column_norms, clip_psd_power, clip_root_norms,
+                     complex_gaussians_formula, schatten_from_eig, svd_abs)
 
 INF = math.inf
 
@@ -292,3 +293,79 @@ def test_as_stack_never_aliases_its_input():
     assert xs.tobytes() == before.tobytes()
     column_q_norm(xs, 2, 1.5)
     assert xs.tobytes() == before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The one-pass draw and the np.maximum clamp keep the bytes of the plain formulas
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("count, dim", [(1, 1), (3, 2), (100, 8), (7, 32)])
+def test_complex_gaussians_keep_the_formula_bytes(count, dim):
+    for seed in range(5):
+        got = oc._complex_gaussians(np.random.default_rng([seed, count]), count, dim)
+        expected = complex_gaussians_formula(np.random.default_rng([seed, count]), count, dim)
+        assert got.dtype == expected.dtype == np.complex128 and got.shape == expected.shape
+        assert np.array_equal(_bits(got), _bits(expected))
+    # one draw against the same count drawn in chunks of at most three
+    rng = np.random.default_rng([5, count])
+    chunks = [oc._complex_gaussians(rng, min(3, count - lo), dim) for lo in range(0, count, 3)]
+    whole = complex_gaussians_formula(np.random.default_rng([5, count]), count, dim)
+    assert np.array_equal(_bits(np.concatenate(chunks)), _bits(whole))
+
+
+def _clamp_cases(monkeypatch):
+    """Stacks xs[3, 4, 8, 8] of PSD terms: rank-2 Gram matrices, whose spectra hold
+    round-off negatives, and Gram matrices plus 1. From here on eigh and eigvalsh start
+    every spectrum whose bottom is above 1/2 with -1e-300, -0.0 and +0.0, for the package
+    and the oracles alike."""
+    z = oc._complex_gaussians(np.random.default_rng(12), 3, 8).reshape(12, 2, 8)
+    xs = oc._gram(z).reshape(3, 4, 8, 8)
+    xs[:, ::2] += np.eye(8)
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def pin(w):
+        w[w[..., 0] > 0.5, :3] = (-1e-300, -0.0, 0.0)
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (pin(eigh(a)[0]), eigh(a)[1]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pin(eigvalsh(a)))
+    return xs
+
+
+def test_clamped_spectra_are_not_vacuous(monkeypatch):
+    xs = _clamp_cases(monkeypatch)
+    w = np.linalg.eigh(oc.herm(xs))[0]
+    pinned = np.broadcast_to([-1e-300, -0.0, 0.0], (3, 2, 3))
+    assert np.array_equal(_bits(w[:, ::2, :3]), _bits(pinned))
+    assert (w[:, 1::2, :6] < 0).sum() >= 6 and (w[:, 1::2, :6] > 0).sum() >= 6
+    assert (np.abs(w[:, 1::2, :6]) < 1e-13).all() and (w[:, :, 6:] > 0.1).all()
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0])
+def test_abs_q_stack_keeps_the_clip_bytes(monkeypatch, q):
+    xs = _clamp_cases(monkeypatch)
+    powers, scale = oc._abs_q_stack(xs, q)
+    expected, expected_scale = clip_abs_q_stack(xs, q)
+    assert np.array_equal(_bits(powers), _bits(expected))
+    assert np.array_equal(_bits(np.asarray(scale, float)), _bits(np.asarray(expected_scale, float)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_root_and_column_norms_keep_the_clip_bytes(monkeypatch, p, q):
+    xs = _clamp_cases(monkeypatch)
+    for s in (xs, xs.sum(axis=1)):
+        assert np.array_equal(_bits(_root_norms(s, p, q)), _bits(clip_root_norms(s, p, q)))
+    assert np.array_equal(_bits(_column_norms(xs, p, q)), _bits(clip_column_norms(xs, p, q)))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
+def test_psd_power_keeps_the_clip_bytes(monkeypatch, r):
+    xs = _clamp_cases(monkeypatch)
+    for a in xs.reshape(-1, 8, 8):
+        assert np.array_equal(_bits(oc.psd_power(a, r)), _bits(clip_psd_power(a, r)))
