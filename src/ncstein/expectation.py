@@ -34,6 +34,7 @@ from .opcore import (
     herm,
     _complex_gaussians,
     _gram,
+    _norms_above,
     _p_mean,
     _psd_draws,
 )
@@ -313,19 +314,14 @@ def _condition(xs: np.ndarray, filt: Filtration, lag: int) -> np.ndarray:
     return out
 
 
-def _adapted_residual(xs: np.ndarray, filt: Filtration, lag: int) -> float:
-    """max_n ||E(x_n) - x_n|| of a trusted stack; 0 with no SVD when nothing is off-level."""
-    diff = _condition(xs, filt, lag) - xs
-    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max()) if diff.any() else 0.0
-
-
 def is_adapted(seq: Sequence[np.ndarray], filt: Filtration, lag: int = 0) -> AdaptedCheck:
     """Whether every term is fixed by its own level's conditional expectation.
 
     Term n is tested against level max(n - lag, 0); the residual is the
     largest operator-norm deviation ||E(x_n) - x_n|| over the sequence.
     """
-    residual = _adapted_residual(as_stack(seq), filt, lag)
+    xs = as_stack(seq)
+    residual = float(_norms_above(_condition(xs, filt, lag) - xs, 0.0).max())
     return AdaptedCheck(residual <= ADAPTED_TOL, residual)
 
 
@@ -377,9 +373,11 @@ def _axiom_levels(specs: Sequence[SubalgebraSpec], trials: int, seed: int) -> li
         raise ValueError("trials must be >= 1")
     rngs = [np.random.default_rng(seed + i) for i in range(len(specs))]
     worst = np.zeros((len(specs), 9))  # the fields of AxiomResiduals in order, one excess per p
-    # a chunk of k trials holds, per subalgebra, 15 k d^2 entries: draws 4, its share of m
-    # and of the gathered m[factor] 5 each, psd 1; in all, at most four NOISE_ENTRIES
-    chunk = max(1, 4 * NOISE_ENTRIES // (15 * len(specs) * specs[0].dim ** 2))
+    # a chunk of k trials holds at most (11 L + 21) k d^2 entries: per subalgebra its share
+    # of m and of the gathered m[factor] (5 each) and psd (1), and the working set of the
+    # one being conditioned (21: its draws, 8 while drawn, stacks and products); in all,
+    # at most four NOISE_ENTRIES
+    chunk = max(1, 4 * NOISE_ENTRIES // ((11 * len(specs) + 21) * specs[0].dim ** 2))
     for first in range(0, trials, chunk):
         worst = np.maximum(worst, _axiom_chunk(specs, rngs, min(chunk, trials - first)))
     return [AxiomResiduals(*w[:5], dict(zip(_AXIOM_EXPONENTS, w[5:]))) for w in worst.tolist()]
@@ -402,6 +400,7 @@ def _axiom_chunk(specs: Sequence[SubalgebraSpec], rngs: list, k: int) -> np.ndar
         eex, eaxb = _cond_exp_stack(np.stack([ex, a @ x @ b]), spec)
         np.stack([eex - ex, eaxb - a @ ex @ b, eadj - ex.conj().swapaxes(1, 2), ex, x],
                  out=m[i])
+        del x, g_a, g_b, z, ex, a, b, eadj, eex, eaxb  # freed before the next draws
     same = (m[:, 3].view(np.uint64) == m[:, 4].view(np.uint64)).all(axis=(-2, -1))
     factor = m.any(axis=(-2, -1))
     factor[:, 3] &= ~same

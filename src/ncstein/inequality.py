@@ -35,13 +35,13 @@ from .expectation import (
 )
 from .opcore import (
     INF,
-    NOISE_ENTRIES,
     as_exponent,
     as_operator,
     as_stack,
     herm,
     psd_power,
     _abs_q_stack,
+    _norms_above,
     _p_mean,
 )
 from .seqnorm import (
@@ -334,46 +334,27 @@ def get_inequality(inequality_id: str) -> Inequality:
         raise ValueError(f"unknown inequality {inequality_id!r}") from None
 
 
-def _norms_above(diffs: np.ndarray, tol: float) -> np.ndarray:
-    """The operator norm of each term of a new stack diffs[n, d, d] that may exceed tol,
-    else 0: ||a|| <= sqrt(2) d max(|Re a_ij|, |Im a_ij|), which cannot overflow, and the
-    margin 1e-9 covers the rounding of both norms for d <= 1,000: no norm above tol is lost."""
-    norms = np.zeros(len(diffs))
-    big = abs(diffs.view(float)).max(axis=(1, 2)) > tol * (1 - 1e-9) / (2**0.5 * diffs.shape[-1])
-    if big.any():
-        norms[big] = np.linalg.norm(diffs[big], 2, axis=(1, 2))
-    return norms
-
-
 def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtration,
                   q: float | None) -> None:
     """The one check of an input kind on the stacks of a checker's sequence (xs)
     and isometries (ys); ValueError when it fails."""
-    if kind == "adapted-seq" and (residual := _norms_above(
-            _condition(xs, filt, 0) - xs, ADAPTED_TOL).max()) > ADAPTED_TOL:
+    if kind == "adapted-seq" and not (residual := _norms_above(
+            _condition(xs, filt, 0) - xs, ADAPTED_TOL).max()) <= ADAPTED_TOL:
         raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
     elif kind == "isometry-seq":
         if ys is None or len(ys) != len(xs):
             raise ValueError("sequence and isometries must have equal length")
         _require_positive(xs)
         off = _norms_above(ys.conj().swapaxes(1, 2) @ ys - np.eye(xs.shape[1]), UNITARY_CHECK_TOL)
-        if (bad := np.flatnonzero(off > UNITARY_CHECK_TOL)).size:
+        if (bad := np.flatnonzero(~(off <= UNITARY_CHECK_TOL))).size:
             raise ValueError(f"isometry {bad[0]} is not unitary within tolerance")
-    elif kind == "projections":  # per term n: r_n^2 - r_n, r_n - r_n*, r_m r_n for m < n
-        pairs = [(m, n) for n in range(len(xs)) for m in (n, n, *range(n))]
-        residuals = (t for n, r in enumerate(xs)
-                     for t in (r @ r - r, r - r.conj().T, *(xs[:n] @ r)))
-        chunk = max(1, NOISE_ENTRIES // xs[0].size)  # stacked at most NOISE_ENTRIES at a time
-        block = np.empty((min(chunk, len(pairs)), *xs.shape[1:]), xs.dtype)
-        for start in range(0, len(pairs), chunk):
-            size = min(chunk, len(pairs) - start)
-            for i in range(size):  # filled in place: the chunk is held once
-                block[i] = next(residuals)
-            norms = np.linalg.norm(block[:size], 2, axis=(1, 2))
-            if (bad := np.flatnonzero(norms > PROJECTION_TOL)).size:
-                m, n = pairs[start + bad[0]]
-                raise ValueError(f"item {n} is not a projection within tolerance" if m == n
-                                 else f"projections {m} and {n} are not orthogonal")
+    elif kind == "projections":  # term by term: r_n^2 - r_n, r_n - r_n*, r_m r_n for m < n
+        for n, r in enumerate(xs):
+            norms = _norms_above(np.concatenate([[r @ r - r, r - r.conj().T], xs[:n] @ r]),
+                                 PROJECTION_TOL)
+            if (bad := np.flatnonzero(~(norms <= PROJECTION_TOL))).size:
+                raise ValueError(f"item {n} is not a projection within tolerance" if bad[0] < 2
+                                 else f"projections {bad[0] - 2} and {n} are not orthogonal")
     elif kind == "operator":
         if len(xs) != 1:
             raise ValueError(f"the sequence must hold one operator, got {len(xs)}")

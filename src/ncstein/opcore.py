@@ -152,6 +152,20 @@ def _psd_flags(xs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     return psd
 
 
+def _norms_above(diffs: np.ndarray, tol: float) -> np.ndarray:
+    """The operator norm of each term of a new stack diffs[n, d, d] that may exceed tol,
+    else 0, and inf, with no SVD, for a term with a non-finite entry; a gate refuses a
+    term whose norm is `not <= tol`, so a NaN norm too. ||a|| <= sqrt(2) d max(|Re a_ij|,
+    |Im a_ij|), which cannot overflow, and the margin 1e-9 covers the rounding of both
+    norms for d <= 1,000: no norm above tol is lost. At tol 0 each norm is exact."""
+    norms, top = np.zeros(len(diffs)), abs(diffs.view(float)).max(axis=(1, 2))
+    if not (below := top <= tol * (1 - 1e-9) / (2**0.5 * diffs.shape[-1])).all():
+        norms[~below] = INF
+        if (svd := ~below & np.isfinite(top)).any():
+            norms[svd] = np.linalg.norm(diffs[svd], 2, axis=(1, 2))
+    return norms
+
+
 def _p_mean(s: np.ndarray, p: float, top: int = -1) -> np.ndarray:
     """(mean of s^p over the last axis)^(1/p) of nonnegative spectra sorted along it,
     with the largest entry at index `top` (-1 for eigvalsh, 0 for svd): the max at

@@ -147,30 +147,33 @@ def test_axiom_residuals_chunks_keep_the_floats(monkeypatch, spec):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: chunks.append(1) or svd(*a, **kw))
     for per_chunk in (1, 3):
         chunks.clear()
-        monkeypatch.setattr(expectation, "NOISE_ENTRIES", per_chunk * 4 * d * d)
+        monkeypatch.setattr(expectation, "NOISE_ENTRIES", per_chunk * 8 * d * d)
         assert axiom_residuals(spec, trials, 5) == whole
         assert len(chunks) == -(-trials // per_chunk)
 
 
 def test_axiom_levels_memory_is_bounded(monkeypatch):
-    # a chunk's trial count counts every array the chunk holds (each subalgebra's draws,
-    # its share of the (L, 5, k, d, d) spectrum stack and of its gathered nonzero
-    # matrices, and psd), and a chunk's arrays are freed before the next is drawn: at
-    # d = 32 (six levels) the traced peak of two full chunks stays within four
-    # NOISE_ENTRIES complex entries (16 MiB), the bound the chunk size keeps
+    # a chunk's trial count counts every array the chunk holds (each subalgebra's share of
+    # the (L, 5, k, d, d) spectrum stack and of its gathered nonzero matrices, psd, and
+    # the working set of the subalgebra being conditioned), and a chunk's arrays are freed
+    # before the next is drawn: at d = 32, on the top level alone and on all six levels,
+    # the traced peak of two full chunks stays within four NOISE_ENTRIES complex entries
+    # (16 MiB), the bound the chunk size keeps
     filt = build_filtration("dyadic", 32)
-    per_chunk = 4 * expectation.NOISE_ENTRIES // (15 * len(filt) * filt.dim ** 2)
-    assert per_chunk >= 2
     svd, chunks = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: chunks.append(1) or svd(*a, **kw))
-    tracemalloc.start()
-    try:
-        expectation._axiom_levels(filt.levels, 2 * per_chunk, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(chunks) == 2
-    assert peak <= 4 * expectation.NOISE_ENTRIES * 16
+    for specs in (filt.levels[-1:], filt.levels):
+        per_chunk = 4 * expectation.NOISE_ENTRIES // ((11 * len(specs) + 21) * filt.dim ** 2)
+        assert per_chunk >= 2
+        chunks.clear()
+        tracemalloc.start()
+        try:
+            expectation._axiom_levels(specs, 2 * per_chunk, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 2
+        assert peak <= 4 * expectation.NOISE_ENTRIES * 16
 
 
 def test_axiom_levels_equal_per_level_reference():

@@ -17,6 +17,7 @@ from ncstein import (
     cond_exp,
     embed_process,
     herm,
+    is_adapted,
     jensen_gap,
     ntrace,
     pinching_from_sizes,
@@ -312,6 +313,32 @@ def test_tensor_adapted_check_takes_no_svd_of_round_off(monkeypatch):
     calls = []
     monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
     assert gate_error("adapted-seq", xs, None, filt) is None and not calls
+
+
+OVERFLOWING = np.full((8, 8), 1.7e308 - 1.7e308j)  # products and differences overflow
+
+
+@pytest.mark.parametrize("inequality_id, p, q, seq, isometries, message", (
+    ("s_12_adapted", 1, 2, [OVERFLOWING] * 2, None, "sequence is not adapted"),
+    ("s_isometry", 3, 2, [np.eye(8)] * 2, [OVERFLOWING] * 2,
+     "isometry 0 is not unitary within tolerance"),
+    ("projections", 3, 1.5, [OVERFLOWING] * 2, None,
+     "item 0 is not a projection within tolerance"),
+    ("projections", 3, 1.5, [1e200 * np.eye(8), np.eye(8)], None,
+     "item 0 is not a projection within tolerance"),
+), ids=("adapted", "isometry", "projections", "projections-1e200"))
+def test_gates_refuse_overflowing_residuals(inequality_id, p, q, seq, isometries, message):
+    # a residual that overflows to inf or nan, or whose SVD norm reads nan, is refused
+    # in the gate's own words, never passed on to the kernel's LinAlgError
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"^{message}") as err:
+            run_inequality(inequality_id, seq, dyadic(8), p, q, isometries=isometries)
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
+def test_is_adapted_refuses_an_overflowing_residual():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not is_adapted([OVERFLOWING] * 2, dyadic(8)).adapted
 
 
 # ---------------------------------------------------------------------------

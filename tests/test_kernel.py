@@ -423,19 +423,18 @@ def test_adapted_check_validates_each_term_once(monkeypatch, tmp_path):
 
 
 def test_projection_family_check_work(monkeypatch):
-    # a 4-term family: every r_n^2 - r_n, r_n - r_n* and r_m r_n (m < n), 14 matrices,
-    # takes its operator norms from one stacked SVD
+    # a valid 4-term family: every r_n^2 - r_n, r_n - r_n* and r_m r_n (m < n), 14
+    # matrices, is round-off under the entry bound of the norm gate, so none takes an SVD
     xs = np.stack(sample_projection_family(8, 4, 1))
     counts = count_calls(monkeypatch)
     inequality._check_inputs("projections", xs, None, build_filtration("dyadic", 8), 1.5)
-    assert counts["lapack"] == 1
+    assert counts["lapack"] == 0
 
 
-def test_projection_family_check_memory_is_bounded(monkeypatch):
-    # the residuals are filled at most NOISE_ENTRIES entries at a time into one chunk
-    # array: at d = 32 a 32-term family (528 residuals) and the same family padded with
-    # 32 zero projections (2144 residuals), both refused as longer than the filtration,
-    # stay within 8 MiB
+def test_projection_family_check_memory_is_bounded():
+    # the residuals are checked term by term, n + 2 matrices for term n: at d = 32 a
+    # 32-term family (528 residuals) and the same family padded with 32 zero projections
+    # (2144 residuals), both refused as longer than the filtration, stay within 8 MiB
     family = np.stack(sample_projection_family(32, 32, 0))
     filt = build_filtration("dyadic", 32)
     for xs in (family, np.concatenate([family, np.zeros_like(family)])):
@@ -447,8 +446,7 @@ def test_projection_family_check_memory_is_bounded(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
-    # one residual per chunk still names the first failure, in the same words
-    monkeypatch.setattr(inequality, "NOISE_ENTRIES", 1)
+    # the first failure is named, in the same words
     xs = family[:4].copy()
     xs[3] = xs[2]
     with pytest.raises(ValueError, match="^projections 2 and 3 are not orthogonal$"):
