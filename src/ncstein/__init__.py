@@ -53,9 +53,7 @@ from .seqnorm import (
     row_2_norm,
 )
 from .inequality import (
-    ClassicalSpace,
     RatioReport,
-    embed_process,
     jensen_gap,
     run_inequality,
 )

@@ -73,14 +73,13 @@ class RunConfig(SearchConfig):
 
     command: str
     dim: int = 4
-    filtration: str = "dyadic"  # 'dyadic' | 'tensor'
+    filtration: str = "dyadic"  # 'dyadic' | 'tensor', or 'classical' for semicommutative
     local_dims: tuple[int, ...] | None = None
     out: str | None = None
     format: str = "csv"
     trials: int = 50
     assert_ratio_le: float | None = None
     points: tuple[tuple[float, float | None], ...] | None = None
-    probabilities: tuple[Fraction, ...] | None = None
     witness: str | None = None
     witness_out: str | None = None
 
@@ -165,7 +164,8 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
 
 # every key of a config document or a witness instance: the RunConfig field it
 # sets and its parser, in the order the keys are checked; _build checks the
-# filtration kind, and _instance turns atoms into the probabilities
+# filtration kind, and _instance turns atoms and probabilities into the atom
+# weights of a classical chain
 _KEYS = {
     "command": ("command", _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
                                     f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}")),
@@ -207,21 +207,25 @@ def _fields(data: dict) -> dict:
     return fields
 
 
-def _build(fields: dict, process: bool = False) -> RunConfig:
+def _build(fields: dict, probabilities: tuple[Fraction, ...] | None = None) -> RunConfig:
     """The RunConfig of fields, with the command's one build of its filtration,
     passed in, and every check run; ConfigError when one fails. A process
-    instance builds none, since its inputs bring their classical chain, but its
-    filtration must still name a known kind and its local_dims multiply to dim."""
+    instance runs on the classical chain over the atom weights `probabilities`,
+    deep enough for seq_len terms, but its filtration must still name a known
+    kind and its local_dims multiply to dim."""
     kind, dim, local_dims = (fields.get(name, getattr(RunConfig, name))
                              for name in ("filtration", "dim", "local_dims"))
-    filt = None
     try:
-        if not process:
-            filt = build_filtration(kind, dim, local_dims)
-        elif kind not in FILTRATION_KINDS:
+        if kind not in FILTRATION_KINDS:
             raise ValueError(f"unknown filtration kind {kind!r}")
-        elif local_dims is not None:
-            build_filtration("tensor", dim, local_dims)
+        if probabilities is None:
+            filt = build_filtration(kind, dim, local_dims)
+        else:
+            if local_dims is not None:
+                build_filtration("tensor", dim, local_dims)
+            filt = build_filtration("classical", dim, probabilities=probabilities,
+                                    depth=fields.get("seq_len", RunConfig.seq_len))
+            fields["filtration"] = "classical"
     except ValueError as exc:
         raise ConfigError(f"invalid filtration: {exc}") from exc
     try:
@@ -245,11 +249,12 @@ def _instance(fields: dict) -> RunConfig:
         raise ConfigError(f"key 'q' is required for {inequality!r}")
     if not ineq.uses_q and fields.get("q") is not None:
         raise ConfigError(f"key 'q' does not apply to {inequality!r}")
+    probabilities = None
     if ineq.input_kind == "process":
         atoms = fields.pop("atoms", 2)
-        if fields.get("probabilities") is None:
-            fields["probabilities"] = tuple(Fraction(1, atoms) for _ in range(atoms))
-        if len(fields["probabilities"]) != atoms:
+        probabilities = (fields.pop("probabilities", None)
+                         or tuple(Fraction(1, atoms) for _ in range(atoms)))
+        if len(probabilities) != atoms:
             raise ConfigError(
                 "key 'probabilities' must list one [numerator, denominator] per atom")
     elif "atoms" in fields or "probabilities" in fields:
@@ -264,7 +269,7 @@ def _instance(fields: dict) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"points[{i}]: {exc}") from exc
         fields["points"] = tuple(parsed)
-    return _build(fields, ineq.input_kind == "process")
+    return _build(fields, probabilities)
 
 
 def _reject_constant(name: str):
@@ -386,8 +391,7 @@ def _report_row(cfg: RunConfig, report, evaluations=0, seq_len=None, point=None)
         row.update(p=report.p, q=report.q, lhs=report.lhs.value, lhs_bound=report.lhs.bound,
                    rhs=report.rhs.value, rhs_bound=report.rhs.bound, ratio=report.ratio,
                    certifying=report.certifying)
-    row.update(seq_len=seq_len or cfg.seq_len, evaluations=evaluations,
-               filtration="classical" if cfg.filt is None else cfg.filtration)
+    row.update(seq_len=seq_len or cfg.seq_len, evaluations=evaluations)
     return row
 
 
@@ -485,7 +489,7 @@ def _run_check(cfg: RunConfig):
         cfg, (seq, filt, isometries) = _load_witness(cfg.witness)
     else:
         seq, filt, isometries = seeded_inputs(cfg.inequality_id, cfg.dim, cfg.seq_len,
-                                              cfg.filt, cfg.seed, cfg.probabilities)
+                                              cfg.filt, cfg.seed)
     report = run_inequality(cfg.inequality_id, seq, filt, cfg.p, cfg.q, cfg.lag, isometries)
     rows = [_report_row(cfg, report, 1, len(seq))]
     violated = ceiling_violated(report)

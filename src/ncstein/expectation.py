@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -239,19 +241,25 @@ class Filtration:
         return self._plans[length, lag]
 
 
-FILTRATION_KINDS = ("dyadic", "tensor")  # the stock families build_filtration builds
+FILTRATION_KINDS = ("dyadic", "tensor")  # the kinds a config's filtration key names
 
 
-def build_filtration(kind: str, dim: int | None = None,
-                     local_dims: Sequence[int] | None = None) -> Filtration:
-    """Build one of the two stock filtration families; the one place that
-    knows their shapes.
+def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int] | None = None,
+                     *, probabilities: Sequence | None = None, depth: int = 1) -> Filtration:
+    """Build one of the stock filtration families; the one place that knows
+    their shapes.
 
     dyadic: dim = 2^N; level n pinches onto blocks of size 2^n, so level 0 is
     the diagonal algebra and level N the full algebra.
     tensor: level n retains the n leading factors of local_dims, from the
     scalars (n = 0) up to the full algebra; local_dims defaults to (2,) * N
     when dim = 2^N. Given both, dim must be the product of local_dims.
+    classical: L_inf of a finite probability space with the atom weights
+    `probabilities` (positive rationals summing to 1), tensored with M_dim.
+    An atom of weight k/m becomes k slots of weight 1/m, one dim x dim
+    diagonal block each, so the normalized trace is the weighted expectation;
+    level n averages over the cells {0}, ..., {n - 1}, {n, ...} of atoms, and
+    the finest level repeats until there are `depth` levels.
     """
     if local_dims is not None:
         local_dims = tuple(int(d) for d in local_dims)
@@ -270,6 +278,16 @@ def build_filtration(kind: str, dim: int | None = None,
                 raise ValueError("tensor filtration needs local_dims when dim is not a power of 2")
             local_dims = (2,) * (dim.bit_length() - 1)
         levels = [TensorFactor(local_dims, r) for r in range(len(local_dims) + 1)]
+    elif kind == "classical":
+        weights = [Fraction(w) for w in probabilities or ()]
+        if not weights or min(weights) <= 0 or sum(weights) != 1:
+            raise ValueError("classical probabilities must be positive and sum to 1, got "
+                             f"{[str(w) for w in weights]}")
+        den = math.lcm(*(w.denominator for w in weights))
+        ends = list(accumulate((w.numerator * den // w.denominator for w in weights), initial=0))
+        slots = [tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:])]
+        levels = [CellAverage((*slots[:n], sum(slots[n:], ())), dim) for n in range(len(slots))]
+        levels += levels[-1:] * (depth - len(levels))
     else:
         raise ValueError(f"unknown filtration kind {kind!r}")
     return Filtration(tuple(levels))

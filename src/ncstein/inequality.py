@@ -5,8 +5,9 @@ isometries=None): it evaluates both sides of one martingale-type inequality
 on the operator sequence (x_n) and the filtration its conditional
 expectations come from, and reports lhs, rhs and their ratio. q and lag
 default to the id's registry record. doob_maximal's sequence holds its one
-operator; a process over a classical base is embedded into one tracial space
-first (embed_process), so it arrives as a sequence on its classical chain.
+operator; a process over a classical base arrives as a sequence of block
+functions on the atoms, on the chain build_filtration("classical", ...) builds,
+and s_isometry's sequence is conjugated by its unitaries before the kernel.
 
 Closed-form sides are exact; ell_inf-based sides are brackets, and a
 violation of a bound is only certified when the lhs lower end beats the rhs
@@ -18,19 +19,17 @@ proved ceiling, kernel) lives in its one Inequality record in INEQUALITIES.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .expectation import (
     ADAPTED_TOL,
-    CellAverage,
     Filtration,
     as_lag,
     cond_exp,
+    _cond_exp_stack,
     _condition,
 )
 from .opcore import (
@@ -40,7 +39,6 @@ from .opcore import (
     as_stack,
     herm,
     psd_power,
-    _abs_q_stack,
     _norms_above,
     _p_mean,
 )
@@ -51,7 +49,6 @@ from .seqnorm import (
     _crp_split,
     _linf_bracket,
     _require_positive,
-    _root_norms,
 )
 
 PROJECTION_TOL = 1e-8
@@ -102,42 +99,33 @@ class RatioReport:
 # each id conditions at the lag its report prints.
 
 
-def _stein_kernel(xs, filt, p, q, lag, ys):
+def _stein_kernel(xs, filt, p, q, lag):
     # ||(sum |E(x_n)|^q)^(1/q)||_p against ||(sum |x_n|^q)^(1/q)||_p
     return tuple(_column_norms(np.array([_condition(xs, filt, lag), xs]), p, q))
 
 
-def _isometry_kernel(xs, filt, p, q, lag, ys):
-    # ||(sum E(y_n* x_n y_n)^q)^(1/q)||_p against ||(sum y_n* x_n^q y_n)^(1/q)||_p for
-    # unitaries y_n; identity isometries give s_pq's sides
-    ys_adj = ys.conj().swapaxes(1, 2)
-    powers, _ = _abs_q_stack(np.array([_condition(herm(ys_adj @ xs @ ys), filt, lag), xs]), q)
-    sums = np.array([powers[0].sum(axis=-3), (ys_adj @ powers[1] @ ys).sum(axis=-3)])
-    return tuple(_root_norms(sums, p, q))
-
-
-def _doob_kernel(xs, filt, p, q, lag, ys):
+def _doob_kernel(xs, filt, p, q, lag):
     # the ell_inf bracket of the chain (E(x))_n, one copy of x per level: E_0(x), ...,
     # E_N(x) at lag 0 and E_0(x), E_0(x), ..., E_{N-1}(x) at lag 1; against the exact ||x||_p
     lower, upper = _linf_bracket(_condition(np.repeat(xs, len(filt), axis=1), filt, lag), p)
     return lower, _p_mean(np.linalg.svd(xs[:, 0], compute_uv=False), p, top=0), upper
 
 
-def _sp_inf_kernel(xs, filt, p, q, lag, ys):
+def _sp_inf_kernel(xs, filt, p, q, lag):
     # the ell_inf brackets of (E(x_n)) and (x_n); the ratio pairs the certified ends
     # (lhs lower over rhs upper) and ratio_interval holds the full enclosure
     lower, upper = _linf_bracket(np.array([_condition(xs, filt, lag), xs]), p)
     return lower[0], upper[1], upper[0], lower[1]
 
 
-def _crp_kernel(xs, filt, p, q, lag, ys):
+def _crp_kernel(xs, filt, p, q, lag):
     # CR_p norms of (E(x_n)) and (x_n); below p = 2 both are splitting upper bounds,
     # so the report is non-certifying
     sides = np.array([_condition(xs, filt, lag), xs])
     return tuple(_crp_columns(sides, p) if p >= 2 else _crp_split(sides, p))
 
 
-def _projections_kernel(xs, filt, p, q, lag, ys):
+def _projections_kernel(xs, filt, p, q, lag):
     # the lhs of s_pq; r^q = r for projections and the family sums to at most 1, so
     # the rhs is at most ||1||_p = 1 and is pinned to 1: the ratio is the lhs
     lhs = _column_norms(_condition(xs, filt, lag), p, q)
@@ -172,80 +160,6 @@ def jensen_gap(x, spec, q) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# Semi-commutative embedding
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassicalSpace:
-    """Finite probability space with rational weights and a partition chain.
-
-    levels lists partitions of the atom indices from coarse to fine; they
-    induce the classical filtration whose conditional expectations average
-    over cells.
-    """
-
-    probabilities: tuple[Fraction, ...]
-    levels: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        probs = tuple(Fraction(w) for w in self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
-        if not probs or any(w <= 0 for w in probs):
-            raise ValueError("probabilities must be positive")
-        if sum(probs) != 1:
-            raise ValueError(f"probabilities must sum to 1, got {sum(probs)}")
-        levels = tuple(tuple(tuple(int(i) for i in c) for c in lv) for lv in self.levels)
-        object.__setattr__(self, "levels", levels)
-        atoms = len(probs)
-        if not levels:
-            raise ValueError("at least one classical level is required")
-        for lv in levels:
-            flat = sorted(i for c in lv for i in c)
-            if flat != list(range(atoms)):
-                raise ValueError("each level must partition the atom indices")
-        for coarse, fine in zip(levels[:-1], levels[1:]):
-            coarse_sets = [set(c) for c in coarse]
-            if not all(any(set(c) <= s for s in coarse_sets) for c in fine):
-                raise ValueError("classical levels must refine upward")
-
-    @property
-    def atoms(self) -> int:
-        return len(self.probabilities)
-
-
-def embed_process(process: Sequence[Sequence],
-                  space: ClassicalSpace) -> tuple[np.ndarray, Filtration]:
-    """The block-diagonal stack of a matrix-valued process over `space` and
-    the filtration it lives on.
-
-    process[w] is the sequence (f_n(w))_n at atom w. Each atom of weight k/m
-    becomes k slots of weight 1/m, one d x d diagonal block each, so the
-    uniform normalized trace on the enlarged space reproduces the weighted
-    classical expectation; the classical levels become cell-averaging
-    subalgebras over the slots.
-    """
-    if len(process) != space.atoms:
-        raise ValueError("process must supply one sequence per atom")
-    per_atom = [as_stack(seq) for seq in process]
-    shapes = {seq.shape for seq in per_atom}
-    if len(shapes) != 1:
-        raise ValueError("all atom sequences must share length and dimension")
-    n, d, _ = shapes.pop()
-    den = math.lcm(*(w.denominator for w in space.probabilities))
-    bounds = np.cumsum([0] + [w.numerator * (den // w.denominator) for w in space.probabilities])
-    slots = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    filt = Filtration(tuple(
-        CellAverage(tuple(tuple(s for atom in cell for s in slots[atom]) for cell in level), d)
-        for level in space.levels))
-    embedded = np.zeros((n, filt.dim, filt.dim), dtype=complex)
-    for atom, atom_slots in enumerate(slots):
-        for s in atom_slots:
-            embedded[:, s * d : (s + 1) * d, s * d : (s + 1) * d] = per_atom[atom]
-    return embedded, filt
-
-
-# ---------------------------------------------------------------------------
 # Inequality registry
 # ---------------------------------------------------------------------------
 
@@ -258,8 +172,9 @@ class Inequality:
     `domain(p, q)` is false (q is None unless `uses_q`). `ceiling(p, q)` is the
     proved-constant assertion (kind, limit, tolerance) or None: 'le' asserts
     ratio <= limit + tolerance, 'eq' |ratio - limit| <= tolerance.
-    `kernel(xs, filt, p, q, lag, ys)` scores the k sequences of a trusted
-    xs[k, n, d, d] (ys: the isometries) and validates nothing; it returns the
+    `kernel(xs, filt, p, q, lag)` scores the k sequences of a trusted
+    xs[k, n, d, d] (for s_isometry, already conjugated by _conjugate) and
+    validates nothing; it returns the
     sides (lhs, rhs[, lhs_upper, rhs_lower]), each with one entry per
     sequence. A report shows `report_q` as q when the id takes none.
     """
@@ -305,12 +220,13 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("s_12_adapted", "adapted-seq", lambda p, q: (p, q) == (1, 2),
                "the fixed instance p = 1, q = 2", _stein_kernel, default_lag=1, uses_q=True,
                ceiling=lambda p, q: ("le", 2.0, 1e-6)),
+    # s_pq on (herm(y_n* x_n y_n)), since y* x^q y = (y* x y)^q for a unitary y
     Inequality("s_isometry", "isometry-seq", lambda p, q: q <= 2 and q <= p < INF,
-               "1 <= q <= 2 and q <= p < inf", _isometry_kernel, uses_q=True),
+               "1 <= q <= 2 and q <= p < inf", _stein_kernel, uses_q=True),
     # s_pq at q = 1: ||sum E(x_n)||_p against ||sum x_n||_p; at p = 1 both sides are
     # tau(sum x_n), since every E is trace preserving, so the ratio is 1 at either lag
     Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p",
-               lambda xs, filt, p, q, lag, ys: _stein_kernel(xs, filt, p, 1.0, lag, ys),
+               lambda xs, filt, p, q, lag: _stein_kernel(xs, filt, p, 1.0, lag),
                ceiling=lambda p, q: ("eq", 1.0, 1e-10) if p == 1 else None),
     Inequality("doob_maximal", "operator", lambda p, q: p > 1, _P_ABOVE_ONE, _doob_kernel),
     Inequality("s_p_inf", "positive-seq", lambda p, q: p > 1, _P_ABOVE_ONE, _sp_inf_kernel,
@@ -320,7 +236,7 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
                _crp_kernel, default_lag=1, report_q=2.0),
     Inequality("projections", "projections", lambda p, q: q <= 2 < p < INF,
                "1 <= q <= 2 < p < inf", _projections_kernel, uses_q=True, searchable=False),
-    # s_pq for a positive process over a classical base, embedded by embed_process
+    # s_pq for a positive process over a classical base: block functions on the atoms
     Inequality("semicommutative", "process", _stein_domain, _STEIN_NEEDS, _stein_kernel,
                uses_q=True, searchable=False),
 )}
@@ -341,6 +257,11 @@ def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtra
     if kind == "adapted-seq" and not (residual := _norms_above(
             _condition(xs, filt, 0) - xs, ADAPTED_TOL).max()) <= ADAPTED_TOL:
         raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
+    elif kind == "process" and xs.shape[-1] != filt.dim:  # as _condition refuses it
+        raise ValueError(f"operator dimension {xs.shape[-1]} does not match {filt.dim}")
+    elif kind == "process" and not (residual := _norms_above(
+            _cond_exp_stack(xs, filt.levels[-1]) - xs, ADAPTED_TOL).max()) <= ADAPTED_TOL:
+        raise ValueError(f"sequence is not in the top filtration level: residual {residual:.3e}")
     elif kind == "isometry-seq":
         if ys is None or len(ys) != len(xs):
             raise ValueError("sequence and isometries must have equal length")
@@ -363,6 +284,12 @@ def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtra
         _require_positive(xs)
 
 
+def _conjugate(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
+    """herm(y_n* x_n y_n) for every term of trusted stacks xs[..., n, d, d], or xs when
+    there are no isometries ys: the sequence a kernel scores."""
+    return xs if ys is None else herm(ys.conj().swapaxes(-1, -2) @ xs @ ys)
+
+
 def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q=None,
                    lag: int | None = None, isometries: Sequence | None = None) -> RatioReport:
     """The one validating path of every check, the CLI and the search's replay.
@@ -379,7 +306,9 @@ def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q=Non
     xs = as_stack(seq)
     ys = None if isometries is None else as_stack(isometries)
     _check_inputs(ineq.input_kind, xs, ys, filt, q)
-    lhs, rhs, *ends = _first(ineq.kernel(xs[None], filt, p, q, lag, ys))
+    if ineq.input_kind == "isometry-seq":
+        xs = _conjugate(xs, ys)
+    lhs, rhs, *ends = _first(ineq.kernel(xs[None], filt, p, q, lag))
     return RatioReport(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 
 

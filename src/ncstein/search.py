@@ -18,13 +18,11 @@ subalgebra, where the equality regime of the ratio-1 instances lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .expectation import Filtration, as_lag, _cond_exp_stack, _condition
-from .inequality import (ClassicalSpace, RatioReport, embed_process, get_inequality,
-                         run_inequality)
+from .inequality import RatioReport, get_inequality, run_inequality, _conjugate
 from .opcore import (NOISE_ENTRIES, as_stack, sample_projection_family, sample_unitary,
                      _abs_q_stack, _complex_gaussians, _gram, _psd_draws)
 
@@ -36,8 +34,8 @@ MAX_INITIAL_DRAWS = 100
 class SearchConfig:
     """Parameters of one extremal-ratio search, checked once, when built.
 
-    filt is the filtration the instance lives on, as in run_inequality (None
-    only for a `process` instance, whose inputs bring their classical chain).
+    filt is the filtration the instance lives on, as in run_inequality (for a
+    `process` instance, the chain build_filtration("classical", ...) builds).
     Construction checks the fields, fills in the default lag, stores p and q as
     floats in the inequality's exponent domain (q None unless it takes one),
     and checks that filt is deep enough for seq_len terms at the effective lag
@@ -48,7 +46,7 @@ class SearchConfig:
     inequality_id: str
     p: float
     q: float | None = None
-    filt: Filtration | None = None
+    filt: Filtration | None = None  # required unless inequality_id is None
     seq_len: int = 4
     lag: int | None = None  # None -> the inequality's printed form
     budget: int = 5000
@@ -75,9 +73,9 @@ class SearchConfig:
         for name, value in (("lag", lag), ("p", p), ("q", q)):
             object.__setattr__(self, name, value)
         kind = ineq.input_kind
-        if kind != "process" and self.filt is None:
+        if self.filt is None:
             raise ValueError(f"{self.inequality_id} needs a filtration")
-        if kind in ("operator", "process"):
+        if kind == "operator":
             return
         at_lag = 0 if kind == "adapted-seq" or self.adapted_only else lag
         depth = len(self.filt)
@@ -120,25 +118,20 @@ def isometry_family(inequality_id: str, dim: int, seq_len: int, seed: int) -> np
     return np.stack([sample_unitary(dim, seed + 7_000_000 + n) for n in range(seq_len)])
 
 
-def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration | None,
-                  seed: int, probabilities: tuple[Fraction, ...] | None = None) -> tuple:
+def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration,
+                  seed: int) -> tuple:
     """The run_inequality arguments (seq, filt, isometries) of one deterministic
-    instance. A `process` instance takes its atom weights from `probabilities`
-    and returns its embedded stack and classical chain in place of `filt`."""
+    instance. A `process` instance draws one dim x dim block per atom and term
+    and copies it into the atom's slots, the cells of filt's top level."""
     kind = get_inequality(inequality_id).input_kind
     if kind == "process":
-        if probabilities is None:
-            raise ValueError(f"{inequality_id} inputs need the atom probabilities")
-        # default classical chain: split atoms off one at a time, repeat the
-        # finest level until the sequence fits
-        atoms = len(probabilities)
-        levels = [tuple((i,) for i in range(split)) + (tuple(range(split, atoms)),)
-                  for split in range(atoms)]
-        while len(levels) < seq_len:
-            levels.append(levels[-1])
+        top = filt.levels[-1]
         rng = np.random.default_rng([int(seed), 0xC1A55])
-        process = _psd_draws(rng, atoms * seq_len, dim).reshape(atoms, seq_len, dim, dim)
-        return *embed_process(process, ClassicalSpace(probabilities, tuple(levels))), None
+        blocks = _psd_draws(rng, len(top.cells) * seq_len, dim).reshape(-1, seq_len, dim, dim)
+        seq = np.zeros((seq_len, top.atoms, dim, top.atoms, dim), complex)
+        for block, cell in zip(blocks, top.cells):
+            seq[:, cell, :, cell, :] = block
+        return seq.reshape(seq_len, filt.dim, filt.dim), filt, None
     rng = np.random.default_rng([int(seed), 0x5EED])
     if kind == "operator":
         seq = _psd_draws(rng, 1, dim)
@@ -174,14 +167,16 @@ def estimate_constant(cfg: SearchConfig) -> SearchResult:
 
     def score(xs):
         """The proposals xs[k, n, d, d], projected when the search is adapted, and
-        their lhs and rhs values. A proposal gets (0, 0), which the search rejects
-        as it rejects any vanishing rhs, when it has non-finite entries (it never
-        reaches the kernel) or the kernel raises ValueError on it: a batch with
-        either is scored again one proposal at a time."""
+        the lhs and rhs values of their conjugates by the isometries (if any). A
+        proposal gets (0, 0), which the search rejects as it rejects any vanishing
+        rhs, when it has non-finite entries (it never reaches the kernel) or the
+        kernel raises ValueError on it: a batch with either is scored again one
+        proposal at a time."""
         if np.isfinite(xs).all():
             ys = _condition(xs, filt, 0) if adapted else xs
             try:
-                return ys, *np.asarray(ineq.kernel(ys, filt, p, q, lag, isometries)[:2], float)
+                return ys, *np.asarray(
+                    ineq.kernel(_conjugate(ys, isometries), filt, p, q, lag)[:2], float)
             except ValueError:
                 pass
         if len(xs) == 1:

@@ -275,7 +275,10 @@ def sequential_climb(cfg):
             raise ValueError("proposal has non-finite entries")
         if adapted:
             xs = _condition(xs, filt, 0)
-        lhs, rhs = _first(ineq.kernel(xs[None], filt, p, q, lag, isometries))[:2]
+        # s_isometry's kernel scores the sequence conjugated by its unitaries
+        scored = xs if isometries is None else herm(
+            isometries.conj().swapaxes(1, 2) @ xs @ isometries)
+        lhs, rhs = _first(ineq.kernel(scored[None], filt, p, q, lag))[:2]
         return (lhs.value / rhs.value if rhs.value > 0 else None), xs
 
     def replay(xs):

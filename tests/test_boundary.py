@@ -35,7 +35,7 @@ def test_boundary_checks_once_then_runs_the_kernel(inequality_id, dim, seed, dat
     ineq = INEQUALITIES[inequality_id]
 
     report = run_inequality(inequality_id, xs, filt, p, q, 0)
-    kernel = _first(ineq.kernel(xs[None], filt, *ineq.validate(p, q), 0, None))
+    kernel = _first(ineq.kernel(xs[None], filt, *ineq.validate(p, q), 0))
     assert sides(report) == [(side.value, side.bound) for side in kernel]
 
     bad = data.draw(st.integers(0, n - 1), label="non-PSD term")

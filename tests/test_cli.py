@@ -245,14 +245,21 @@ def test_semicommutative_check_runs(tmp_path):
                                 probabilities=[[1, 3], [2, 3]], out=str(out)))
     assert run_command(cfg) == 0
     assert out.read_text().count("\n") == 2
-    # the check runs on its own classical chain and builds no stock filtration:
-    # a block dim no stock filtration takes (dyadic needs a power of 2) used to
-    # be refused as an invalid filtration
-    for instance in (dict(dim=3), dict(dim=8, filtration="tensor", local_dims=[2, 2, 2])):
+    # the check runs on the classical chain of its atoms and builds no stock
+    # filtration: a block dim no stock filtration takes (dyadic needs a power of 2)
+    # used to be refused as an invalid filtration. The last instance is the one
+    # bench/workloads.py sends: seq_len 4 on three atoms repeats the finest level
+    for instance in (dict(dim=3, seq_len=2),
+                     dict(dim=8, seq_len=2, filtration="tensor", local_dims=[2, 2, 2]),
+                     dict(dim=8, seq_len=4, filtration="tensor", local_dims=[2, 2, 2], atoms=3,
+                          probabilities=[[1, 4], [1, 4], [1, 2]])):
         cfg = parse_config(cfg_text(command="check", inequality="semicommutative", p=2,
-                                    q=1.5, seq_len=2, out=str(out), **instance))
-        assert cfg.filt is None and run_command(cfg) == 0, instance
-        row = dict(zip(CSV_COLUMNS, out.read_text().splitlines()[1].split(",")))
+                                    q=1.5, out=str(out), **instance))
+        assert cfg.filtration == "classical" and len(cfg.filt) >= cfg.seq_len, instance
+        assert run_command(cfg) == 0, instance
+        header, *rows = out.read_text().splitlines()
+        row = dict(zip(CSV_COLUMNS, rows[0].split(",")))
+        assert len(rows) == 1 and header == ",".join(CSV_COLUMNS)
         assert (row["dim"], row["filtration"]) == (str(instance["dim"]), "classical")
     with pytest.raises(ConfigError, match="unknown filtration kind 'weird'"):
         parse_config(cfg_text(command="check", inequality="semicommutative", p=2, q=1.5,
@@ -281,8 +288,8 @@ def test_search_whose_witness_replays_with_no_ratio(tmp_path, capsys, monkeypatc
     # give: the witness cannot be normalized to rhs = 1 and its replay has no ratio
     record = INEQUALITIES["s_p_inf"]
 
-    def overflowing(xs, filt, p, q, lag, ys):
-        lhs, rhs, *ends = record.kernel(xs, filt, p, q, lag, ys)
+    def overflowing(xs, filt, p, q, lag):
+        lhs, rhs, *ends = record.kernel(xs, filt, p, q, lag)
         rhs = tuple(NormValue(math.inf, "upper") if p == 1e6 and side.value > 0 else side
                     for side in rhs)
         return (lhs, rhs, *ends)

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,7 +198,8 @@ def test_axioms_command_chunks_keep_the_rows(monkeypatch, kind):
         return [(row["level"], row["check"], row["value"].hex())
                 for row in cli._run_axioms(cfg)[0]]
 
-    whole, entries = rows(), 4 * cfg.filt.dim ** 2 * len(cfg.filt)
+    # the chunk is 4 NOISE_ENTRIES // ((11 L + 21) d^2) trials, and 4 divides d^2 = 64
+    whole, entries = rows(), (11 * len(cfg.filt) + 21) * cfg.filt.dim ** 2 // 4
     for per_chunk in (1, 3):
         monkeypatch.setattr(expectation, "NOISE_ENTRIES", per_chunk * entries)
         assert rows() == whole
@@ -271,6 +273,50 @@ def test_make_filtration_tensor():
     )
     with pytest.raises(ValueError, match="unknown filtration"):
         build_filtration("weird", dim=4)
+
+
+def test_make_filtration_classical():
+    # an atom of weight k/m becomes k slots of weight 1/m: weights 1/3 and 2/3 give
+    # three slots, atom 1 owning slots 1 and 2, and level n splits atoms 0..n-1 off
+    filt = build_filtration("classical", 2, probabilities=(Fraction(1, 3), Fraction(2, 3)))
+    assert filt.dim == 6 and [level.block_dim for level in filt.levels] == [2, 2]
+    assert [level.cells for level in filt.levels] == [((0, 1, 2),), ((0,), (1, 2))]
+    # on a block function (a on atom 0, b on atom 1) the normalized trace is the
+    # weighted expectation, and E_0 is that expectation on every slot
+    a, b = sample_psd(2, 1), sample_psd(2, 2)
+    x = np.zeros((6, 6), dtype=complex)
+    x[:2, :2], x[2:4, 2:4], x[4:, 4:] = a, b, b
+    assert ntrace(x) == pytest.approx(ntrace(a) / 3 + 2 * ntrace(b) / 3, rel=1e-14)
+    np.testing.assert_array_equal(cond_exp(x, filt.levels[-1]), x)
+    np.testing.assert_allclose(cond_exp(x, filt.levels[0]), np.kron(np.eye(3), (a + 2 * b) / 3),
+                               rtol=0, atol=1e-14)
+
+
+def test_classical_filtration_depth_repeats_the_finest_level():
+    weights = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    filt = build_filtration("classical", 8, probabilities=weights, depth=6)
+    cells = [level.cells for level in filt.levels]
+    assert filt.dim == 32 and len(filt) == 6
+    assert cells[:3] == [((0, 1, 2, 3),), ((0,), (1, 2, 3)), ((0,), (1,), (2, 3))]
+    assert cells[3:] == [cells[2]] * 3
+    # a depth below the atom count keeps one level per atom
+    assert len(build_filtration("classical", 8, probabilities=weights, depth=2)) == 3
+
+
+def test_classical_filtration_refuses_bad_weights():
+    for weights in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(-1, 2)),
+                    (Fraction(1), Fraction(0)), (), None):
+        with pytest.raises(ValueError, match="classical probabilities must be positive and "
+                                             "sum to 1"):
+            build_filtration("classical", 2, probabilities=weights)
+
+
+def test_classical_chain_passes_the_axiom_gate():
+    filt = build_filtration("classical", 2, probabilities=(Fraction(1, 4), Fraction(1, 4),
+                                                           Fraction(1, 2)), depth=4)
+    for res in expectation._axiom_levels(filt.levels, 6, 0):
+        assert res.max_residual() <= cli.AXIOM_GATE
+    assert tower_residual(filt, 6, 0) <= cli.AXIOM_GATE
 
 
 def test_filtration_must_increase():

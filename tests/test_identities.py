@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from ncstein import (
-    ClassicalSpace,
     build_filtration,
     column_q_norm,
-    embed_process,
+    herm,
     l1_norm_positive,
     run_inequality,
+    sample_unitary,
 )
 from ncstein.search import seeded_inputs
 
@@ -45,13 +45,27 @@ def _s_qq(xs, filt, p, lag):
 
 
 def _semicommutative(xs, filt, p, lag):
-    # a process over a two-atom base, embedded by embed_process, is an s_pq instance
-    levels = (((0, 1),),) + (((0,), (1,)),) * (len(xs) - 1)
-    space = ClassicalSpace((Fraction(1, 3), Fraction(2, 3)), levels)
-    seq, chain = embed_process(np.stack([xs, xs[::-1]]), space)
+    # a process over a two-atom base, atom 0 holding the sequence and atom 1 its
+    # reverse, is an s_pq instance on the classical chain it lives on
+    d = xs.shape[-1]
+    chain = build_filtration("classical", d, probabilities=(Fraction(1, 3), Fraction(2, 3)),
+                             depth=len(xs))
+    seq = np.zeros((len(xs), chain.dim, chain.dim), complex)
+    for block, cell in zip((xs, xs[::-1]), chain.levels[-1].cells):
+        for s in cell:
+            seq[:, s * d:(s + 1) * d, s * d:(s + 1) * d] = block
     q = min(p, 2.0)
     return [_sides(run_inequality("semicommutative", seq, chain, p, q, lag)),
             _sides(run_inequality("s_pq", seq, chain, p, q, lag))]
+
+
+def _s_isometry(xs, filt, p, lag):
+    # s_isometry on (x_n, y_n) for Haar unitaries y_n is s_pq on herm(y_n* x_n y_n)
+    ys = np.stack([sample_unitary(xs.shape[-1], 7 * len(xs) + n) for n in range(len(xs))])
+    q = min(p, 2.0)
+    return [_sides(run_inequality("s_isometry", xs, filt, p, q, lag, ys)),
+            _sides(run_inequality("s_pq", herm(ys.conj().swapaxes(1, 2) @ xs @ ys), filt, p, q,
+                                  lag))]
 
 
 def _doob(xs, filt, p, lag):
@@ -68,6 +82,7 @@ IDENTITIES = {
     "l1": (_l1, (1.0, 1.5, 2.0, 3.0)),
     "s_qq": (_s_qq, (1.0, 1.5, 2.0, 3.0)),
     "semicommutative": (_semicommutative, (1.0, 1.5, 2.0, 3.0)),
+    "s_isometry": (_s_isometry, (1.0, 1.5, 2.0, 3.0)),
     "doob_maximal": (_doob, (1.5, 3.0, math.inf)),
 }
 

@@ -10,12 +10,10 @@ import pytest
 
 from ncstein import (
     CellAverage,
-    ClassicalSpace,
     Filtration,
     build_filtration,
     column_q_norm,
     cond_exp,
-    embed_process,
     herm,
     is_adapted,
     jensen_gap,
@@ -579,15 +577,30 @@ def test_jensen_gap_violation_beyond_convex_range():
 
 
 # ---------------------------------------------------------------------------
-# semi-commutative embedding
+# semi-commutative processes
 # ---------------------------------------------------------------------------
 
 
+def classical(weights, depth, dim=2):
+    return build_filtration("classical", dim, probabilities=tuple(map(Fraction, weights)),
+                            depth=depth)
+
+
+def block_process(process, filt):
+    """The stack on filt's slots of process[w], the sequence at atom w: each of the
+    atom's slots holds a copy of its d x d terms on the diagonal."""
+    d = filt.levels[0].block_dim
+    stack = np.zeros((len(process[0]), filt.dim, filt.dim), dtype=complex)
+    for seq, cell in zip(process, filt.levels[-1].cells):
+        for s in cell:
+            stack[:, s * d:(s + 1) * d, s * d:(s + 1) * d] = seq
+    return stack
+
+
 def test_semicommutative_single_atom():
-    trivial = (((0,),),) * 2  # repeat the only partition to cover both terms
-    space = ClassicalSpace((Fraction(1),), trivial)
+    filt = classical([1], 2)  # the only partition, repeated to cover both terms
     process = [psd_seq(2, 2, 6)]
-    rep = run_inequality("semicommutative", *embed_process(process, space), 3, 2)
+    rep = run_inequality("semicommutative", block_process(process, filt), filt, 3, 2)
     # one atom, trivial classical information: conditioning is the identity
     direct = column_q_norm(process[0], 3, 2).value
     assert rep.lhs.value == pytest.approx(direct, rel=1e-10)
@@ -598,12 +611,9 @@ def test_semicommutative_scalar_oracle():
     # scalar process on two uniform atoms, trivial-then-full filtration
     rng = np.random.default_rng(13)
     fs = rng.uniform(0.1, 2.0, size=(2, 2))  # (n, atom)
-    space = ClassicalSpace(
-        (Fraction(1, 2), Fraction(1, 2)),
-        (((0, 1),), ((0,), (1,))),
-    )
+    filt = classical([Fraction(1, 2)] * 2, 2, dim=1)
     process = [[np.array([[fs[n, w]]], dtype=complex) for n in range(2)] for w in range(2)]
-    rep = run_inequality("semicommutative", *embed_process(process, space), 3, 2)
+    rep = run_inequality("semicommutative", block_process(process, filt), filt, 3, 2)
     w = np.full(2, 0.5)
     conditioned = np.stack([
         scalar_cond_exp(fs[0], [(0, 1)], w),
@@ -613,43 +623,46 @@ def test_semicommutative_scalar_oracle():
     assert rep.rhs.value == pytest.approx(scalar_lpq(fs, 3, 2, w), abs=1e-10)
 
 
-def test_semicommutative_weighted_embedding():
-    space = ClassicalSpace(
-        (Fraction(1, 3), Fraction(2, 3)),
-        (((0, 1),), ((0,), (1,))),
-    )
-    a, b = sample_psd(2, 1), sample_psd(2, 2)
-    stack, filt = embed_process([[a, 2 * a], [b, 3 * b]], space)
-    # denominators force three slots of weight 1/3; atom 1 owns slots 1 and 2
-    assert filt.dim == 6 and stack.shape == (2, 6, 6)
-    assert [level.cells for level in filt.levels] == [((0, 1, 2),), ((0,), (1, 2))]
-    want = np.zeros((2, 6, 6), dtype=complex)
-    for n, scale in enumerate((1, 2)):
-        want[n, :2, :2] = scale * a
-    for n, scale in enumerate((1, 3)):
-        want[n, 2:4, 2:4] = want[n, 4:, 4:] = scale * b
-    np.testing.assert_array_equal(stack, want)
+def test_semicommutative_weighted_identity():
+    filt = classical([Fraction(1, 3), Fraction(2, 3)], 2)
     eye = np.eye(2, dtype=complex)
-    process = [[eye, eye], [eye, eye]]
-    rep = run_inequality("semicommutative", *embed_process(process, space), 3, 2)
-    # the embedded identity has unit normalized trace, so both sides are
+    rep = run_inequality("semicommutative", block_process([[eye, eye]] * 2, filt), filt, 3, 2)
+    # the identity on the slots has unit normalized trace, so both sides are
     # ||sqrt(2) * 1||_3 = sqrt(2)
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
     assert rep.rhs.value == pytest.approx(2 ** 0.5, abs=1e-10)
 
 
-def test_semicommutative_rejects_bad_probabilities():
-    with pytest.raises(ValueError, match="sum to 1"):
-        ClassicalSpace((Fraction(1, 2), Fraction(1, 3)), (((0, 1),),))
-
-
 def test_semicommutative_rejects_non_psd_terms_unless_q_is_two():
-    space, process = _classical_instance()
+    filt, process = _classical_instance()
     process[1][1] = -process[1][1]  # term 1 at atom 1 is negative definite
-    seq, filt = embed_process(process, space)
+    seq = block_process(process, filt)
     with pytest.raises(ValueError, match="sequence item 1 is not positive semidefinite"):
         run_inequality("semicommutative", seq, filt, 2, 1.5)
     assert run_inequality("semicommutative", seq, filt, 2, 2).ratio is not None
+
+
+@pytest.mark.parametrize("q", (1.5, 2))
+def test_semicommutative_rejects_terms_that_are_no_block_function(q):
+    # the gate replaces the guarantee of a block embedding: every term must be fixed by
+    # the top level's conditional expectation, whatever q the PSD check skips
+    filt = classical([Fraction(1, 3), Fraction(2, 3)], 2)
+    ok = block_process([psd_seq(2, 2, 5), psd_seq(2, 2, 6)], filt)
+    assert run_inequality("semicommutative", ok, filt, 3, q).ratio is not None
+    for where in ((1, 0, 5), (0, 2, 2)):  # off the block diagonal; unequal slots of atom 1
+        bad = ok.copy()
+        bad[where] += 1e-6
+        bad = herm(bad)
+        with pytest.raises(ValueError, match=r"sequence is not in the top filtration level: "
+                                             r"residual \d"):
+            run_inequality("semicommutative", bad, filt, 3, q)
+    # a full-rank PSD term is no block function either, and s_pq takes it on the same chain
+    full = np.stack([sample_psd(filt.dim, 9)] * 2)
+    with pytest.raises(ValueError, match="not in the top filtration level"):
+        run_inequality("semicommutative", full, filt, 3, q)
+    assert run_inequality("s_pq", full, filt, 3, q).ratio is not None
+    with pytest.raises(ValueError, match="operator dimension 4 does not match 6"):
+        run_inequality("semicommutative", psd_seq(4, 2, 5), filt, 3, q)
 
 
 def test_classical_dyadic_chain_with_real_averaging():
@@ -755,9 +768,7 @@ GRID = (1.0, 1.5, 2.0, 3.0, INF)
 
 
 def _classical_instance():
-    space = ClassicalSpace((Fraction(1, 2), Fraction(1, 2)), (((0, 1),), ((0,), (1,))))
-    process = [psd_seq(2, 2, 5), psd_seq(2, 2, 6)]
-    return space, process
+    return classical([Fraction(1, 2)] * 2, 2), [psd_seq(2, 2, 5), psd_seq(2, 2, 6)]
 
 
 def _report(call, inequality_id):
@@ -770,10 +781,10 @@ def _report(call, inequality_id):
 
 
 def test_one_exponent_domain_per_inequality():
-    filt = dyadic(2)
     for inequality_id, ineq in INEQUALITIES.items():
-        seq, seq_filt, isometries = seeded_inputs(inequality_id, 2, 2, filt, 3,
-                                                  (Fraction(1, 2),) * 2)
+        filt = classical([Fraction(1, 2)] * 2, 2) if inequality_id == "semicommutative" else (
+            dyadic(2))
+        seq, seq_filt, isometries = seeded_inputs(inequality_id, 2, 2, filt, 3)
         points = [(p, q) for p in GRID for q in (GRID if ineq.uses_q else (None,))]
         accepted = set()
         for p, q in points:

@@ -30,7 +30,7 @@ from ncstein import (
 )
 from ncstein import cli, expectation, inequality, opcore, search, seqnorm
 from ncstein.expectation import _cond_exp_stack, _condition
-from ncstein.inequality import INEQUALITIES, _first, _stein_kernel
+from ncstein.inequality import INEQUALITIES, _conjugate, _first, _stein_kernel
 from ncstein.search import seeded_inputs
 from ncstein.opcore import HERMITIAN_TOL, as_stack, _complex_gaussian, _complex_gaussians
 
@@ -143,7 +143,7 @@ def oracle_ratio(seq, filt, p, q, lag):
 def test_kernel_ratio_matches_checker_and_oracle(p, q, lag):
     filt = build_filtration("dyadic", 8)
     seq = [sample_psd(8, 300 + n) for n in range(4)]
-    lhs, rhs = _stein_kernel(as_stack(seq), filt, p, q, lag, None)
+    lhs, rhs = _stein_kernel(as_stack(seq), filt, p, q, lag)
     report = run_inequality("s_pq", seq, filt, p, q, lag)
     assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
     assert abs(lhs / rhs - oracle_ratio(seq, filt, p, q, lag)) <= 1e-12
@@ -171,9 +171,11 @@ def test_kernel_sides_equal_checker_sides(inequality_id):
     p, q = EXPONENTS[inequality_id]
     seq, filt, isometries = seeded_inputs(inequality_id, 4, 3, build_filtration("dyadic", 4), 5)
     ineq = INEQUALITIES[inequality_id]
+    # the kernel scores s_isometry's sequence conjugated by its unitaries
+    ys = None if isometries is None else as_stack(isometries)
     for lag in (0, 1):
-        sides = _first(ineq.kernel(as_stack(seq)[None], filt, *ineq.validate(p, q), lag,
-                                   isometries))
+        sides = _first(ineq.kernel(_conjugate(as_stack(seq), ys)[None], filt,
+                                   *ineq.validate(p, q), lag))
         report = run_inequality(inequality_id, seq, filt, p, q, lag, isometries)
         ends = (report.lhs, report.rhs, report.lhs_upper, report.rhs_lower)
         assert report.lag == lag
@@ -183,7 +185,7 @@ def test_kernel_sides_equal_checker_sides(inequality_id):
 def test_kernel_ratio_adapted_s12():
     filt = build_filtration("tensor", local_dims=(2, 2, 2))
     seq = project_adapted([sample_psd(8, 400 + n) for n in range(4)], filt, 0)
-    lhs, rhs = _stein_kernel(as_stack(seq), filt, 1.0, 2.0, 1, None)
+    lhs, rhs = _stein_kernel(as_stack(seq), filt, 1.0, 2.0, 1)
     report = run_inequality("s_12_adapted", seq, filt, 1, 2)
     assert (lhs, rhs) == (report.lhs.value, report.rhs.value)
     assert abs(lhs / rhs - oracle_ratio(seq, filt, 1.0, 2.0, 1)) <= 1e-12
@@ -341,9 +343,10 @@ def test_kernel_scores_a_sequence_alike_in_any_batch(case):
     instances = [seeded_inputs(inequality_id, dim, seq_len, cfg.filt, seed) for seed in range(3)]
     xs = np.stack([as_stack(seq) for seq, _, _ in instances])
     kernel, ys = INEQUALITIES[inequality_id].kernel, instances[0][2]
-    batch = kernel(xs, cfg.filt, cfg.p, cfg.q, cfg.lag, ys)
+    # as the search scores them: a batch conjugated by one isometry family at once
+    batch = kernel(_conjugate(xs, ys), cfg.filt, cfg.p, cfg.q, cfg.lag)
     for k in range(len(xs)):
-        alone = kernel(xs[k:k + 1], cfg.filt, cfg.p, cfg.q, cfg.lag, ys)
+        alone = kernel(_conjugate(xs[k:k + 1], ys), cfg.filt, cfg.p, cfg.q, cfg.lag)
         assert (pickle.dumps([side[k] for side in batch])
                 == pickle.dumps([side[0] for side in alone]))
 

@@ -40,8 +40,12 @@ def _tolerance(inequality_id):
 
 
 def _instance(inequality_id, seed):
-    filt = build_filtration("dyadic", DIM)
-    return seeded_inputs(inequality_id, DIM, SEQ_LEN, filt, seed, (Fraction(1, 2),) * 2)
+    if inequality_id == "semicommutative":  # a process over two atoms of weight 1/2
+        filt = build_filtration("classical", DIM, probabilities=(Fraction(1, 2),) * 2,
+                                depth=SEQ_LEN)
+    else:
+        filt = build_filtration("dyadic", DIM)
+    return seeded_inputs(inequality_id, DIM, SEQ_LEN, filt, seed)
 
 
 def _ratio(inequality_id, point, seq, filt, lag, isometries):

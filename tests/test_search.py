@@ -54,8 +54,12 @@ def test_config_is_valid_once_built():
         SearchConfig(inequality_id="doob_maximal", p=2)
     with pytest.raises(ValueError, match="filtration depth 3 at lag 0"):
         SearchConfig(inequality_id="s_pq", p=3, q=2, filt=filt, seq_len=4)
-    # a process instance brings its own classical chain
-    assert SearchConfig(inequality_id="semicommutative", p=3, q=2).filt is None
+    # a process instance needs one too: the classical chain it lives on
+    with pytest.raises(ValueError, match="semicommutative needs a filtration"):
+        SearchConfig(inequality_id="semicommutative", p=3, q=2, seq_len=3)
+    chain = build_filtration("classical", 2, probabilities=(1,), depth=3)
+    assert SearchConfig(inequality_id="semicommutative", p=3, q=2, filt=chain,
+                        seq_len=3).filt is chain
 
 
 @pytest.mark.parametrize("lag", (2, -1, True, 1.0, "1"))
