@@ -225,6 +225,14 @@ class Filtration:
     def dim(self) -> int:
         return self.levels[0].dim
 
+    @cached_property
+    def block_dim(self) -> int | None:
+        """The block size b of a classical chain whose top level has two or more slots,
+        outside whose diagonal b x b blocks every operator of that level is zero; None
+        on the other chains."""
+        top = self.levels[-1]
+        return top.block_dim if isinstance(top, CellAverage) and top.atoms > 1 else None
+
     def __len__(self) -> int:
         return len(self.levels)
 
@@ -259,7 +267,8 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
     An atom of weight k/m becomes k slots of weight 1/m, one dim x dim
     diagonal block each, so the normalized trace is the weighted expectation;
     level n averages over the cells {0}, ..., {n - 1}, {n, ...} of atoms, and
-    the finest level repeats until there are `depth` levels.
+    the finest level repeats until there are `depth` levels. The space's
+    (m dim)^2 entries, over all m slots, may not exceed NOISE_ENTRIES.
     """
     if local_dims is not None:
         local_dims = tuple(int(d) for d in local_dims)
@@ -283,7 +292,10 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
         if not weights or min(weights) <= 0 or sum(weights) != 1:
             raise ValueError("classical probabilities must be positive and sum to 1, got "
                              f"{[str(w) for w in weights]}")
-        den = math.lcm(*(w.denominator for w in weights))
+        den = math.lcm(*(w.denominator for w in weights))  # the slot count
+        if (den * dim) ** 2 > NOISE_ENTRIES:
+            raise ValueError(f"classical probabilities need {den} slots of dimension {dim}, "
+                             f"more than an operator of at most {NOISE_ENTRIES} entries holds")
         ends = list(accumulate((w.numerator * den // w.denominator for w in weights), initial=0))
         slots = [tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:])]
         levels = [CellAverage((*slots[:n], sum(slots[n:], ())), dim) for n in range(len(slots))]
@@ -408,7 +420,8 @@ def _axiom_chunk(specs: Sequence[SubalgebraSpec], rngs: list, k: int) -> np.ndar
     spectrum and one eigvalsh every positivity: the residuals are the tops of the first
     three spectra, and the excesses compare the p-means of the last two, as op_norm and
     schatten_norm would. The SVD skips, exactly, every zero matrix (its singular values
-    are 0) and every E(x) whose bytes are x's (LAPACK gives equal bytes equal spectra)."""
+    are 0) and both E(x) and x wherever their bytes agree, as on a chain's top level:
+    equal bytes have equal spectra, so every excess there is 0 either way."""
     d, n = specs[0].dim, len(specs)
     m, psd = np.empty((n, 5, k, d, d), complex), np.empty((n, k, d, d), complex)
     for i, (spec, rng) in enumerate(zip(specs, rngs)):
@@ -421,10 +434,9 @@ def _axiom_chunk(specs: Sequence[SubalgebraSpec], rngs: list, k: int) -> np.ndar
         del x, g_a, g_b, z, ex, a, b, eadj, eex, eaxb  # freed before the next draws
     same = (m[:, 3].view(np.uint64) == m[:, 4].view(np.uint64)).all(axis=(-2, -1))
     factor = m.any(axis=(-2, -1))
-    factor[:, 3] &= ~same
+    factor[:, 3:] &= ~same[:, None]
     s = np.zeros((n, 5, k, d))
     s[factor] = np.linalg.svd(m[factor], compute_uv=False)
-    s[:, 3][same] = s[:, 4][same]
     tr = np.trace(m[:, 3:], axis1=-2, axis2=-1)  # of E(x) and x
     re, im = tr.real / d, tr.imag / d  # ntrace's parts, each divided as complex / int does
     excess = [_p_mean(s[:, 3], p, top=0) - _p_mean(s[:, 4], p, top=0) for p in _AXIOM_EXPONENTS]

@@ -101,7 +101,7 @@ class RatioReport:
 
 def _stein_kernel(xs, filt, p, q, lag):
     # ||(sum |E(x_n)|^q)^(1/q)||_p against ||(sum |x_n|^q)^(1/q)||_p
-    return tuple(_column_norms(np.array([_condition(xs, filt, lag), xs]), p, q))
+    return tuple(_column_norms(np.array([_condition(xs, filt, lag), xs]), p, q, filt.block_dim))
 
 
 def _doob_kernel(xs, filt, p, q, lag):
@@ -122,13 +122,13 @@ def _crp_kernel(xs, filt, p, q, lag):
     # CR_p norms of (E(x_n)) and (x_n); below p = 2 both are splitting upper bounds,
     # so the report is non-certifying
     sides = np.array([_condition(xs, filt, lag), xs])
-    return tuple(_crp_columns(sides, p) if p >= 2 else _crp_split(sides, p))
+    return tuple(_crp_columns(sides, p, filt.block_dim) if p >= 2 else _crp_split(sides, p))
 
 
 def _projections_kernel(xs, filt, p, q, lag):
     # the lhs of s_pq; r^q = r for projections and the family sums to at most 1, so
     # the rhs is at most ||1||_p = 1 and is pinned to 1: the ratio is the lhs
-    lhs = _column_norms(_condition(xs, filt, lag), p, q)
+    lhs = _column_norms(_condition(xs, filt, lag), p, q, filt.block_dim)
     return lhs, np.ones_like(lhs)
 
 

@@ -309,6 +309,15 @@ def test_classical_filtration_refuses_bad_weights():
         with pytest.raises(ValueError, match="classical probabilities must be positive and "
                                              "sum to 1"):
             build_filtration("classical", 2, probabilities=weights)
+    # a denominator of 2^55 (the float 0.1) or 10^9 is refused before any slot is laid
+    # out, as is one just past (slots * dim)^2 = NOISE_ENTRIES at 64 slots of 8 x 8
+    for weights, dim, slots in (((Fraction(0.1), 1 - Fraction(0.1)), 2, 2**55),
+                                ((Fraction(1, 10**9), Fraction(10**9 - 1, 10**9)), 2, 10**9),
+                                ((Fraction(1, 65), Fraction(64, 65)), 8, 65)):
+        with pytest.raises(ValueError, match=f"need {slots} slots of dimension {dim}"):
+            build_filtration("classical", dim, probabilities=weights)
+    assert build_filtration("classical", 8, probabilities=(Fraction(1, 64),
+                                                           Fraction(63, 64))).dim == 512
 
 
 def test_classical_chain_passes_the_axiom_gate():

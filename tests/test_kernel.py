@@ -6,6 +6,7 @@ import math
 import pickle
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,6 +310,52 @@ def test_search_loop_work_per_evaluation(monkeypatch, case):
     if lapack_per_eval is not None:
         # a closed-form kernel scores every running restart in one call
         assert loop_lapack[8] == loop_lapack[2]
+
+
+def eigen_shapes(monkeypatch):
+    """Count the (function, input shape) of every eigh, eigvalsh, svd and norm call, and
+    every np.count_nonzero call (the block test of the column core), from here on."""
+    seen = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            seen[name, np.shape(a)] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "count_nonzero", counted("count_nonzero", np.count_nonzero))
+    return seen
+
+
+def test_classical_check_takes_block_spectra(monkeypatch):
+    # on the 3-atom chain of weights 1/4, 1/4, 1/2 (4 slots of 8 x 8 blocks, d = 32) every
+    # column-norm kernel sees only 8 x 8 blocks, and a q = 2 check, which has no PSD gate,
+    # takes no other spectrum: a silent fall back to the dense path fails here
+    filt = build_filtration("classical", 8, probabilities=(Fraction(1, 4), Fraction(1, 4),
+                                                           Fraction(1, 2)), depth=4)
+    seq = seeded_inputs("semicommutative", 8, 4, filt, 5)[0]
+    seen = eigen_shapes(monkeypatch)
+    run_inequality("semicommutative", seq, filt, 3, 2)
+    kernels = [("semicommutative", 2, 1.5, seq), ("semicommutative", 3, 3, seq),
+               ("crp_stein", 3, None, _condition(seq, filt, 1)),
+               ("projections", 3, 1.5, sample_projection_family(32, 4, 0))]
+    for inequality_id, p, q, xs in kernels:
+        INEQUALITIES[inequality_id].kernel(as_stack(xs)[None], filt, p, q, 1)
+    eigen = {key: count for key, count in seen.items() if key[0] != "count_nonzero"}
+    assert eigen and all(shape[-2:] == (8, 8) for _, shape in eigen)
+
+
+def test_dyadic_search_keeps_its_eigen_calls(monkeypatch):
+    # an s_12_adapted search on a dyadic chain passes no block: its LAPACK calls are
+    # those of the dense column core, and it makes no block test
+    seen = eigen_shapes(monkeypatch)
+    estimate_constant(SearchConfig(inequality_id="s_12_adapted", p=1, q=2,
+                                   filt=build_filtration("dyadic", 8), seq_len=4, budget=50,
+                                   restarts=2, seed=3))
+    assert seen == {("eigh", (4, 8, 8)): 1, ("eigvalsh", (2, 2, 8, 8)): 25,
+                    ("eigvalsh", (2, 1, 8, 8)): 1}
 
 
 @pytest.mark.parametrize("case", [*LOOP_CASES, "crp_stein-split"])

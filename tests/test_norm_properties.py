@@ -1,10 +1,13 @@
 """Property tests of the Schatten, column and CR_p norms: positive homogeneity
 over two hundred orders of magnitude at every exponent, with no overflow, the
 PSD power core's and the ell_inf core's batch invariance across leading axes,
-and the ell_inf bracket's sandwich between max_n ||x_n||_p and ||sum_n x_n||_p."""
+the ell_inf bracket's sandwich between max_n ||x_n||_p and ||sum_n x_n||_p, and
+the column core's per-block path on classical chains against its dense path."""
 
 import math
 import pickle
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from ncstein import column_q_norm, crp_norm, linf_norm_positive, schatten_norm
+from ncstein import build_filtration, column_q_norm, crp_norm, linf_norm_positive, schatten_norm
 from ncstein.opcore import _abs_q_stack, _complex_gaussians, _gram, _psd_draws
 from ncstein.seqnorm import _column_norms, _linf_bracket
 
@@ -84,3 +87,32 @@ def test_linf_bracket_sits_in_its_sandwich(dim, n, p, seed):
     assert floor <= upper.value * (1 + 1e-14)
     assert lower.value <= ceiling * (1 + 1e-14)
     assert lower.value <= upper.value * (1 + 1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=4), block=st.integers(1, 4),
+       n=st.integers(1, 3), k=st.integers(1, 2),
+       pq=st.sampled_from(((1.0, 1.0), (2.5, 1.0), (1.5, 1.5), (4.0, 1.5), (2.0, 2.0),
+                           (3.0, 2.0), (3.0, 3.0), (8.0, 8.0))),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_column_norms_match_the_dense_path(counts, block, n, k, pq, seed):
+    # atoms of rational weights c_i / sum(c) on a classical chain, and k sequences of n
+    # block functions on them: one PSD block per atom and term, copied into its slots
+    p, q = pq
+    filt = build_filtration("classical", block,
+                            probabilities=[Fraction(c, sum(counts)) for c in counts])
+    top, d = filt.levels[-1], filt.dim
+    draws = _psd_draws(np.random.default_rng(seed), len(counts) * k * n, block)
+    xs = np.zeros((k, n, top.atoms, block, top.atoms, block), complex)
+    for cell, blocks in zip(top.cells, draws.reshape(len(counts), k, n, block, block)):
+        for slot in cell:
+            xs[:, :, slot, :, slot, :] = blocks
+    xs = xs.reshape(k, n, d, d)
+    dense = _column_norms(xs, p, q)
+    np.testing.assert_allclose(_column_norms(xs, p, q, block), dense, rtol=1e-12, atol=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero spectrum, scaled or not, raises no warning
+        assert (_column_norms(np.zeros_like(xs), p, q, block) == 0).all()
+    if top.atoms > 1:  # one entry off the blocks: the dense path, to the byte
+        xs[-1, -1, 0, -1] = xs[-1, -1, -1, 0] = 1e-3
+        assert _column_norms(xs, p, q, block).tobytes() == _column_norms(xs, p, q).tobytes()
