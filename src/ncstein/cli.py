@@ -27,12 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expectation import FILTRATION_KINDS, build_filtration, tower_residual, _axiom_levels
+from .expectation import build_filtration, tower_residual, _axiom_levels
 from .inequality import INEQUALITIES, ceiling_violated, get_inequality, run_inequality
 from .opcore import INF
 from .search import SearchConfig, estimate_constant, isometry_family, seeded_inputs
 
 AXIOM_GATE = 1e-9
+FILTRATION_KINDS = ("dyadic", "tensor", "classical")  # the kinds a config's filtration key names
 
 # the leading columns of both schemas are RunConfig fields
 INSTANCE_COLUMNS = ("inequality_id", "p", "q", "lag", "dim", "seq_len", "filtration", "seed")
@@ -105,22 +106,6 @@ def _exponent(value, key: str) -> float:
     return _float(value, key)
 
 
-def _at_least(minimum: int):
-    def parse(value, key: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"key {key!r} must be >= {minimum}, got {value}")
-        return value
-    return parse
-
-
-def _lag(value, key: str) -> int:
-    if _at_least(0)(value, key) > 1:
-        raise ConfigError(f"key 'lag' must be 0 or 1, got {value!r}")
-    return value
-
-
 def _checked(ok, must: str, convert=lambda value, key: value):
     """The parser of a key whose value passes one test, ok(value), and then
     convert(value, key); `must` completes the error message and may show the
@@ -129,6 +114,18 @@ def _checked(ok, must: str, convert=lambda value, key: value):
         if not ok(value):
             raise ConfigError(f"key {key!r} must be " + must.format(value=value))
         return convert(value, key)
+    return parse
+
+
+_integer = _checked(lambda v: not isinstance(v, bool) and isinstance(v, int),
+                    "an integer, got {value!r}")
+
+
+def _at_least(minimum: int):
+    def parse(value, key: str) -> int:
+        if _integer(value, key) < minimum:
+            raise ConfigError(f"key {key!r} must be >= {minimum}, got {value}")
+        return value
     return parse
 
 
@@ -154,12 +151,9 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
     if any(isinstance(n, bool) or not isinstance(n, int) for w in value for n in w):
         raise ConfigError(f"key 'probabilities' must hold integers, got {value!r}")
     try:
-        weights = tuple(Fraction(a, b) for a, b in value)
+        return tuple(Fraction(a, b) for a, b in value)
     except ZeroDivisionError as exc:
         raise ConfigError(f"invalid probability fraction: {exc}") from exc
-    if any(w <= 0 for w in weights) or sum(weights) != 1:
-        raise ConfigError("key 'probabilities' must be positive and sum to 1")
-    return weights
 
 
 # every key of a config document or a witness instance: the RunConfig field it
@@ -181,7 +175,7 @@ _KEYS = {
                                              f"one of {sorted(INEQUALITIES)}, got {{value!r}}")),
     "p": ("p", _exponent),
     "q": ("q", _optional(_exponent)),
-    "lag": ("lag", _lag),
+    "lag": ("lag", _integer),
     "seq_len": ("seq_len", _at_least(1)),
     "adapted_only": ("adapted_only", _checked(lambda v: isinstance(v, bool), "a boolean")),
     "assert_ratio_le": ("assert_ratio_le", _optional(_number)),
@@ -212,9 +206,11 @@ def _build(fields: dict, probabilities: tuple[Fraction, ...] | None = None) -> R
     passed in, and every check run; ConfigError when one fails. A process
     instance runs on the classical chain over the atom weights `probabilities`,
     deep enough for seq_len terms, but its filtration must still name a known
-    kind and its local_dims multiply to dim."""
+    kind and its local_dims multiply to dim; no other instance names `classical`."""
     kind, dim, local_dims = (fields.get(name, getattr(RunConfig, name))
                              for name in ("filtration", "dim", "local_dims"))
+    if kind == "classical" and probabilities is None:
+        raise ConfigError("filtration 'classical' applies to 'semicommutative' only")
     try:
         if kind not in FILTRATION_KINDS:
             raise ValueError(f"unknown filtration kind {kind!r}")
@@ -245,8 +241,6 @@ def _instance(fields: dict) -> RunConfig:
         raise ConfigError(f"{inequality!r} supports the check command only")
     if "p" not in fields:
         raise ConfigError("key 'p' is required")
-    if ineq.uses_q and fields.get("q") is None:
-        raise ConfigError(f"key 'q' is required for {inequality!r}")
     if not ineq.uses_q and fields.get("q") is not None:
         raise ConfigError(f"key 'q' does not apply to {inequality!r}")
     probabilities = None
@@ -440,7 +434,7 @@ def _write_witness(path: str, cfg: RunConfig, result) -> None:
 def _load_witness(path: str) -> tuple[RunConfig, tuple]:
     """A witness file's instance, validated as a config document's is, with
     seq_len the number of stored matrices, and its run_inequality arguments
-    (seq, filt, isometries)."""
+    (seq, isometries) on the instance's filt."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = _load_json(handle.read(), "witness file")
@@ -458,8 +452,7 @@ def _load_witness(path: str) -> tuple[RunConfig, tuple]:
     if not ineq.searchable:
         raise ConfigError(f"{ineq.id!r} witnesses are not replayable")
     cfg = _instance(fields)
-    return cfg, (matrices, cfg.filt,
-                 isometry_family(cfg.inequality_id, cfg.dim, len(matrices), cfg.seed))
+    return cfg, (matrices, isometry_family(cfg.inequality_id, cfg.dim, len(matrices), cfg.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +479,10 @@ def _run_axioms(cfg: RunConfig):
 
 def _run_check(cfg: RunConfig):
     if cfg.witness is not None:
-        cfg, (seq, filt, isometries) = _load_witness(cfg.witness)
+        cfg, (seq, isometries) = _load_witness(cfg.witness)
     else:
-        seq, filt, isometries = seeded_inputs(cfg.inequality_id, cfg.dim, cfg.seq_len,
-                                              cfg.filt, cfg.seed)
-    report = run_inequality(cfg.inequality_id, seq, filt, cfg.p, cfg.q, cfg.lag, isometries)
+        seq, isometries = seeded_inputs(cfg.inequality_id, cfg.filt, cfg.seq_len, cfg.seed)
+    report = run_inequality(cfg.inequality_id, seq, cfg.filt, cfg.p, cfg.q, cfg.lag, isometries)
     rows = [_report_row(cfg, report, 1, len(seq))]
     violated = ceiling_violated(report)
     if (cfg.assert_ratio_le is not None and report.ratio is not None

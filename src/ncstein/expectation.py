@@ -249,9 +249,6 @@ class Filtration:
         return self._plans[length, lag]
 
 
-FILTRATION_KINDS = ("dyadic", "tensor")  # the kinds a config's filtration key names
-
-
 def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int] | None = None,
                      *, probabilities: Sequence | None = None, depth: int = 1) -> Filtration:
     """Build one of the stock filtration families; the one place that knows

@@ -253,12 +253,13 @@ def get_inequality(inequality_id: str) -> Inequality:
 def _check_inputs(kind: str, xs: np.ndarray, ys: np.ndarray | None, filt: Filtration,
                   q: float | None) -> None:
     """The one check of an input kind on the stacks of a checker's sequence (xs)
-    and isometries (ys); ValueError when it fails."""
+    and isometries (ys), after the one size check of both; ValueError when it fails."""
+    for stack in (xs,) if ys is None else (xs, ys):
+        if stack.shape[-1] != filt.dim:
+            raise ValueError(f"operator dimension {stack.shape[-1]} does not match {filt.dim}")
     if kind == "adapted-seq" and not (residual := _norms_above(
             _condition(xs, filt, 0) - xs, ADAPTED_TOL).max()) <= ADAPTED_TOL:
         raise ValueError(f"sequence is not adapted: residual {residual:.3e}")
-    elif kind == "process" and xs.shape[-1] != filt.dim:  # as _condition refuses it
-        raise ValueError(f"operator dimension {xs.shape[-1]} does not match {filt.dim}")
     elif kind == "process" and not (residual := _norms_above(
             _cond_exp_stack(xs, filt.levels[-1]) - xs, ADAPTED_TOL).max()) <= ADAPTED_TOL:
         raise ValueError(f"sequence is not in the top filtration level: residual {residual:.3e}")

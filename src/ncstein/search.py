@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation import Filtration, as_lag, _cond_exp_stack, _condition
+from .expectation import Filtration, as_lag, level_index, _cond_exp_stack, _condition
 from .inequality import RatioReport, get_inequality, run_inequality, _conjugate
 from .opcore import (NOISE_ENTRIES, as_stack, sample_projection_family, sample_unitary,
                      _abs_q_stack, _complex_gaussians, _gram, _psd_draws)
@@ -34,8 +34,7 @@ MAX_INITIAL_DRAWS = 100
 class SearchConfig:
     """Parameters of one extremal-ratio search, checked once, when built.
 
-    filt is the filtration the instance lives on, as in run_inequality (for a
-    `process` instance, the chain build_filtration("classical", ...) builds).
+    filt is the filtration the instance lives on, as in run_inequality.
     Construction checks the fields, fills in the default lag, stores p and q as
     floats in the inequality's exponent domain (q None unless it takes one),
     and checks that filt is deep enough for seq_len terms at the effective lag
@@ -77,14 +76,8 @@ class SearchConfig:
             raise ValueError(f"{self.inequality_id} needs a filtration")
         if kind == "operator":
             return
-        at_lag = 0 if kind == "adapted-seq" or self.adapted_only else lag
-        depth = len(self.filt)
-        if self.seq_len - 1 - at_lag >= depth:
-            raise ValueError(
-                f"seq_len = {self.seq_len} exceeds the filtration depth {depth} at lag "
-                f"{at_lag}: sequence term {self.seq_len - 1} needs filtration level "
-                f"{self.seq_len - 1 - at_lag}"
-            )
+        level_index(self.seq_len - 1, 0 if kind == "adapted-seq" or self.adapted_only else lag,
+                    len(self.filt))
         if kind == "projections" and self.seq_len > self.filt.dim:
             raise ValueError("seq_len cannot exceed dim for projection families")
 
@@ -118,30 +111,30 @@ def isometry_family(inequality_id: str, dim: int, seq_len: int, seed: int) -> np
     return np.stack([sample_unitary(dim, seed + 7_000_000 + n) for n in range(seq_len)])
 
 
-def seeded_inputs(inequality_id: str, dim: int, seq_len: int, filt: Filtration,
-                  seed: int) -> tuple:
-    """The run_inequality arguments (seq, filt, isometries) of one deterministic
-    instance. A `process` instance draws one dim x dim block per atom and term
-    and copies it into the atom's slots, the cells of filt's top level."""
+def seeded_inputs(inequality_id: str, filt: Filtration, seq_len: int, seed: int) -> tuple:
+    """The run_inequality arguments (seq, isometries) of one deterministic instance on
+    filt, whose dimension it takes. A `process` instance draws one block per atom and
+    term, of the size of the top level's blocks, and copies it into the atom's slots,
+    the cells of that level."""
     kind = get_inequality(inequality_id).input_kind
     if kind == "process":
         top = filt.levels[-1]
-        rng = np.random.default_rng([int(seed), 0xC1A55])
-        blocks = _psd_draws(rng, len(top.cells) * seq_len, dim).reshape(-1, seq_len, dim, dim)
-        seq = np.zeros((seq_len, top.atoms, dim, top.atoms, dim), complex)
+        b, rng = top.block_dim, np.random.default_rng([int(seed), 0xC1A55])
+        blocks = _psd_draws(rng, len(top.cells) * seq_len, b).reshape(-1, seq_len, b, b)
+        seq = np.zeros((seq_len, top.atoms, b, top.atoms, b), complex)
         for block, cell in zip(blocks, top.cells):
             seq[:, cell, :, cell, :] = block
-        return seq.reshape(seq_len, filt.dim, filt.dim), filt, None
-    rng = np.random.default_rng([int(seed), 0x5EED])
+        return seq.reshape(seq_len, filt.dim, filt.dim), None
+    rng, dim = np.random.default_rng([int(seed), 0x5EED]), filt.dim
     if kind == "operator":
         seq = _psd_draws(rng, 1, dim)
     elif kind == "projections":
-        seq = sample_projection_family(dim, min(seq_len, dim), seed)
+        seq = sample_projection_family(dim, seq_len, seed)
     else:
         seq = _psd_draws(rng, seq_len, dim)
         if kind == "adapted-seq":
             seq = _condition(seq, filt, 0)
-    return seq, filt, isometry_family(inequality_id, dim, seq_len, seed)
+    return seq, isometry_family(inequality_id, dim, seq_len, seed)
 
 
 def estimate_constant(cfg: SearchConfig) -> SearchResult:

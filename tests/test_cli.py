@@ -8,13 +8,26 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from ncstein import build_filtration
+from ncstein import (
+    CellAverage,
+    Filtration,
+    Pinching,
+    SearchConfig,
+    TensorFactor,
+    build_filtration,
+    is_adapted,
+    jensen_gap,
+    pinching_from_sizes,
+    run_inequality,
+    sample_unitary,
+)
 from ncstein.inequality import INEQUALITIES
 from ncstein.seqnorm import NormValue
 from ncstein.cli import (
@@ -69,20 +82,87 @@ def test_parse_inf_exponent():
 
 
 def test_parse_validates_depth():
-    with pytest.raises(ConfigError, match="filtration depth"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "sequence term 8 needs filtration level 8 but only 3 levels exist (lag 0)")):
         parse_config(cfg_text(command="check", inequality="s_pq", p=3, q=2,
                               dim=4, seq_len=9, lag=0))
 
 
 def test_parse_validates_adapted_depth_at_lag_zero():
     # adapted inputs are projected at lag 0, so seq_len 5 cannot run on d=8
-    with pytest.raises(ConfigError, match="filtration depth 4 at lag 0"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "sequence term 4 needs filtration level 4 but only 4 levels exist (lag 0)")):
         parse_config(cfg_text(command="search", inequality="s_12_adapted", p=1, q=2,
                               dim=8, seq_len=5, budget=400, restarts=2))
-    with pytest.raises(ConfigError, match="filtration depth 4 at lag 0"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "sequence term 4 needs filtration level 4 but only 4 levels exist (lag 0)")):
         parse_config(cfg_text(command="search", inequality="s_qq", p=2, q=2, dim=8,
                               seq_len=5, adapted_only=True))
     parse_config(cfg_text(command="search", inequality="s_qq", p=2, q=2, dim=8, seq_len=5))
+
+
+DYADIC4 = build_filtration("dyadic", 4)
+
+
+# each input rule has one owner in the library, and the CLI prints its words: the
+# config and the library call of each case break the same rule
+@pytest.mark.parametrize("config, library", [
+    pytest.param(dict(inequality="s_pq", p=3, q=2, dim=4, seq_len=4, lag=0),
+                 lambda: run_inequality("s_pq", [np.eye(4)] * 4, DYADIC4, 3, 2, 0), id="depth"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=3, lag=2),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                      lag=2), id="lag-two"),
+    pytest.param(dict(inequality="s_qq", p=2, dim=4, seq_len=3),
+                 lambda: run_inequality("s_qq", [np.eye(4)] * 3, DYADIC4, 2), id="missing-q"),
+    pytest.param(dict(inequality="semicommutative", p=3, q=2, dim=2,
+                      probabilities=[[1, 3], [1, 3]]),
+                 lambda: build_filtration("classical", 2, probabilities=(Fraction(1, 3),) * 2),
+                 id="weights"),
+])
+def test_cli_prints_the_library_message_of_each_rule(config, library):
+    with pytest.raises(ValueError) as refused:
+        library()
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(cfg_text(command="check", **config))
+    assert type(refused.value) is ValueError
+    assert str(parsed.value).endswith(str(refused.value)), (str(parsed.value), str(refused.value))
+
+
+# refusals at the input boundary, each with the error type and the message it prints
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Pinching(()), ValueError, "pinching needs at least one block"),
+    (lambda: Pinching(((),)), ValueError, "pinching blocks must be nonempty"),
+    (lambda: TensorFactor((0,), 0), ValueError, "local_dims must be positive integers"),
+    (lambda: CellAverage(((0,),), 0), ValueError, "block_dim must be >= 1"),
+    (lambda: CellAverage(((),), 1), ValueError, "cells must be nonempty"),
+    (lambda: Filtration(()), ValueError, "filtration needs at least one level"),
+    (lambda: Filtration((pinching_from_sizes([1]), pinching_from_sizes([1, 1]))), ValueError,
+     "all filtration levels must share one dimension"),
+    (lambda: NormValue(-1.0), ValueError, "norm values are nonnegative"),
+    (lambda: NormValue(1.0, "sideways"), ValueError, "unknown bound direction 'sideways'"),
+    (lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                          step_scale=0), ValueError, "step_scale must be positive"),
+    (lambda: jensen_gap(np.eye(4), DYADIC4.levels[0], 0), ValueError, "q must be positive"),
+    (lambda: is_adapted([np.eye(4)], build_filtration("dyadic", 8)), ValueError,
+     "operator dimension 4 does not match 8"),
+    (lambda: run_inequality("s_isometry", [np.eye(4)] * 2, DYADIC4, 2, 1.5,
+                            isometries=[sample_unitary(4, 0)]), ValueError,
+     "sequence and isometries must have equal length"),
+    (lambda: parse_config("[1]"), ConfigError, "configuration must be a JSON object"),
+    (lambda: parse_config(cfg_text(command="check", p=2)), ConfigError,
+     "key 'inequality' is required"),
+    (lambda: parse_config(cfg_text(command="check", inequality="semicommutative", p=3, q=2,
+                                   dim=2, probabilities=[[1, 0], [1, 2]])), ConfigError,
+     "invalid probability fraction: Fraction(1, 0)"),
+    (lambda: decode_matrix({"dim": 1, "entries": [[1.0, 0.0]], "extra": 1}), ConfigError,
+     "matrix objects need exactly the keys 'dim' and 'entries'"),
+    (lambda: decode_matrix({"dim": 1, "entries": [[1.0]]}), ConfigError,
+     "matrix entries must be [re, im] number pairs"),
+])
+def test_boundary_refusals_print_their_message(call, error, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert (type(refused.value), str(refused.value)) == (error, message)
 
 
 def test_parse_search_budget_message():

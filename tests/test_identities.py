@@ -92,7 +92,7 @@ def _inputs(kind, dim, seed, noise):
     noise, each term moves by 1e-12 times a real Gaussian matrix, so that it is
     Hermitian only within tolerance."""
     filt = build_filtration(kind, dim)
-    xs = seeded_inputs("s_pq", dim, len(filt), filt, seed)[0]
+    xs = seeded_inputs("s_pq", filt, len(filt), seed)[0]
     if noise:
         xs = xs + 1e-12 * np.random.default_rng(seed).standard_normal(xs.shape)
     return xs, filt

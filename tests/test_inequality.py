@@ -304,7 +304,7 @@ def test_gates_take_huge_entries_without_warning():
 
 def test_tensor_adapted_check_takes_no_svd_of_round_off(monkeypatch):
     filt = build_filtration("tensor", 8, [2, 2, 2])
-    seq, _, _ = seeded_inputs("crp_stein", 8, 4, filt, 3)
+    seq, _ = seeded_inputs("crp_stein", filt, 4, 3)
     xs = as_stack(seq)
     assert (_condition(xs, filt, 0) - xs).any()  # E_n(x_n) - x_n is round-off, not 0
     norm = np.linalg.norm
@@ -408,7 +408,7 @@ def test_doob_maximal_at_p_inf_stays_at_most_one(dim):
     # the pairing's rounding bound off, so round-off cannot lift the ratio above 1
     filt = dyadic(dim)
     for seed in range(30):
-        seq, _, _ = seeded_inputs("doob_maximal", dim, 1, filt, seed)
+        seq, _ = seeded_inputs("doob_maximal", filt, 1, seed)
         for lag in (0, 1):
             assert run_inequality("doob_maximal", seq, filt, INF, lag=lag).ratio <= 1
 
@@ -784,7 +784,7 @@ def test_one_exponent_domain_per_inequality():
     for inequality_id, ineq in INEQUALITIES.items():
         filt = classical([Fraction(1, 2)] * 2, 2) if inequality_id == "semicommutative" else (
             dyadic(2))
-        seq, seq_filt, isometries = seeded_inputs(inequality_id, 2, 2, filt, 3)
+        seq, isometries = seeded_inputs(inequality_id, filt, 2, 3)
         points = [(p, q) for p in GRID for q in (GRID if ineq.uses_q else (None,))]
         accepted = set()
         for p, q in points:
@@ -799,7 +799,7 @@ def test_one_exponent_domain_per_inequality():
                 cfg = None
             # lag omitted: the registry's default_lag, the one the CLI fills in
             report = _report(lambda: run_inequality(
-                inequality_id, seq, seq_filt, p, q, isometries=isometries), inequality_id)
+                inequality_id, seq, filt, p, q, isometries=isometries), inequality_id)
             assert (report is None) == (cfg is None), (inequality_id, p, q)
             if cfg is not None:
                 assert report.lag == cfg.lag == ineq.default_lag, (inequality_id, p, q)

@@ -28,6 +28,7 @@ from ncstein import (
     sample_hermitian,
     sample_projection_family,
     sample_psd,
+    sample_unitary,
 )
 from ncstein import cli, expectation, inequality, opcore, search, seqnorm
 from ncstein.expectation import _cond_exp_stack, _condition
@@ -170,7 +171,8 @@ def test_checkers_cover_every_searchable_id():
 @pytest.mark.parametrize("inequality_id", EXPONENTS)
 def test_kernel_sides_equal_checker_sides(inequality_id):
     p, q = EXPONENTS[inequality_id]
-    seq, filt, isometries = seeded_inputs(inequality_id, 4, 3, build_filtration("dyadic", 4), 5)
+    filt = build_filtration("dyadic", 4)
+    seq, isometries = seeded_inputs(inequality_id, filt, 3, 5)
     ineq = INEQUALITIES[inequality_id]
     # the kernel scores s_isometry's sequence conjugated by its unitaries
     ys = None if isometries is None else as_stack(isometries)
@@ -329,13 +331,44 @@ def eigen_shapes(monkeypatch):
     return seen
 
 
+# one input of each kind whose operators do not match the dimension 8 of its chain:
+# (id, p, q, term size, unitary size)
+WRONG_SIZE = {
+    "isometry-seq-small-unitaries": ("s_isometry", 3, 1.5, 8, 4),
+    "isometry-seq-small-terms": ("s_isometry", 3, 1.5, 4, 8),
+    "positive-seq": ("s_pq", 3, 1.5, 4, None),
+    "adapted-seq": ("s_12_adapted", 1, 2, 4, None),
+    "operator": ("doob_maximal", 2, None, 4, None),
+    "projections": ("projections", 3, 1.5, 4, None),
+    "process": ("semicommutative", 3, 1.5, 4, None),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SIZE)
+def test_wrong_size_is_refused_before_any_spectrum(monkeypatch, case):
+    # one size check of the terms and the unitaries comes before every input kind's
+    # own check, so a refused input takes no spectrum
+    inequality_id, p, q, size, unitary_size = WRONG_SIZE[case]
+    filt = (build_filtration("classical", 4, probabilities=(Fraction(1, 2),) * 2, depth=3)
+            if case == "process" else build_filtration("dyadic", 8))
+    n = 1 if case == "operator" else 3
+    seq = (sample_projection_family(size, n, 0) if case == "projections"
+           else [sample_psd(size, k) for k in range(n)])
+    isometries = None if unitary_size is None else [sample_unitary(unitary_size, k)
+                                                    for k in range(n)]
+    seen = eigen_shapes(monkeypatch)
+    with pytest.raises(ValueError, match="^operator dimension 4 does not match 8$"):
+        run_inequality(inequality_id, seq, filt, p, q, isometries=isometries)
+    assert not seen
+
+
 def test_classical_check_takes_block_spectra(monkeypatch):
     # on the 3-atom chain of weights 1/4, 1/4, 1/2 (4 slots of 8 x 8 blocks, d = 32) every
     # column-norm kernel sees only 8 x 8 blocks, and a q = 2 check, which has no PSD gate,
     # takes no other spectrum: a silent fall back to the dense path fails here
     filt = build_filtration("classical", 8, probabilities=(Fraction(1, 4), Fraction(1, 4),
                                                            Fraction(1, 2)), depth=4)
-    seq = seeded_inputs("semicommutative", 8, 4, filt, 5)[0]
+    seq = seeded_inputs("semicommutative", filt, 4, 5)[0]
     seen = eigen_shapes(monkeypatch)
     run_inequality("semicommutative", seq, filt, 3, 2)
     kernels = [("semicommutative", 2, 1.5, seq), ("semicommutative", 3, 3, seq),
@@ -387,9 +420,9 @@ def test_kernel_scores_a_sequence_alike_in_any_batch(case):
     p, q, dim, seq_len = LOOP_CASES[case][:4]
     cfg = SearchConfig(inequality_id=inequality_id, p=p, q=q,
                        filt=build_filtration("dyadic", dim), seq_len=seq_len)
-    instances = [seeded_inputs(inequality_id, dim, seq_len, cfg.filt, seed) for seed in range(3)]
-    xs = np.stack([as_stack(seq) for seq, _, _ in instances])
-    kernel, ys = INEQUALITIES[inequality_id].kernel, instances[0][2]
+    instances = [seeded_inputs(inequality_id, cfg.filt, seq_len, seed) for seed in range(3)]
+    xs = np.stack([as_stack(seq) for seq, _ in instances])
+    kernel, ys = INEQUALITIES[inequality_id].kernel, instances[0][1]
     # as the search scores them: a batch conjugated by one isometry family at once
     batch = kernel(_conjugate(xs, ys), cfg.filt, cfg.p, cfg.q, cfg.lag)
     for k in range(len(xs)):

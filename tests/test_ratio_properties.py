@@ -45,7 +45,8 @@ def _instance(inequality_id, seed):
                                 depth=SEQ_LEN)
     else:
         filt = build_filtration("dyadic", DIM)
-    return seeded_inputs(inequality_id, DIM, SEQ_LEN, filt, seed)
+    seq, isometries = seeded_inputs(inequality_id, filt, SEQ_LEN, seed)
+    return seq, filt, isometries
 
 
 def _ratio(inequality_id, point, seq, filt, lag, isometries):

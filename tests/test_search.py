@@ -52,7 +52,8 @@ def test_config_is_valid_once_built():
         SearchConfig(inequality_id="s_pq", p=3, q=2, seq_len=3)
     with pytest.raises(ValueError, match="doob_maximal needs a filtration"):
         SearchConfig(inequality_id="doob_maximal", p=2)
-    with pytest.raises(ValueError, match="filtration depth 3 at lag 0"):
+    with pytest.raises(ValueError, match=re.escape(
+            "sequence term 3 needs filtration level 3 but only 3 levels exist (lag 0)")):
         SearchConfig(inequality_id="s_pq", p=3, q=2, filt=filt, seq_len=4)
     # a process instance needs one too: the classical chain it lives on
     with pytest.raises(ValueError, match="semicommutative needs a filtration"):
