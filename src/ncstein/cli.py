@@ -2,17 +2,17 @@
 
 Commands: axioms (conditional-expectation residual table), check (one
 inequality instance), search (extremal-ratio search), table (a (p, q) sweep).
-Configs are strict JSON: unknown keys are fatal, exponents accept numbers or
-the string "inf". Reports are CSV or a JSON mirror with identical field
-names, rendered deterministically so identical configs produce byte-identical
-files.
+Configs are strict JSON: unknown keys are fatal, and the CLI checks each
+key's JSON type; the library checks the values, and the CLI prints its message.
+Reports are CSV or a JSON mirror with identical field names, rendered
+deterministically so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or runtime error, 2 when a proved
 ceiling (or an explicit assert_ratio_le) fails; the report is still written
 in that case.
 
 Seed precedence: the NCSTEIN_SEED environment variable overrides --seed,
-which overrides the config value; all three pass the config key's check.
+which overrides the config value; all three pass the same checks.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class RunConfig(SearchConfig):
     """One validated command: the instance and search fields of SearchConfig,
     which the search takes as they are, plus the fields only the CLI reads:
     the filtration's kind and shape, which build `filt` and fill the report
-    columns, and the command's own keys. parse_config builds it once,
-    filtration included, and runs every check before any computation starts."""
+    columns, and the command's own keys. parse_config builds it once, filtration
+    included; the axioms check trials first, and every other check runs here."""
 
     command: str
     dim: int = 4
@@ -96,17 +96,11 @@ def _float(value, key: str) -> float:
         raise ConfigError(f"key {key!r} must lie within floating-point range") from None
 
 
-def _exponent(value, key: str) -> float:
-    if value == "inf":
-        return INF
-    if not _is_number(value):
-        raise ConfigError(f"key {key!r} must be a number or \"inf\", got {value!r}")
-    if value < 1:
-        raise ConfigError(f"key {key!r} must satisfy {key} >= 1, got {value}")
-    return _float(value, key)
+def _as_is(value, key: str):
+    return value
 
 
-def _checked(ok, must: str, convert=lambda value, key: value):
+def _checked(ok, must: str, convert=_as_is):
     """The parser of a key whose value passes one test, ok(value), and then
     convert(value, key); `must` completes the error message and may show the
     {value!r}."""
@@ -121,12 +115,10 @@ _integer = _checked(lambda v: not isinstance(v, bool) and isinstance(v, int),
                     "an integer, got {value!r}")
 
 
-def _at_least(minimum: int):
-    def parse(value, key: str) -> int:
-        if _integer(value, key) < minimum:
-            raise ConfigError(f"key {key!r} must be >= {minimum}, got {value}")
-        return value
-    return parse
+def _positive(value, key: str) -> int:
+    if _integer(value, key) < 1:
+        raise ConfigError(f"key {key!r} must be >= 1, got {value}")
+    return value
 
 
 def _optional(parse):
@@ -139,7 +131,7 @@ _path = _checked(lambda v: isinstance(v, str), "a string path")
 _local_dims = _checked(lambda v: isinstance(v, list) and v != [] and all(
     not isinstance(d, bool) and isinstance(d, int) and d >= 1 for d in v),
     "a list of positive integers", lambda value, key: tuple(value))
-# the exponents of the points are checked against the inequality in _instance
+# the exponents of the points are checked by the inequality in _instance
 _points = _checked(lambda v: isinstance(v, list) and all(
     isinstance(pt, list) and len(pt) == 2 for pt in v), "a list of [p, q] pairs")
 
@@ -157,34 +149,33 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
 
 
 # every key of a config document or a witness instance: the RunConfig field it
-# sets and its parser, in the order the keys are checked; _build checks the
-# filtration kind, and _instance turns atoms and probabilities into the atom
-# weights of a classical chain
+# sets and its parser of the JSON type, in the order the keys are checked. The
+# library checks the values, _build the filtration kind, and _instance turns
+# atoms and probabilities into the atom weights of a classical chain
 _KEYS = {
     "command": ("command", _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
                                     f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}")),
-    "seed": ("seed", _at_least(0)),
+    "seed": ("seed", _integer),
     "format": ("format", _checked(lambda v: v in ("csv", "json"),
                                   "'csv' or 'json', got {value!r}")),
     "out": ("out", _optional(_path)),
     "local_dims": ("local_dims", _optional(_local_dims)),
-    "dim": ("dim", _at_least(1)),
-    "filtration": ("filtration", lambda value, key: value),
-    "trials": ("trials", _at_least(1)),
+    "dim": ("dim", _integer),
+    "filtration": ("filtration", _as_is),
+    "trials": ("trials", _integer),
     "inequality": ("inequality_id", _checked(lambda v: isinstance(v, str) and v in INEQUALITIES,
                                              f"one of {sorted(INEQUALITIES)}, got {{value!r}}")),
-    "p": ("p", _exponent),
-    "q": ("q", _optional(_exponent)),
+    "p": ("p", _as_is),
+    "q": ("q", _as_is),
     "lag": ("lag", _integer),
-    "seq_len": ("seq_len", _at_least(1)),
+    "seq_len": ("seq_len", _integer),
     "adapted_only": ("adapted_only", _checked(lambda v: isinstance(v, bool), "a boolean")),
     "assert_ratio_le": ("assert_ratio_le", _optional(_number)),
-    "atoms": ("atoms", _at_least(1)),
+    "atoms": ("atoms", _positive),
     "probabilities": ("probabilities", _optional(_probabilities)),
-    "budget": ("budget", _at_least(0)),
-    "restarts": ("restarts", _at_least(0)),
-    "step_scale": ("step_scale", _checked(lambda v: _is_number(v) and v > 0,
-                                          "a positive number, got {value!r}", _float)),
+    "budget": ("budget", _integer),
+    "restarts": ("restarts", _integer),
+    "step_scale": ("step_scale", _number),
     "witness_out": ("witness_out", _optional(_path)),
     "points": ("points", _points),
     "witness": ("witness", _path),
@@ -239,8 +230,6 @@ def _instance(fields: dict) -> RunConfig:
     ineq = get_inequality(inequality)
     if command != "check" and not ineq.searchable:
         raise ConfigError(f"{inequality!r} supports the check command only")
-    if "p" not in fields:
-        raise ConfigError("key 'p' is required")
     if not ineq.uses_q and fields.get("q") is not None:
         raise ConfigError(f"key 'q' does not apply to {inequality!r}")
     probabilities = None
@@ -256,8 +245,6 @@ def _instance(fields: dict) -> RunConfig:
     if command == "table":
         parsed = []
         for i, (p, q) in enumerate(_points(fields.get("points"), "points")):
-            p = _exponent(p, f"points[{i}].p")
-            q = _exponent(q, f"points[{i}].q") if ineq.uses_q else None
             try:
                 parsed.append(ineq.validate(p, q))
             except ValueError as exc:
@@ -318,9 +305,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 f"witness replay takes its instance from the file; remove {sorted(extra)}"
             )
         # the file is read, and its filtration built, when the command runs
-        return RunConfig(inequality_id=None, p=None, **fields)
+        return RunConfig(inequality_id=None, **fields)
     if command == "axioms":
-        return _build({"inequality_id": None, "p": None, **fields})
+        return _build({"inequality_id": None, **fields})
     return _instance(fields)
 
 
@@ -407,7 +394,7 @@ def decode_matrix(obj) -> np.ndarray:
     """Inverse of encode_matrix with strict validation."""
     if not isinstance(obj, dict) or set(obj) != {"dim", "entries"}:
         raise ConfigError("matrix objects need exactly the keys 'dim' and 'entries'")
-    dim = _at_least(1)(obj["dim"], "matrix dim")
+    dim = _positive(obj["dim"], "matrix dim")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ConfigError(f"matrix 'entries' must hold dim^2 = {dim * dim} pairs")

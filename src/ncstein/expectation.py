@@ -237,11 +237,13 @@ class Filtration:
         return len(self.levels)
 
     def _term_plan(self, length: int, lag: int) -> tuple[list, np.ndarray | None]:
-        """The runs (level, lo, hi) of the `length` terms under `lag`, terms lo..hi-1 on one
-        level (contiguous, as level_index is monotone in n), and on a pinching chain the
-        terms' gathered (length, d, d) masks; built once per (length, lag)."""
+        """The runs (level, lo, hi) of `length` terms under the lag, term n on level
+        max(n - lag, 0) for lo <= n < hi, and on a pinching chain their (length, d, d)
+        masks; built once per (length, lag), after level_index checks the deepest term."""
+        lag = as_lag(lag)  # on every call: True == 1 as a key
         if (length, lag) not in self._plans:
-            levels = [level_index(n, lag, len(self)) for n in range(length)]
+            level_index(length - 1, lag, len(self))
+            levels = [max(n - lag, 0) for n in range(length)]
             runs = [(k, levels.index(k), levels.index(k) + levels.count(k)) for k in set(levels)]
             pinching = levels and all(isinstance(s, Pinching) for s in self.levels)
             masks = np.stack([self.levels[k]._mask for k in levels]) if pinching else None
@@ -273,7 +275,9 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
             dim = math.prod(local_dims)
         elif math.prod(local_dims) != dim:
             raise ValueError(f"product of local_dims {local_dims} must equal dim {dim}")
-    power_of_2 = dim is not None and dim >= 1 and not dim & (dim - 1)
+    if dim is None or dim < 1:  # a missing dim: no local_dims given either
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    power_of_2 = not dim & (dim - 1)
     if kind == "dyadic":
         if not power_of_2:
             raise ValueError(f"dyadic pinching needs dim a power of 2, got {dim}")

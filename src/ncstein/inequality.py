@@ -192,11 +192,10 @@ class Inequality:
         lambda p, q: None)
 
     def validate(self, p, q=None) -> tuple[float, float | None]:
-        """The exponents as floats; ValueError outside the domain."""
-        p = as_exponent(p)
-        if self.uses_q and q is None:
-            raise ValueError(f"{self.id} requires an exponent q")
-        q = as_exponent(q) if self.uses_q else None
+        """The exponents as floats; ValueError if one is missing, invalid or outside the domain."""
+        if p is None or self.uses_q and q is None:
+            raise ValueError(f"{self.id} requires an exponent {'p' if p is None else 'q'}")
+        p, q = as_exponent(p), as_exponent(q, "q") if self.uses_q else None
         if not self.domain(p, q):
             got = f"p={p:g}" if q is None else f"p={p:g}, q={q:g}"
             raise ValueError(f"{self.id} needs {self.needs}, got {got}")

@@ -11,6 +11,7 @@ is treated as a first-class value, never as a large float.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import suppress
 
 import numpy as np
@@ -68,11 +69,18 @@ def op_norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x), 2))
 
 
-def as_exponent(p) -> float:
-    """Validate an exponent in [1, inf] and return it as a float."""
-    p = float(p)
+def as_exponent(value, name: str = "p") -> float:
+    """An exponent in [1, inf] as a float, from a real number or "inf"; ValueError otherwise."""
+    if isinstance(value, str) and value == "inf":
+        return INF
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f'exponent {name} must be a number or "inf", got {value!r}')
+    try:
+        p = float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"exponent {name} must lie within floating-point range") from None
     if not p >= 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+        raise ValueError(f"exponent {name} must satisfy {name} >= 1, got {p}")
     return p
 
 

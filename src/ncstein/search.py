@@ -43,7 +43,7 @@ class SearchConfig:
     """
 
     inequality_id: str
-    p: float
+    p: float | None = None  # required unless inequality_id is None
     q: float | None = None
     filt: Filtration | None = None  # required unless inequality_id is None
     seq_len: int = 4
@@ -64,6 +64,8 @@ class SearchConfig:
             raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
         if not self.step_scale > 0:
             raise ValueError("step_scale must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.inequality_id is None:  # a CLI command that runs no instance
             return
         ineq = get_inequality(self.inequality_id)

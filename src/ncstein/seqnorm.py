@@ -132,7 +132,7 @@ def column_q_norm(seq: Sequence, p, q) -> NormValue:
     q must be finite (the positive ell_inf norm has its own entry point);
     the outer norm is mean(w^(p/q))^(1/p) over the eigenvalues w of the sum.
     """
-    xs, p, q = as_stack(seq), as_exponent(p), as_exponent(q)
+    xs, p, q = as_stack(seq), as_exponent(p), as_exponent(q, "q")
     if q == INF:
         raise ValueError("q = inf is handled by linf_norm_positive")
     if q != 2:  # away from q = 2 the core reads each term as |x|: replace any non-PSD x

@@ -105,10 +105,15 @@ DYADIC4 = build_filtration("dyadic", 4)
 
 
 # each input rule has one owner in the library, and the CLI prints its words: the
-# config and the library call of each case break the same rule
+# config (a check unless it names its command) and the library call of each case
+# break the same rule
 @pytest.mark.parametrize("config, library", [
     pytest.param(dict(inequality="s_pq", p=3, q=2, dim=4, seq_len=4, lag=0),
                  lambda: run_inequality("s_pq", [np.eye(4)] * 4, DYADIC4, 3, 2, 0), id="depth"),
+    # terms 3 to 8 are out of range: both name the deepest
+    pytest.param(dict(inequality="s_pq", p=3, q=2, dim=4, seq_len=9, lag=0),
+                 lambda: run_inequality("s_pq", [np.eye(4)] * 9, DYADIC4, 3, 2, 0),
+                 id="depth-nine-terms"),
     pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=3, lag=2),
                  lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
                                       lag=2), id="lag-two"),
@@ -118,12 +123,28 @@ DYADIC4 = build_filtration("dyadic", 4)
                       probabilities=[[1, 3], [1, 3]]),
                  lambda: build_filtration("classical", 2, probabilities=(Fraction(1, 3),) * 2),
                  id="weights"),
+    pytest.param(dict(inequality="s_qq", p=2, q=0.5, dim=4, seq_len=3),
+                 lambda: run_inequality("s_qq", [np.eye(4)] * 3, DYADIC4, 2, 0.5), id="small-q"),
+    pytest.param(dict(inequality="s_pq", p="3", q=2, dim=4, seq_len=3),
+                 lambda: run_inequality("s_pq", [np.eye(4)] * 3, DYADIC4, "3", 2), id="p-string"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=0),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=0),
+                 id="seq_len-zero"),
+    pytest.param(dict(command="search", inequality="s_qq", p=2, q=2, dim=4, seq_len=3,
+                      step_scale=0),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                      step_scale=0), id="step_scale-zero"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim=0, seq_len=3),
+                 lambda: build_filtration("dyadic", 0), id="dim-zero"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=3, seed=-1),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                      seed=-1), id="seed-negative"),
 ])
 def test_cli_prints_the_library_message_of_each_rule(config, library):
     with pytest.raises(ValueError) as refused:
         library()
     with pytest.raises(ConfigError) as parsed:
-        parse_config(cfg_text(command="check", **config))
+        parse_config(cfg_text(**{"command": "check", **config}))
     assert type(refused.value) is ValueError
     assert str(parsed.value).endswith(str(refused.value)), (str(parsed.value), str(refused.value))
 
@@ -136,6 +157,8 @@ def test_cli_prints_the_library_message_of_each_rule(config, library):
     (lambda: CellAverage(((0,),), 0), ValueError, "block_dim must be >= 1"),
     (lambda: CellAverage(((),), 1), ValueError, "cells must be nonempty"),
     (lambda: Filtration(()), ValueError, "filtration needs at least one level"),
+    (lambda: build_filtration("classical", probabilities=(1,)), ValueError,
+     "dim must be >= 1, got None"),
     (lambda: Filtration((pinching_from_sizes([1]), pinching_from_sizes([1, 1]))), ValueError,
      "all filtration levels must share one dimension"),
     (lambda: NormValue(-1.0), ValueError, "norm values are nonnegative"),
@@ -581,11 +604,13 @@ def test_oversized_numbers_are_config_errors(tmp_path, capsys):
     big = 10 ** 400
     table = dict(command="table", inequality="s_qq", p=2, q=2, points=[[2, 2]])
     check = dict(command="check", inequality="s_qq", p=2, q=2)
-    for config, key in (({**table, "p": big}, "p"), ({**table, "q": big}, "q"),
-                        ({**table, "step_scale": big}, "step_scale"),
-                        ({**table, "points": [[2, 2], [big, 2]]}, "points[1].p"),
-                        ({**check, "assert_ratio_le": -big}, "assert_ratio_le")):
-        with pytest.raises(ConfigError, match=rf"key '{re.escape(key)}' must lie within"):
+    # the library names an exponent, and the CLI a number key
+    for config, message in (({**table, "p": big}, "exponent p"),
+                            ({**table, "q": big}, "exponent q"),
+                            ({**table, "step_scale": big}, "key 'step_scale'"),
+                            ({**table, "points": [[2, 2], [big, 2]]}, "points[1]: exponent p"),
+                            ({**check, "assert_ratio_le": -big}, "key 'assert_ratio_le'")):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)} must lie within"):
             parse_config(json.dumps(config))
     with pytest.raises(ConfigError, match="malformed JSON configuration: Exceeds the limit"):
         parse_config(cfg_text(command="check", inequality="s_qq", p=2, q=2, seed=7)
@@ -707,7 +732,7 @@ def test_seed_overrides_pass_the_config_seed_check(tmp_path):
     for args, env in ((["--seed", "-1"], None), ([], {"NCSTEIN_SEED": "-1"})):
         proc = run_cli(["check", "--config", str(config), *args], env=env)
         assert proc.returncode == 1, args
-        assert proc.stderr == "ncstein: error: key 'seed' must be >= 0, got -1\n", args
+        assert proc.stderr == "ncstein: error: seed must be >= 0, got -1\n", args
         assert proc.stdout == "", args
 
 

@@ -363,6 +363,14 @@ def test_level_index():
         level_index(0, 2, 3)
 
 
+def test_a_cached_term_plan_still_refuses_a_bool_lag():
+    # True == 1 as a dict key: a lag-1 plan used to let a later lag True through
+    filt = build_filtration("dyadic", 4)
+    assert is_adapted([np.eye(4)] * 2, filt, lag=1).adapted
+    with pytest.raises(ValueError, match="lag must be the integer 0 or 1, got True"):
+        is_adapted([np.eye(4)] * 2, filt, lag=True)
+
+
 def test_is_adapted_constant_level0():
     filt = build_filtration("dyadic", 4)
     x0 = cond_exp(sample_psd(4, 0), filt.levels[0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ncstein import SearchConfig, build_filtration, run_inequality
 from ncstein import opcore as oc
 from ncstein.seqnorm import column_q_norm, _column_norms, _root_norms
 
@@ -369,3 +370,32 @@ def test_psd_power_keeps_the_clip_bytes(monkeypatch, r):
     xs = _clamp_cases(monkeypatch)
     for a in xs.reshape(-1, 8, 8):
         assert np.array_equal(_bits(oc.psd_power(a, r)), _bits(clip_psd_power(a, r)))
+
+
+# as_exponent is the one exponent rule: every public call that takes p or q refuses a
+# value that is not a real number or "inf" with a ValueError that names the exponent
+@pytest.mark.parametrize("value", [None, True, "3", 10**400],
+                         ids=["none", "bool", "string", "past-float-range"])
+@pytest.mark.parametrize("name", ["p", "q"])
+def test_every_exponent_entry_refuses_a_bad_value_by_name(name, value):
+    seq, filt = [np.eye(4)] * 3, build_filtration("dyadic", 4)
+    p, q = {"p": (value, 2), "q": (3, value)}[name]
+    for call in (lambda: oc.as_exponent(value, name),
+                 lambda: run_inequality("s_pq", seq, filt, p, q),
+                 lambda: SearchConfig(inequality_id="s_pq", p=p, q=q, filt=filt, seq_len=3),
+                 lambda: column_q_norm(seq, p, q)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert type(refused.value) is ValueError
+        assert f"exponent {name}" in str(refused.value), str(refused.value)
+
+
+@pytest.mark.parametrize("value, expected", [("inf", INF), (math.inf, INF),
+                                             (np.int64(3), 3.0), (np.float64(2.5), 2.5)])
+def test_exponents_accept_inf_and_numpy_scalars(value, expected):
+    filt = build_filtration("dyadic", 4)
+    p = oc.as_exponent(value)
+    assert type(p) is float and p == expected
+    assert run_inequality("doob_maximal", [oc.sample_psd(4, 0)], filt, value).p == expected
+    assert SearchConfig(inequality_id="doob_maximal", p=value, filt=filt).p == expected
+    assert column_q_norm([np.eye(4)] * 3, value, 2).value == pytest.approx(3 ** 0.5)
