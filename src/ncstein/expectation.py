@@ -1,20 +1,15 @@
 """Subalgebras of a matrix tracial space and their conditional expectations.
 
-Three concrete subalgebra families are supported, each inducing the unique
-trace-preserving conditional expectation onto it:
-
-  * Pinching -- block-diagonal compression onto contiguous index blocks;
-    the non-commutative analogue of revealing a coarse partition.
-  * TensorFactor -- identity on a group of leading tensor factors composed
-    with the normalized partial trace over the rest.
-  * CellAverage -- block functions over a finite atom set, averaged over
-    cells of a partition; this realizes a classical conditional expectation
-    (uniform atom weights) tensored with a matrix block.
-
-Filtrations are increasing chains of one family. Sequences pair with
-filtration levels through ``level_index``: term n conditions on level
-max(n - lag, 0), so lag 1 reproduces the one-step-behind convention with
-the first term conditioned on the coarsest level.
+Every subalgebra has one form, a direct sum of blocks M_r (x) 1_s: block j is
+an (s_j, r_j) index array, rows[a, i] the index of e_i (x) f_a, and the blocks
+cover 0..d-1 once. The trace-preserving conditional expectation averages each
+orbit {(rows[a, i], rows[a, k]) : a} and zeroes every other entry. Pinching,
+TensorFactor and CellAverage only name their blocks. A filtration is any
+increasing chain of subalgebras over one space, mixed families included; a
+level contains the one below it when its E fixes that level's unit-label
+matrix. Sequences pair with filtration levels through ``level_index``: term n
+conditions on level max(n - lag, 0), so lag 1 reproduces the one-step-behind
+convention with the first term conditioned on the coarsest level.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Sequence, Union
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,50 +41,73 @@ _AXIOM_EXPONENTS = (1.0, 2.0, 3.0, INF)  # the contractivity exponents of AxiomR
 
 
 @dataclass(frozen=True)
-class Pinching:
+class Subalgebra:
+    """A subalgebra in the one form: its family names its blocks (`_rows`), held as `rows` of
+    total size `dim` once they cover 0..d-1 once (else `cover_error`); E's index data is lazy."""
+
+    cover_error: ClassVar[str] = "subalgebra blocks must disjointly cover 0..d-1"
+
+    def __post_init__(self):
+        rows = self._rows()
+        index = sorted(i for r in rows for row in r.tolist() for i in row)
+        if index != list(range(len(index))):
+            raise ValueError(self.cover_error)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dim", len(index))
+
+    @cached_property
+    def _orbits(self) -> list[np.ndarray]:
+        """Per block, the flat indices rows[a, i] d + rows[a, k] of its orbits as an (s, r^2)
+        array: column i r + k holds orbit (i, k), copy a in row a."""
+        return [(rows[:, :, None] * self.dim + rows[:, None, :]).reshape(len(rows), -1)
+                for rows in self.rows]
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """The unit-label matrix: j + 1 on each entry of orbit j, 0 elsewhere, an orbit's
+        number j being the flat index of its first entry."""
+        labels = np.zeros(self.dim**2)
+        for orbits in self._orbits:
+            labels[orbits] = orbits[0] + 1
+        return labels.reshape(self.dim, self.dim)
+
+    @cached_property
+    def _mask(self) -> np.ndarray | None:
+        """E's (d, d) mask where every orbit is one entry, which E keeps as it is; else None."""
+        return None if any(len(rows) > 1 for rows in self.rows) else self._labels > 0
+
+
+@dataclass(frozen=True)
+class Pinching(Subalgebra):
     """Block-diagonal subalgebra over contiguous index blocks covering 0..d-1."""
 
     blocks: tuple[tuple[int, ...], ...]
+    cover_error: ClassVar[str] = "pinching blocks must disjointly cover 0..d-1"
 
     def __post_init__(self):
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("pinching needs at least one block")
-        seen: list[int] = []
         for b in blocks:
             if not b:
                 raise ValueError("pinching blocks must be nonempty")
             if list(b) != list(range(b[0], b[-1] + 1)):
                 raise ValueError(f"pinching block {b} is not a contiguous index range")
-            seen.extend(b)
-        if sorted(seen) != list(range(len(seen))) or len(seen) != len(set(seen)):
-            raise ValueError("pinching blocks must disjointly cover 0..d-1")
+        super().__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @cached_property
-    def _mask(self) -> np.ndarray:
-        """(d, d) block-diagonal support that cond_exp keeps."""
-        # blocks are contiguous, so an index's block is the count of starts at or before it
-        owner = np.searchsorted(sorted(b[0] for b in self.blocks), np.arange(self.dim), "right")
-        return owner[:, None] == owner[None, :]
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.array([b]) for b in self.blocks)  # one copy each
 
 
 def pinching_from_sizes(sizes: Sequence[int]) -> Pinching:
     """Pinching whose consecutive blocks have the given sizes."""
-    blocks = []
-    start = 0
-    for s in sizes:
-        blocks.append(tuple(range(start, start + s)))
-        start += s
-    return Pinching(tuple(blocks))
+    ends = list(accumulate(sizes, initial=0))
+    return Pinching(tuple(tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:])))
 
 
 @dataclass(frozen=True)
-class TensorFactor:
+class TensorFactor(Subalgebra):
     """Subalgebra of operators acting on the leading `retained` tensor factors."""
 
     local_dims: tuple[int, ...]
@@ -101,51 +119,44 @@ class TensorFactor:
         if not dims or any(d < 1 for d in dims):
             raise ValueError("local_dims must be positive integers")
         if not 0 <= self.retained <= len(dims):
-            raise ValueError(
-                f"retained must lie in [0, {len(dims)}], got {self.retained}"
-            )
+            raise ValueError(f"retained must lie in [0, {len(dims)}], got {self.retained}")
+        super().__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.local_dims)
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        # one block M_keep (x) 1_drop: index i drop + a is e_i (x) f_a
+        keep = math.prod(self.local_dims[: self.retained])
+        return (np.arange(math.prod(self.local_dims)).reshape(keep, -1).T,)
 
 
 @dataclass(frozen=True)
-class CellAverage:
-    """Block functions over a finite atom set, constant on each cell.
-
-    The space is C^m (x) C^d with the atoms indexing d-sized diagonal
-    blocks; conditional expectation pinches off-block entries and averages
-    the diagonal blocks within each cell.
-    """
+class CellAverage(Subalgebra):
+    """Block functions over a finite atom set, constant on each cell: the space is
+    C^m (x) C^d, the atoms indexing block_dim-sized diagonal blocks."""
 
     cells: tuple[tuple[int, ...], ...]
     block_dim: int
+    cover_error: ClassVar[str] = "cells must disjointly cover the atom indices"
 
     def __post_init__(self):
         cells = tuple(tuple(int(i) for i in c) for c in self.cells)
         object.__setattr__(self, "cells", cells)
         if self.block_dim < 1:
             raise ValueError("block_dim must be >= 1")
-        atoms = sorted(i for c in cells for i in c)
         if not cells or any(not c for c in cells):
             raise ValueError("cells must be nonempty")
-        if atoms != list(range(len(atoms))):
-            raise ValueError("cells must disjointly cover the atom indices")
+        super().__post_init__()
 
     @property
     def atoms(self) -> int:
         return sum(len(c) for c in self.cells)
 
-    @property
-    def dim(self) -> int:
-        return self.atoms * self.block_dim
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        # one block M_b (x) 1_k per cell of k atoms: copy a is atom c[a]'s diagonal block
+        b = self.block_dim
+        return tuple(np.array(c)[:, None] * b + np.arange(b) for c in self.cells)
 
 
-SubalgebraSpec = Union[Pinching, TensorFactor, CellAverage]
-
-
-def cond_exp(x, spec: SubalgebraSpec) -> np.ndarray:
+def cond_exp(x, spec: Subalgebra) -> np.ndarray:
     """Trace-preserving conditional expectation of x onto the subalgebra.
 
     Linear, positive, unital, and a bimodule map over the subalgebra; the
@@ -153,68 +164,45 @@ def cond_exp(x, spec: SubalgebraSpec) -> np.ndarray:
     """
     a = as_operator(x)
     if a.shape[0] != spec.dim:
-        raise ValueError(
-            f"operator dimension {a.shape[0]} does not match subalgebra dimension {spec.dim}"
-        )
+        raise ValueError(f"operator dimension {a.shape[0]} does not match subalgebra "
+                         f"dimension {spec.dim}")
     return _cond_exp_stack(a[None], spec)[0]
 
 
-def _cond_exp_stack(xs: np.ndarray, spec: SubalgebraSpec) -> np.ndarray:
-    """cond_exp of every operator in a trusted (..., d, d) stack, in one operation."""
-    if isinstance(spec, Pinching):
+def _cond_exp_stack(xs: np.ndarray, spec: Subalgebra) -> np.ndarray:
+    """cond_exp of each operator of a trusted (..., d, d) stack: on each orbit its mean, added
+    in copy order from the first, +0.0 off the orbits; where orbits are single entries, a mask."""
+    if spec._mask is not None:
         return np.where(spec._mask, xs, 0)
-    d = xs.shape[-1]
-    n = xs.size // (d * d)  # the leading axes, flattened
-    if isinstance(spec, TensorFactor):
-        keep = math.prod(spec.local_dims[: spec.retained])
-        drop = d // keep
-        if drop == 1:  # the full algebra, where E is the identity: the einsum's bytes
-            return xs + 0.0  # (-0.0 becomes +0.0 in both), in a new array
-        partial = np.einsum("nibjb->nij", xs.reshape(n, keep, drop, keep, drop)) / drop
-        out = partial[:, :, None, :, None] * np.eye(drop)[:, None, :]
-    elif isinstance(spec, CellAverage):
-        m, b = spec.atoms, spec.block_dim
-        blocks = np.einsum("nwiwj->nwij", xs.reshape(n, m, b, m, b))
-        out = np.zeros((n, m, b, m, b), dtype=xs.dtype)
-        for c in spec.cells:  # every diagonal block of a cell gets the cell's mean block
-            out[:, c, :, c, :] = blocks[:, list(c)].mean(axis=1)
-    else:
-        raise TypeError(f"unknown subalgebra spec {type(spec).__name__}")
+    flat = xs.reshape(-1, spec.dim**2)
+    out = np.zeros(flat.shape, flat.dtype)
+    for orbits in spec._orbits:
+        total = np.add.accumulate(flat.take(orbits, axis=1), axis=1)[:, -1:]  # in copy order
+        out[:, orbits] = total / len(orbits) if len(orbits) > 1 else total  # one entry: as is
     return out.reshape(xs.shape)
 
 
-def _contains(outer: SubalgebraSpec, inner: SubalgebraSpec) -> bool:
-    """Structural check that the inner subalgebra sits inside the outer one."""
-    if isinstance(inner, Pinching) and isinstance(outer, Pinching):
-        # outer blocks must be coarser: every inner block inside an outer one
-        spans = [(b[0], b[-1]) for b in outer.blocks]
-        return all(
-            any(lo <= b[0] and b[-1] <= hi for lo, hi in spans) for b in inner.blocks
-        )
-    if isinstance(inner, TensorFactor) and isinstance(outer, TensorFactor):
-        return inner.local_dims == outer.local_dims and inner.retained <= outer.retained
-    if isinstance(inner, CellAverage) and isinstance(outer, CellAverage):
-        if inner.block_dim != outer.block_dim or inner.atoms != outer.atoms:
-            return False
-        # finer partitions upward: every outer cell inside an inner cell
-        inner_sets = [set(c) for c in inner.cells]
-        return all(any(set(c) <= s for s in inner_sets) for c in outer.cells)
-    return False
+def _contains(outer: Subalgebra, inner: Subalgebra) -> bool:
+    """Whether inner lies in outer: E_outer fixes inner's unit-label matrix (its means are
+    exact and never -0.0). No E call where the form decides it: a full-algebra outer (one
+    (1, d) block) fixes all, and every E fixes the identity, the scalars' (one (d, 1) block)."""
+    if outer.rows[0].shape == (1, outer.dim) or inner.rows[0].shape == (inner.dim, 1):
+        return True
+    return _cond_exp_stack(inner._labels, outer).tobytes() == inner._labels.tobytes()
 
 
 @dataclass(frozen=True)
 class Filtration:
-    """Increasing chain of subalgebras of one family over a common space."""
+    """Increasing chain of subalgebras, of any families, over a common space."""
 
-    levels: tuple[SubalgebraSpec, ...]
+    levels: tuple[Subalgebra, ...]
 
     def __post_init__(self):
         levels = tuple(self.levels)
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise ValueError("filtration needs at least one level")
-        dims = {spec.dim for spec in levels}
-        if len(dims) != 1:
+        if len({spec.dim for spec in levels}) != 1:
             raise ValueError("all filtration levels must share one dimension")
         for lower, upper in zip(levels[:-1], levels[1:]):
             if not _contains(upper, lower):
@@ -227,26 +215,28 @@ class Filtration:
 
     @cached_property
     def block_dim(self) -> int | None:
-        """The block size b of a classical chain whose top level has two or more slots,
-        outside whose diagonal b x b blocks every operator of that level is zero; None
-        on the other chains."""
-        top = self.levels[-1]
-        return top.block_dim if isinstance(top, CellAverage) and top.atoms > 1 else None
+        """The row length b < d of the top level's blocks when each row is b consecutive
+        indices from a multiple of b: its operators are zero off the diagonal b x b blocks."""
+        rows = self.levels[-1].rows
+        b = rows[0].shape[1]
+        aligned = b < self.dim and all(
+            r.shape[1] == b and (r == r[:, :1] // b * b + np.arange(b)).all() for r in rows)
+        return b if aligned else None
 
     def __len__(self) -> int:
         return len(self.levels)
 
     def _term_plan(self, length: int, lag: int) -> tuple[list, np.ndarray | None]:
         """The runs (level, lo, hi) of `length` terms under the lag, term n on level
-        max(n - lag, 0) for lo <= n < hi, and on a pinching chain their (length, d, d)
-        masks; built once per (length, lag), after level_index checks the deepest term."""
+        max(n - lag, 0) for lo <= n < hi, and on a chain of masks (see Subalgebra._mask)
+        their (length, d, d) masks; built once per (length, lag), after level_index."""
         lag = as_lag(lag)  # on every call: True == 1 as a key
         if (length, lag) not in self._plans:
             level_index(length - 1, lag, len(self))
             levels = [max(n - lag, 0) for n in range(length)]
             runs = [(k, levels.index(k), levels.index(k) + levels.count(k)) for k in set(levels)]
-            pinching = levels and all(isinstance(s, Pinching) for s in self.levels)
-            masks = np.stack([self.levels[k]._mask for k in levels]) if pinching else None
+            masked = levels and all(s._mask is not None for s in self.levels)
+            masks = np.stack([self.levels[k]._mask for k in levels]) if masked else None
             self._plans[length, lag] = (runs, masks)
         return self._plans[length, lag]
 
@@ -384,12 +374,12 @@ class AxiomResiduals:
         )
 
 
-def axiom_residuals(spec: SubalgebraSpec, trials: int, seed: int) -> AxiomResiduals:
+def axiom_residuals(spec: Subalgebra, trials: int, seed: int) -> AxiomResiduals:
     """The axiom residuals of one subalgebra over `trials` draws; see _axiom_levels."""
     return _axiom_levels((spec,), trials, seed)[0]
 
 
-def _axiom_levels(specs: Sequence[SubalgebraSpec], trials: int, seed: int) -> list:
+def _axiom_levels(specs: Sequence[Subalgebra], trials: int, seed: int) -> list:
     """Sample-based verification of the conditional-expectation axioms on each
     subalgebra of `specs` (one dimension d), specs[i] on its own stream seed + i.
 
@@ -414,7 +404,7 @@ def _axiom_levels(specs: Sequence[SubalgebraSpec], trials: int, seed: int) -> li
     return [AxiomResiduals(*w[:5], dict(zip(_AXIOM_EXPONENTS, w[5:]))) for w in worst.tolist()]
 
 
-def _axiom_chunk(specs: Sequence[SubalgebraSpec], rngs: list, k: int) -> np.ndarray:
+def _axiom_chunk(specs: Sequence[Subalgebra], rngs: list, k: int) -> np.ndarray:
     """The (L, 9) maxima over k trials of the L subalgebras' residual fields. Two stacked
     calls of the trusted core condition each one's draws into one (L, 5, k, d, d) array
     m = [E(E(x)) - E(x), E(axb) - a E(x) b, E(x*) - E(x)*, E(x), x]. One SVD gives every

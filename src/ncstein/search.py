@@ -55,11 +55,13 @@ class SearchConfig:
     adapted_only: bool = False
 
     def __post_init__(self):
+        for name in ("budget", "restarts", "seq_len", "seed"):  # integers, as as_lag asks
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.budget >= self.restarts >= 1:
-            raise ValueError(
-                f"search requires budget >= restarts >= 1, got budget={self.budget}, "
-                f"restarts={self.restarts}"
-            )
+            raise ValueError(f"search requires budget >= restarts >= 1, got budget={self.budget}, "
+                             f"restarts={self.restarts}")
         if self.seq_len < 1:
             raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
         if not self.step_scale > 0:
@@ -115,19 +117,17 @@ def isometry_family(inequality_id: str, dim: int, seq_len: int, seed: int) -> np
 
 def seeded_inputs(inequality_id: str, filt: Filtration, seq_len: int, seed: int) -> tuple:
     """The run_inequality arguments (seq, isometries) of one deterministic instance on
-    filt, whose dimension it takes. A `process` instance draws one block per atom and
-    term, of the size of the top level's blocks, and copies it into the atom's slots,
-    the cells of that level."""
-    kind = get_inequality(inequality_id).input_kind
+    filt, whose dimension it takes. A `process` instance lies in the top level: per
+    block of that level, one r x r draw per term, copied onto each of its s copies."""
+    kind, dim = get_inequality(inequality_id).input_kind, filt.dim
     if kind == "process":
-        top = filt.levels[-1]
-        b, rng = top.block_dim, np.random.default_rng([int(seed), 0xC1A55])
-        blocks = _psd_draws(rng, len(top.cells) * seq_len, b).reshape(-1, seq_len, b, b)
-        seq = np.zeros((seq_len, top.atoms, b, top.atoms, b), complex)
-        for block, cell in zip(blocks, top.cells):
-            seq[:, cell, :, cell, :] = block
-        return seq.reshape(seq_len, filt.dim, filt.dim), None
-    rng, dim = np.random.default_rng([int(seed), 0x5EED]), filt.dim
+        rng = np.random.default_rng([int(seed), 0xC1A55])
+        seq = np.zeros((seq_len, dim, dim), complex)
+        for rows in filt.levels[-1].rows:
+            draws = _psd_draws(rng, seq_len, rows.shape[1])
+            seq[:, rows[:, :, None], rows[:, None, :]] = draws[:, None]
+        return seq, None
+    rng = np.random.default_rng([int(seed), 0x5EED])
     if kind == "operator":
         seq = _psd_draws(rng, 1, dim)
     elif kind == "projections":

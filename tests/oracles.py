@@ -102,6 +102,21 @@ def loop_cond_exp(x, spec):
     return out
 
 
+def contains_by_units(outer, inner):
+    """Whether the subalgebra inner lies in outer: E_outer, through loop_cond_exp, fixes
+    every matrix unit of inner. E_inner of the d^2 standard matrix units spans inner, and
+    each is fixed to round-off or moved by at least 1/d^2."""
+    d = inner.dim
+    for e in range(d):
+        for f in range(d):
+            unit = np.zeros((d, d), complex)
+            unit[e, f] = 1.0
+            u = loop_cond_exp(unit, inner)
+            if np.abs(loop_cond_exp(u, outer) - u).max() > 1e-12:
+                return False
+    return True
+
+
 def axiom_residuals_reference(spec, trials, seed):
     """axiom_residuals with one schatten_norm call per matrix and exponent: the
     reference for the stacked SVD in ncstein.expectation."""

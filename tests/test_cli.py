@@ -165,6 +165,10 @@ def test_cli_prints_the_library_message_of_each_rule(config, library):
     (lambda: NormValue(1.0, "sideways"), ValueError, "unknown bound direction 'sideways'"),
     (lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
                           step_scale=0), ValueError, "step_scale must be positive"),
+    *[(lambda name=name, bad=bad: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4,
+                                               **{"seq_len": 3, name: bad}),
+       ValueError, f"{name} must be an integer, got {bad!r}")
+      for name in ("seq_len", "budget", "restarts", "seed") for bad in (True, 2.5, "3")],
     (lambda: jensen_gap(np.eye(4), DYADIC4.levels[0], 0), ValueError, "q must be positive"),
     (lambda: is_adapted([np.eye(4)], build_filtration("dyadic", 8)), ValueError,
      "operator dimension 4 does not match 8"),

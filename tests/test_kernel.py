@@ -1,8 +1,10 @@
 """Trusted stack kernel: equivalence with the public per-term routes, and
 the work the search loop does per evaluation."""
 
+import functools
 import json
 import math
+import operator
 import pickle
 import tracemalloc
 from collections import Counter
@@ -76,14 +78,23 @@ def test_condition_matches_per_level(filt, lag):
     np.testing.assert_array_equal(np.stack(project_adapted(list(xs), filt, lag)), got)
 
 
-def einsum_partial_trace(xs, spec):
-    """A TensorFactor's normalized partial trace written out in full, with no shortcut
-    at the full algebra: the bytes that _cond_exp_stack must give there too."""
+def written_partial_trace(xs, spec):
+    """A TensorFactor's normalized partial trace written out in full: the drop diagonal
+    copies added in order from the first and, when there are two or more, divided by
+    drop (a complex division, which can turn -0.0 to +0.0), on every copy, and +0.0 off
+    them. These are the bytes _cond_exp_stack must give, so at the full algebra (drop
+    1) E keeps every byte, -0.0 included."""
     d = xs.shape[-1]
     keep = math.prod(spec.local_dims[: spec.retained])
     drop, n = d // keep, xs.size // (d * d)
-    partial = np.einsum("nibjb->nij", xs.reshape(n, keep, drop, keep, drop)) / drop
-    return (partial[:, :, None, :, None] * np.eye(drop)[:, None, :]).reshape(xs.shape)
+    copies = np.diagonal(xs.reshape(n, keep, drop, keep, drop), axis1=2, axis2=4)  # a view
+    partial = functools.reduce(operator.add, np.moveaxis(copies, -1, 0))
+    if drop > 1:
+        partial = partial / drop
+    out = np.zeros((n, keep, drop, keep, drop), xs.dtype)
+    for b in range(drop):
+        out[:, :, b, :, b] = partial
+    return out.reshape(xs.shape)
 
 
 def signed_zero_stack(dim, count, seed):
@@ -122,16 +133,21 @@ def test_condition_is_bitwise_per_term(name, lag):
         for b in range(2):
             assert got[b, n].tobytes() == cond_exp(xs[b, n], spec).tobytes()
         if isinstance(spec, TensorFactor):
-            assert got[:, n].tobytes() == einsum_partial_trace(xs[:, n], spec).tobytes()
+            assert got[:, n].tobytes() == written_partial_trace(xs[:, n], spec).tobytes()
     top = filt.levels[-1]
     if isinstance(top, TensorFactor) and top.retained == len(top.local_dims):
-        # the full algebra: E is the identity, with -0.0 made +0.0 in both parts
-        last = got[:, -1]
-        assert last.tobytes() == (xs[:, -1] + 0.0).tobytes()
-        assert not np.signbit(last.real[last.real == 0]).any()
-        assert not np.signbit(last.imag[last.imag == 0]).any()
+        # the full algebra: E is the identity, to the byte, -0.0 kept in both parts
+        assert got[:, -1].tobytes() == xs[:, -1].tobytes()
     elif name == "tensor-partial-top":
         assert not np.array_equal(got[:, -1], xs[:, -1])
+
+
+def test_full_algebra_tops_agree_on_signed_zeros():
+    # one signed-zero rule for every family: where each orbit is one entry, E keeps its
+    # bytes, so the full-algebra tops of the dyadic and the tensor chain both keep -0.0
+    xs = signed_zero_stack(8, 3, 4)
+    tops = [build_filtration(kind, 8).levels[-1] for kind in ("dyadic", "tensor")]
+    assert [_cond_exp_stack(xs, top).tobytes() for top in tops] == [xs.tobytes()] * 2
 
 
 def oracle_ratio(seq, filt, p, q, lag):
