@@ -2,8 +2,8 @@
 
 Commands: axioms (conditional-expectation residual table), check (one
 inequality instance), search (extremal-ratio search), table (a (p, q) sweep).
-Configs are strict JSON: unknown keys are fatal, and the CLI checks each
-key's JSON type; the library checks the values, and the CLI prints its message.
+Configs are strict JSON: unknown keys are fatal, and the CLI checks only the
+keys it owns; the library checks every other value, and the CLI prints its message.
 Reports are CSV or a JSON mirror with identical field names, rendered
 deterministically so identical configs produce byte-identical files.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .expectation import build_filtration, tower_residual, _axiom_levels
 from .inequality import INEQUALITIES, ceiling_violated, get_inequality, run_inequality
-from .opcore import INF
+from .opcore import INF, as_count
 from .search import SearchConfig, estimate_constant, isometry_family, seeded_inputs
 
 AXIOM_GATE = 1e-9
@@ -69,13 +69,13 @@ class RunConfig(SearchConfig):
     """One validated command: the instance and search fields of SearchConfig,
     which the search takes as they are, plus the fields only the CLI reads:
     the filtration's kind and shape, which build `filt` and fill the report
-    columns, and the command's own keys. parse_config builds it once, filtration
-    included; the axioms check trials first, and every other check runs here."""
+    columns, and the command's own keys, which the CLI checks. parse_config builds it
+    once, filtration included; the axioms check trials first, every other check runs here."""
 
     command: str
     dim: int = 4
     filtration: str = "dyadic"  # 'dyadic' | 'tensor', or 'classical' for semicommutative
-    local_dims: tuple[int, ...] | None = None
+    local_dims: list[int] | None = None
     out: str | None = None
     format: str = "csv"
     trials: int = 50
@@ -111,14 +111,12 @@ def _checked(ok, must: str, convert=_as_is):
     return parse
 
 
-_integer = _checked(lambda v: not isinstance(v, bool) and isinstance(v, int),
-                    "an integer, got {value!r}")
-
-
 def _positive(value, key: str) -> int:
-    if _integer(value, key) < 1:
-        raise ConfigError(f"key {key!r} must be >= 1, got {value}")
-    return value
+    """A count the CLI owns, under the library's one integer rule."""
+    try:
+        return as_count(value, f"key {key!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _optional(parse):
@@ -128,9 +126,6 @@ def _optional(parse):
 
 _number = _checked(_is_number, "a number", _float)
 _path = _checked(lambda v: isinstance(v, str), "a string path")
-_local_dims = _checked(lambda v: isinstance(v, list) and v != [] and all(
-    not isinstance(d, bool) and isinstance(d, int) and d >= 1 for d in v),
-    "a list of positive integers", lambda value, key: tuple(value))
 # the exponents of the points are checked by the inequality in _instance
 _points = _checked(lambda v: isinstance(v, list) and all(
     isinstance(pt, list) and len(pt) == 2 for pt in v), "a list of [p, q] pairs")
@@ -149,33 +144,33 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
 
 
 # every key of a config document or a witness instance: the RunConfig field it
-# sets and its parser of the JSON type, in the order the keys are checked. The
-# library checks the values, _build the filtration kind, and _instance turns
-# atoms and probabilities into the atom weights of a classical chain
+# sets and its parser, in the order the keys are checked. Only the CLI's own keys
+# have one; the rest pass _as_is to their library owner (through _build, or the
+# axioms run for trials), and _instance turns atoms and probabilities into weights
 _KEYS = {
     "command": ("command", _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
                                     f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}")),
-    "seed": ("seed", _integer),
+    "seed": ("seed", _as_is),
     "format": ("format", _checked(lambda v: v in ("csv", "json"),
                                   "'csv' or 'json', got {value!r}")),
     "out": ("out", _optional(_path)),
-    "local_dims": ("local_dims", _optional(_local_dims)),
-    "dim": ("dim", _integer),
+    "local_dims": ("local_dims", _as_is),
+    "dim": ("dim", _as_is),
     "filtration": ("filtration", _as_is),
-    "trials": ("trials", _integer),
+    "trials": ("trials", _as_is),
     "inequality": ("inequality_id", _checked(lambda v: isinstance(v, str) and v in INEQUALITIES,
                                              f"one of {sorted(INEQUALITIES)}, got {{value!r}}")),
     "p": ("p", _as_is),
     "q": ("q", _as_is),
-    "lag": ("lag", _integer),
-    "seq_len": ("seq_len", _integer),
+    "lag": ("lag", _as_is),
+    "seq_len": ("seq_len", _as_is),
     "adapted_only": ("adapted_only", _checked(lambda v: isinstance(v, bool), "a boolean")),
     "assert_ratio_le": ("assert_ratio_le", _optional(_number)),
     "atoms": ("atoms", _positive),
     "probabilities": ("probabilities", _optional(_probabilities)),
-    "budget": ("budget", _integer),
-    "restarts": ("restarts", _integer),
-    "step_scale": ("step_scale", _number),
+    "budget": ("budget", _as_is),
+    "restarts": ("restarts", _as_is),
+    "step_scale": ("step_scale", _as_is),
     "witness_out": ("witness_out", _optional(_path)),
     "points": ("points", _points),
     "witness": ("witness", _path),
@@ -183,13 +178,8 @@ _KEYS = {
 
 
 def _fields(data: dict) -> dict:
-    """The RunConfig fields of the keys in data, each through its own parser;
-    dim defaults to the product of local_dims when only they are given."""
-    fields = {field: parse(data[key], key) for key, (field, parse) in _KEYS.items()
-              if key in data}
-    if "dim" not in fields and fields.get("local_dims"):
-        fields["dim"] = math.prod(fields["local_dims"])
-    return fields
+    """The RunConfig fields of the keys in data, each through its own parser."""
+    return {field: parse(data[key], key) for key, (field, parse) in _KEYS.items() if key in data}
 
 
 def _build(fields: dict, probabilities: tuple[Fraction, ...] | None = None) -> RunConfig:
@@ -197,9 +187,10 @@ def _build(fields: dict, probabilities: tuple[Fraction, ...] | None = None) -> R
     passed in, and every check run; ConfigError when one fails. A process
     instance runs on the classical chain over the atom weights `probabilities`,
     deep enough for seq_len terms, but its filtration must still name a known
-    kind and its local_dims multiply to dim; no other instance names `classical`."""
-    kind, dim, local_dims = (fields.get(name, getattr(RunConfig, name))
-                             for name in ("filtration", "dim", "local_dims"))
+    kind and its local_dims multiply to dim; no other instance names `classical`.
+    The report's dim is the stock chain's, or the classical chain's block size."""
+    kind, local_dims = fields.get("filtration", RunConfig.filtration), fields.get("local_dims")
+    dim = fields.get("dim", RunConfig.dim if local_dims is None else None)  # None: their product
     if kind == "classical" and probabilities is None:
         raise ConfigError("filtration 'classical' applies to 'semicommutative' only")
     try:
@@ -209,14 +200,14 @@ def _build(fields: dict, probabilities: tuple[Fraction, ...] | None = None) -> R
             filt = build_filtration(kind, dim, local_dims)
         else:
             if local_dims is not None:
-                build_filtration("tensor", dim, local_dims)
+                dim = build_filtration("tensor", dim, local_dims).dim
             filt = build_filtration("classical", dim, probabilities=probabilities,
                                     depth=fields.get("seq_len", RunConfig.seq_len))
             fields["filtration"] = "classical"
     except ValueError as exc:
         raise ConfigError(f"invalid filtration: {exc}") from exc
     try:
-        return RunConfig(filt=filt, **fields)
+        return RunConfig(filt=filt, **{**fields, "dim": dim if probabilities else filt.dim})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -26,6 +26,7 @@ import numpy as np
 from .opcore import (
     INF,
     NOISE_ENTRIES,
+    as_count,
     as_operator,
     as_stack,
     herm,
@@ -114,11 +115,9 @@ class TensorFactor(Subalgebra):
     retained: int
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.local_dims)
+        dims = _as_dims(self.local_dims)
         object.__setattr__(self, "local_dims", dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("local_dims must be positive integers")
-        if not 0 <= self.retained <= len(dims):
+        if not 0 <= as_count(self.retained, "retained", None) <= len(dims):
             raise ValueError(f"retained must lie in [0, {len(dims)}], got {self.retained}")
         super().__post_init__()
 
@@ -140,8 +139,7 @@ class CellAverage(Subalgebra):
     def __post_init__(self):
         cells = tuple(tuple(int(i) for i in c) for c in self.cells)
         object.__setattr__(self, "cells", cells)
-        if self.block_dim < 1:
-            raise ValueError("block_dim must be >= 1")
+        object.__setattr__(self, "block_dim", as_count(self.block_dim, "block_dim"))
         if not cells or any(not c for c in cells):
             raise ValueError("cells must be nonempty")
         super().__post_init__()
@@ -244,13 +242,13 @@ class Filtration:
 def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int] | None = None,
                      *, probabilities: Sequence | None = None, depth: int = 1) -> Filtration:
     """Build one of the stock filtration families; the one place that knows
-    their shapes.
+    their shapes. dim, depth and each entry of local_dims are integers >= 1.
 
     dyadic: dim = 2^N; level n pinches onto blocks of size 2^n, so level 0 is
     the diagonal algebra and level N the full algebra.
     tensor: level n retains the n leading factors of local_dims, from the
     scalars (n = 0) up to the full algebra; local_dims defaults to (2,) * N
-    when dim = 2^N. Given both, dim must be the product of local_dims.
+    when dim = 2^N. Given local_dims, dim defaults to, and must equal, their product.
     classical: L_inf of a finite probability space with the atom weights
     `probabilities` (positive rationals summing to 1), tensored with M_dim.
     An atom of weight k/m becomes k slots of weight 1/m, one dim x dim
@@ -259,14 +257,11 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
     the finest level repeats until there are `depth` levels. The space's
     (m dim)^2 entries, over all m slots, may not exceed NOISE_ENTRIES.
     """
-    if local_dims is not None:
-        local_dims = tuple(int(d) for d in local_dims)
-        if dim is None:
-            dim = math.prod(local_dims)
-        elif math.prod(local_dims) != dim:
-            raise ValueError(f"product of local_dims {local_dims} must equal dim {dim}")
-    if dim is None or dim < 1:  # a missing dim: no local_dims given either
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    local_dims = None if local_dims is None else _as_dims(local_dims)
+    dim = as_count(math.prod(local_dims) if dim is None and local_dims else dim, "dim")
+    if local_dims and math.prod(local_dims) != dim:
+        raise ValueError(f"product of local_dims {local_dims} must equal dim {dim}")
+    depth = as_count(depth, "depth")
     power_of_2 = not dim & (dim - 1)
     if kind == "dyadic":
         if not power_of_2:
@@ -294,6 +289,13 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
     else:
         raise ValueError(f"unknown filtration kind {kind!r}")
     return Filtration(tuple(levels))
+
+
+def _as_dims(local_dims) -> tuple[int, ...]:
+    """A nonempty list or tuple of integers >= 1 as a tuple of ints; ValueError otherwise."""
+    if not isinstance(local_dims, (list, tuple)) or not local_dims:
+        raise ValueError(f"local_dims must be a nonempty list of integers, got {local_dims!r}")
+    return tuple(as_count(d, f"local_dims[{i}]") for i, d in enumerate(local_dims))
 
 
 def as_lag(lag) -> int:
@@ -390,8 +392,7 @@ def _axiom_levels(specs: Sequence[Subalgebra], trials: int, seed: int) -> list:
     for p in {1, 2, 3, inf}. The trials are drawn in chunks; see _axiom_chunk. Each field
     is a max over the trials, so it is the float of one trial alone.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, seed = as_count(trials, "trials"), as_count(seed, "seed", 0)
     rngs = [np.random.default_rng(seed + i) for i in range(len(specs))]
     worst = np.zeros((len(specs), 9))  # the fields of AxiomResiduals in order, one excess per p
     # a chunk of k trials holds at most (11 L + 21) k d^2 entries: per subalgebra its share
@@ -439,8 +440,7 @@ def _axiom_chunk(specs: Sequence[Subalgebra], rngs: list, k: int) -> np.ndarray:
 def tower_residual(filt: Filtration, trials: int, seed: int) -> float:
     """Max deviation of E_m E_n from E_min(m,n) over sampled inputs and all pairs; the
     trials are drawn in chunks whose (L, L, k, d, d) differences fit NOISE_ENTRIES."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, seed = as_count(trials, "trials"), as_count(seed, "seed", 0)
     rng, n, worst = np.random.default_rng(seed), np.arange(len(filt)), 0.0
     chunk = max(1, NOISE_ENTRIES // (n.size * filt.dim) ** 2)
     for first in range(0, trials, chunk):

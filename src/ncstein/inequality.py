@@ -220,8 +220,8 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
                "the fixed instance p = 1, q = 2", _stein_kernel, default_lag=1, uses_q=True,
                ceiling=lambda p, q: ("le", 2.0, 1e-6)),
     # s_pq on (herm(y_n* x_n y_n)), since y* x^q y = (y* x y)^q for a unitary y
-    Inequality("s_isometry", "isometry-seq", lambda p, q: q <= 2 and q <= p < INF,
-               "1 <= q <= 2 and q <= p < inf", _stein_kernel, uses_q=True),
+    Inequality("s_isometry", "isometry-seq", _stein_domain, _STEIN_NEEDS, _stein_kernel,
+               uses_q=True, ceiling=lambda p, q: _LE_ONE if p == q else None),
     # s_pq at q = 1: ||sum E(x_n)||_p against ||sum x_n||_p; at p = 1 both sides are
     # tau(sum x_n), since every E is trace preserving, so the ratio is 1 at either lag
     Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p",

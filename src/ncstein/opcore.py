@@ -84,6 +84,15 @@ def as_exponent(value, name: str = "p") -> float:
     return p
 
 
+def as_count(value, name: str, minimum: int | None = 1) -> int:
+    """value as an int: a Python or numpy integer, not a bool, >= minimum unless that is None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian operator.
 

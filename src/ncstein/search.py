@@ -17,17 +17,19 @@ subalgebra, where the equality regime of the ratio-1 instances lives.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expectation import Filtration, as_lag, level_index, _cond_exp_stack, _condition
 from .inequality import RatioReport, get_inequality, run_inequality, _conjugate
-from .opcore import (NOISE_ENTRIES, as_stack, sample_projection_family, sample_unitary,
+from .opcore import (NOISE_ENTRIES, as_count, as_stack, sample_projection_family, sample_unitary,
                      _abs_q_stack, _complex_gaussians, _gram, _psd_draws)
 
 MIN_STEP = 1e-6
 MAX_INITIAL_DRAWS = 100
+_MAX = float(np.finfo(float).max)  # a Python float: it compares exactly with any int
 
 
 @dataclass(frozen=True)
@@ -55,19 +57,14 @@ class SearchConfig:
     adapted_only: bool = False
 
     def __post_init__(self):
-        for name in ("budget", "restarts", "seq_len", "seed"):  # integers, as as_lag asks
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not self.budget >= self.restarts >= 1:
-            raise ValueError(f"search requires budget >= restarts >= 1, got budget={self.budget}, "
-                             f"restarts={self.restarts}")
-        if self.seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        budget, restarts = (as_count(getattr(self, n), n, None) for n in ("budget", "restarts"))
+        if not budget >= restarts >= 1:
+            raise ValueError(f"search requires budget >= restarts >= 1, got {budget=}, {restarts=}")
+        as_count(self.seq_len, "seq_len")
+        step = self.step_scale  # not a bool, nan, an infinity or an int past the float range
+        if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step <= _MAX:
+            raise ValueError(f"step_scale must be a finite positive number, got {step!r}")
+        as_count(self.seed, "seed", 0)
         if self.inequality_id is None:  # a CLI command that runs no instance
             return
         ineq = get_inequality(self.inequality_id)

@@ -27,7 +27,9 @@ from ncstein import (
     pinching_from_sizes,
     run_inequality,
     sample_unitary,
+    tower_residual,
 )
+from ncstein.expectation import _axiom_levels
 from ncstein.inequality import INEQUALITIES
 from ncstein.seqnorm import NormValue
 from ncstein.cli import (
@@ -36,6 +38,8 @@ from ncstein.cli import (
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
+    _KEYS,
+    _as_is,
     decode_matrix,
     encode_matrix,
     parse_config,
@@ -139,36 +143,95 @@ DYADIC4 = build_filtration("dyadic", 4)
     pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=3, seed=-1),
                  lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
                                       seed=-1), id="seed-negative"),
+    # the type of each library-owned field
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim="4", seq_len=3),
+                 lambda: build_filtration("dyadic", "4"), id="dim-string"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, filtration="tensor", local_dims=[2.5, 2],
+                      seq_len=3),
+                 lambda: build_filtration("tensor", None, [2.5, 2]), id="local_dims-float"),
+    pytest.param(dict(command="axioms", trials="3"),
+                 lambda: _axiom_levels(DYADIC4.levels, "3", 0), id="trials-string"),
+    pytest.param(dict(command="search", inequality="s_qq", p=2, q=2, dim=4, seq_len=3,
+                      step_scale="0.5"),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                      step_scale="0.5"), id="step_scale-string"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=3, lag=1.0),
+                 lambda: run_inequality("s_qq", [np.eye(4)] * 3, DYADIC4, 2, 2, 1.0),
+                 id="lag-float"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len="3"),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len="3"),
+                 id="seq_len-string"),
+    pytest.param(dict(command="search", inequality="s_qq", p=2, q=2, dim=4, seq_len=3,
+                      budget=2.5),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                      budget=2.5), id="budget-float"),
+    pytest.param(dict(command="search", inequality="s_qq", p=2, q=2, dim=4, seq_len=3,
+                      restarts=True),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                      restarts=True), id="restarts-true"),
+    pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=3, seed=[1]),
+                 lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                      seed=[1]), id="seed-list"),
 ])
-def test_cli_prints_the_library_message_of_each_rule(config, library):
+def test_cli_prints_the_library_message_of_each_rule(config, library, capsys):
     with pytest.raises(ValueError) as refused:
         library()
-    with pytest.raises(ConfigError) as parsed:
-        parse_config(cfg_text(**{"command": "check", **config}))
     assert type(refused.value) is ValueError
-    assert str(parsed.value).endswith(str(refused.value)), (str(parsed.value), str(refused.value))
+    text = cfg_text(**{"command": "check", **config})
+    if config.get("command") == "axioms":  # the axioms command checks trials when it runs
+        assert run_command(parse_config(text)) == 1
+        printed = capsys.readouterr().err
+    else:
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        printed = f"ncstein: error: {parsed.value}\n"
+    assert printed.endswith(f"{refused.value}\n"), (printed, str(refused.value))
+
+
+def test_cli_parses_only_its_own_keys():
+    # every other key reaches its library owner as it is, and the owner checks its type too
+    own = {"command", "inequality", "format", "out", "adapted_only", "atoms", "probabilities",
+           "points", "witness", "witness_out", "assert_ratio_le"}
+    passed = {key for key, (_, parse) in _KEYS.items() if parse is _as_is}
+    assert passed == set(_KEYS) - own == {"p", "q", "lag", "seed", "dim", "trials", "seq_len",
+                                          "budget", "restarts", "step_scale", "local_dims",
+                                          "filtration"}
 
 
 # refusals at the input boundary, each with the error type and the message it prints
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Pinching(()), ValueError, "pinching needs at least one block"),
     (lambda: Pinching(((),)), ValueError, "pinching blocks must be nonempty"),
-    (lambda: TensorFactor((0,), 0), ValueError, "local_dims must be positive integers"),
-    (lambda: CellAverage(((0,),), 0), ValueError, "block_dim must be >= 1"),
+    (lambda: TensorFactor((0,), 0), ValueError, "local_dims[0] must be >= 1, got 0"),
+    (lambda: CellAverage(((0,),), 0), ValueError, "block_dim must be >= 1, got 0"),
     (lambda: CellAverage(((),), 1), ValueError, "cells must be nonempty"),
     (lambda: Filtration(()), ValueError, "filtration needs at least one level"),
     (lambda: build_filtration("classical", probabilities=(1,)), ValueError,
-     "dim must be >= 1, got None"),
+     "dim must be an integer, got None"),
     (lambda: Filtration((pinching_from_sizes([1]), pinching_from_sizes([1, 1]))), ValueError,
      "all filtration levels must share one dimension"),
     (lambda: NormValue(-1.0), ValueError, "norm values are nonnegative"),
     (lambda: NormValue(1.0, "sideways"), ValueError, "unknown bound direction 'sideways'"),
     (lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
-                          step_scale=0), ValueError, "step_scale must be positive"),
+                          step_scale=0), ValueError,
+     "step_scale must be a finite positive number, got 0"),
     *[(lambda name=name, bad=bad: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4,
                                                **{"seq_len": 3, name: bad}),
        ValueError, f"{name} must be an integer, got {bad!r}")
       for name in ("seq_len", "budget", "restarts", "seed") for bad in (True, 2.5, "3")],
+    # each count field and step_scale has one library owner, the type rule included: these
+    # built a d = 4 chain (int(2.5) is 2) or a d = 1 one, ran one trial, built with step 1.0
+    # or an infinite one, or raised numpy's or a comparison's TypeError
+    (lambda: build_filtration("tensor", local_dims=[2.5, 2]), ValueError,
+     "local_dims[0] must be an integer, got 2.5"),
+    (lambda: build_filtration("dyadic", True), ValueError, "dim must be an integer, got True"),
+    (lambda: tower_residual(DYADIC4, True, 0), ValueError, "trials must be an integer, got True"),
+    *[(lambda bad=bad: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
+                                    step_scale=bad),
+       ValueError, f"step_scale must be a finite positive number, got {bad!r}")
+      for bad in (True, math.inf, "0.5")],
+    (lambda: _axiom_levels(DYADIC4.levels, 2, 1.5), ValueError, "seed must be an integer, got 1.5"),
+    (lambda: _axiom_levels(DYADIC4.levels, 2, -1), ValueError, "seed must be >= 0, got -1"),
     (lambda: jensen_gap(np.eye(4), DYADIC4.levels[0], 0), ValueError, "q must be positive"),
     (lambda: is_adapted([np.eye(4)], build_filtration("dyadic", 8)), ValueError,
      "operator dimension 4 does not match 8"),
@@ -576,7 +639,7 @@ def test_lag_must_be_an_integer_in_config_and_witness(tmp_path, capsys):
     # `lag not in (0, 1)` let true through (the report printed it) and 1.0
     # through to a TypeError deep in the conditioning code
     for lag in (True, 1.0):
-        with pytest.raises(ConfigError, match="'lag' must be an integer"):
+        with pytest.raises(ConfigError, match="^lag must be the integer 0 or 1"):
             parse_config(cfg_text(command="check", inequality="s_qq", p=2, q=2, lag=lag))
     witness_path = _search_with_witness(tmp_path, inequality="s_qq", p=2, q=2, dim=4,
                                         seq_len=3, budget=20, restarts=2)
@@ -585,7 +648,7 @@ def test_lag_must_be_an_integer_in_config_and_witness(tmp_path, capsys):
         witness_path.write_text(json.dumps({**payload, "lag": lag}))
         assert run_command(parse_config(cfg_text(command="check",
                                                  witness=str(witness_path)))) == 1
-        assert "ncstein: error: key 'lag' must be an integer" in capsys.readouterr().err
+        assert "ncstein: error: lag must be the integer 0 or 1" in capsys.readouterr().err
 
 
 def test_witness_rejects_malformed_fields(tmp_path, capsys):
@@ -608,13 +671,16 @@ def test_oversized_numbers_are_config_errors(tmp_path, capsys):
     big = 10 ** 400
     table = dict(command="table", inequality="s_qq", p=2, q=2, points=[[2, 2]])
     check = dict(command="check", inequality="s_qq", p=2, q=2)
-    # the library names an exponent, and the CLI a number key
-    for config, message in (({**table, "p": big}, "exponent p"),
-                            ({**table, "q": big}, "exponent q"),
-                            ({**table, "step_scale": big}, "key 'step_scale'"),
-                            ({**table, "points": [[2, 2], [big, 2]]}, "points[1]: exponent p"),
-                            ({**check, "assert_ratio_le": -big}, "key 'assert_ratio_le'")):
-        with pytest.raises(ConfigError, match=rf"^{re.escape(message)} must lie within"):
+    # the library names an exponent or step_scale, and the CLI a number key
+    for config, message in (({**table, "p": big}, "exponent p must lie within"),
+                            ({**table, "q": big}, "exponent q must lie within"),
+                            ({**table, "step_scale": big},
+                             "step_scale must be a finite positive number"),
+                            ({**table, "points": [[2, 2], [big, 2]]},
+                             "points[1]: exponent p must lie within"),
+                            ({**check, "assert_ratio_le": -big},
+                             "key 'assert_ratio_le' must lie within")):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}"):
             parse_config(json.dumps(config))
     with pytest.raises(ConfigError, match="malformed JSON configuration: Exceeds the limit"):
         parse_config(cfg_text(command="check", inequality="s_qq", p=2, q=2, seed=7)

@@ -59,10 +59,11 @@ def _semicommutative(xs, filt, p, lag):
             _sides(run_inequality("s_pq", seq, chain, p, q, lag))]
 
 
-def _s_isometry(xs, filt, p, lag):
-    # s_isometry on (x_n, y_n) for Haar unitaries y_n is s_pq on herm(y_n* x_n y_n)
+def _s_isometry(xs, filt, p, lag, q=None):
+    # s_isometry on (x_n, y_n) for Haar unitaries y_n is s_pq on herm(y_n* x_n y_n), at
+    # q = min(p, 2) unless q is given
     ys = np.stack([sample_unitary(xs.shape[-1], 7 * len(xs) + n) for n in range(len(xs))])
-    q = min(p, 2.0)
+    q = min(p, 2.0) if q is None else q
     return [_sides(run_inequality("s_isometry", xs, filt, p, q, lag, ys)),
             _sides(run_inequality("s_pq", herm(ys.conj().swapaxes(1, 2) @ xs @ ys), filt, p, q,
                                   lag))]
@@ -83,6 +84,8 @@ IDENTITIES = {
     "s_qq": (_s_qq, (1.0, 1.5, 2.0, 3.0)),
     "semicommutative": (_semicommutative, (1.0, 1.5, 2.0, 3.0)),
     "s_isometry": (_s_isometry, (1.0, 1.5, 2.0, 3.0)),
+    # (S_{p,p}) at p = q = 3, above q = 2
+    "s_isometry_p_eq_q": (lambda xs, filt, p, lag: _s_isometry(xs, filt, p, lag, p), (3.0,)),
     "doob_maximal": (_doob, (1.5, 3.0, math.inf)),
 }
 

@@ -815,6 +815,7 @@ def test_hard_ceiling_pinned_for_every_id():
                 want = {
                     "s_qq": le_one,
                     "s_pq": le_one if p == q else None,
+                    "s_isometry": le_one if p == q else None,
                     "s_12_adapted": ("le", 2.0, 1e-6),
                     "dd_p": ("eq", 1.0, 1e-10) if p == 1 else None,
                 }.get(inequality_id)
