@@ -12,7 +12,8 @@ ceiling (or an explicit assert_ratio_le) fails; the report is still written
 in that case.
 
 Seed precedence: the NCSTEIN_SEED environment variable overrides --seed,
-which overrides the config value; all three pass the same checks.
+which overrides the config value; all three pass the same checks. A witness
+replay takes its seed from the file and refuses all three.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class RunConfig(SearchConfig):
     which the search takes as they are, plus the fields only the CLI reads:
     the filtration's kind and shape, which build `filt` and fill the report
     columns, and the command's own keys, which the CLI checks. parse_config builds it
-    once, filtration included; the axioms check trials first, every other check runs here."""
+    once, filtration included; every check runs here, but axioms checks trials and seed
+    when it runs, and a witness replay the instance its file holds."""
 
     command: str
     dim: int = 4
@@ -84,6 +86,10 @@ class RunConfig(SearchConfig):
     witness: str | None = None
     witness_out: str | None = None
 
+    def __post_init__(self):
+        if self.inequality_id is not None:  # axioms, or a witness replay before its file is read
+            super().__post_init__()
+
 
 def _is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float))
@@ -96,27 +102,29 @@ def _float(value, key: str) -> float:
         raise ConfigError(f"key {key!r} must lie within floating-point range") from None
 
 
-def _as_is(value, key: str):
-    return value
-
-
-def _checked(ok, must: str, convert=_as_is):
+def _checked(ok, must: str, convert=None):
     """The parser of a key whose value passes one test, ok(value), and then
-    convert(value, key); `must` completes the error message and may show the
-    {value!r}."""
+    convert(value, key) if given; `must` completes the error message and may
+    show the {value!r}."""
     def parse(value, key: str):
         if not ok(value):
             raise ConfigError(f"key {key!r} must be " + must.format(value=value))
-        return convert(value, key)
+        return value if convert is None else convert(value, key)
     return parse
+
+
+def _library(call, *args, prefix: str = "", **kwargs):
+    """call(*args, **kwargs), whose ValueError becomes a ConfigError that prints prefix
+    and the library's message."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _positive(value, key: str) -> int:
     """A count the CLI owns, under the library's one integer rule."""
-    try:
-        return as_count(value, f"key {key!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _library(as_count, value, f"key {key!r}")
 
 
 def _optional(parse):
@@ -143,73 +151,59 @@ def _probabilities(value, key: str) -> tuple[Fraction, ...]:
         raise ConfigError(f"invalid probability fraction: {exc}") from exc
 
 
-# every key of a config document or a witness instance: the RunConfig field it
-# sets and its parser, in the order the keys are checked. Only the CLI's own keys
-# have one; the rest pass _as_is to their library owner (through _build, or the
-# axioms run for trials), and _instance turns atoms and probabilities into weights
-_KEYS = {
-    "command": ("command", _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
-                                    f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}")),
-    "seed": ("seed", _as_is),
-    "format": ("format", _checked(lambda v: v in ("csv", "json"),
-                                  "'csv' or 'json', got {value!r}")),
-    "out": ("out", _optional(_path)),
-    "local_dims": ("local_dims", _as_is),
-    "dim": ("dim", _as_is),
-    "filtration": ("filtration", _as_is),
-    "trials": ("trials", _as_is),
-    "inequality": ("inequality_id", _checked(lambda v: isinstance(v, str) and v in INEQUALITIES,
-                                             f"one of {sorted(INEQUALITIES)}, got {{value!r}}")),
-    "p": ("p", _as_is),
-    "q": ("q", _as_is),
-    "lag": ("lag", _as_is),
-    "seq_len": ("seq_len", _as_is),
-    "adapted_only": ("adapted_only", _checked(lambda v: isinstance(v, bool), "a boolean")),
-    "assert_ratio_le": ("assert_ratio_le", _optional(_number)),
-    "atoms": ("atoms", _positive),
-    "probabilities": ("probabilities", _optional(_probabilities)),
-    "budget": ("budget", _as_is),
-    "restarts": ("restarts", _as_is),
-    "step_scale": ("step_scale", _as_is),
-    "witness_out": ("witness_out", _optional(_path)),
-    "points": ("points", _points),
-    "witness": ("witness", _path),
+# the parser of each key the CLI owns, in the order the keys are checked; every
+# other key passes as written to its library owner (through _build, or the axioms
+# run for trials and seed), and _instance turns atoms and probabilities into weights
+_PARSERS = {
+    "command": _checked(lambda v: isinstance(v, str) and v in COMMAND_KEYS,
+                        f"one of {sorted(COMMAND_KEYS)}, got {{value!r}}"),
+    "format": _checked(lambda v: v in ("csv", "json"), "'csv' or 'json', got {value!r}"),
+    "out": _optional(_path),
+    "inequality": _checked(lambda v: isinstance(v, str) and v in INEQUALITIES,
+                           f"one of {sorted(INEQUALITIES)}, got {{value!r}}"),
+    "adapted_only": _checked(lambda v: isinstance(v, bool), "a boolean"),
+    "assert_ratio_le": _optional(_number),
+    "atoms": _positive,
+    "probabilities": _optional(_probabilities),
+    "witness_out": _optional(_path),
+    "points": _points,
+    "witness": _path,
 }
 
 
+def _field(key: str) -> str:
+    """The RunConfig field a key sets: the key itself, but inequality_id for inequality."""
+    return "inequality_id" if key == "inequality" else key
+
+
 def _fields(data: dict) -> dict:
-    """The RunConfig fields of the keys in data, each through its own parser."""
-    return {field: parse(data[key], key) for key, (field, parse) in _KEYS.items() if key in data}
+    """The RunConfig fields of the keys in data, the CLI's own through their parsers."""
+    parsed = {key: parse(data[key], key) for key, parse in _PARSERS.items() if key in data}
+    return {_field(key): parsed.get(key, value) for key, value in data.items()}
 
 
 def _build(fields: dict, probabilities: tuple[Fraction, ...] | None = None) -> RunConfig:
     """The RunConfig of fields, with the command's one build of its filtration,
     passed in, and every check run; ConfigError when one fails. A process
     instance runs on the classical chain over the atom weights `probabilities`,
-    deep enough for seq_len terms, but its filtration must still name a known
-    kind and its local_dims multiply to dim; no other instance names `classical`.
-    The report's dim is the stock chain's, or the classical chain's block size."""
+    seq_len levels deep, but its filtration must still name a known kind and
+    its local_dims multiply to dim; no other instance names `classical`. The
+    report's dim is the chain's, or the classical chain's block size."""
     kind, local_dims = fields.get("filtration", RunConfig.filtration), fields.get("local_dims")
     dim = fields.get("dim", RunConfig.dim if local_dims is None else None)  # None: their product
     if kind == "classical" and probabilities is None:
         raise ConfigError("filtration 'classical' applies to 'semicommutative' only")
-    try:
-        if kind not in FILTRATION_KINDS:
-            raise ValueError(f"unknown filtration kind {kind!r}")
-        if probabilities is None:
-            filt = build_filtration(kind, dim, local_dims)
-        else:
-            if local_dims is not None:
-                dim = build_filtration("tensor", dim, local_dims).dim
-            filt = build_filtration("classical", dim, probabilities=probabilities,
-                                    depth=fields.get("seq_len", RunConfig.seq_len))
-            fields["filtration"] = "classical"
-    except ValueError as exc:
-        raise ConfigError(f"invalid filtration: {exc}") from exc
-    try:
-        return RunConfig(filt=filt, **{**fields, "dim": dim if probabilities else filt.dim})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind not in FILTRATION_KINDS:
+        raise ConfigError(f"invalid filtration: unknown filtration kind {kind!r}")
+    chain = {}
+    if probabilities is not None:  # the depth is seq_len, refused by its own name
+        chain = {"probabilities": probabilities,
+                 "depth": _library(as_count, fields.get("seq_len", RunConfig.seq_len), "seq_len")}
+        kind = fields["filtration"] = "classical"
+    filt = _library(build_filtration, kind, dim, local_dims, **chain,
+                    prefix="invalid filtration: ")
+    dim = filt.levels[0].block_dim if kind == "classical" else filt.dim
+    return _library(RunConfig, filt=filt, **{**fields, "dim": dim})
 
 
 def _instance(fields: dict) -> RunConfig:
@@ -234,13 +228,9 @@ def _instance(fields: dict) -> RunConfig:
     elif "atoms" in fields or "probabilities" in fields:
         raise ConfigError("keys 'atoms'/'probabilities' apply to 'semicommutative' only")
     if command == "table":
-        parsed = []
-        for i, (p, q) in enumerate(_points(fields.get("points"), "points")):
-            try:
-                parsed.append(ineq.validate(p, q))
-            except ValueError as exc:
-                raise ConfigError(f"points[{i}]: {exc}") from exc
-        fields["points"] = tuple(parsed)
+        points = enumerate(_points(fields.get("points"), "points"))
+        fields["points"] = tuple(_library(ineq.validate, p, q, prefix=f"points[{i}]: ")
+                                 for i, (p, q) in points)
     return _build(fields, probabilities)
 
 
@@ -284,13 +274,13 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     data = _load_json(text, "JSON configuration")
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    command = _KEYS["command"][1](data.get("command"), "command")
+    command = _PARSERS["command"](data.get("command"), "command")
     for key in data:
         if key not in COMMAND_KEYS[command]:
             raise ConfigError(f"unknown configuration key {key!r} for command {command!r}")
     fields = {**_fields(data), **_fields(overrides or {})}
     if command == "check" and "witness" in data:  # the witness file is self-contained
-        extra = set(data) - {"command", "witness", "out", "format"}
+        extra = {*data, *(overrides or ())} - {"command", "witness", "out", "format"}
         if extra:
             raise ConfigError(
                 f"witness replay takes its instance from the file; remove {sorted(extra)}"
@@ -399,7 +389,7 @@ def decode_matrix(obj) -> np.ndarray:
 
 
 def _write_witness(path: str, cfg: RunConfig, result) -> None:
-    payload = {key: _json_value(getattr(cfg, _KEYS[key][0])) for key in INSTANCE_KEYS}
+    payload = {key: _json_value(getattr(cfg, _field(key))) for key in INSTANCE_KEYS}
     payload["seq_len"] = len(result.witness)
     if cfg.filtration == "tensor":  # the builder's default when the config has none
         payload["local_dims"] = cfg.filt.levels[0].local_dims

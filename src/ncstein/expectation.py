@@ -86,7 +86,7 @@ class Pinching(Subalgebra):
     cover_error: ClassVar[str] = "pinching blocks must disjointly cover 0..d-1"
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(tuple(as_count(i, "blocks entry", 0) for i in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("pinching needs at least one block")
@@ -137,7 +137,7 @@ class CellAverage(Subalgebra):
     cover_error: ClassVar[str] = "cells must disjointly cover the atom indices"
 
     def __post_init__(self):
-        cells = tuple(tuple(int(i) for i in c) for c in self.cells)
+        cells = tuple(tuple(as_count(i, "cells entry", 0) for i in c) for c in self.cells)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "block_dim", as_count(self.block_dim, "block_dim"))
         if not cells or any(not c for c in cells):

@@ -19,7 +19,7 @@ proved ceiling, kernel) lives in its one Inequality record in INEQUALITIES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -209,10 +209,11 @@ def _stein_domain(p, q):
 _STEIN_NEEDS = "1 <= q <= p < inf with q <= 2 unless p = q (the proved range)"
 _P_ABOVE_ONE = "p > 1 (p = 1 is rejected: the dual exponent degenerates)"
 _LE_ONE = ("le", 1.0, 1e-8)
+_S_PQ = Inequality("s_pq", "positive-seq", _stein_domain, _STEIN_NEEDS, _stein_kernel,
+                   uses_q=True, ceiling=lambda p, q: _LE_ONE if p == q else None)
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
-    Inequality("s_pq", "positive-seq", _stein_domain, _STEIN_NEEDS, _stein_kernel, uses_q=True,
-               ceiling=lambda p, q: _LE_ONE if p == q else None),
+    _S_PQ,
     Inequality("s_qq", "positive-seq", lambda p, q: p == q < INF, "p = q finite", _stein_kernel,
                default_lag=1, uses_q=True, ceiling=lambda p, q: _LE_ONE),
     # adapted sequences (term n inside level n) at (p, q) = (1, 2), one step behind
@@ -220,8 +221,7 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
                "the fixed instance p = 1, q = 2", _stein_kernel, default_lag=1, uses_q=True,
                ceiling=lambda p, q: ("le", 2.0, 1e-6)),
     # s_pq on (herm(y_n* x_n y_n)), since y* x^q y = (y* x y)^q for a unitary y
-    Inequality("s_isometry", "isometry-seq", _stein_domain, _STEIN_NEEDS, _stein_kernel,
-               uses_q=True, ceiling=lambda p, q: _LE_ONE if p == q else None),
+    replace(_S_PQ, id="s_isometry", input_kind="isometry-seq"),
     # s_pq at q = 1: ||sum E(x_n)||_p against ||sum x_n||_p; at p = 1 both sides are
     # tau(sum x_n), since every E is trace preserving, so the ratio is 1 at either lag
     Inequality("dd_p", "positive-seq", lambda p, q: p < INF, "finite p",
@@ -236,8 +236,7 @@ INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("projections", "projections", lambda p, q: q <= 2 < p < INF,
                "1 <= q <= 2 < p < inf", _projections_kernel, uses_q=True, searchable=False),
     # s_pq for a positive process over a classical base: block functions on the atoms
-    Inequality("semicommutative", "process", _stein_domain, _STEIN_NEEDS, _stein_kernel,
-               uses_q=True, searchable=False),
+    replace(_S_PQ, id="semicommutative", input_kind="process", searchable=False),
 )}
 
 
@@ -296,19 +295,20 @@ def run_inequality(inequality_id: str, seq: Sequence, filt: Filtration, p, q=Non
 
     seq is the operator sequence (one operator for doob_maximal), filt the
     filtration it lives on and isometries the unitaries s_isometry pairs with
-    it; lag None is the id's default_lag. Checks the exponents against the
-    id's domain, then the inputs as finite equal-size (n, d, d) stacks by the
-    id's input kind, then runs the id's trusted kernel.
+    it, which every other id refuses; lag None is the id's default_lag. Checks
+    the exponents against the id's domain, then the inputs as finite
+    equal-size (n, d, d) stacks by the id's input kind, then runs the id's
+    trusted kernel.
     """
     ineq = get_inequality(inequality_id)
     p, q = ineq.validate(p, q)
     lag = ineq.default_lag if lag is None else as_lag(lag)
     xs = as_stack(seq)
+    if isometries is not None and ineq.input_kind != "isometry-seq":
+        raise ValueError(f"{ineq.id} takes no isometries")
     ys = None if isometries is None else as_stack(isometries)
     _check_inputs(ineq.input_kind, xs, ys, filt, q)
-    if ineq.input_kind == "isometry-seq":
-        xs = _conjugate(xs, ys)
-    lhs, rhs, *ends = _first(ineq.kernel(xs[None], filt, p, q, lag))
+    lhs, rhs, *ends = _first(ineq.kernel(_conjugate(xs, ys)[None], filt, p, q, lag))
     return RatioReport(ineq.id, lhs, rhs, p, q if ineq.uses_q else ineq.report_q, lag, *ends)
 
 

@@ -45,9 +45,9 @@ class SearchConfig:
     """
 
     inequality_id: str
-    p: float | None = None  # required unless inequality_id is None
+    p: float | None = None
     q: float | None = None
-    filt: Filtration | None = None  # required unless inequality_id is None
+    filt: Filtration | None = None
     seq_len: int = 4
     lag: int | None = None  # None -> the inequality's printed form
     budget: int = 5000
@@ -65,8 +65,6 @@ class SearchConfig:
         if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step <= _MAX:
             raise ValueError(f"step_scale must be a finite positive number, got {step!r}")
         as_count(self.seed, "seed", 0)
-        if self.inequality_id is None:  # a CLI command that runs no instance
-            return
         ineq = get_inequality(self.inequality_id)
         lag = ineq.default_lag if self.lag is None else as_lag(self.lag)
         p, q = ineq.validate(self.p, self.q)

@@ -12,8 +12,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ncstein import (CellAverage, SearchConfig, TensorFactor, axiom_residuals, build_filtration,
-                     run_inequality, tower_residual)
+from ncstein import (CellAverage, Pinching, SearchConfig, TensorFactor, axiom_residuals,
+                     build_filtration, run_inequality, tower_residual)
 from ncstein.expectation import _axiom_levels, _condition
 from ncstein.inequality import INEQUALITIES, _first
 from ncstein.opcore import herm, _complex_gaussians
@@ -69,28 +69,42 @@ def _finite_positive(v):
 
 DYADIC2 = build_filtration("dyadic", 2)
 ONE_ATOM = (1,)  # the classical chain of one atom
+# a SearchConfig is one instance: doob_maximal's one operator skips the depth rule, so
+# any seq_len fits it
+DOOB = dict(inequality_id="doob_maximal", p=2, filt=DYADIC2)
+
+
+def _singletons(v):
+    """Singleton blocks covering 0..9, v's first, so that each count SMALL draws is an index."""
+    return ((v,), *((i,) for i in range(10) if i != v))
+
+
 # each library entry's value rules: (the name its refusal shows, which values it accepts,
 # the call with the value in place)
 FIELDS = {
-    "SearchConfig.seq_len": ("seq_len", _count(1), lambda v: SearchConfig(None, seq_len=v)),
+    "SearchConfig.seq_len": ("seq_len", _count(1), lambda v: SearchConfig(**DOOB, seq_len=v)),
     "SearchConfig.budget": ("budget", _count(1),
-                            lambda v: SearchConfig(None, budget=v, restarts=1)),
+                            lambda v: SearchConfig(**DOOB, budget=v, restarts=1)),
     "SearchConfig.restarts": ("restarts", _count(1),
-                              lambda v: SearchConfig(None, budget=100, restarts=v)),
-    "SearchConfig.seed": ("seed", _count(0), lambda v: SearchConfig(None, seed=v)),
+                              lambda v: SearchConfig(**DOOB, budget=100, restarts=v)),
+    "SearchConfig.seed": ("seed", _count(0), lambda v: SearchConfig(**DOOB, seed=v)),
     "SearchConfig.step_scale": ("step_scale", _finite_positive,
-                                lambda v: SearchConfig(None, step_scale=v)),
+                                lambda v: SearchConfig(**DOOB, step_scale=v)),
     "build_filtration.dim": ("dim", _count(1), lambda v: build_filtration(
         "classical", v, probabilities=ONE_ATOM)),
     "build_filtration.local_dims": ("local_dims", _count(1),
                                     lambda v: build_filtration("tensor", None, [v, 2])),
+    # None is the default (2, 2) at dim 4; a list of counts must multiply to 4
     "build_filtration.local_dims-list": (
-        "local_dims", lambda v: isinstance(v, list) and bool(v) and all(map(_count(1), v)),
-        lambda v: build_filtration("tensor", None, v)),
+        "local_dims", lambda v: v is None or (isinstance(v, list) and bool(v) and all(
+            map(_count(1), v)) and math.prod(v) == 4),
+        lambda v: build_filtration("tensor", 4, v)),
     "build_filtration.depth": ("depth", _count(1), lambda v: build_filtration(
         "classical", 2, probabilities=ONE_ATOM, depth=v)),
     "TensorFactor.local_dims": ("local_dims", _count(1), lambda v: TensorFactor((2, v), 1)),
     "CellAverage.block_dim": ("block_dim", _count(1), lambda v: CellAverage(((0,),), v)),
+    "CellAverage.cells": ("cells entry", _count(0), lambda v: CellAverage(_singletons(v), 1)),
+    "Pinching.blocks": ("blocks entry", _count(0), lambda v: Pinching(_singletons(v))),
     "axiom_residuals.trials": ("trials", _count(1),
                                lambda v: axiom_residuals(DYADIC2.levels[0], v, 0)),
     "axiom_residuals.seed": ("seed", _count(0),

@@ -38,8 +38,7 @@ from ncstein.cli import (
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
-    _KEYS,
-    _as_is,
+    _PARSERS,
     decode_matrix,
     encode_matrix,
     parse_config,
@@ -172,6 +171,10 @@ DYADIC4 = build_filtration("dyadic", 4)
     pytest.param(dict(inequality="s_qq", p=2, q=2, dim=4, seq_len=3, seed=[1]),
                  lambda: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
                                       seed=[1]), id="seed-list"),
+    # a semicommutative seq_len is its classical chain's depth, refused by its own name
+    pytest.param(dict(inequality="semicommutative", p=3, q=2, dim=2, seq_len="3"),
+                 lambda: SearchConfig(inequality_id="semicommutative", p=3, q=2, seq_len="3"),
+                 id="semicommutative-seq_len-string"),
 ])
 def test_cli_prints_the_library_message_of_each_rule(config, library, capsys):
     with pytest.raises(ValueError) as refused:
@@ -192,10 +195,12 @@ def test_cli_parses_only_its_own_keys():
     # every other key reaches its library owner as it is, and the owner checks its type too
     own = {"command", "inequality", "format", "out", "adapted_only", "atoms", "probabilities",
            "points", "witness", "witness_out", "assert_ratio_le"}
-    passed = {key for key, (_, parse) in _KEYS.items() if parse is _as_is}
-    assert passed == set(_KEYS) - own == {"p", "q", "lag", "seed", "dim", "trials", "seq_len",
-                                          "budget", "restarts", "step_scale", "local_dims",
-                                          "filtration"}
+    assert set(_PARSERS) == own
+    assert set().union(*COMMAND_KEYS.values()) - own == {
+        "p", "q", "lag", "seed", "dim", "trials", "seq_len", "budget", "restarts", "step_scale",
+        "local_dims", "filtration"}
+    cfg = parse_config(cfg_text(command="check", inequality="s_qq", p=2, q=2, seed=3))
+    assert cfg.inequality_id == "s_qq" and cfg.seed == 3
 
 
 # refusals at the input boundary, each with the error type and the message it prints
@@ -205,6 +210,9 @@ def test_cli_parses_only_its_own_keys():
     (lambda: TensorFactor((0,), 0), ValueError, "local_dims[0] must be >= 1, got 0"),
     (lambda: CellAverage(((0,),), 0), ValueError, "block_dim must be >= 1, got 0"),
     (lambda: CellAverage(((),), 1), ValueError, "cells must be nonempty"),
+    (lambda: Pinching(((0, 1.9),)), ValueError, "blocks entry must be an integer, got 1.9"),
+    (lambda: CellAverage(((0.7,),), 1), ValueError, "cells entry must be an integer, got 0.7"),
+    (lambda: SearchConfig(None), ValueError, "unknown inequality None"),
     (lambda: Filtration(()), ValueError, "filtration needs at least one level"),
     (lambda: build_filtration("classical", probabilities=(1,)), ValueError,
      "dim must be an integer, got None"),
@@ -821,6 +829,8 @@ def test_each_command_builds_its_filtration_once(tmp_path, monkeypatch):
     configs = [
         dict(command="axioms", filtration="tensor", dim=8, trials=2),
         dict(command="check", inequality="s_pq", p=3, q=1.5, dim=8, filtration="tensor"),
+        dict(command="check", inequality="semicommutative", p=3, q=2, dim=8,
+             filtration="tensor", local_dims=[2, 2, 2]),
         dict(command="search", inequality="s_12_adapted", p=1, q=2, dim=8, budget=20,
              restarts=2, witness_out=str(witness_path)),
         dict(command="check", witness=str(witness_path)),

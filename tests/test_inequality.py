@@ -204,6 +204,16 @@ def test_isometry_rejects_non_unitary():
         run_inequality("s_isometry", seq, filt, 3, 1.5, isometries=bad)
 
 
+def test_isometries_refused_by_every_other_id():
+    # only s_isometry pairs its terms with unitaries; any other id refuses them by its name
+    filt = dyadic(4)
+    seq = psd_seq(4, 2, 1)
+    for inequality_id, p, q in (("s_pq", 3, 2), ("s_qq", 2, 2), ("dd_p", 2, None)):
+        for ys in ([sample_unitary(4, 7)] * 2, [np.eye(4)] * 3):
+            with pytest.raises(ValueError, match=f"^{inequality_id} takes no isometries$"):
+                run_inequality(inequality_id, seq, filt, p, q, isometries=ys)
+
+
 def test_isometry_check_names_the_first_non_unitary():
     # one stacked norm checks every isometry; the lower failing index is reported
     filt = dyadic(4)
@@ -816,6 +826,7 @@ def test_hard_ceiling_pinned_for_every_id():
                     "s_qq": le_one,
                     "s_pq": le_one if p == q else None,
                     "s_isometry": le_one if p == q else None,
+                    "semicommutative": le_one if p == q else None,
                     "s_12_adapted": ("le", 2.0, 1e-6),
                     "dd_p": ("eq", 1.0, 1e-10) if p == 1 else None,
                 }.get(inequality_id)
