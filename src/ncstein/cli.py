@@ -28,13 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expectation import build_filtration, tower_residual, _axiom_levels
+from .expectation import FILTRATION_KINDS, build_filtration, tower_residual, _axiom_levels
 from .inequality import INEQUALITIES, ceiling_violated, get_inequality, run_inequality
 from .opcore import INF, as_count
 from .search import SearchConfig, estimate_constant, isometry_family, seeded_inputs
 
 AXIOM_GATE = 1e-9
-FILTRATION_KINDS = ("dyadic", "tensor", "classical")  # the kinds a config's filtration key names
 
 # the leading columns of both schemas are RunConfig fields
 INSTANCE_COLUMNS = ("inequality_id", "p", "q", "lag", "dim", "seq_len", "filtration", "seed")

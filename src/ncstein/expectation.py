@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import ClassVar, NamedTuple, Sequence
 
@@ -38,6 +38,7 @@ from .opcore import (
 )
 
 ADAPTED_TOL = 1e-10
+FILTRATION_KINDS = ("dyadic", "tensor", "classical")  # the stock families build_filtration builds
 _AXIOM_EXPONENTS = (1.0, 2.0, 3.0, INF)  # the contractivity exponents of AxiomResiduals
 
 
@@ -49,7 +50,7 @@ class Subalgebra:
     cover_error: ClassVar[str] = "subalgebra blocks must disjointly cover 0..d-1"
 
     def __post_init__(self):
-        rows = self._rows()
+        rows = tuple(map(_frozen, self._rows()))
         index = sorted(i for r in rows for row in r.tolist() for i in row)
         if index != list(range(len(index))):
             raise ValueError(self.cover_error)
@@ -60,7 +61,7 @@ class Subalgebra:
     def _orbits(self) -> list[np.ndarray]:
         """Per block, the flat indices rows[a, i] d + rows[a, k] of its orbits as an (s, r^2)
         array: column i r + k holds orbit (i, k), copy a in row a."""
-        return [(rows[:, :, None] * self.dim + rows[:, None, :]).reshape(len(rows), -1)
+        return [_frozen((rows[:, :, None] * self.dim + rows[:, None, :]).reshape(len(rows), -1))
                 for rows in self.rows]
 
     @cached_property
@@ -70,12 +71,12 @@ class Subalgebra:
         labels = np.zeros(self.dim**2)
         for orbits in self._orbits:
             labels[orbits] = orbits[0] + 1
-        return labels.reshape(self.dim, self.dim)
+        return _frozen(labels.reshape(self.dim, self.dim))
 
     @cached_property
     def _mask(self) -> np.ndarray | None:
         """E's (d, d) mask where every orbit is one entry, which E keeps as it is; else None."""
-        return None if any(len(rows) > 1 for rows in self.rows) else self._labels > 0
+        return None if any(len(rows) > 1 for rows in self.rows) else _frozen(self._labels > 0)
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ class Filtration:
             levels = [max(n - lag, 0) for n in range(length)]
             runs = [(k, levels.index(k), levels.index(k) + levels.count(k)) for k in set(levels)]
             masked = levels and all(s._mask is not None for s in self.levels)
-            masks = np.stack([self.levels[k]._mask for k in levels]) if masked else None
+            masks = _frozen(np.stack([self.levels[k]._mask for k in levels])) if masked else None
             self._plans[length, lag] = (runs, masks)
         return self._plans[length, lag]
 
@@ -255,26 +256,25 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
     diagonal block each, so the normalized trace is the weighted expectation;
     level n averages over the cells {0}, ..., {n - 1}, {n, ...} of atoms, and
     the finest level repeats until there are `depth` levels. The space's
-    (m dim)^2 entries, over all m slots, may not exceed NOISE_ENTRIES.
+    (m dim)^2 entries, over all m slots, may not exceed NOISE_ENTRIES. Every call
+    runs every check, and then equal shapes share one read-only chain (see _chain).
     """
     local_dims = None if local_dims is None else _as_dims(local_dims)
     dim = as_count(math.prod(local_dims) if dim is None and local_dims else dim, "dim")
     if local_dims and math.prod(local_dims) != dim:
         raise ValueError(f"product of local_dims {local_dims} must equal dim {dim}")
     depth = as_count(depth, "depth")
-    power_of_2 = not dim & (dim - 1)
-    if kind == "dyadic":
+    if kind not in FILTRATION_KINDS:
+        raise ValueError(f"unknown filtration kind {kind!r}")
+    power_of_2, weights = not dim & (dim - 1), ()
+    if kind == "dyadic" and not power_of_2:
+        raise ValueError(f"dyadic pinching needs dim a power of 2, got {dim}")
+    if kind == "tensor" and local_dims is None:
         if not power_of_2:
-            raise ValueError(f"dyadic pinching needs dim a power of 2, got {dim}")
-        levels = [pinching_from_sizes([2**n] * (dim // 2**n)) for n in range(dim.bit_length())]
-    elif kind == "tensor":
-        if local_dims is None:
-            if not power_of_2:
-                raise ValueError("tensor filtration needs local_dims when dim is not a power of 2")
-            local_dims = (2,) * (dim.bit_length() - 1)
-        levels = [TensorFactor(local_dims, r) for r in range(len(local_dims) + 1)]
-    elif kind == "classical":
-        weights = [Fraction(w) for w in probabilities or ()]
+            raise ValueError("tensor filtration needs local_dims when dim is not a power of 2")
+        local_dims = (2,) * (dim.bit_length() - 1)
+    if kind == "classical":
+        weights = tuple(Fraction(w) for w in probabilities or ())
         if not weights or min(weights) <= 0 or sum(weights) != 1:
             raise ValueError("classical probabilities must be positive and sum to 1, got "
                              f"{[str(w) for w in weights]}")
@@ -282,13 +282,29 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
         if (den * dim) ** 2 > NOISE_ENTRIES:
             raise ValueError(f"classical probabilities need {den} slots of dimension {dim}, "
                              f"more than an operator of at most {NOISE_ENTRIES} entries holds")
+    return _chain(kind, dim, local_dims if kind == "tensor" else None, weights,
+                  depth if kind == "classical" else 1)
+
+
+@lru_cache(maxsize=32)  # the chains a process keeps, one per shape
+def _chain(kind, dim, local_dims, weights, depth) -> Filtration:
+    """The chain of a shape build_filtration checked and keyed by ints and tuples."""
+    if kind == "dyadic":
+        levels = [pinching_from_sizes([2**n] * (dim // 2**n)) for n in range(dim.bit_length())]
+    elif kind == "tensor":
+        levels = [TensorFactor(local_dims, r) for r in range(len(local_dims) + 1)]
+    else:
+        den = math.lcm(*(w.denominator for w in weights))
         ends = list(accumulate((w.numerator * den // w.denominator for w in weights), initial=0))
         slots = [tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:])]
         levels = [CellAverage((*slots[:n], sum(slots[n:], ())), dim) for n in range(len(slots))]
         levels += levels[-1:] * (depth - len(levels))
-    else:
-        raise ValueError(f"unknown filtration kind {kind!r}")
     return Filtration(tuple(levels))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _as_dims(local_dims) -> tuple[int, ...]:

@@ -26,9 +26,11 @@ from ncstein import (
     jensen_gap,
     pinching_from_sizes,
     run_inequality,
+    sample_adapted_positive,
     sample_unitary,
     tower_residual,
 )
+from ncstein import expectation
 from ncstein.expectation import _axiom_levels
 from ncstein.inequality import INEQUALITIES
 from ncstein.seqnorm import NormValue
@@ -258,9 +260,10 @@ def test_cli_parses_only_its_own_keys():
      "matrix entries must be [re, im] number pairs"),
 ])
 def test_boundary_refusals_print_their_message(call, error, message):
-    with pytest.raises(ValueError) as refused:
-        call()
-    assert (type(refused.value), str(refused.value)) == (error, message)
+    for _ in range(2):  # a refusal is never cached: the second call is refused alike
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert (type(refused.value), str(refused.value)) == (error, message)
 
 
 def test_parse_search_budget_message():
@@ -837,11 +840,108 @@ def test_each_command_builds_its_filtration_once(tmp_path, monkeypatch):
         dict(command="table", inequality="s_qq", p=2, q=2, dim=4, seq_len=3, budget=20,
              restarts=2, points=[[1, 1], [2, 2], [3, 3]]),
     ]
+    built = []
+    post_init = Filtration.__post_init__
+    monkeypatch.setattr(Filtration, "__post_init__",
+                        lambda filt: post_init(filt) or built.append(filt))
+    expectation._chain.cache_clear()
     for config in configs:
         calls.clear()
         cfg = parse_config(json.dumps({**config, "out": str(tmp_path / "r.csv")}))
         assert run_command(cfg) == 0, config
         assert len(calls) == 1, (config, calls)
+    # equal shapes share one chain: tensor d = 8, the classical chain over two atoms,
+    # dyadic d = 8 (the search and its replay) and dyadic d = 4
+    assert len(built) == 4, built
+
+
+# exponents inside each id's domain, for one check of each on the dyadic d = 4 chain
+CHECK_POINTS = {
+    "s_pq": (3, 1.5), "s_qq": (1.5, 1.5), "s_12_adapted": (1, 2), "s_isometry": (3, 1.5),
+    "dd_p": (2, None), "doob_maximal": (2, None), "s_p_inf": (2, None), "crp_stein": (1.5, None),
+    "projections": (3, 1.5), "semicommutative": (3, 2),
+}
+
+
+def _chain_arrays(filt):
+    """Every array a chain holds, by name: each level's rows, orbits, unit labels and mask,
+    and the masks of its cached term plans."""
+    for spec in filt.levels:
+        yield from (("rows", rows) for rows in spec.rows)
+        yield from (("_orbits", orbits) for orbits in spec._orbits)
+        yield "_labels", spec._labels
+        if spec._mask is not None:
+            yield "_mask", spec._mask
+    yield from (("plan masks", masks) for _, masks in filt._plans.values() if masks is not None)
+
+
+def test_every_command_runs_on_a_read_only_chain(tmp_path):
+    # equal shapes share one chain, so no command may write into it
+    assert set(CHECK_POINTS) == set(INEQUALITIES)
+    configs = [dict(command="check", inequality=inequality, p=p, dim=4, seq_len=3,
+                    **({} if q is None else {"q": q}))
+               for inequality, (p, q) in CHECK_POINTS.items()]
+    configs += [
+        dict(command="search", inequality="s_qq", p=2, q=2, dim=4, seq_len=3, budget=20,
+             restarts=2),
+        dict(command="table", inequality="s_pq", p=2, q=2, dim=4, seq_len=3, budget=20,
+             restarts=2, points=[[2, 2], [3, 1.5]]),
+        dict(command="axioms", filtration="dyadic", dim=4, trials=2),
+        dict(command="axioms", filtration="tensor", dim=8, trials=2),
+    ]
+    names = set()
+    for config in configs:
+        cfg = parse_config(cfg_text(**config, out=str(tmp_path / "r.csv")))
+        assert run_command(cfg) == 0, config
+        for name, array in _chain_arrays(cfg.filt):
+            names.add(name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    assert names == {"rows", "_orbits", "_labels", "_mask", "plan masks"}
+
+
+BENCH_SEMICOMMUTATIVE = dict(inequality="semicommutative", p=2, q=1.5, dim=8,
+                             filtration="tensor", local_dims=[2, 2, 2], atoms=3,
+                             probabilities=[[1, 4], [1, 4], [1, 2]], seq_len=4)
+TENSOR8 = dict(command="check", dim=8, filtration="tensor", local_dims=[2, 2, 2])
+# a command, and earlier commands on its chain's shape (a semicommutative chain's depth is
+# its seq_len, so there only the exponents and the seed move)
+REUSED = {
+    "check-dyadic4": (
+        dict(command="check", inequality="s_pq", p=3, q=1.5, dim=4, seq_len=3, seed=1),
+        [dict(command="check", inequality="s_qq", p=2, q=2, dim=4, seq_len=2, lag=0),
+         dict(command="check", inequality="s_qq", p=2, q=2, dim=4, seq_len=4, seed=5)]),
+    "check-tensor8": (
+        dict(TENSOR8, inequality="s_qq", p=3, q=3, seq_len=4, seed=2),
+        [dict(TENSOR8, inequality="s_pq", p=2, q=2, seq_len=2, lag=0),
+         dict(TENSOR8, inequality="crp_stein", p=2, seq_len=3, seed=7)]),
+    "check-classical": (
+        dict(BENCH_SEMICOMMUTATIVE, command="check", seed=3),
+        [dict(BENCH_SEMICOMMUTATIVE, command="check", seed=9),
+         dict(BENCH_SEMICOMMUTATIVE, command="check", p=3, q=2)]),
+    "axioms-tensor8": (
+        dict(command="axioms", filtration="tensor", dim=8, local_dims=[2, 2, 2], trials=3,
+             seed=4),
+        [dict(TENSOR8, inequality="s_pq", p=2, q=2, seq_len=2, lag=0),
+         dict(TENSOR8, inequality="s_qq", p=3, q=3, seq_len=5, seed=6)]),
+}
+
+
+@pytest.mark.parametrize("target, earlier", REUSED.values(), ids=list(REUSED))
+def test_a_reused_chain_prints_the_bytes_of_a_fresh_one(target, earlier, capsys):
+    def report(config):
+        cfg = parse_config(cfg_text(**config))
+        assert run_command(cfg) == 0, config
+        return cfg.filt, capsys.readouterr().out
+
+    expectation._chain.cache_clear()
+    filt, fresh = report(target)
+    plans = set(filt._plans)
+    for config in earlier:
+        assert report(config)[0] is filt, config
+    sample_adapted_positive(filt, 2, 0, lag=1)  # and a library caller on the same shape
+    assert set(filt._plans) - plans, filt._plans  # plans of other lengths or lags
+    assert report(target) == (filt, fresh)
 
 
 def test_config_and_witness_share_one_instance_parser(tmp_path, capsys):

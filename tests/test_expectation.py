@@ -320,6 +320,34 @@ def test_classical_filtration_refuses_bad_weights():
                                                            Fraction(63, 64))).dim == 512
 
 
+QUARTERS = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+
+
+def test_equal_shapes_share_one_chain():
+    tensor = build_filtration("tensor", 8, [2, 2, 2])
+    assert build_filtration("tensor", None, (2, 2, 2)) is tensor
+    assert build_filtration("tensor", np.int64(8), [np.int64(2)] * 3) is tensor
+    assert build_filtration("tensor", 8) is tensor  # local_dims default to (2, 2, 2)
+    classical = build_filtration("classical", 8, probabilities=QUARTERS, depth=4)
+    assert build_filtration("classical", 8, probabilities=(0.25, 0.25, 0.5), depth=4) is classical
+    assert build_filtration("dyadic", 8, depth=1) is build_filtration("dyadic", 8, depth=5)
+    # depth is a classical chain's shape, and local_dims a tensor chain's
+    deeper = build_filtration("classical", 8, probabilities=QUARTERS, depth=5)
+    assert deeper is not classical and len(deeper) == 5 and len(classical) == 4
+    other = build_filtration("tensor", 8, [2, 4])
+    assert other is not tensor and len(other) == 3 and len(tensor) == 4
+
+
+def test_the_slot_bound_is_checked_before_the_shared_chain(monkeypatch):
+    build_filtration("classical", 8, probabilities=QUARTERS, depth=4)  # 4 slots of 8 x 8
+    monkeypatch.setattr(expectation, "NOISE_ENTRIES", (4 * 8) ** 2 - 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^classical probabilities need 4 slots of dimension "
+                                             "8, more than an operator of at most 1023 entries "
+                                             "holds$"):
+            build_filtration("classical", 8, probabilities=QUARTERS, depth=4)
+
+
 def test_classical_chain_passes_the_axiom_gate():
     filt = build_filtration("classical", 2, probabilities=(Fraction(1, 4), Fraction(1, 4),
                                                            Fraction(1, 2)), depth=4)
