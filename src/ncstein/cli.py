@@ -205,6 +205,13 @@ def _build(fields: dict, probabilities: tuple[Fraction, ...] | None = None) -> R
     return _library(RunConfig, filt=filt, **{**fields, "dim": dim})
 
 
+def _no_q(ineq, q, prefix: str = ""):
+    """q, refused in the key's words where the id takes none (the library drops such a q)."""
+    if q is not None and not ineq.uses_q:
+        raise ConfigError(f"{prefix}key 'q' does not apply to {ineq.id!r}")
+    return q
+
+
 def _instance(fields: dict) -> RunConfig:
     """Validate one inequality instance and its command's fields: the one
     validator of config documents and witness files."""
@@ -214,8 +221,7 @@ def _instance(fields: dict) -> RunConfig:
     ineq = get_inequality(inequality)
     if command != "check" and not ineq.searchable:
         raise ConfigError(f"{inequality!r} supports the check command only")
-    if not ineq.uses_q and fields.get("q") is not None:
-        raise ConfigError(f"key 'q' does not apply to {inequality!r}")
+    _no_q(ineq, fields.get("q"))
     probabilities = None
     if ineq.input_kind == "process":
         atoms = fields.pop("atoms", 2)
@@ -228,8 +234,8 @@ def _instance(fields: dict) -> RunConfig:
         raise ConfigError("keys 'atoms'/'probabilities' apply to 'semicommutative' only")
     if command == "table":
         points = enumerate(_points(fields.get("points"), "points"))
-        fields["points"] = tuple(_library(ineq.validate, p, q, prefix=f"points[{i}]: ")
-                                 for i, (p, q) in points)
+        fields["points"] = tuple(_library(ineq.validate, p, _no_q(ineq, q, f"points[{i}]: "),
+                                          prefix=f"points[{i}]: ") for i, (p, q) in points)
     return _build(fields, probabilities)
 
 

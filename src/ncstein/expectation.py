@@ -64,19 +64,18 @@ class Subalgebra:
         return [_frozen((rows[:, :, None] * self.dim + rows[:, None, :]).reshape(len(rows), -1))
                 for rows in self.rows]
 
-    @cached_property
     def _labels(self) -> np.ndarray:
-        """The unit-label matrix: j + 1 on each entry of orbit j, 0 elsewhere, an orbit's
-        number j being the flat index of its first entry."""
+        """A new unit-label matrix: j + 1 on each entry of orbit j, 0 elsewhere, an orbit's
+        number j being the flat index of its first entry. No level keeps one."""
         labels = np.zeros(self.dim**2)
         for orbits in self._orbits:
             labels[orbits] = orbits[0] + 1
-        return _frozen(labels.reshape(self.dim, self.dim))
+        return labels.reshape(self.dim, self.dim)
 
     @cached_property
     def _mask(self) -> np.ndarray | None:
         """E's (d, d) mask where every orbit is one entry, which E keeps as it is; else None."""
-        return None if any(len(rows) > 1 for rows in self.rows) else _frozen(self._labels > 0)
+        return None if any(len(rows) > 1 for rows in self.rows) else _frozen(self._labels() > 0)
 
 
 @dataclass(frozen=True)
@@ -182,12 +181,12 @@ def _cond_exp_stack(xs: np.ndarray, spec: Subalgebra) -> np.ndarray:
 
 
 def _contains(outer: Subalgebra, inner: Subalgebra) -> bool:
-    """Whether inner lies in outer: E_outer fixes inner's unit-label matrix (its means are
-    exact and never -0.0). No E call where the form decides it: a full-algebra outer (one
-    (1, d) block) fixes all, and every E fixes the identity, the scalars' (one (d, 1) block)."""
-    if outer.rows[0].shape == (1, outer.dim) or inner.rows[0].shape == (inner.dim, 1):
+    """Whether inner lies in outer: one level contains itself, and else E_outer fixes inner's
+    unit-label matrix byte for byte (its means are exact and never -0.0)."""
+    if outer is inner:
         return True
-    return _cond_exp_stack(inner._labels, outer).tobytes() == inner._labels.tobytes()
+    labels = inner._labels()
+    return _cond_exp_stack(labels, outer).tobytes() == labels.tobytes()
 
 
 @dataclass(frozen=True)
@@ -242,22 +241,22 @@ class Filtration:
 
 def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int] | None = None,
                      *, probabilities: Sequence | None = None, depth: int = 1) -> Filtration:
-    """Build one of the stock filtration families; the one place that knows
-    their shapes. dim, depth and each entry of local_dims are integers >= 1.
+    """Build one of the stock filtration families; the one place that knows their shapes.
+    dim, depth and each entry of local_dims are integers >= 1; given local_dims, dim defaults
+    to, and must equal, their product.
 
-    dyadic: dim = 2^N; level n pinches onto blocks of size 2^n, so level 0 is
-    the diagonal algebra and level N the full algebra.
-    tensor: level n retains the n leading factors of local_dims, from the
-    scalars (n = 0) up to the full algebra; local_dims defaults to (2,) * N
-    when dim = 2^N. Given local_dims, dim defaults to, and must equal, their product.
-    classical: L_inf of a finite probability space with the atom weights
-    `probabilities` (positive rationals summing to 1), tensored with M_dim.
-    An atom of weight k/m becomes k slots of weight 1/m, one dim x dim
-    diagonal block each, so the normalized trace is the weighted expectation;
-    level n averages over the cells {0}, ..., {n - 1}, {n, ...} of atoms, and
-    the finest level repeats until there are `depth` levels. The space's
-    (m dim)^2 entries, over all m slots, may not exceed NOISE_ENTRIES. Every call
-    runs every check, and then equal shapes share one read-only chain (see _chain).
+    dyadic: dim = 2^N and no local_dims; level n pinches onto blocks of size 2^n, so level 0
+    is the diagonal algebra and level N the full algebra.
+    tensor: level n retains the n leading factors of local_dims, from the scalars (n = 0) up
+    to the full algebra; local_dims defaults to (2,) * N when dim = 2^N.
+    classical: L_inf of a finite probability space with the atom weights `probabilities`
+    (positive rationals summing to 1), tensored with M_dim. An atom of weight k/m becomes k
+    slots of weight 1/m, one dim x dim diagonal block each, so the normalized trace is the
+    weighted expectation; level n averages over the cells {0}, ..., {n - 1}, {n, ...} of
+    atoms, and the finest level, one object, repeats until there are `depth` levels. The
+    space's (m dim)^2 entries, over all m slots, may not exceed NOISE_ENTRIES. Every call runs
+    every check, and then equal shapes share one read-only chain (see _chain), which keeps
+    each level's index arrays and masks but no label matrix.
     """
     local_dims = None if local_dims is None else _as_dims(local_dims)
     dim = as_count(math.prod(local_dims) if dim is None and local_dims else dim, "dim")
@@ -267,6 +266,8 @@ def build_filtration(kind: str, dim: int | None = None, local_dims: Sequence[int
     if kind not in FILTRATION_KINDS:
         raise ValueError(f"unknown filtration kind {kind!r}")
     power_of_2, weights = not dim & (dim - 1), ()
+    if kind == "dyadic" and local_dims:
+        raise ValueError(f"dyadic pinching takes no local_dims, got {local_dims}")
     if kind == "dyadic" and not power_of_2:
         raise ValueError(f"dyadic pinching needs dim a power of 2, got {dim}")
     if kind == "tensor" and local_dims is None:

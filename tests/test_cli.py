@@ -235,6 +235,9 @@ def test_cli_parses_only_its_own_keys():
     (lambda: build_filtration("tensor", local_dims=[2.5, 2]), ValueError,
      "local_dims[0] must be an integer, got 2.5"),
     (lambda: build_filtration("dyadic", True), ValueError, "dim must be an integer, got True"),
+    # a dyadic chain has no factors, so it refuses local_dims even when their product is dim
+    (lambda: build_filtration("dyadic", 8, (2, 4)), ValueError,
+     "dyadic pinching takes no local_dims, got (2, 4)"),
     (lambda: tower_residual(DYADIC4, True, 0), ValueError, "trials must be an integer, got True"),
     *[(lambda bad=bad: SearchConfig(inequality_id="s_qq", p=2, q=2, filt=DYADIC4, seq_len=3,
                                     step_scale=bad),
@@ -864,12 +867,11 @@ CHECK_POINTS = {
 
 
 def _chain_arrays(filt):
-    """Every array a chain holds, by name: each level's rows, orbits, unit labels and mask,
-    and the masks of its cached term plans."""
+    """Every array a chain holds, by name: each level's rows, orbits and mask, and the masks
+    of its cached term plans."""
     for spec in filt.levels:
         yield from (("rows", rows) for rows in spec.rows)
         yield from (("_orbits", orbits) for orbits in spec._orbits)
-        yield "_labels", spec._labels
         if spec._mask is not None:
             yield "_mask", spec._mask
     yield from (("plan masks", masks) for _, masks in filt._plans.values() if masks is not None)
@@ -897,7 +899,7 @@ def test_every_command_runs_on_a_read_only_chain(tmp_path):
             names.add(name)
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
-    assert names == {"rows", "_orbits", "_labels", "_mask", "plan masks"}
+    assert names == {"rows", "_orbits", "_mask", "plan masks"}
 
 
 BENCH_SEMICOMMUTATIVE = dict(inequality="semicommutative", p=2, q=1.5, dim=8,

@@ -338,6 +338,44 @@ def test_equal_shapes_share_one_chain():
     assert other is not tensor and len(other) == 3 and len(tensor) == 4
 
 
+def test_repeated_levels_take_no_containment_call(monkeypatch):
+    # the finest level repeats as one object, which contains itself with no E call, so
+    # a deep classical chain checks only its distinct adjacent pairs
+    calls, cond_exp_stack = [], expectation._cond_exp_stack
+
+    def counting(xs, spec):
+        calls.append(spec)
+        return cond_exp_stack(xs, spec)
+
+    monkeypatch.setattr(expectation, "_cond_exp_stack", counting)
+    counts = {}
+    for depth in (3, 4000):
+        expectation._chain.cache_clear()  # a cached chain would make no call at all
+        calls.clear()
+        assert len(build_filtration("classical", 8, probabilities=QUARTERS, depth=depth)) == depth
+        counts[depth] = len(calls)
+    assert counts[4000] == counts[3] == 2  # one per pair of the three atoms' levels
+
+
+@pytest.mark.parametrize("dim, atoms, mib", [(2, 256, 32), (1, 128, 6)])
+def test_a_cached_chain_keeps_no_label_matrices(dim, atoms, mib):
+    # one d x d float unit-label matrix per level would hold 512 MiB at 256 atoms of dim 2
+    # (d = 512), and 16 MiB at 128 atoms of dim 1
+    expectation._chain.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        filt = build_filtration("classical", dim, probabilities=[Fraction(1, atoms)] * atoms,
+                                depth=atoms)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        expectation._chain.cache_clear()
+    assert len(filt) == atoms and filt.dim == atoms * dim
+    assert retained <= mib * 2**20
+    assert not any("_labels" in vars(spec) for spec in filt.levels)
+
+
 def test_the_slot_bound_is_checked_before_the_shared_chain(monkeypatch):
     build_filtration("classical", 8, probabilities=QUARTERS, depth=4)  # 4 slots of 8 x 8
     monkeypatch.setattr(expectation, "NOISE_ENTRIES", (4 * 8) ** 2 - 1)
